@@ -9,7 +9,6 @@ from .algebras import (
     ClassificationReport,
     TrilinearMap,
     annihilator,
-    annihilator_elements,
     associator,
     basis_vec,
     classify,

@@ -8,6 +8,12 @@ three letters: index 1 is plain associativity, 2 is the Vinberg
 4 equates a triple product with its reversal, 5 is the generalized Jacobi
 condition, and 6 is Lie-admissibility.  Every identity is decided exactly
 by evaluating on all basis triples, which suffices by multilinearity.
+
+``classify`` reads every check off one exact computation on the table
+cleared of denominators (Python ints, no floats): the annihilator of the
+associator, from a fraction-free solve that stops at full rank, and the
+stabilizer of (xy)z.  The single-identity checks read the same integer
+associator directly.
 """
 
 from __future__ import annotations
@@ -16,10 +22,11 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import gcd, lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Subspace, Vec, as_vec, kernel
-from .sym3 import SUBGROUPS, GroupAlgElem, Perm3, PERMS, special_vector
+from .sym3 import SUBGROUPS, GroupAlgElem, Perm3, PERMS, inverse, special_vector
 
 
 def basis_vec(dim: int, j: int) -> Vec:
@@ -150,33 +157,86 @@ class TrilinearMap:
         return tuple(out)
 
 
-def left_assoc_map(A: Algebra) -> TrilinearMap:
-    """(x1 x2) x3 as a trilinear map."""
-    by_left: dict[int, list[tuple[int, int, Fraction]]] = defaultdict(list)
-    for (m, k, l), c in A.products.items():
+Key4 = tuple[int, int, int, int]
+
+
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times the LCM ``d`` of their denominators, as ints, and ``d``."""
+    d = lcm(*(c.denominator for c in values))
+    return [c.numerator * (d // c.denominator) for c in values], d
+
+
+def _integer_table(A: Algebra) -> tuple[dict[tuple[int, int, int], int], int]:
+    """The structure constants cleared of denominators, and the factor ``d``
+    that cleared them.  Every identity below is homogeneous in the
+    constants, so it holds for the scaled table exactly when it holds for
+    the original one."""
+    ints, d = _cleared(list(A.products.values()))
+    return dict(zip(A.products, ints)), d
+
+
+def _left_products(P: Mapping[tuple[int, int, int], int]) -> dict[Key4, int]:
+    """(x1 x2) x3 on basis triples, over the integer table ``P``."""
+    by_left: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    for (m, k, l), c in P.items():
         by_left[m].append((k, l, c))
-    out: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
-    for (i, j, m), c1 in A.products.items():
+    out: dict[Key4, int] = defaultdict(int)
+    for (i, j, m), c1 in P.items():
         for k, l, c2 in by_left.get(m, ()):
             out[(i, j, k, l)] += c1 * c2
-    return TrilinearMap(A.dim, out)
+    return out
+
+
+def _right_products(P: Mapping[tuple[int, int, int], int]) -> dict[Key4, int]:
+    """x1 (x2 x3) on basis triples, over the integer table ``P``."""
+    by_right: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    for (i, m, l), c in P.items():
+        by_right[m].append((i, l, c))
+    out: dict[Key4, int] = defaultdict(int)
+    for (j, k, m), c1 in P.items():
+        for i, l, c2 in by_right.get(m, ()):
+            out[(i, j, k, l)] += c1 * c2
+    return out
+
+
+def _scaled_associator(A: Algebra) -> tuple[dict[Key4, int], int]:
+    """The nonzero entries of d**2 times the associator, as ints, and d**2,
+    where d clears the denominators of the table."""
+    P, d = _integer_table(A)
+    out = _left_products(P)
+    for key, c in _right_products(P).items():
+        out[key] -= c
+    return {key: c for key, c in out.items() if c}, d * d
+
+
+def _trilinear(dim: int, entries: Mapping[Key4, int], scale: int) -> TrilinearMap:
+    return TrilinearMap(dim, {key: Fraction(c, scale) for key, c in entries.items()})
+
+
+def left_assoc_map(A: Algebra) -> TrilinearMap:
+    """(x1 x2) x3 as a trilinear map."""
+    P, d = _integer_table(A)
+    return _trilinear(A.dim, _left_products(P), d * d)
 
 
 def right_assoc_map(A: Algebra) -> TrilinearMap:
     """x1 (x2 x3) as a trilinear map."""
-    by_right: dict[int, list[tuple[int, int, Fraction]]] = defaultdict(list)
-    for (i, m, l), c in A.products.items():
-        by_right[m].append((i, l, c))
-    out: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
-    for (j, k, m), c1 in A.products.items():
-        for i, l, c2 in by_right.get(m, ()):
-            out[(i, j, k, l)] += c1 * c2
-    return TrilinearMap(A.dim, out)
+    P, d = _integer_table(A)
+    return _trilinear(A.dim, _right_products(P), d * d)
 
 
 def associator(A: Algebra) -> TrilinearMap:
     """(x1 x2) x3 - x1 (x2 x3)."""
-    return left_assoc_map(A) - right_assoc_map(A)
+    entries, scale = _scaled_associator(A)
+    return _trilinear(A.dim, entries, scale)
+
+
+# Slot permutation by s = PERMS[p] sends the key (m1, m2, m3, l) to
+# (m[s1], m[s2], m[s3], l) with (s1, s2, s3) = _SLOT_ORDERS[p], the 0-based
+# images of s.  So the permuted map at a key K reads the original at
+# (K[q1], K[q2], K[q3], l) with (q1, q2, q3) = _LOOKUP_ORDERS[p], those of s^-1.
+_SLOT_ORDERS = tuple((s(1) - 1, s(2) - 1, s(3) - 1) for s in PERMS)
+_LOOKUP_ORDERS = tuple((t(1) - 1, t(2) - 1, t(3) - 1) for t in map(inverse, PERMS))
 
 
 def phi_precompose(T: TrilinearMap, v) -> TrilinearMap:
@@ -191,21 +251,69 @@ def phi_precompose(T: TrilinearMap, v) -> TrilinearMap:
     """
     if isinstance(v, Perm3):
         v = GroupAlgElem.from_perm(v)
-    out: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
-    for pos, coeff in enumerate(v.coords):
+    out: dict[Key4, Fraction] = defaultdict(Fraction)
+    for (s1, s2, s3), coeff in zip(_SLOT_ORDERS, v.coords):
         if not coeff:
             continue
-        s = PERMS[pos]
-        s1, s2, s3 = s(1), s(2), s(3)
-        for (m1, m2, m3, l), c in T.entries.items():
-            mm = (m1, m2, m3)
-            out[(mm[s1 - 1], mm[s2 - 1], mm[s3 - 1], l)] += coeff * c
+        for m, c in T.entries.items():
+            out[(m[s1], m[s2], m[s3], m[3])] += coeff * c
     return TrilinearMap(T.dim, out)
+
+
+def _slot_rows(T: Mapping[Key4, int]) -> Iterator[tuple[int, ...]]:
+    """The six slot-permuted copies of ``T`` as one row per key of their
+    joint support: entry p of the row at key K is the coefficient of K in
+    ``phi_precompose(T, PERMS[p])``.  Rows are produced lazily, so a caller
+    that stops early skips the rest."""
+    seen: set[Key4] = set()
+    get = T.get
+    for m in T:
+        for s1, s2, s3 in _SLOT_ORDERS:
+            key = (m[s1], m[s2], m[s3], m[3])
+            if key in seen:
+                continue
+            seen.add(key)
+            yield tuple(get((key[q1], key[q2], key[q3], key[3]), 0) for q1, q2, q3 in _LOOKUP_ORDERS)
+
+
+def _annihilates(T: Mapping[Key4, int], v: GroupAlgElem) -> bool:
+    """Whether slot permutation by ``v`` sends ``T`` to zero: every row of
+    the six permuted copies is orthogonal to the coordinates of ``v``."""
+    w, _ = _cleared(v.coords)
+    return not any(sum(a * b for a, b in zip(w, row)) for row in _slot_rows(T))
+
+
+def _independent_rows(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """A maximal independent subset of ``rows``, kept as given.
+
+    Fraction-free elimination: a row is reduced against each echelon row
+    by cross-multiplying and dividing out the gcd, so all arithmetic stays
+    in integers.  The scan stops as soon as the rank reaches 6, the
+    number of columns.
+    """
+    echelon: list[tuple[int, list[int]]] = []
+    kept: list[tuple[int, ...]] = []
+    for row in rows:
+        work = list(row)
+        for p, e in echelon:
+            c = work[p]
+            if c:
+                lead = e[p]
+                work = [lead * x - c * y for x, y in zip(work, e)]
+        pivot = next((j for j, x in enumerate(work) if x), None)
+        if pivot is None:
+            continue
+        g = gcd(*work)
+        echelon.append((pivot, [x // g for x in work]))
+        kept.append(row)
+        if len(kept) == 6:
+            break
+    return kept
 
 
 def is_sigma3_assoc_for(A: Algebra, v: GroupAlgElem) -> bool:
     """True iff the associator vanishes after slot permutation by ``v``."""
-    return phi_precompose(associator(A), v).is_zero()
+    return _annihilates(_scaled_associator(A)[0], v)
 
 
 def _check_index(i: int, low: int = 1) -> None:
@@ -228,21 +336,11 @@ def annihilator(A: Algebra) -> Subspace:
     associator: the exact solution set of the linear system with the six
     coordinates of v as unknowns, one equation per tensor coordinate.
     The result is closed under right multiplication by every permutation.
+
+    The equations are scanned only until six independent ones are found;
+    those alone go to the exact kernel solve.
     """
-    T = associator(A)
-    permuted = [phi_precompose(T, p) for p in PERMS]
-    support: set[tuple[int, int, int, int]] = set()
-    for pt in permuted:
-        support.update(pt.entries.keys())
-    rows = [
-        tuple(pt.entries.get(key, Fraction(0)) for pt in permuted)
-        for key in sorted(support)
-    ]
-    return kernel(rows, 6)
-
-
-def annihilator_elements(A: Algebra) -> tuple[GroupAlgElem, ...]:
-    return tuple(GroupAlgElem(row) for row in annihilator(A).basis)
+    return kernel(_independent_rows(_slot_rows(_scaled_associator(A)[0])), 6)
 
 
 def commutator_algebra(A: Algebra) -> Algebra:
@@ -290,10 +388,24 @@ def gi_bang_check(A: Algebra, i: int) -> bool:
     permutation.
     """
     _check_index(i, low=2)
-    if not gi_check(A, 1):
-        return False
-    L = left_assoc_map(A)
-    return all(phi_precompose(L, p) == L for p in SUBGROUPS[i][1:])
+    return gi_check(A, 1) and set(SUBGROUPS[i]) <= _triple_product_stabilizer(A)
+
+
+def _triple_product_stabilizer(A: Algebra) -> frozenset[Perm3]:
+    """The permutations s with ``phi_precompose(left_assoc_map(A), s)``
+    equal to ``left_assoc_map(A)``: the slot symmetries of (xy)z.
+
+    Slot permutation is a bijection on keys, so the permuted map equals the
+    original exactly when every key of the support reads the same value
+    through s^-1.
+    """
+    P, _ = _integer_table(A)
+    L = {key: c for key, c in _left_products(P).items() if c}
+    return frozenset(
+        s
+        for s, (q1, q2, q3) in zip(PERMS, _LOOKUP_ORDERS)
+        if all(L.get((k[q1], k[q2], k[q3], k[3])) == c for k, c in L.items())
+    )
 
 
 def is_commutative(A: Algebra) -> bool:
@@ -343,18 +455,23 @@ class ClassificationReport:
 
 
 def classify(A: Algebra) -> ClassificationReport:
-    T = associator(A)
-    gi = {
-        i: phi_precompose(T, special_vector(f"a{i}")).is_zero() for i in range(1, 7)
-    }
-    bang = {i: gi_bang_check(A, i) for i in range(2, 7)}
+    """Every flag read off the annihilator and the stabilizer of (xy)z.
+
+    Each signed subgroup sum a_i, and the symmetrizer W, holds exactly when
+    it lies in the annihilator.  The triple-symmetry flags need
+    associativity, so the stabilizer is computed only then.
+    """
     ann = annihilator(A)
+    gi = {i: ann.contains(special_vector(f"a{i}").coords) for i in range(1, 7)}
+    # An empty stabilizer fails every triple-symmetry flag, as it must
+    # for a non-associative algebra.
+    stab = _triple_product_stabilizer(A) if gi[1] else frozenset()
     return ClassificationReport(
         gi_assoc=gi,
-        gi_bang=bang,
+        gi_bang={i: set(SUBGROUPS[i]) <= stab for i in range(2, 7)},
         is_associative=gi[1],
         is_lie_admissible=gi[6],
-        is_3_power_associative=phi_precompose(T, special_vector("W")).is_zero(),
+        is_3_power_associative=ann.contains(special_vector("W").coords),
         has_unit=A.unit is not None,
         annihilator_dim=ann.dim,
         annihilator_basis=tuple(GroupAlgElem(row) for row in ann.basis),

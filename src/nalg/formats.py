@@ -51,6 +51,8 @@ def _load_object(text: str) -> dict:
         raise FormatError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise FormatError("document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object")
     return doc

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .linalg import Subspace, span
 
@@ -257,7 +256,3 @@ def maschke_multiplicities(s: Subspace) -> tuple[int, int, int]:
     if remainder or m_trivial + m_sign + standard_rank != s.dim:
         raise ArithmeticError("isotypic ranks do not add up; invariance check is broken")
     return (m_trivial, m_sign, m_standard)
-
-
-def ga_from_coords(coords: Iterable) -> GroupAlgElem:
-    return GroupAlgElem(tuple(coords))

@@ -1,0 +1,111 @@
+"""Reference implementation of the algebra checks, kept as the oracle for
+the differential tests.
+
+These are the straightforward definitions, evaluated over
+``fractions.Fraction``: the associator is built from the two composites,
+every identity applies its own slot permutation to it, the annihilator
+solves the linear system over every tensor coordinate, and every
+triple-symmetry flag runs its own associativity check.  They are slow and
+obviously correct; ``nalg.algebras`` must agree with them on every input.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from fractions import Fraction
+
+from nalg.algebras import Algebra, ClassificationReport, TrilinearMap
+from nalg.linalg import Subspace, kernel
+from nalg.sym3 import PERMS, SUBGROUPS, GroupAlgElem, Perm3, special_vector
+
+
+def left_assoc_map(A: Algebra) -> TrilinearMap:
+    by_left: dict[int, list[tuple[int, int, Fraction]]] = defaultdict(list)
+    for (m, k, l), c in A.products.items():
+        by_left[m].append((k, l, c))
+    out: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
+    for (i, j, m), c1 in A.products.items():
+        for k, l, c2 in by_left.get(m, ()):
+            out[(i, j, k, l)] += c1 * c2
+    return TrilinearMap(A.dim, out)
+
+
+def right_assoc_map(A: Algebra) -> TrilinearMap:
+    by_right: dict[int, list[tuple[int, int, Fraction]]] = defaultdict(list)
+    for (i, m, l), c in A.products.items():
+        by_right[m].append((i, l, c))
+    out: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
+    for (j, k, m), c1 in A.products.items():
+        for i, l, c2 in by_right.get(m, ()):
+            out[(i, j, k, l)] += c1 * c2
+    return TrilinearMap(A.dim, out)
+
+
+def associator(A: Algebra) -> TrilinearMap:
+    return left_assoc_map(A) - right_assoc_map(A)
+
+
+def phi_precompose(T: TrilinearMap, v) -> TrilinearMap:
+    if isinstance(v, Perm3):
+        v = GroupAlgElem.from_perm(v)
+    out: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
+    for pos, coeff in enumerate(v.coords):
+        if not coeff:
+            continue
+        s = PERMS[pos]
+        s1, s2, s3 = s(1), s(2), s(3)
+        for (m1, m2, m3, l), c in T.entries.items():
+            mm = (m1, m2, m3)
+            out[(mm[s1 - 1], mm[s2 - 1], mm[s3 - 1], l)] += coeff * c
+    return TrilinearMap(T.dim, out)
+
+
+def is_sigma3_assoc_for(A: Algebra, v: GroupAlgElem) -> bool:
+    return phi_precompose(associator(A), v).is_zero()
+
+
+def gi_check(A: Algebra, i: int) -> bool:
+    return is_sigma3_assoc_for(A, special_vector(f"a{i}"))
+
+
+def power_assoc_check(A: Algebra) -> bool:
+    return is_sigma3_assoc_for(A, special_vector("W"))
+
+
+def annihilator(A: Algebra) -> Subspace:
+    T = associator(A)
+    permuted = [phi_precompose(T, p) for p in PERMS]
+    support: set[tuple[int, int, int, int]] = set()
+    for pt in permuted:
+        support.update(pt.entries.keys())
+    rows = [
+        tuple(pt.entries.get(key, Fraction(0)) for pt in permuted)
+        for key in sorted(support)
+    ]
+    return kernel(rows, 6)
+
+
+def gi_bang_check(A: Algebra, i: int) -> bool:
+    if not gi_check(A, 1):
+        return False
+    L = left_assoc_map(A)
+    return all(phi_precompose(L, p) == L for p in SUBGROUPS[i][1:])
+
+
+def classify(A: Algebra) -> ClassificationReport:
+    T = associator(A)
+    gi = {
+        i: phi_precompose(T, special_vector(f"a{i}")).is_zero() for i in range(1, 7)
+    }
+    bang = {i: gi_bang_check(A, i) for i in range(2, 7)}
+    ann = annihilator(A)
+    return ClassificationReport(
+        gi_assoc=gi,
+        gi_bang=bang,
+        is_associative=gi[1],
+        is_lie_admissible=gi[6],
+        is_3_power_associative=phi_precompose(T, special_vector("W")).is_zero(),
+        has_unit=A.unit is not None,
+        annihilator_dim=ann.dim,
+        annihilator_basis=tuple(GroupAlgElem(row) for row in ann.basis),
+    )

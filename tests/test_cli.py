@@ -73,6 +73,13 @@ class TestCheck:
         assert code == 2
         assert "syntax error" in err
 
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = run(capsys, "check", str(deep))
+        assert code == 2 and out == ""
+        assert err == "error: document is nested too deeply\n"
+
 
 class TestTransforms:
     def test_dualize_matches_committed_dual(self, capsys, tmp_path):

@@ -1,0 +1,131 @@
+"""The single-pass classify engine against the reference implementation.
+
+Tables are sparse with coefficients over denominators 1, 2, 3 and 5, so
+the engine's denominator clearing always has work to do.  Commutator
+algebras of the same tables are drawn too, because they satisfy many
+identities at once, which brings annihilators of every dimension from 0
+to 6.  Half the tables only multiply upward (e_i e_j lands on indices at
+least max(i, j)); those are often associative with nonzero triple
+products, whose slot stabilizer is then neither trivial nor everything.
+"""
+
+import itertools
+from dataclasses import fields
+from fractions import Fraction
+
+import reference_algebras as reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nalg.algebras import (
+    Algebra,
+    ClassificationReport,
+    annihilator,
+    associator,
+    classify,
+    commutator_algebra,
+    gi_bang_check,
+    gi_check,
+    is_sigma3_assoc_for,
+    left_assoc_map,
+    phi_precompose,
+    power_assoc_check,
+    right_assoc_map,
+)
+from nalg.sym3 import GroupAlgElem, special_vector
+
+
+@st.composite
+def algebras(draw):
+    n = draw(st.integers(1, 4))
+    upward = draw(st.booleans())
+    slots = [
+        (i, j, k)
+        for i, j, k in itertools.product(range(1, n + 1), repeat=3)
+        if not upward or k >= max(i, j)
+    ]
+    keys = draw(st.lists(st.sampled_from(slots), unique=True, max_size=8))
+    # A denominator shared by the table keeps the coincidences between
+    # coefficients that the identities need; one drawn per entry mixes
+    # denominators within the table.
+    shared = draw(st.sampled_from((1, 2, 3, 5, 30)))
+    table = {}
+    for key in keys:
+        numerator = draw(st.sampled_from((1, -1, 2, -2)))
+        table[key] = Fraction(numerator, shared * draw(st.sampled_from((1, 1, 1, 2, 3, 5))))
+    A = Algebra(n, table)
+    return commutator_algebra(A) if draw(st.booleans()) else A
+
+
+# The exterior algebra on two generators, with its unit: (xy)z has the
+# support of (yx)z and the opposite sign.
+EXTERIOR2 = Algebra(
+    4,
+    {
+        (1, 1, 1): 1,
+        **{(1, i, i): 1 for i in (2, 3, 4)},
+        **{(i, 1, i): 1 for i in (2, 3, 4)},
+        (2, 3, 4): Fraction(1, 2),
+        (3, 2, 4): Fraction(-1, 2),
+    },
+    unit=(1, 0, 0, 0),
+)
+
+# Cases random draws rarely reach: annihilators of dimension 5 and 2,
+# associative algebras whose (xy)z is fixed by {id, t12}, by {id, t23}
+# and by the identity alone, and a unital one.
+RARE = (
+    Algebra(3, {(3, 3, 2): Fraction(-1, 2), (3, 2, 1): Fraction(1, 3)}),
+    Algebra(3, {(3, 3, 3): Fraction(-1, 5), (2, 1, 3): Fraction(2, 3)}),
+    Algebra(2, {(1, 1, 1): Fraction(1, 2), (1, 2, 2): Fraction(1, 2)}),
+    Algebra(2, {(1, 1, 1): Fraction(-1, 3), (2, 1, 2): Fraction(-1, 3)}),
+    Algebra(4, {(1, 1, 1): Fraction(-1, 5), (1, 3, 3): Fraction(-1, 5), (4, 1, 4): Fraction(-1, 5)}),
+    EXTERIOR2,
+)
+
+
+def with_rare_examples(*rest):
+    def decorate(test):
+        for A in RARE:
+            test = example(A, *rest)(test)
+        return test
+
+    return decorate
+
+
+ga_elems = st.builds(
+    GroupAlgElem,
+    st.tuples(*[st.sampled_from((0, 0, 1, -1, Fraction(1, 2), Fraction(-2, 3)))] * 6),
+)
+
+
+@with_rare_examples()
+@given(algebras())
+@settings(max_examples=120, deadline=None)
+def test_classify_report_matches_reference(A):
+    ours, ref = classify(A), reference.classify(A)
+    for field in fields(ClassificationReport):
+        assert getattr(ours, field.name) == getattr(ref, field.name), field.name
+
+
+@with_rare_examples(special_vector("a5") + special_vector("v2"))
+@given(algebras(), ga_elems)
+@settings(max_examples=80, deadline=None)
+def test_single_checks_match_reference(A, v):
+    for i in range(1, 7):
+        assert gi_check(A, i) == reference.gi_check(A, i), i
+    for i in range(2, 7):
+        assert gi_bang_check(A, i) == reference.gi_bang_check(A, i), i
+    assert power_assoc_check(A) == reference.power_assoc_check(A)
+    assert is_sigma3_assoc_for(A, v) == reference.is_sigma3_assoc_for(A, v)
+    assert annihilator(A) == reference.annihilator(A)
+
+
+@given(algebras(), ga_elems)
+@settings(max_examples=60, deadline=None)
+def test_trilinear_maps_match_reference(A, v):
+    T = associator(A)
+    assert T == reference.associator(A)
+    assert left_assoc_map(A) == reference.left_assoc_map(A)
+    assert right_assoc_map(A) == reference.right_assoc_map(A)
+    assert phi_precompose(T, v) == reference.phi_precompose(T, v)
