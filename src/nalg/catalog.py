@@ -314,6 +314,15 @@ def build(name: str):
     return builder()
 
 
+def _build_all() -> dict:
+    """Every instance rebuilt from scratch, in ``NAMES`` order; each base
+    algebra is built once and its dual derived from it."""
+    built = {name: build(name) for name in ALGEBRA_NAMES}
+    for name in ALGEBRA_NAMES:
+        built[f"dual_{name}"] = replace(dualize_algebra(built[name]), name=f"dual_{name}")
+    return built
+
+
 def data_text(name: str) -> str:
     """The committed file contents for an instance."""
     if name not in NAMES:
@@ -333,9 +342,9 @@ def regenerate() -> dict[str, str]:
     against the committed data files.  Raises on any divergence."""
     report: dict[str, str] = {}
     divergent: list[str] = []
-    for name in NAMES:
+    for name, obj in _build_all().items():
         expected = data_text(name)
-        actual = formats.print_document(build(name))
+        actual = formats.print_document(obj)
         if actual == expected:
             report[name] = "ok"
         else:
@@ -355,7 +364,5 @@ def write_data_files(directory) -> None:
 
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
-    for name in NAMES:
-        (target / f"{name}.json").write_text(
-            formats.print_document(build(name)), encoding="utf-8"
-        )
+    for name, obj in _build_all().items():
+        (target / f"{name}.json").write_text(formats.print_document(obj), encoding="utf-8")

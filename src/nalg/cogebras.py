@@ -5,6 +5,14 @@ invariance checks, counits, the flip, and derived Lie cogebras.
 Slot permutations act on output tensor cubes with the same convention as
 in :mod:`nalg.algebras`: the permutation operator of ``s`` places the
 factor with index s^{-1}(k) into slot k.
+
+Every check is decided by :mod:`nalg.algebras` on the dual algebra.  The
+coassociativity defect of a cogebra is the associator of its dual with
+the output index moved to the front, and slot permutation by p on the
+cogebra side is slot permutation by p^-1 on the dual.  Every subgroup is
+closed under inverses and p^-1 has the sign of p, so each signed subgroup
+sum, the symmetrizer and each stabilizer condition carries over
+unchanged; only the coannihilator is moved, by the map p -> p^-1.
 """
 
 from __future__ import annotations
@@ -12,10 +20,22 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .linalg import Subspace, Vec, as_vec, kernel
-from .sym3 import SUBGROUPS, GroupAlgElem, Perm3, PERMS, inverse, sign
+from .algebras import (
+    _check_index,
+    _is_identity,
+    annihilator,
+    classify,
+    gi_bang_check,
+    gi_check,
+    jacobi_check,
+    phi_precompose,
+    right_assoc_map,
+)
+from .duality import dualize_cogebra
+from .linalg import Subspace, Vec, as_vec, span
+from .sym3 import GroupAlgElem, Perm3, PERMS, inverse, special_vector
 
 
 @dataclass(frozen=True)
@@ -55,17 +75,18 @@ class Cogebra:
             if len(eps) != self.dim:
                 raise ValueError("counit length differs from dimension")
             object.__setattr__(self, "counit", eps)
-            for k in range(1, self.dim + 1):
-                left = [Fraction(0)] * self.dim
-                right = [Fraction(0)] * self.dim
-                for (kk, i, j), c in table.items():
-                    if kk == k:
-                        left[j - 1] += c * eps[i - 1]
-                        right[i - 1] += c * eps[j - 1]
-                expect = [Fraction(0)] * self.dim
-                expect[k - 1] = Fraction(1)
-                if left != expect or right != expect:
-                    raise ValueError("declared counit fails the counit axiom")
+            # (eps (x) id) and (id (x) eps) after the coproduct, for every
+            # basis element at once: left[(k, j)] is the e_j coordinate of
+            # the first on e_k, right[(k, i)] the e_i coordinate of the second.
+            left: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+            right: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+            for (k, i, j), c in table.items():
+                if eps[i - 1]:
+                    left[(k, j)] += c * eps[i - 1]
+                if eps[j - 1]:
+                    right[(k, i)] += c * eps[j - 1]
+            if not (_is_identity(left, self.dim) and _is_identity(right, self.dim)):
+                raise ValueError("declared counit fails the counit axiom")
 
     def comultiply(self, x: Sequence) -> dict[tuple[int, int], Fraction]:
         """Coordinates of the coproduct of ``x`` on the tensor square,
@@ -103,25 +124,6 @@ class CubeMap:
             if c:
                 table[key] = c
         object.__setattr__(self, "entries", table)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __add__(self, other: "CubeMap") -> "CubeMap":
-        out = dict(self.entries)
-        for key, c in other.entries.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return CubeMap(self.dim, out)
-
-    def __sub__(self, other: "CubeMap") -> "CubeMap":
-        out = dict(self.entries)
-        for key, c in other.entries.items():
-            out[key] = out.get(key, Fraction(0)) - c
-        return CubeMap(self.dim, out)
-
-    def scale(self, factor) -> "CubeMap":
-        f = Fraction(factor)
-        return CubeMap(self.dim, {k: f * c for k, c in self.entries.items()})
 
     def phi(self, v) -> "CubeMap":
         """Apply the slot-permutation operator of ``v`` on the output side."""
@@ -163,20 +165,10 @@ def coassoc_right(C: Cogebra) -> CubeMap:
     return CubeMap(C.dim, out)
 
 
-def _check_index(i: int, low: int = 1) -> None:
-    if i not in range(low, 7):
-        raise ValueError(f"subgroup index must be in {low}..6, got {i}")
-
-
 def gi_cocheck(C: Cogebra, i: int) -> bool:
     """Arrow-reversed invariance check: the signed sum over the subgroup of
     slot-permuted coassociativity defects vanishes on every basis element."""
-    _check_index(i)
-    defect = coassoc_left(C) - coassoc_right(C)
-    total = CubeMap(C.dim, {})
-    for p in SUBGROUPS[i]:
-        total = total + defect.phi(p).scale(sign(p))
-    return total.is_zero()
+    return gi_check(dualize_cogebra(C), i)
 
 
 def gi_bang_cocheck(C: Cogebra, i: int, *, literal: bool = False) -> bool:
@@ -188,19 +180,19 @@ def gi_bang_cocheck(C: Cogebra, i: int, *, literal: bool = False) -> bool:
     literally that forces |G|*x == x already for a grouplike element, so
     by default the check uses the normalized (averaged) reading, which is
     equivalent to invariance of the iterated coproduct under every slot
-    permutation in the subgroup.  Pass ``literal=True`` for the
-    unnormalized displayed equality.
+    permutation in the subgroup: the dual's triple-symmetry check.  Pass
+    ``literal=True`` for the unnormalized displayed equality, tested on
+    the dual's x(yz) map.
     """
+    A = dualize_cogebra(C)
+    if not literal:
+        return gi_bang_check(A, i)
     _check_index(i, low=2)
-    if not gi_cocheck(C, 1):
+    if not gi_check(A, 1):
         return False
-    iterated = coassoc_right(C)
-    total = CubeMap(C.dim, {})
-    for p in SUBGROUPS[i]:
-        total = total + iterated.phi(inverse(p))
-    if literal:
-        return total == iterated
-    return total == iterated.scale(len(SUBGROUPS[i]))
+    R = right_assoc_map(A)
+    # The subgroup is closed under inverses, so u_i is the sum of its members.
+    return phi_precompose(R, special_vector(f"u{i}")) == R
 
 
 def flip(C: Cogebra) -> Cogebra:
@@ -221,29 +213,23 @@ def lie_cogebra_from(C: Cogebra) -> Cogebra:
 def is_lie_cogebra(C: Cogebra) -> bool:
     """Co-anticommutativity plus the co-Jacobi identity: the iterated
     coproduct summed over the three even slot rotations vanishes."""
-    for (k, i, j), c in C.coproducts.items():
-        if C.coproducts.get((k, j, i), Fraction(0)) != -c:
-            return False
-    iterated = coassoc_right(C)
-    total = CubeMap(C.dim, {})
-    for p in SUBGROUPS[5]:
-        total = total + iterated.phi(p)
-    return total.is_zero()
+    return jacobi_check(dualize_cogebra(C))
+
+
+# Coordinate k of the image of v under p -> p^-1 is coordinate
+# _INVERSE_ORDER[k] of v: the two 3-cycles swap, the rest stay.
+_INVERSE_ORDER = tuple(PERMS.index(inverse(p)) for p in PERMS)
+
+
+def _inverted(rows: Iterable[Sequence[Fraction]]) -> Subspace:
+    """The image under p -> p^-1 of the span of ``rows``, in canonical form."""
+    return span((tuple(row[q] for q in _INVERSE_ORDER) for row in rows), 6)
 
 
 def coannihilator(C: Cogebra) -> Subspace:
     """All group-algebra vectors whose slot permutation kills the
     coassociativity defect; the mirror of the algebra annihilator."""
-    defect = coassoc_left(C) - coassoc_right(C)
-    permuted = [defect.phi(p) for p in PERMS]
-    support: set[tuple[int, int, int, int]] = set()
-    for pt in permuted:
-        support.update(pt.entries.keys())
-    rows = [
-        tuple(pt.entries.get(key, Fraction(0)) for pt in permuted)
-        for key in sorted(support)
-    ]
-    return kernel(rows, 6)
+    return _inverted(annihilator(dualize_cogebra(C)).basis)
 
 
 @dataclass(frozen=True)
@@ -261,20 +247,16 @@ class CogebraReport:
 
 
 def classify_cogebra(C: Cogebra) -> CogebraReport:
-    gi = {i: gi_cocheck(C, i) for i in range(1, 7)}
-    bang = {i: gi_bang_cocheck(C, i) for i in range(2, 7)}
-    defect = coassoc_left(C) - coassoc_right(C)
-    full_sum = CubeMap(C.dim, {})
-    for p in PERMS:
-        full_sum = full_sum + defect.phi(p)
-    co_ann = coannihilator(C)
+    """The report of the dual algebra, with its annihilator moved by p -> p^-1."""
+    report = classify(dualize_cogebra(C))
+    co_ann = _inverted(e.coords for e in report.annihilator_basis)
     return CogebraReport(
-        gi_coassoc=gi,
-        gi_bang_co=bang,
-        is_coassociative=gi[1],
-        is_lie_coadmissible=gi[6],
-        is_3_power_coassociative=full_sum.is_zero(),
-        has_counit=C.counit is not None,
+        gi_coassoc=report.gi_assoc,
+        gi_bang_co=report.gi_bang,
+        is_coassociative=report.is_associative,
+        is_lie_coadmissible=report.is_lie_admissible,
+        is_3_power_coassociative=report.is_3_power_associative,
+        has_counit=report.has_unit,
         coannihilator_dim=co_ann.dim,
         coannihilator_basis=tuple(GroupAlgElem(row) for row in co_ann.basis),
     )

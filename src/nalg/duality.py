@@ -8,13 +8,21 @@ vice versa.  Both round trips are the identity on the stored data.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .algebras import Algebra
-from .cogebras import Cogebra
+
+if TYPE_CHECKING:
+    from .cogebras import Cogebra
 
 
 def dualize_algebra(A: Algebra) -> Cogebra:
     """The cogebra on the dual space; the counit, when the algebra has a
     unit, is evaluation at that unit."""
+    # Imported here: nalg.cogebras decides its checks on dual algebras, so
+    # it imports this module.
+    from .cogebras import Cogebra
+
     coproducts = {(k, i, j): c for (i, j, k), c in A.products.items()}
     return Cogebra(
         A.dim,

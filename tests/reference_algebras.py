@@ -11,10 +11,11 @@ obviously correct; ``nalg.algebras`` must agree with them on every input.
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from fractions import Fraction
 
-from nalg.algebras import Algebra, ClassificationReport, TrilinearMap
+from nalg.algebras import Algebra, ClassificationReport, TrilinearMap, basis_vec
 from nalg.linalg import Subspace, kernel
 from nalg.sym3 import PERMS, SUBGROUPS, GroupAlgElem, Perm3, special_vector
 
@@ -109,3 +110,22 @@ def classify(A: Algebra) -> ClassificationReport:
         annihilator_dim=ann.dim,
         annihilator_basis=tuple(GroupAlgElem(row) for row in ann.basis),
     )
+
+
+def jacobi_check(A: Algebra) -> bool:
+    for (i, j, k), c in A.products.items():
+        if A.products.get((j, i, k), Fraction(0)) != -c:
+            return False
+    n = A.dim
+    zero = tuple([Fraction(0)] * n)
+    es = [basis_vec(n, i) for i in range(1, n + 1)]
+    for x, y, z in itertools.product(es, repeat=3):
+        total = [Fraction(0)] * n
+        for a, b, c3 in ((x, y, z), (y, z, x), (z, x, y)):
+            inner = A.multiply(a, b)
+            outer = A.multiply(inner, c3)
+            for t in range(n):
+                total[t] += outer[t]
+        if tuple(total) != zero:
+            return False
+    return True

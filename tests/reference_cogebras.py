@@ -1,0 +1,88 @@
+"""Reference implementation of the cogebra checks, kept as the oracle for
+the differential tests.
+
+These are the arrow-reversed definitions, evaluated over
+``fractions.Fraction`` on the cogebra itself: the coassociativity defect
+is built from the two iterated coproducts, and every check applies its
+own slot permutations to it and solves its own linear system.  They are
+slow and obviously correct; ``nalg.cogebras``, which decides every check
+on the dual algebra, must agree with them on every input.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from nalg.algebras import _check_index
+from nalg.cogebras import Cogebra, CogebraReport, CubeMap, coassoc_left, coassoc_right
+from nalg.linalg import Subspace, kernel
+from nalg.sym3 import PERMS, SUBGROUPS, GroupAlgElem, inverse, sign
+
+
+def _combine(dim: int, terms) -> CubeMap:
+    """The linear combination of the (coefficient, CubeMap) pairs."""
+    out: dict[tuple[int, int, int, int], Fraction] = {}
+    for coeff, m in terms:
+        for key, c in m.entries.items():
+            out[key] = out.get(key, Fraction(0)) + Fraction(coeff) * c
+    return CubeMap(dim, out)
+
+
+def defect(C: Cogebra) -> CubeMap:
+    return _combine(C.dim, ((1, coassoc_left(C)), (-1, coassoc_right(C))))
+
+
+def gi_cocheck(C: Cogebra, i: int) -> bool:
+    _check_index(i)
+    d = defect(C)
+    return not _combine(C.dim, ((sign(p), d.phi(p)) for p in SUBGROUPS[i])).entries
+
+
+def gi_bang_cocheck(C: Cogebra, i: int, *, literal: bool = False) -> bool:
+    _check_index(i, low=2)
+    if not gi_cocheck(C, 1):
+        return False
+    iterated = coassoc_right(C)
+    total = _combine(C.dim, ((1, iterated.phi(inverse(p))) for p in SUBGROUPS[i]))
+    if literal:
+        return total == iterated
+    return total == _combine(C.dim, ((len(SUBGROUPS[i]), iterated),))
+
+
+def is_lie_cogebra(C: Cogebra) -> bool:
+    for (k, i, j), c in C.coproducts.items():
+        if C.coproducts.get((k, j, i), Fraction(0)) != -c:
+            return False
+    iterated = coassoc_right(C)
+    return not _combine(C.dim, ((1, iterated.phi(p)) for p in SUBGROUPS[5])).entries
+
+
+def coannihilator(C: Cogebra) -> Subspace:
+    d = defect(C)
+    permuted = [d.phi(p) for p in PERMS]
+    support: set[tuple[int, int, int, int]] = set()
+    for pt in permuted:
+        support.update(pt.entries.keys())
+    rows = [
+        tuple(pt.entries.get(key, Fraction(0)) for pt in permuted)
+        for key in sorted(support)
+    ]
+    return kernel(rows, 6)
+
+
+def classify_cogebra(C: Cogebra) -> CogebraReport:
+    gi = {i: gi_cocheck(C, i) for i in range(1, 7)}
+    bang = {i: gi_bang_cocheck(C, i) for i in range(2, 7)}
+    d = defect(C)
+    full_sum = _combine(C.dim, ((1, d.phi(p)) for p in PERMS))
+    co_ann = coannihilator(C)
+    return CogebraReport(
+        gi_coassoc=gi,
+        gi_bang_co=bang,
+        is_coassociative=gi[1],
+        is_lie_coadmissible=gi[6],
+        is_3_power_coassociative=not full_sum.entries,
+        has_counit=C.counit is not None,
+        coannihilator_dim=co_ann.dim,
+        coannihilator_basis=tuple(GroupAlgElem(row) for row in co_ann.basis),
+    )

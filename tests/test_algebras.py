@@ -73,6 +73,13 @@ class TestAlgebraConstruction:
         with pytest.raises(ValueError):
             Algebra(2, {(1, 1, 1): 1}, unit=(1, 0))
 
+    def test_one_sided_unit_rejected(self):
+        # e1 is a left unit of the first table and a right unit of the second.
+        for table in ({(1, 1, 1): 1, (1, 2, 2): 1}, {(1, 1, 1): 1, (2, 1, 2): 1}):
+            with pytest.raises(ValueError, match="two-sided unit"):
+                Algebra(2, table, unit=(1, 0))
+        Algebra(2, {(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1}, unit=(1, 0))  # valid
+
     def test_multiply_reads_table(self):
         A = witness2()
         e1, e2 = basis_vec(2, 1), basis_vec(2, 2)

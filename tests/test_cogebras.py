@@ -37,6 +37,13 @@ class TestCogebraConstruction:
             Cogebra(2, {}, counit=(1, 0))
         grouplike1()  # valid
 
+    def test_one_sided_counit_rejected(self):
+        # e1* is a left counit of the first table and a right counit of the second.
+        for table in ({(1, 1, 1): 1, (2, 1, 2): 1}, {(1, 1, 1): 1, (2, 2, 1): 1}):
+            with pytest.raises(ValueError, match="counit axiom"):
+                Cogebra(2, table, counit=(1, 0))
+        Cogebra(2, {(1, 1, 1): 1, (2, 1, 2): 1, (2, 2, 1): 1}, counit=(1, 0))  # valid
+
     def test_comultiply_linear(self):
         C = dualize_algebra(catalog.get("trunc_poly2"))
         assert C.comultiply((0, 1)) == {(1, 2): F(1), (2, 1): F(1)}

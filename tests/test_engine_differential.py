@@ -27,6 +27,7 @@ from nalg.algebras import (
     gi_bang_check,
     gi_check,
     is_sigma3_assoc_for,
+    jacobi_check,
     left_assoc_map,
     phi_precompose,
     power_assoc_check,
@@ -117,6 +118,7 @@ def test_single_checks_match_reference(A, v):
     for i in range(2, 7):
         assert gi_bang_check(A, i) == reference.gi_bang_check(A, i), i
     assert power_assoc_check(A) == reference.power_assoc_check(A)
+    assert jacobi_check(A) == reference.jacobi_check(A)
     assert is_sigma3_assoc_for(A, v) == reference.is_sigma3_assoc_for(A, v)
     assert annihilator(A) == reference.annihilator(A)
 
