@@ -19,11 +19,11 @@ associator directly.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._record import Record
 from .linalg import Subspace, Vec, as_vec, kernel
 from .sym3 import SUBGROUPS, GroupAlgElem, Perm3, PERMS, inverse, special_vector
 
@@ -40,8 +40,7 @@ def _is_identity(matrix: Mapping[tuple[int, int], Fraction], dim: int) -> bool:
     return {key: c for key, c in matrix.items() if c} == {(j, j): 1 for j in range(1, dim + 1)}
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Record):
     """An algebra by structure constants.
 
     ``products[(i, j, k)]`` is the coefficient of ``e_k`` in ``e_i * e_j``;
@@ -50,33 +49,33 @@ class Algebra:
     used by the file format; ``name`` is a free label.
     """
 
-    dim: int
-    products: Mapping[tuple[int, int, int], Fraction]
-    unit: Vec | None = None
-    basis: tuple[str, ...] | None = None
-    name: str | None = None
+    __slots__ = ("dim", "products", "unit", "basis", "name")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(
+        self,
+        dim: int,
+        products: Mapping[tuple[int, int, int], Fraction],
+        unit: Vec | None = None,
+        basis: tuple[str, ...] | None = None,
+        name: str | None = None,
+    ):
+        if dim < 1:
             raise ValueError("dimension must be at least 1")
         table: dict[tuple[int, int, int], Fraction] = {}
-        for (i, j, k), c in self.products.items():
-            if not all(1 <= t <= self.dim for t in (i, j, k)):
+        for (i, j, k), c in products.items():
+            if not all(1 <= t <= dim for t in (i, j, k)):
                 raise ValueError(f"index out of range in product entry ({i}, {j}, {k})")
             c = Fraction(c)
             if c:
                 table[(i, j, k)] = c
-        object.__setattr__(self, "products", table)
-        if self.basis is not None:
-            names = tuple(str(n) for n in self.basis)
-            if len(names) != self.dim:
+        if basis is not None:
+            basis = tuple(str(n) for n in basis)
+            if len(basis) != dim:
                 raise ValueError("basis-name count differs from dimension")
-            object.__setattr__(self, "basis", names)
-        if self.unit is not None:
-            u = as_vec(self.unit)
-            if len(u) != self.dim:
+        if unit is not None:
+            u = unit = as_vec(unit)
+            if len(u) != dim:
                 raise ValueError("unit length differs from dimension")
-            object.__setattr__(self, "unit", u)
             # u e_j and e_i u for every basis element at once: left[(j, k)]
             # is the e_k coordinate of u e_j, right[(i, k)] that of e_i u.
             left: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
@@ -86,8 +85,9 @@ class Algebra:
                     left[(j, k)] += c * u[i - 1]
                 if u[j - 1]:
                     right[(i, k)] += c * u[j - 1]
-            if not (_is_identity(left, self.dim) and _is_identity(right, self.dim)):
+            if not (_is_identity(left, dim) and _is_identity(right, dim)):
                 raise ValueError("declared unit is not a two-sided unit")
+        self._assign(dim, table, unit, basis, name)
 
     def multiply(self, x: Sequence, y: Sequence) -> Vec:
         """Bilinear extension of the structure constants."""
@@ -110,24 +110,22 @@ class Algebra:
         return tuple(f"e{i}" for i in range(1, self.dim + 1))
 
 
-@dataclass(frozen=True)
-class TrilinearMap:
+class TrilinearMap(Record):
     """A trilinear map into the algebra: ``entries[(i, j, k, l)]`` is the
     coefficient of ``e_l`` in T(e_i, e_j, e_k).  Zero entries are dropped,
     so equality of maps is equality of the stored tables."""
 
-    dim: int
-    entries: Mapping[tuple[int, int, int, int], Fraction]
+    __slots__ = ("dim", "entries")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, entries: Mapping[tuple[int, int, int, int], Fraction]):
         table: dict[tuple[int, int, int, int], Fraction] = {}
-        for key, c in self.entries.items():
-            if not all(1 <= t <= self.dim for t in key):
+        for key, c in entries.items():
+            if not all(1 <= t <= dim for t in key):
                 raise ValueError(f"index out of range in trilinear entry {key}")
             c = Fraction(c)
             if c:
                 table[key] = c
-        object.__setattr__(self, "entries", table)
+        self._assign(dim, table)
 
     def get(self, i: int, j: int, k: int, l: int) -> Fraction:
         return self.entries.get((i, j, k, l), Fraction(0))
@@ -442,18 +440,41 @@ def is_algebra_morphism(images: Sequence[Sequence], source: Algebra, target: Alg
     return True
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """Aggregated results of all invariance checks for one algebra."""
 
-    gi_assoc: Mapping[int, bool]
-    gi_bang: Mapping[int, bool]
-    is_associative: bool
-    is_lie_admissible: bool
-    is_3_power_associative: bool
-    has_unit: bool
-    annihilator_dim: int
-    annihilator_basis: tuple[GroupAlgElem, ...]
+    __slots__ = (
+        "gi_assoc",
+        "gi_bang",
+        "is_associative",
+        "is_lie_admissible",
+        "is_3_power_associative",
+        "has_unit",
+        "annihilator_dim",
+        "annihilator_basis",
+    )
+
+    def __init__(
+        self,
+        gi_assoc: Mapping[int, bool],
+        gi_bang: Mapping[int, bool],
+        is_associative: bool,
+        is_lie_admissible: bool,
+        is_3_power_associative: bool,
+        has_unit: bool,
+        annihilator_dim: int,
+        annihilator_basis: tuple[GroupAlgElem, ...],
+    ):
+        self._assign(
+            gi_assoc,
+            gi_bang,
+            is_associative,
+            is_lie_admissible,
+            is_3_power_associative,
+            has_unit,
+            annihilator_dim,
+            annihilator_basis,
+        )
 
 
 def classify(A: Algebra) -> ClassificationReport:

@@ -38,10 +38,9 @@ Search spaces, per instance:
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
+from pathlib import Path
 
 from . import formats
 from .algebras import (
@@ -53,10 +52,19 @@ from .algebras import (
     is_commutative,
     jacobi_check,
 )
+from .cogebras import Cogebra
 from .duality import dualize_algebra
 from .products import tensor_algebras
 
 _VALUES = (Fraction(-1), Fraction(0), Fraction(1))
+_DATA = Path(__file__).parent / "data"
+
+
+def _named(obj, name: str):
+    """The algebra or cogebra ``obj`` labelled ``name``."""
+    if isinstance(obj, Cogebra):
+        return Cogebra(obj.dim, obj.coproducts, obj.counit, obj.basis, name)
+    return Algebra(obj.dim, obj.products, obj.unit, obj.basis, name)
 
 
 def _mat2() -> Algebra:
@@ -108,10 +116,12 @@ def _dim2_candidates():
 def _first(candidates, predicate, name: str) -> Algebra:
     for A in candidates:
         if predicate(A):
-            return replace(A, name=name)
+            return _named(A, name)
     raise LookupError(f"search space for {name!r} contains no matching instance")
 
 
+# Cached: ``prelie2`` is searched against it, so a regen would search twice.
+@lru_cache(maxsize=None)
 def _vinberg2() -> Algebra:
     return _first(
         _dim2_candidates(),
@@ -306,7 +316,7 @@ def build(name: str):
     """Rebuild an instance from scratch (running its search if it has one)."""
     if name.startswith("dual_"):
         base = build(name[len("dual_"):])
-        return replace(dualize_algebra(base), name=name)
+        return _named(dualize_algebra(base), name)
     try:
         builder = _BUILDERS[name]
     except KeyError:
@@ -319,7 +329,7 @@ def _build_all() -> dict:
     algebra is built once and its dual derived from it."""
     built = {name: build(name) for name in ALGEBRA_NAMES}
     for name in ALGEBRA_NAMES:
-        built[f"dual_{name}"] = replace(dualize_algebra(built[name]), name=f"dual_{name}")
+        built[f"dual_{name}"] = _named(dualize_algebra(built[name]), f"dual_{name}")
     return built
 
 
@@ -327,14 +337,13 @@ def data_text(name: str) -> str:
     """The committed file contents for an instance."""
     if name not in NAMES:
         raise ValueError(f"unknown catalog instance {name!r}")
-    return resources.files("nalg").joinpath("data", f"{name}.json").read_text("utf-8")
+    return (_DATA / f"{name}.json").read_text("utf-8")
 
 
 @lru_cache(maxsize=None)
 def get(name: str):
     """Load an instance from its committed data file."""
-    obj = formats.parse_document(data_text(name))
-    return replace(obj, name=name)
+    return _named(formats.parse_document(data_text(name)), name)
 
 
 def regenerate() -> dict[str, str]:
@@ -360,8 +369,6 @@ def regenerate() -> dict[str, str]:
 def write_data_files(directory) -> None:
     """Write (or overwrite) the committed data files; maintenance helper for
     intentional convention changes."""
-    from pathlib import Path
-
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     for name, obj in _build_all().items():

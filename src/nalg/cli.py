@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .algebras import Algebra, ClassificationReport, annihilator, classify, gi_check
+from .algebras import Algebra, ClassificationReport, annihilator, classify
 from .cogebras import CogebraReport, classify_cogebra, coannihilator, gi_bang_cocheck, gi_cocheck
 from .duality import dualize_algebra, dualize_cogebra
 from .formats import (
@@ -136,12 +136,21 @@ def _cmd_convolve(args) -> int:
     A = parse_algebra(_read(args.algebra_file))
     conv = convolution_algebra(C, A)
     _write(args.output, print_document(conv))
-    guaranteed = [
-        i
-        for i in range(1, 7)
-        if gi_check(A, i)
-        and (gi_cocheck(C, 1) if i == 1 else gi_bang_cocheck(C, i, literal=args.literal_bang))
-    ]
+    # G_i on A, and coassociativity (i = 1) or the G_i! symmetry on C.
+    gi = classify(A).gi_assoc
+    if args.literal_bang:
+        guaranteed = [
+            i
+            for i in range(1, 7)
+            if gi[i] and (gi_cocheck(C, 1) if i == 1 else gi_bang_cocheck(C, i, literal=True))
+        ]
+    else:
+        co = classify_cogebra(C)
+        guaranteed = [
+            i
+            for i in range(1, 7)
+            if gi[i] and (co.is_coassociative if i == 1 else co.gi_bang_co[i])
+        ]
     reading = "literal" if args.literal_bang else "normalized"
     if guaranteed:
         indices = ", ".join(str(i) for i in guaranteed)

@@ -18,10 +18,10 @@ unchanged; only the coannihilator is moved, by the map p -> p^-1.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Record
 from .algebras import (
     _check_index,
     _is_identity,
@@ -38,8 +38,7 @@ from .linalg import Subspace, Vec, as_vec, span
 from .sym3 import GroupAlgElem, Perm3, PERMS, inverse, special_vector
 
 
-@dataclass(frozen=True)
-class Cogebra:
+class Cogebra(Record):
     """A cogebra by costructure constants.
 
     ``coproducts[(k, i, j)]`` is the coefficient of ``e_i (x) e_j`` in the
@@ -48,33 +47,33 @@ class Cogebra:
     on every basis element (checked on construction).
     """
 
-    dim: int
-    coproducts: Mapping[tuple[int, int, int], Fraction]
-    counit: Vec | None = None
-    basis: tuple[str, ...] | None = None
-    name: str | None = None
+    __slots__ = ("dim", "coproducts", "counit", "basis", "name")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(
+        self,
+        dim: int,
+        coproducts: Mapping[tuple[int, int, int], Fraction],
+        counit: Vec | None = None,
+        basis: tuple[str, ...] | None = None,
+        name: str | None = None,
+    ):
+        if dim < 1:
             raise ValueError("dimension must be at least 1")
         table: dict[tuple[int, int, int], Fraction] = {}
-        for (k, i, j), c in self.coproducts.items():
-            if not all(1 <= t <= self.dim for t in (k, i, j)):
+        for (k, i, j), c in coproducts.items():
+            if not all(1 <= t <= dim for t in (k, i, j)):
                 raise ValueError(f"index out of range in coproduct entry ({k}, {i}, {j})")
             c = Fraction(c)
             if c:
                 table[(k, i, j)] = c
-        object.__setattr__(self, "coproducts", table)
-        if self.basis is not None:
-            names = tuple(str(n) for n in self.basis)
-            if len(names) != self.dim:
+        if basis is not None:
+            basis = tuple(str(n) for n in basis)
+            if len(basis) != dim:
                 raise ValueError("basis-name count differs from dimension")
-            object.__setattr__(self, "basis", names)
-        if self.counit is not None:
-            eps = as_vec(self.counit)
-            if len(eps) != self.dim:
+        if counit is not None:
+            eps = counit = as_vec(counit)
+            if len(eps) != dim:
                 raise ValueError("counit length differs from dimension")
-            object.__setattr__(self, "counit", eps)
             # (eps (x) id) and (id (x) eps) after the coproduct, for every
             # basis element at once: left[(k, j)] is the e_j coordinate of
             # the first on e_k, right[(k, i)] the e_i coordinate of the second.
@@ -85,8 +84,9 @@ class Cogebra:
                     left[(k, j)] += c * eps[i - 1]
                 if eps[j - 1]:
                     right[(k, i)] += c * eps[j - 1]
-            if not (_is_identity(left, self.dim) and _is_identity(right, self.dim)):
+            if not (_is_identity(left, dim) and _is_identity(right, dim)):
                 raise ValueError("declared counit fails the counit axiom")
+        self._assign(dim, table, counit, basis, name)
 
     def comultiply(self, x: Sequence) -> dict[tuple[int, int], Fraction]:
         """Coordinates of the coproduct of ``x`` on the tensor square,
@@ -107,23 +107,21 @@ class Cogebra:
         return tuple(f"e{i}" for i in range(1, self.dim + 1))
 
 
-@dataclass(frozen=True)
-class CubeMap:
+class CubeMap(Record):
     """A linear map into the triple tensor power: ``entries[(k, i1, i2, i3)]``
     is the coordinate of the image of ``e_k`` on e_i1 (x) e_i2 (x) e_i3."""
 
-    dim: int
-    entries: Mapping[tuple[int, int, int, int], Fraction]
+    __slots__ = ("dim", "entries")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, entries: Mapping[tuple[int, int, int, int], Fraction]):
         table: dict[tuple[int, int, int, int], Fraction] = {}
-        for key, c in self.entries.items():
-            if not all(1 <= t <= self.dim for t in key):
+        for key, c in entries.items():
+            if not all(1 <= t <= dim for t in key):
                 raise ValueError(f"index out of range in cube entry {key}")
             c = Fraction(c)
             if c:
                 table[key] = c
-        object.__setattr__(self, "entries", table)
+        self._assign(dim, table)
 
     def phi(self, v) -> "CubeMap":
         """Apply the slot-permutation operator of ``v`` on the output side."""
@@ -232,18 +230,41 @@ def coannihilator(C: Cogebra) -> Subspace:
     return _inverted(annihilator(dualize_cogebra(C)).basis)
 
 
-@dataclass(frozen=True)
-class CogebraReport:
+class CogebraReport(Record):
     """Aggregated results of the arrow-reversed checks for one cogebra."""
 
-    gi_coassoc: Mapping[int, bool]
-    gi_bang_co: Mapping[int, bool]
-    is_coassociative: bool
-    is_lie_coadmissible: bool
-    is_3_power_coassociative: bool
-    has_counit: bool
-    coannihilator_dim: int
-    coannihilator_basis: tuple[GroupAlgElem, ...]
+    __slots__ = (
+        "gi_coassoc",
+        "gi_bang_co",
+        "is_coassociative",
+        "is_lie_coadmissible",
+        "is_3_power_coassociative",
+        "has_counit",
+        "coannihilator_dim",
+        "coannihilator_basis",
+    )
+
+    def __init__(
+        self,
+        gi_coassoc: Mapping[int, bool],
+        gi_bang_co: Mapping[int, bool],
+        is_coassociative: bool,
+        is_lie_coadmissible: bool,
+        is_3_power_coassociative: bool,
+        has_counit: bool,
+        coannihilator_dim: int,
+        coannihilator_basis: tuple[GroupAlgElem, ...],
+    ):
+        self._assign(
+            gi_coassoc,
+            gi_bang_co,
+            is_coassociative,
+            is_lie_coadmissible,
+            is_3_power_coassociative,
+            has_counit,
+            coannihilator_dim,
+            coannihilator_basis,
+        )
 
 
 def classify_cogebra(C: Cogebra) -> CogebraReport:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from ._record import Record
 
 Rational = Fraction
 
@@ -50,8 +51,7 @@ def as_vec(values: Iterable) -> Vec:
     return tuple(Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A rational subspace given by its reduced row-echelon basis.
 
     Invariant: basis rows are independent, each leading coefficient is 1,
@@ -60,8 +60,10 @@ class Subspace:
     exactly when they compare equal.
     """
 
-    ambient_dim: int
-    basis: tuple[Vec, ...]
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: tuple[Vec, ...]):
+        self._assign(ambient_dim, basis)
 
     @property
     def dim(self) -> int:

@@ -20,21 +20,21 @@ test suite go through ``right_ideal``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .linalg import Subspace, span
 
 
-@dataclass(frozen=True)
-class Perm3:
+class Perm3(Record):
     """A permutation of {1, 2, 3}, stored as the image triple (p(1), p(2), p(3))."""
 
-    images: tuple[int, int, int]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != [1, 2, 3]:
-            raise ValueError(f"not a permutation of 1..3: {self.images!r}")
+    def __init__(self, images: tuple[int, int, int]):
+        if sorted(images) != [1, 2, 3]:
+            raise ValueError(f"not a permutation of 1..3: {images!r}")
+        self._assign(images)
 
     def __call__(self, k: int) -> int:
         return self.images[k - 1]
@@ -89,17 +89,16 @@ SUBGROUPS: dict[int, tuple[Perm3, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class GroupAlgElem:
+class GroupAlgElem(Record):
     """An element of the rational group algebra, as six coordinates in the
     fixed basis order [id, t12, t13, t23, c1, c2]."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        if len(self.coords) != 6:
+    def __init__(self, coords: tuple[Fraction, ...]):
+        if len(coords) != 6:
             raise ValueError("group-algebra elements have exactly six coordinates")
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        self._assign(tuple(Fraction(c) for c in coords))
 
     @classmethod
     def zero(cls) -> "GroupAlgElem":
@@ -172,38 +171,26 @@ def right_ideal(v: GroupAlgElem) -> Subspace:
     return span(((v * GroupAlgElem.from_perm(p)).coords for p in PERMS), 6)
 
 
-def _signed_subgroup_sum(i: int) -> GroupAlgElem:
-    total = GroupAlgElem.zero()
-    for p in SUBGROUPS[i]:
-        total = total + sign(p) * GroupAlgElem.from_perm(p)
-    return total
-
-
-def _inverse_subgroup_sum(i: int) -> GroupAlgElem:
-    total = GroupAlgElem.zero()
-    for p in SUBGROUPS[i]:
-        total = total + GroupAlgElem.from_perm(inverse(p))
-    return total
-
-
 def _special_table() -> dict[str, GroupAlgElem]:
-    table: dict[str, GroupAlgElem] = {}
-    for i in range(1, 7):
-        table[f"a{i}"] = _signed_subgroup_sum(i)
-        table[f"u{i}"] = _inverse_subgroup_sum(i)
-    table["V"] = table["a6"]
-    table["W"] = table["u6"]
+    """The named vectors, from integer coordinates: a_i puts the sign of
+    each member p of subgroup i at p, u_i puts 1 at the inverse of each."""
+    coords: dict[str, list[int]] = {}
+    for i, group in SUBGROUPS.items():
+        a, u = [0] * 6, [0] * 6
+        for p in group:
+            a[_PERM_INDEX[p]] = int(sign(p))
+            u[_PERM_INDEX[inverse(p)]] = 1
+        coords[f"a{i}"], coords[f"u{i}"] = a, u
+    coords["V"] = coords["a6"]
+    coords["W"] = coords["u6"]
     # Single-generator family: one vector per subgroup (the generator for
     # the order-2 subgroups, the alternating sum a5 for the even subgroup,
     # and V for the whole group).
-    for name, elem in zip(
-        ("v1", "v2", "v3", "v4"),
-        (IDENTITY, T12, T23, T13),
-    ):
-        table[name] = GroupAlgElem.from_perm(elem)
-    table["v5"] = table["a5"]
-    table["v6"] = table["V"]
-    return table
+    for name, p in zip(("v1", "v2", "v3", "v4"), (IDENTITY, T12, T23, T13)):
+        coords[name] = [int(q == p) for q in PERMS]
+    coords["v5"] = coords["a5"]
+    coords["v6"] = coords["V"]
+    return {name: GroupAlgElem(c) for name, c in coords.items()}
 
 
 _SPECIAL = _special_table()

@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from nalg import catalog
-from nalg.algebras import annihilator, classify
+from nalg.algebras import annihilator, classify, gi_check
 from nalg.cli import main
+from nalg.cogebras import gi_bang_cocheck, gi_cocheck
 from nalg.formats import format_ga_expr, parse_algebra, parse_document
 from nalg.products import convolution_algebra, tensor_algebras
 
@@ -149,6 +150,29 @@ class TestTransforms:
         assert code == 0
         assert "literal reading" in out
         assert "guarantees no G_i" in out
+
+    @pytest.mark.parametrize("literal", [False, True], ids=["normalized", "literal"])
+    def test_convolve_guarantee_matches_per_index_checks(self, capsys, tmp_path, literal):
+        flag = ["--literal-bang"] if literal else []
+        reading = "literal" if literal else "normalized"
+        for c in catalog.COGEBRA_NAMES:
+            C = catalog.get(c)
+            for a in catalog.ALGEBRA_NAMES:
+                A = catalog.get(a)
+                indices = [
+                    str(i)
+                    for i in range(1, 7)
+                    if gi_check(A, i)
+                    and (gi_cocheck(C, 1) if i == 1 else gi_bang_cocheck(C, i, literal=literal))
+                ]
+                claim = f"G_i for i = {', '.join(indices)}" if indices else "no G_i here"
+                out_file = str(tmp_path / "c.json")
+                code, out, err = run(
+                    capsys, "convolve", data_path(c), data_path(a), "-o", out_file, *flag
+                )
+                assert (code, err) == (0, "")
+                expected = f"construction theorem ({reading} reading) guarantees {claim}\n"
+                assert out == expected, (c, a)
 
 
 class TestAnnihilatorCommand:

@@ -10,7 +10,6 @@ products, whose slot stabilizer is then neither trivial nor everything.
 """
 
 import itertools
-from dataclasses import fields
 from fractions import Fraction
 
 import reference_algebras as reference
@@ -105,8 +104,8 @@ ga_elems = st.builds(
 @settings(max_examples=120, deadline=None)
 def test_classify_report_matches_reference(A):
     ours, ref = classify(A), reference.classify(A)
-    for field in fields(ClassificationReport):
-        assert getattr(ours, field.name) == getattr(ref, field.name), field.name
+    for name in ClassificationReport.__slots__:
+        assert getattr(ours, name) == getattr(ref, name), name
 
 
 @with_rare_examples(special_vector("a5") + special_vector("v2"))

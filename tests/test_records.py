@@ -1,0 +1,140 @@
+"""The contract of the value classes, and the start-up guard.
+
+The nine value classes are plain ``__slots__`` classes on
+``nalg._record.Record``.  They keep the behaviour of the frozen
+dataclasses they replace: field-wise equality within one class, the hash
+of the tuple of fields (unhashable when a field is a dict), the
+``Name(field=value, ...)`` repr, and ``AttributeError`` on assignment.
+Importing ``nalg.cli`` must not load the code-generation machinery of
+``dataclasses`` (``inspect``, ``ast``), which once took a quarter of the
+import time of every command.
+"""
+
+import copy
+import pickle
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from nalg import catalog
+from nalg.algebras import Algebra, ClassificationReport, TrilinearMap, classify
+from nalg.cogebras import Cogebra, CogebraReport, CubeMap, classify_cogebra
+from nalg.linalg import Subspace, span
+from nalg.sym3 import GroupAlgElem, Perm3
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import nalg.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC)], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []
+
+
+# Each maker returns a fresh value for variant 0 or a different one for 1.
+MAKERS = {
+    Subspace: lambda v: span([(1, v)]),
+    Perm3: lambda v: Perm3(((1, 2, 3), (2, 1, 3))[v]),
+    GroupAlgElem: lambda v: GroupAlgElem((1, v, 0, 0, 0, 0)),
+    Algebra: lambda v: Algebra(1, {(1, 1, 1): 1 + v}, name="k"),
+    TrilinearMap: lambda v: TrilinearMap(1, {(1, 1, 1, 1): 1 + v}),
+    ClassificationReport: lambda v: classify(catalog.get(("k1", "vinberg2")[v])),
+    Cogebra: lambda v: Cogebra(1, {(1, 1, 1): 1}, counit=(1,) if v == 0 else None),
+    CubeMap: lambda v: CubeMap(1, {(1, 1, 1, 1): 1 + v}),
+    CogebraReport: lambda v: classify_cogebra(catalog.get(("dual_k1", "dual_vinberg2")[v])),
+}
+HASHABLE = {Subspace, Perm3, GroupAlgElem}
+CLASSES = pytest.mark.parametrize("cls", list(MAKERS), ids=lambda cls: cls.__name__)
+
+
+def fields(value):
+    return tuple(getattr(value, name) for name in value.__slots__)
+
+
+@CLASSES
+def test_equality_is_field_wise_within_one_class(cls):
+    make = MAKERS[cls]
+    a, b = make(0), make(0)
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    assert a != make(1)
+    assert a.__eq__(object()) is NotImplemented
+
+
+def test_same_fields_in_another_class_are_unequal():
+    assert TrilinearMap(1, {}) != CubeMap(1, {})
+    assert TrilinearMap(1, {}).__eq__(CubeMap(1, {})) is NotImplemented
+
+
+@CLASSES
+def test_hash_is_the_hash_of_the_fields(cls):
+    a = MAKERS[cls](0)
+    if cls in HASHABLE:
+        assert hash(a) == hash(MAKERS[cls](0)) == hash(fields(a))
+        assert len({a, MAKERS[cls](0), MAKERS[cls](1)}) == 2
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+@CLASSES
+def test_values_are_immutable(cls):
+    a = MAKERS[cls](0)
+    field = cls.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == MAKERS[cls](0)
+
+
+@CLASSES
+def test_repr_lists_every_field(cls):
+    a = MAKERS[cls](0)
+    inner = ", ".join(f"{name}={getattr(a, name)!r}" for name in cls.__slots__)
+    assert repr(a) == f"{cls.__name__}({inner})"
+
+
+def test_repr_text():
+    assert repr(Perm3((2, 1, 3))) == "Perm3(images=(2, 1, 3))"
+    assert repr(Subspace(1, ())) == "Subspace(ambient_dim=1, basis=())"
+    assert repr(Algebra(1, {(1, 1, 1): 2}, name="k")) == (
+        "Algebra(dim=1, products={(1, 1, 1): Fraction(2, 1)}, unit=None, basis=None, name='k')"
+    )
+    assert repr(GroupAlgElem((1, 0, 0, 0, 0, F(1, 2)))).startswith(
+        "GroupAlgElem(coords=(Fraction(1, 1), Fraction(0, 1),"
+    )
+
+
+@CLASSES
+def test_copies_and_pickles_are_equal(cls):
+    a = MAKERS[cls](0)
+    assert copy.copy(a) == a
+    assert copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_constructor_keywords_and_defaults():
+    assert Algebra(dim=1, products={}, unit=None, basis=None, name=None) == Algebra(1, {})
+    assert Cogebra(dim=1, coproducts={}, counit=None, basis=None, name=None) == Cogebra(1, {})
+    assert Subspace(ambient_dim=1, basis=()) == Subspace(1, ())
+    assert TrilinearMap(dim=1, entries={}) == TrilinearMap(1, {})
+    assert CubeMap(dim=1, entries={}) == CubeMap(1, {})
+    assert Perm3(images=(1, 2, 3)) == Perm3((1, 2, 3))
+    assert GroupAlgElem(coords=(0,) * 6) == GroupAlgElem.zero()
+
+
+def test_catalog_instances_carry_their_names():
+    for name in catalog.NAMES:
+        assert catalog.get(name).name == name
+        assert catalog.build(name).name == name

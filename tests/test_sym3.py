@@ -121,6 +121,16 @@ class TestSpecialVectors:
         assert special_vector("v5") == special_vector("a5")
         assert special_vector("v6") == special_vector("V")
 
+    def test_table_matches_the_defining_sums(self):
+        for i, group in SUBGROUPS.items():
+            a = u = GroupAlgElem.zero()
+            for p in group:
+                a = a + sign(p) * GroupAlgElem.from_perm(p)
+                u = u + GroupAlgElem.from_perm(inverse(p))
+            assert special_vector(f"a{i}") == a
+            assert special_vector(f"u{i}") == u
+            assert all(type(c) is F for c in a.coords + u.coords)
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             special_vector("a7")
