@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import catalog
 from .algebras import Algebra, ClassificationReport, annihilator, classify
-from .cogebras import CogebraReport, classify_cogebra, coannihilator, gi_bang_cocheck, gi_cocheck
+from .cogebras import CogebraReport, classify_cogebra, coannihilator, gi_bang_cocheck
 from .duality import dualize_algebra, dualize_cogebra
 from .formats import (
     FormatError,
@@ -137,20 +137,15 @@ def _cmd_convolve(args) -> int:
     conv = convolution_algebra(C, A)
     _write(args.output, print_document(conv))
     # G_i on A, and coassociativity (i = 1) or the G_i! symmetry on C.
+    # The literal reading of G_i! does not depend on i.
     gi = classify(A).gi_assoc
+    co = classify_cogebra(C)
+    bang = co.gi_bang_co
     if args.literal_bang:
-        guaranteed = [
-            i
-            for i in range(1, 7)
-            if gi[i] and (gi_cocheck(C, 1) if i == 1 else gi_bang_cocheck(C, i, literal=True))
-        ]
-    else:
-        co = classify_cogebra(C)
-        guaranteed = [
-            i
-            for i in range(1, 7)
-            if gi[i] and (co.is_coassociative if i == 1 else co.gi_bang_co[i])
-        ]
+        bang = dict.fromkeys(bang, gi_bang_cocheck(C, 2, literal=True))
+    guaranteed = [
+        i for i in range(1, 7) if gi[i] and (co.is_coassociative if i == 1 else bang[i])
+    ]
     reading = "literal" if args.literal_bang else "normalized"
     if guaranteed:
         indices = ", ".join(str(i) for i in guaranteed)

@@ -24,18 +24,19 @@ from typing import Iterable, Mapping, Sequence
 from ._record import Record
 from .algebras import (
     _check_index,
+    _integer_table,
     _is_identity,
+    _right_products,
     annihilator,
     classify,
+    commutator_algebra,
     gi_bang_check,
     gi_check,
     jacobi_check,
-    phi_precompose,
-    right_assoc_map,
 )
-from .duality import dualize_cogebra
+from .duality import dualize_algebra, dualize_cogebra
 from .linalg import Subspace, Vec, as_vec, span
-from .sym3 import GroupAlgElem, Perm3, PERMS, inverse, special_vector
+from .sym3 import GroupAlgElem, Perm3, PERMS, inverse
 
 
 class Cogebra(Record):
@@ -179,18 +180,17 @@ def gi_bang_cocheck(C: Cogebra, i: int, *, literal: bool = False) -> bool:
     by default the check uses the normalized (averaged) reading, which is
     equivalent to invariance of the iterated coproduct under every slot
     permutation in the subgroup: the dual's triple-symmetry check.  Pass
-    ``literal=True`` for the unnormalized displayed equality, tested on
-    the dual's x(yz) map.
+    ``literal=True`` for the unnormalized displayed equality S R = R, with
+    S that sum and R the iterated coproduct.  S*S = |G|*S, so S R = R gives
+    (|G| - 1) S R = 0, hence S R = 0 and R = 0: for every index the literal
+    reading holds exactly when the dual is associative and all its triple
+    products x(yz) vanish.
     """
     A = dualize_cogebra(C)
     if not literal:
         return gi_bang_check(A, i)
     _check_index(i, low=2)
-    if not gi_check(A, 1):
-        return False
-    R = right_assoc_map(A)
-    # The subgroup is closed under inverses, so u_i is the sum of its members.
-    return phi_precompose(R, special_vector(f"u{i}")) == R
+    return gi_check(A, 1) and not any(_right_products(_integer_table(A)[0]).values())
 
 
 def flip(C: Cogebra) -> Cogebra:
@@ -200,12 +200,9 @@ def flip(C: Cogebra) -> Cogebra:
 
 
 def lie_cogebra_from(C: Cogebra) -> Cogebra:
-    """Antisymmetrized coproduct (the coproduct minus its flip, no counit)."""
-    out: dict[tuple[int, int, int], Fraction] = defaultdict(Fraction)
-    for (k, i, j), c in C.coproducts.items():
-        out[(k, i, j)] += c
-        out[(k, j, i)] -= c
-    return Cogebra(C.dim, out, counit=None, basis=C.basis)
+    """Antisymmetrized coproduct (the coproduct minus its flip, no counit):
+    the dual of the commutator algebra of the dual."""
+    return dualize_algebra(commutator_algebra(dualize_cogebra(C)))
 
 
 def is_lie_cogebra(C: Cogebra) -> bool:

@@ -110,7 +110,14 @@ def _read_optional_vector(doc: dict, key: str, dim: int) -> tuple[Fraction, ...]
 
 
 def parse_algebra(text: str) -> Algebra:
-    doc = _load_object(text)
+    return _read_algebra(_load_object(text))
+
+
+def parse_cogebra(text: str) -> Cogebra:
+    return _read_cogebra(_load_object(text))
+
+
+def _read_algebra(doc: dict) -> Algebra:
     if doc.get("kind") != "algebra":
         raise FormatError("expected an algebra document ('kind': 'algebra')")
     _check_keys(doc, _ALGEBRA_KEYS)
@@ -144,8 +151,7 @@ def parse_algebra(text: str) -> Algebra:
         raise FormatError(str(exc)) from None
 
 
-def parse_cogebra(text: str) -> Cogebra:
-    doc = _load_object(text)
+def _read_cogebra(doc: dict) -> Cogebra:
     if doc.get("kind") != "cogebra":
         raise FormatError("expected a cogebra document ('kind': 'cogebra')")
     _check_keys(doc, _COGEBRA_KEYS)
@@ -184,9 +190,9 @@ def parse_document(text: str):
     doc = _load_object(text)
     kind = doc.get("kind")
     if kind == "algebra":
-        return parse_algebra(text)
+        return _read_algebra(doc)
     if kind == "cogebra":
-        return parse_cogebra(text)
+        return _read_cogebra(doc)
     raise FormatError("'kind' must be 'algebra' or 'cogebra'")
 
 

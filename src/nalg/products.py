@@ -7,11 +7,11 @@ serialized output is reproducible across runs.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 
 from .algebras import Algebra
 from .cogebras import Cogebra
+from .duality import dualize_cogebra
 
 
 def pair_index(a: int, b: int, right_dim: int) -> int:
@@ -19,12 +19,8 @@ def pair_index(a: int, b: int, right_dim: int) -> int:
     return (a - 1) * right_dim + b
 
 
-def tensor_algebras(A: Algebra, B: Algebra) -> Algebra:
-    """The componentwise product on the tensor product space.
-
-    Structure constants multiply factorwise; the unit is the tensor of the
-    factors' units when both exist.
-    """
+def _tensor(A: Algebra, B: Algebra, sep: str) -> Algebra:
+    """The tensor product algebra, basis names joined by ``sep``."""
     products: dict[tuple[int, int, int], Fraction] = {}
     for (i1, j1, k1), ca in A.products.items():
         for (i2, j2, k2), cb in B.products.items():
@@ -36,19 +32,19 @@ def tensor_algebras(A: Algebra, B: Algebra) -> Algebra:
             products[key] = ca * cb
     unit = None
     if A.unit is not None and B.unit is not None:
-        coords = [Fraction(0)] * (A.dim * B.dim)
-        for a in range(1, A.dim + 1):
-            for b in range(1, B.dim + 1):
-                coords[pair_index(a, b, B.dim) - 1] = A.unit[a - 1] * B.unit[b - 1]
-        unit = tuple(coords)
-    names_a = A.basis_names()
+        unit = tuple(ua * ub for ua in A.unit for ub in B.unit)
     names_b = B.basis_names()
-    basis = tuple(
-        f"{names_a[a - 1]}*{names_b[b - 1]}"
-        for a in range(1, A.dim + 1)
-        for b in range(1, B.dim + 1)
-    )
+    basis = tuple(f"{na}{sep}{nb}" for na in A.basis_names() for nb in names_b)
     return Algebra(A.dim * B.dim, products, unit=unit, basis=basis)
+
+
+def tensor_algebras(A: Algebra, B: Algebra) -> Algebra:
+    """The componentwise product on the tensor product space.
+
+    Structure constants multiply factorwise; the unit is the tensor of the
+    factors' units when both exist.
+    """
+    return _tensor(A, B, "*")
 
 
 def convolution_algebra(C: Cogebra, A: Algebra) -> Algebra:
@@ -56,31 +52,8 @@ def convolution_algebra(C: Cogebra, A: Algebra) -> Algebra:
 
     The basis map labeled (a, b) picks the coefficient of basis element a
     of C and sends it to basis element b of A; the product of two such
-    maps routes the coproduct of C through the product of A.  When A has
-    a unit and C a counit, the composite unit-after-counit map is the
-    convolution unit.
+    maps routes the coproduct of C through the product of A.  That is the
+    product of the tensor algebra C* (x) A under (a, b) <-> f_a (x) e_b,
+    and counit (x) unit, when both exist, is its unit.
     """
-    products: dict[tuple[int, int, int], Fraction] = defaultdict(Fraction)
-    for (k, a1, a2), d in C.coproducts.items():
-        for (b1, b2, l), c in A.products.items():
-            key = (
-                pair_index(a1, b1, A.dim),
-                pair_index(a2, b2, A.dim),
-                pair_index(k, l, A.dim),
-            )
-            products[key] += d * c
-    unit = None
-    if A.unit is not None and C.counit is not None:
-        coords = [Fraction(0)] * (C.dim * A.dim)
-        for a in range(1, C.dim + 1):
-            for b in range(1, A.dim + 1):
-                coords[pair_index(a, b, A.dim) - 1] = C.counit[a - 1] * A.unit[b - 1]
-        unit = tuple(coords)
-    names_c = C.basis_names()
-    names_a = A.basis_names()
-    basis = tuple(
-        f"{names_c[a - 1]}>{names_a[b - 1]}"
-        for a in range(1, C.dim + 1)
-        for b in range(1, A.dim + 1)
-    )
-    return Algebra(C.dim * A.dim, products, unit=unit, basis=basis)
+    return _tensor(dualize_cogebra(C), A, ">")

@@ -101,7 +101,7 @@ ga_elems = st.builds(
 
 @with_rare_examples()
 @given(algebras())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120 * settings.default.max_examples // 100, deadline=None)
 def test_classify_report_matches_reference(A):
     ours, ref = classify(A), reference.classify(A)
     for name in ClassificationReport.__slots__:
@@ -110,7 +110,7 @@ def test_classify_report_matches_reference(A):
 
 @with_rare_examples(special_vector("a5") + special_vector("v2"))
 @given(algebras(), ga_elems)
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80 * settings.default.max_examples // 100, deadline=None)
 def test_single_checks_match_reference(A, v):
     for i in range(1, 7):
         assert gi_check(A, i) == reference.gi_check(A, i), i
@@ -123,7 +123,7 @@ def test_single_checks_match_reference(A, v):
 
 
 @given(algebras(), ga_elems)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
 def test_trilinear_maps_match_reference(A, v):
     T = associator(A)
     assert T == reference.associator(A)

@@ -126,6 +126,22 @@ class TestRoundTrips:
             assert again.unit == A.unit
             assert again.basis == A.basis
 
+    def test_document_is_decoded_once(self, monkeypatch):
+        import nalg.formats
+
+        calls = []
+        loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            calls.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(nalg.formats.json, "loads", counting_loads)
+        for name in ("mat2", "dual_mat2"):
+            calls.clear()
+            parse_document(catalog.data_text(name))
+            assert len(calls) == 1, name
+
 
 class TestExpressions:
     def test_alternating_vector(self):
