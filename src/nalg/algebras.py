@@ -12,8 +12,10 @@ by evaluating on all basis triples, which suffices by multilinearity.
 ``classify`` reads every check off one exact computation on the table
 cleared of denominators (Python ints, no floats): the annihilator of the
 associator, from a fraction-free solve that stops at full rank, and the
-stabilizer of (xy)z.  The single-identity checks read the same integer
-associator directly.
+stabilizer of (xy)z.  The associator is produced in layers of growing
+largest index, so the solve stops before the rest is computed.  The
+single-identity checks read the same layers and stop at the first
+coordinate that is not zero.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._record import Record
@@ -176,13 +179,15 @@ def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (d // c.denominator) for c in values], d
 
 
-def _integer_table(A: Algebra) -> tuple[dict[tuple[int, int, int], int], int]:
+def _integer_table(
+    products: Mapping[tuple[int, int, int], Fraction],
+) -> tuple[dict[tuple[int, int, int], int], int]:
     """The structure constants cleared of denominators, and the factor ``d``
     that cleared them.  Every identity below is homogeneous in the
     constants, so it holds for the scaled table exactly when it holds for
     the original one."""
-    ints, d = _cleared(list(A.products.values()))
-    return dict(zip(A.products, ints)), d
+    ints, d = _cleared(list(products.values()))
+    return dict(zip(products, ints)), d
 
 
 def _left_products(P: Mapping[tuple[int, int, int], int]) -> dict[Key4, int]:
@@ -209,14 +214,60 @@ def _right_products(P: Mapping[tuple[int, int, int], int]) -> dict[Key4, int]:
     return out
 
 
-def _scaled_associator(A: Algebra) -> tuple[dict[Key4, int], int]:
-    """The nonzero entries of d**2 times the associator, as ints, and d**2,
-    where d clears the denominators of the table."""
-    P, d = _integer_table(A)
-    out = _left_products(P)
-    for key, c in _right_products(P).items():
-        out[key] -= c
-    return {key: c for key, c in out.items() if c}, d * d
+def _associator_layers(P: Mapping[tuple[int, int, int], int]) -> Iterator[dict[Key4, int]]:
+    """The nonzero entries of the associator of the integer table ``P``, in
+    layers: layer t holds the keys (i, j, k, l) with max(i, j, k) = t, for
+    t = 1, 2, ... up to the largest index of ``P``.
+
+    Slot permutation keeps max(i, j, k), so every layer is closed under it.
+    Both composites join an inner product e_a e_b -> e_m, at level
+    max(a, b), with an outer product through e_m: e_m e_k for (xy)z, at
+    level k, and e_i e_m for x(yz), at level i.  A pair feeds the layer of
+    the larger level.  So layer t joins the level-t inner products with the
+    outer ones up to level t, then the level-t outer products with the
+    inner ones below level t; the earlier sides are indexed by m.  Every
+    pair is joined exactly once, in the layer of its key.
+    """
+    n = max(map(max, P), default=0)
+    # Every entry (a, b, m, c) of P is filed by level three times: as an
+    # inner product at max(a, b), as an (xy)z outer one at b, and as an
+    # x(yz) outer one at a.  The *_by lists hold, by m, the entries of the
+    # levels already reached.  The six tables of n + 1 lists are cut from
+    # one list, which is cheaper to build for the many tiny tables the
+    # catalog searches check.
+    lists: list[list[tuple[int, int, int, int]]] = [[] for _ in range(6 * n + 6)]
+    inner_at, left_at, right_at = lists[0::6], lists[1::6], lists[2::6]
+    inner_by, left_by, right_by = lists[3::6], lists[4::6], lists[5::6]
+    for (a, b, m), c in P.items():
+        entry = (a, b, m, c)
+        inner_at[a if a > b else b].append(entry)
+        left_at[b].append(entry)
+        right_at[a].append(entry)
+    for t in range(1, n + 1):
+        inner, left, right = inner_at[t], left_at[t], right_at[t]
+        for entry in left:
+            left_by[entry[0]].append(entry)
+        for entry in right:
+            right_by[entry[1]].append(entry)
+        out: dict[Key4, int] = {}
+        for a, b, m, c1 in inner:
+            for _, k, l, c2 in left_by[m]:
+                key = (a, b, k, l)
+                out[key] = out.get(key, 0) + c1 * c2
+            for i, _, l, c2 in right_by[m]:
+                key = (i, a, b, l)
+                out[key] = out.get(key, 0) - c1 * c2
+        for m, k, l, c2 in left:
+            for a, b, _, c1 in inner_by[m]:
+                key = (a, b, k, l)
+                out[key] = out.get(key, 0) + c1 * c2
+        for i, m, l, c2 in right:
+            for a, b, _, c1 in inner_by[m]:
+                key = (i, a, b, l)
+                out[key] = out.get(key, 0) - c1 * c2
+        for entry in inner:
+            inner_by[entry[2]].append(entry)
+        yield {key: c for key, c in out.items() if c}
 
 
 def _trilinear(dim: int, entries: Mapping[Key4, int], scale: int) -> TrilinearMap:
@@ -225,20 +276,23 @@ def _trilinear(dim: int, entries: Mapping[Key4, int], scale: int) -> TrilinearMa
 
 def left_assoc_map(A: Algebra) -> TrilinearMap:
     """(x1 x2) x3 as a trilinear map."""
-    P, d = _integer_table(A)
+    P, d = _integer_table(A.products)
     return _trilinear(A.dim, _left_products(P), d * d)
 
 
 def right_assoc_map(A: Algebra) -> TrilinearMap:
     """x1 (x2 x3) as a trilinear map."""
-    P, d = _integer_table(A)
+    P, d = _integer_table(A.products)
     return _trilinear(A.dim, _right_products(P), d * d)
 
 
 def associator(A: Algebra) -> TrilinearMap:
-    """(x1 x2) x3 - x1 (x2 x3)."""
-    entries, scale = _scaled_associator(A)
-    return _trilinear(A.dim, entries, scale)
+    """(x1 x2) x3 - x1 (x2 x3): the union of the layers."""
+    P, d = _integer_table(A.products)
+    entries: dict[Key4, int] = {}
+    for layer in _associator_layers(P):
+        entries.update(layer)
+    return _trilinear(A.dim, entries, d * d)
 
 
 # Slot permutation by s = PERMS[p] sends the key (m1, m2, m3, l) to
@@ -270,27 +324,41 @@ def phi_precompose(T: TrilinearMap, v) -> TrilinearMap:
     return TrilinearMap(T.dim, out)
 
 
+# The six keys of an orbit are (m[s1], m[s2], m[s3], l) over _SLOT_ORDERS,
+# and every row read at one of them reads the values at the six: entry q
+# of the row at orbit key p is orbit value _ROW_READS[p][q].
+_ROW_READS = tuple(
+    itemgetter(*(_SLOT_ORDERS.index((s[q1], s[q2], s[q3])) for q1, q2, q3 in _LOOKUP_ORDERS))
+    for s in _SLOT_ORDERS
+)
+
+
 def _slot_rows(T: Mapping[Key4, int]) -> Iterator[tuple[int, ...]]:
     """The six slot-permuted copies of ``T`` as one row per key of their
     joint support: entry p of the row at key K is the coefficient of K in
     ``phi_precompose(T, PERMS[p])``.  Rows are produced lazily, so a caller
-    that stops early skips the rest."""
+    that stops early skips the rest.
+
+    The keys come in orbits under slot permutation, and the rows of an
+    orbit are rearrangements of its six values, which are read once."""
     seen: set[Key4] = set()
     get = T.get
     for m in T:
-        for s1, s2, s3 in _SLOT_ORDERS:
-            key = (m[s1], m[s2], m[s3], m[3])
-            if key in seen:
-                continue
-            seen.add(key)
-            yield tuple(get((key[q1], key[q2], key[q3], key[3]), 0) for q1, q2, q3 in _LOOKUP_ORDERS)
+        if m in seen:
+            continue
+        keys = [(m[s1], m[s2], m[s3], m[3]) for s1, s2, s3 in _SLOT_ORDERS]
+        values = [get(key, 0) for key in keys]
+        for key, reads in zip(keys, _ROW_READS):
+            if key not in seen:
+                seen.add(key)
+                yield reads(values)
 
 
-def _annihilates(T: Mapping[Key4, int], v: GroupAlgElem) -> bool:
-    """Whether slot permutation by ``v`` sends ``T`` to zero: every row of
-    the six permuted copies is orthogonal to the coordinates of ``v``."""
-    w, _ = _cleared(v.coords)
-    return not any(sum(a * b for a, b in zip(w, row)) for row in _slot_rows(T))
+def _associator_rows(A: Algebra) -> Iterator[tuple[int, ...]]:
+    """The slot rows of the integer associator of ``A``, one layer at a
+    time: a layer is computed only when the rows before it are used up."""
+    for layer in _associator_layers(_integer_table(A.products)[0]):
+        yield from _slot_rows(layer)
 
 
 def _independent_rows(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -322,8 +390,11 @@ def _independent_rows(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 def is_sigma3_assoc_for(A: Algebra, v: GroupAlgElem) -> bool:
-    """True iff the associator vanishes after slot permutation by ``v``."""
-    return _annihilates(_scaled_associator(A)[0], v)
+    """True iff the associator vanishes after slot permutation by ``v``:
+    every slot row is orthogonal to the coordinates of ``v``.  The scan
+    stops at the first row that is not."""
+    w, _ = _cleared(v.coords)
+    return not any(sum(a * b for a, b in zip(w, row)) for row in _associator_rows(A))
 
 
 def _check_index(i: int, low: int = 1) -> None:
@@ -347,10 +418,10 @@ def annihilator(A: Algebra) -> Subspace:
     coordinates of v as unknowns, one equation per tensor coordinate.
     The result is closed under right multiplication by every permutation.
 
-    The equations are scanned only until six independent ones are found;
-    those alone go to the exact kernel solve.
+    The equations are produced layer by layer and scanned only until six
+    independent ones are found; those alone go to the exact kernel solve.
     """
-    return kernel(_independent_rows(_slot_rows(_scaled_associator(A)[0])), 6)
+    return kernel(_independent_rows(_associator_rows(A)), 6)
 
 
 def commutator_algebra(A: Algebra) -> Algebra:
@@ -399,7 +470,7 @@ def _triple_product_stabilizer(A: Algebra) -> frozenset[Perm3]:
     original exactly when every key of the support reads the same value
     through s^-1.
     """
-    P, _ = _integer_table(A)
+    P, _ = _integer_table(A.products)
     L = {key: c for key, c in _left_products(P).items() if c}
     return frozenset(
         s

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 2 on input errors (bad files, bad expressions,
-unknown names).  Exit code 1 is reserved for future use by check-style
+unknown names) and on running out of memory.  Exit code 1 is reserved for future use by check-style
 commands with expectation flags.
 """
 
@@ -282,6 +282,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._record import Record
 from .algebras import (
+    _associator_layers,
     _check_index,
     _integer_table,
     _is_identity,
@@ -34,7 +35,7 @@ from .algebras import (
     gi_check,
     jacobi_check,
 )
-from .duality import dualize_algebra, dualize_cogebra
+from .duality import _dual_products, dualize_algebra, dualize_cogebra
 from .linalg import Subspace, Vec, as_vec, span
 from .sym3 import GroupAlgElem, Perm3, PERMS, inverse
 
@@ -184,13 +185,14 @@ def gi_bang_cocheck(C: Cogebra, i: int, *, literal: bool = False) -> bool:
     S that sum and R the iterated coproduct.  S*S = |G|*S, so S R = R gives
     (|G| - 1) S R = 0, hence S R = 0 and R = 0: for every index the literal
     reading holds exactly when the dual is associative and all its triple
-    products x(yz) vanish.
+    products x(yz) vanish.  Both are decided on the dual's table, read
+    straight off C.
     """
-    A = dualize_cogebra(C)
     if not literal:
-        return gi_bang_check(A, i)
+        return gi_bang_check(dualize_cogebra(C), i)
     _check_index(i, low=2)
-    return gi_check(A, 1) and not any(_right_products(_integer_table(A)[0]).values())
+    P, _ = _integer_table(_dual_products(C))
+    return not any(_associator_layers(P)) and not any(_right_products(P).values())
 
 
 def flip(C: Cogebra) -> Cogebra:

@@ -8,6 +8,7 @@ vice versa.  Both round trips are the identity on the stored data.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .algebras import Algebra
@@ -33,13 +34,17 @@ def dualize_algebra(A: Algebra) -> Cogebra:
     )
 
 
+def _dual_products(C: Cogebra) -> dict[tuple[int, int, int], Fraction]:
+    """The structure constants of the dual algebra: C's transposed."""
+    return {(i, j, k): c for (k, i, j), c in C.coproducts.items()}
+
+
 def dualize_cogebra(C: Cogebra) -> Algebra:
     """The algebra on the dual space; the unit, when the cogebra has a
     counit, has the counit's coordinates."""
-    products = {(i, j, k): c for (k, i, j), c in C.coproducts.items()}
     return Algebra(
         C.dim,
-        products,
+        _dual_products(C),
         unit=C.counit,
         basis=C.basis,
         name=C.name,

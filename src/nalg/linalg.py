@@ -5,8 +5,10 @@ lowest terms with a positive denominator, so every identity tested in this
 package is decided exactly.  Vectors are fixed-length tuples of fractions.
 A subspace is stored as a reduced row-echelon basis with leading
 coefficient 1 and rows ordered by pivot column; that form is unique, which
-makes subspace equality a plain data comparison.  No floating point is
-used anywhere.
+makes subspace equality a plain data comparison.  Eliminations run on
+rows cleared of denominators, fraction-free in Python ints, and only the
+canonical basis is built from fractions.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from ._record import Record
@@ -73,38 +76,61 @@ class Subspace(Record):
         return member(vector, self)
 
 
-def _pivot(row: Sequence[Fraction]) -> int | None:
+def _pivot(row: Sequence) -> int | None:
     for j, c in enumerate(row):
         if c:
             return j
     return None
 
 
-def _insert_row(row: Sequence[Fraction], basis: list[list[Fraction]], pivots: list[int]) -> bool:
-    """Reduce ``row`` against the basis; insert it if independent.
+def _integer_row(row: Sequence) -> list[int]:
+    """``row`` times the LCM of its denominators, as ints: the same line."""
+    vec = as_vec(row)
+    d = lcm(*(c.denominator for c in vec))
+    return [c.numerator * (d // c.denominator) for c in vec]
 
-    The basis is kept in reduced row-echelon form throughout.
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row]
+
+
+def _echelon(rows: Iterable[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """The reduced row-echelon form of the span of integer ``rows``,
+    computed fraction-free: pivot columns in increasing order, and for each
+    a primitive integer row that is zero in every other pivot column.
+
+    A row is reduced against each basis row by cross-multiplying; a new
+    basis row then clears its pivot column from the others the same way.
+    Every row is divided by the gcd of its entries after each step, so the
+    entries stay small and all arithmetic is in integers.
     """
-    work = list(row)
-    for r, p in zip(basis, pivots):
-        c = work[p]
-        if c:
-            for j in range(len(work)):
-                work[j] -= c * r[j]
-    p = _pivot(work)
-    if p is None:
-        return False
-    lead = work[p]
-    work = [c / lead for c in work]
-    for r in basis:
-        c = r[p]
-        if c:
-            for j in range(len(r)):
-                r[j] -= c * work[j]
-    at = bisect_left(pivots, p)
-    basis.insert(at, work)
-    pivots.insert(at, p)
-    return True
+    pivots: list[int] = []
+    basis: list[list[int]] = []
+    for work in rows:
+        for p, r in zip(pivots, basis):
+            c = work[p]
+            if c:
+                lead = r[p]
+                work = [lead * x - c * y for x, y in zip(work, r)]
+        q = _pivot(work)
+        if q is None:
+            continue
+        work = _primitive(work)
+        lead = work[q]
+        for at, r in enumerate(basis):
+            c = r[q]
+            if c:
+                basis[at] = _primitive([lead * x - c * y for x, y in zip(r, work)])
+        at = bisect_left(pivots, q)
+        pivots.insert(at, q)
+        basis.insert(at, work)
+    return pivots, basis
+
+
+def _subspace(ncols: int, pivots: list[int], basis: list[list[int]]) -> Subspace:
+    """The canonical form: each echelon row divided by its pivot entry."""
+    return Subspace(ncols, tuple(tuple(Fraction(x, r[p]) for x in r) for p, r in zip(pivots, basis)))
 
 
 def span(vectors: Iterable[Sequence], ambient_dim: int | None = None) -> Subspace:
@@ -113,45 +139,44 @@ def span(vectors: Iterable[Sequence], ambient_dim: int | None = None) -> Subspac
     ``ambient_dim`` is required when the iterable is empty and is checked
     against every vector otherwise.
     """
-    vecs = [as_vec(v) for v in vectors]
+    rows = [_integer_row(v) for v in vectors]
     if ambient_dim is None:
-        if not vecs:
+        if not rows:
             raise ValueError("ambient dimension required for an empty span")
-        ambient_dim = len(vecs[0])
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for v in vecs:
-        if len(v) != ambient_dim:
-            raise ValueError("mismatched vector dimensions in span")
-        _insert_row(v, basis, pivots)
-    return Subspace(ambient_dim, tuple(tuple(r) for r in basis))
+        ambient_dim = len(rows[0])
+    if any(len(r) != ambient_dim for r in rows):
+        raise ValueError("mismatched vector dimensions in span")
+    return _subspace(ambient_dim, *_echelon(rows))
 
 
 def kernel(rows: Iterable[Sequence], ncols: int | None = None) -> Subspace:
     """Exact null space of the matrix with the given rows, in canonical form.
 
     Satisfies rank + nullity = ncols.  ``ncols`` is required for an empty
-    matrix.
+    matrix.  Each row is cleared of denominators and the elimination runs
+    in integers; fractions appear only in the canonical output.
     """
-    mat = [as_vec(r) for r in rows]
+    mat = [_integer_row(r) for r in rows]
     if ncols is None:
         if not mat:
             raise ValueError("column count required for an empty matrix")
         ncols = len(mat[0])
-    for r in mat:
-        if len(r) != ncols:
-            raise ValueError("matrix rows must all have the same length")
-    row_space = span(mat, ncols)
-    pivots = [_pivot(r) for r in row_space.basis]
-    free = [j for j in range(ncols) if j not in pivots]
+    if any(len(r) != ncols for r in mat):
+        raise ValueError("matrix rows must all have the same length")
+    pivots, basis = _echelon(mat)
+    # The null vector for free column f is e_f minus sum_p (r[f] / r[p]) e_p
+    # over the echelon rows r, scaled by the LCM of the pivot entries.
+    scale = lcm(*(r[p] for p, r in zip(pivots, basis)))
     vectors = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in zip(row_space.basis, pivots):
-            v[p] = -r[f]
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = scale
+        for p, r in zip(pivots, basis):
+            v[p] = -r[f] * (scale // r[p])
         vectors.append(v)
-    return span(vectors, ncols)
+    return _subspace(ncols, *_echelon(vectors))
 
 
 def member(vector: Sequence, subspace: Subspace) -> bool:

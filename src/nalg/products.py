@@ -8,10 +8,12 @@ serialized output is reproducible across runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping
 
 from .algebras import Algebra
 from .cogebras import Cogebra
-from .duality import dualize_cogebra
+from .duality import _dual_products
+from .linalg import Vec
 
 
 def pair_index(a: int, b: int, right_dim: int) -> int:
@@ -19,23 +21,32 @@ def pair_index(a: int, b: int, right_dim: int) -> int:
     return (a - 1) * right_dim + b
 
 
-def _tensor(A: Algebra, B: Algebra, sep: str) -> Algebra:
-    """The tensor product algebra, basis names joined by ``sep``."""
-    products: dict[tuple[int, int, int], Fraction] = {}
-    for (i1, j1, k1), ca in A.products.items():
+def _tensor(
+    dim: int,
+    products: Mapping[tuple[int, int, int], Fraction],
+    unit: Vec | None,
+    names: tuple[str, ...],
+    B: Algebra,
+    sep: str,
+) -> Algebra:
+    """The tensor product of B with the algebra of dimension ``dim`` given
+    by ``products``, ``unit`` and basis ``names``, names joined by ``sep``."""
+    out: dict[tuple[int, int, int], Fraction] = {}
+    for (i1, j1, k1), ca in products.items():
         for (i2, j2, k2), cb in B.products.items():
             key = (
                 pair_index(i1, i2, B.dim),
                 pair_index(j1, j2, B.dim),
                 pair_index(k1, k2, B.dim),
             )
-            products[key] = ca * cb
-    unit = None
-    if A.unit is not None and B.unit is not None:
-        unit = tuple(ua * ub for ua in A.unit for ub in B.unit)
+            out[key] = ca * cb
+    if unit is not None and B.unit is not None:
+        unit = tuple(ua * ub for ua in unit for ub in B.unit)
+    else:
+        unit = None
     names_b = B.basis_names()
-    basis = tuple(f"{na}{sep}{nb}" for na in A.basis_names() for nb in names_b)
-    return Algebra(A.dim * B.dim, products, unit=unit, basis=basis)
+    basis = tuple(f"{na}{sep}{nb}" for na in names for nb in names_b)
+    return Algebra(dim * B.dim, out, unit=unit, basis=basis)
 
 
 def tensor_algebras(A: Algebra, B: Algebra) -> Algebra:
@@ -44,7 +55,7 @@ def tensor_algebras(A: Algebra, B: Algebra) -> Algebra:
     Structure constants multiply factorwise; the unit is the tensor of the
     factors' units when both exist.
     """
-    return _tensor(A, B, "*")
+    return _tensor(A.dim, A.products, A.unit, A.basis_names(), B, "*")
 
 
 def convolution_algebra(C: Cogebra, A: Algebra) -> Algebra:
@@ -54,6 +65,7 @@ def convolution_algebra(C: Cogebra, A: Algebra) -> Algebra:
     of C and sends it to basis element b of A; the product of two such
     maps routes the coproduct of C through the product of A.  That is the
     product of the tensor algebra C* (x) A under (a, b) <-> f_a (x) e_b,
-    and counit (x) unit, when both exist, is its unit.
+    and counit (x) unit, when both exist, is its unit.  The table of C* is
+    read straight off C, without building the dual algebra.
     """
-    return _tensor(dualize_cogebra(C), A, ">")
+    return _tensor(C.dim, _dual_products(C), C.counit, C.basis_names(), A, ">")

@@ -81,6 +81,14 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err == "error: document is nested too deeply\n"
 
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        def exhausted(A):
+            raise MemoryError
+
+        monkeypatch.setattr("nalg.cli.classify", exhausted)
+        code, out, err = run(capsys, "check", data_path("mat2"))
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
 
 class TestTransforms:
     def test_dualize_matches_committed_dual(self, capsys, tmp_path):

@@ -1,7 +1,8 @@
 """The single-pass classify engine against the reference implementation.
 
-Tables are sparse with coefficients over denominators 1, 2, 3 and 5, so
-the engine's denominator clearing always has work to do.  Commutator
+Tables of dimension 1 to 6 are sparse with coefficients over denominators
+1, 2, 3 and 5, so the engine's denominator clearing always has work to
+do, and the layered associator has up to six layers to stop in.  Commutator
 algebras of the same tables are drawn too, because they satisfy many
 identities at once, which brings annihilators of every dimension from 0
 to 6.  Half the tables only multiply upward (e_i e_j lands on indices at
@@ -16,9 +17,14 @@ import reference_algebras as reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nalg import catalog
 from nalg.algebras import (
     Algebra,
     ClassificationReport,
+    _associator_layers,
+    _independent_rows,
+    _integer_table,
+    _slot_rows,
     annihilator,
     associator,
     classify,
@@ -37,7 +43,7 @@ from nalg.sym3 import GroupAlgElem, special_vector
 
 @st.composite
 def algebras(draw):
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
     upward = draw(st.booleans())
     slots = [
         (i, j, k)
@@ -130,3 +136,63 @@ def test_trilinear_maps_match_reference(A, v):
     assert left_assoc_map(A) == reference.left_assoc_map(A)
     assert right_assoc_map(A) == reference.right_assoc_map(A)
     assert phi_precompose(T, v) == reference.phi_precompose(T, v)
+
+
+def _layers(A):
+    P, d = _integer_table(A.products)
+    return list(_associator_layers(P)), d * d
+
+
+def _rank_after_each_layer(A):
+    rows, ranks = [], []
+    for layer in _layers(A)[0]:
+        rows.extend(_slot_rows(layer))
+        ranks.append(len(_independent_rows(rows)))
+    return ranks
+
+
+@given(algebras())
+@settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
+def test_layers_partition_the_associator(A):
+    layers, scale = _layers(A)
+    seen = set()
+    for t, layer in enumerate(layers, start=1):
+        assert all(max(key[:3]) == t for key in layer), t
+        assert seen.isdisjoint(layer), t
+        seen.update(layer)
+    union = {key: Fraction(c, scale) for layer in layers for key, c in layer.items()}
+    assert union == reference.associator(A).entries
+    assert associator(A) == reference.associator(A)
+
+
+# Rank 6 is reached only in the last of three layers: the first is zero,
+# the second has rank 3.
+LAST_LAYER = Algebra(3, {(1, 2, 1): Fraction(-1, 2), (1, 3, 2): 1})
+
+
+def test_rank_six_only_in_the_last_layer():
+    assert _rank_after_each_layer(LAST_LAYER) == [0, 3, 6]
+    assert annihilator(LAST_LAYER) == reference.annihilator(LAST_LAYER)
+    assert annihilator(LAST_LAYER).dim == 0
+    assert classify(LAST_LAYER) == reference.classify(LAST_LAYER)
+
+
+def test_rank_six_never_reached():
+    # mat2 is associative: every layer is empty and the scan never stops
+    # early.  vinberg2 keeps rank 3 through all of its layers.
+    mat2, vinberg2 = catalog.get("mat2"), catalog.get("vinberg2")
+    assert _layers(mat2)[0] == [{}] * mat2.dim
+    assert _rank_after_each_layer(vinberg2)[-1] == 3
+    for A in (mat2, vinberg2):
+        assert classify(A) == reference.classify(A)
+        assert gi_check(A, 1) == reference.gi_check(A, 1)
+
+
+def test_dimension_one_and_empty_tables():
+    for A in (Algebra(1, {(1, 1, 1): Fraction(-2, 3)}), Algebra(1, {}), Algebra(4, {})):
+        assert classify(A) == reference.classify(A)
+        assert annihilator(A).dim == 6
+        assert all(gi_check(A, i) for i in range(1, 7))
+        assert power_assoc_check(A)
+    assert _layers(Algebra(1, {(1, 1, 1): 1}))[0] == [{}]
+    assert _layers(Algebra(4, {}))[0] == []

@@ -137,3 +137,44 @@ def test_subspace_equality_is_canonical():
     b = span([(2, 0), (0, 3)])
     assert a == b
     assert isinstance(a, Subspace)
+
+
+def _reference_rref(rows, ncols):
+    """Textbook Gauss-Jordan elimination over Fraction."""
+    basis = []
+    for row in rows:
+        work = [F(x) for x in row]
+        for r in basis:
+            p = next(j for j, x in enumerate(r) if x)
+            work = [x - work[p] * y for x, y in zip(work, r)]
+        p = next((j for j, x in enumerate(work) if x), None)
+        if p is None:
+            continue
+        work = [x / work[p] for x in work]
+        basis = [[x - r[p] * y for x, y in zip(r, work)] for r in basis]
+        basis.append(work)
+    basis.sort(key=lambda r: next(j for j, x in enumerate(r) if x))
+    return tuple(tuple(r) for r in basis)
+
+
+def _reference_kernel(rows, ncols):
+    rref = _reference_rref(rows, ncols)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rref]
+    vectors = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [F(0)] * ncols
+            v[f] = F(1)
+            for r, p in zip(rref, pivots):
+                v[p] = -r[f]
+            vectors.append(v)
+    return _reference_rref(vectors, ncols)
+
+
+@given(st.lists(st.lists(rationals, min_size=6, max_size=6), max_size=8))
+@settings(max_examples=60)
+def test_integer_elimination_matches_fraction_reference(rows):
+    # Proportional and repeated rows make the dependent cases common.
+    rows = rows + [[2 * x for x in r] for r in rows[:2]] + [[x - y for x, y in zip(r, s)] for r, s in zip(rows, rows[1:3])]
+    assert span(rows, 6).basis == _reference_rref(rows, 6)
+    assert kernel(rows, 6).basis == _reference_kernel(rows, 6)

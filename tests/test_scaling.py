@@ -1,0 +1,56 @@
+"""Scaling guard: ``nalg check`` on a dense dim-40 table finishes quickly.
+
+A random dense table is far from satisfying any identity, so six
+independent equations turn up in the first few layers of the associator
+and ``classify`` stops there: the command takes under a second.  Building
+the whole associator first (about n**5 work; ``classify`` alone took 29 s
+in-process on a 2-core VM) runs past the 15 s timeout and fails the test.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import nalg
+
+DIM = 40
+VALUES = ("-2", "-1", "-1/2", "1/2", "1", "2")
+
+
+def dense_table_text(dim: int) -> str:
+    rng = random.Random(dim)
+    products = {}
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            for k in range(1, dim + 1):
+                if rng.random() < 0.5:
+                    products.setdefault((i, j), []).append({"k": k, "c": rng.choice(VALUES)})
+    doc = {
+        "kind": "algebra",
+        "dim": dim,
+        "basis": [f"e{i}" for i in range(1, dim + 1)],
+        "products": [{"left": i, "right": j, "out": out} for (i, j), out in products.items()],
+        "unit": None,
+    }
+    return json.dumps(doc)
+
+
+def test_dense_dim_40_check_is_fast(tmp_path):
+    path = tmp_path / "dense40.json"
+    path.write_text(dense_table_text(DIM), encoding="utf-8")
+    src = str(Path(nalg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run(
+        [sys.executable, "-m", "nalg.cli", "check", "--json", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=15,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["dim"] == DIM
+    assert report["annihilator_dim"] == 0
