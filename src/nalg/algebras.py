@@ -324,9 +324,10 @@ def phi_precompose(T: TrilinearMap, v) -> TrilinearMap:
     return TrilinearMap(T.dim, out)
 
 
-# The six keys of an orbit are (m[s1], m[s2], m[s3], l) over _SLOT_ORDERS,
-# and every row read at one of them reads the values at the six: entry q
-# of the row at orbit key p is orbit value _ROW_READS[p][q].
+# The orbit of a key m under slot permutation is the six keys
+# (m[s1], m[s2], m[s3], l) over _SLOT_ORDERS, and the row at any of them
+# reads only values at those six.  _ROW_READS[p] picks, from the six
+# values in that order, the row at the p-th orbit key.
 _ROW_READS = tuple(
     itemgetter(*(_SLOT_ORDERS.index((s[q1], s[q2], s[q3])) for q1, q2, q3 in _LOOKUP_ORDERS))
     for s in _SLOT_ORDERS
