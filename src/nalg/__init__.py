@@ -10,20 +10,16 @@ from .algebras import (
     TrilinearMap,
     annihilator,
     associator,
-    basis_vec,
     classify,
     commutator_algebra,
     gi_bang_check,
     gi_check,
-    is_algebra_morphism,
     is_antisymmetric,
     is_commutative,
     is_sigma3_assoc_for,
     jacobi_check,
-    left_assoc_map,
     phi_precompose,
     power_assoc_check,
-    right_assoc_map,
 )
 from .cogebras import (
     Cogebra,

@@ -22,19 +22,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ._record import Record
-from .linalg import Subspace, Vec, as_vec, kernel
+from .linalg import Subspace, Vec, _cleared, _echelon, as_vec, kernel
 from .sym3 import SUBGROUPS, GroupAlgElem, Perm3, PERMS, inverse, special_vector
-
-
-def basis_vec(dim: int, j: int) -> Vec:
-    coords = [Fraction(0)] * dim
-    coords[j - 1] = Fraction(1)
-    return tuple(coords)
 
 
 def _is_identity(matrix: Mapping[tuple[int, int], Fraction], dim: int) -> bool:
@@ -130,53 +123,7 @@ class TrilinearMap(Record):
                 table[key] = c
         self._assign(dim, table)
 
-    def get(self, i: int, j: int, k: int, l: int) -> Fraction:
-        return self.entries.get((i, j, k, l), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __add__(self, other: "TrilinearMap") -> "TrilinearMap":
-        out = dict(self.entries)
-        for key, c in other.entries.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return TrilinearMap(self.dim, out)
-
-    def __sub__(self, other: "TrilinearMap") -> "TrilinearMap":
-        out = dict(self.entries)
-        for key, c in other.entries.items():
-            out[key] = out.get(key, Fraction(0)) - c
-        return TrilinearMap(self.dim, out)
-
-    def scale(self, factor) -> "TrilinearMap":
-        f = Fraction(factor)
-        return TrilinearMap(self.dim, {k: f * c for k, c in self.entries.items()})
-
-    def evaluate(self, x: Sequence, y: Sequence, z: Sequence) -> Vec:
-        x = as_vec(x)
-        y = as_vec(y)
-        z = as_vec(z)
-        out = [Fraction(0)] * self.dim
-        for (i, j, k, l), c in self.entries.items():
-            p = x[i - 1]
-            if not p:
-                continue
-            p *= y[j - 1]
-            if not p:
-                continue
-            p *= z[k - 1]
-            if p:
-                out[l - 1] += c * p
-        return tuple(out)
-
-
 Key4 = tuple[int, int, int, int]
-
-
-def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values times the LCM ``d`` of their denominators, as ints, and ``d``."""
-    d = lcm(*(c.denominator for c in values))
-    return [c.numerator * (d // c.denominator) for c in values], d
 
 
 def _integer_table(
@@ -270,29 +217,13 @@ def _associator_layers(P: Mapping[tuple[int, int, int], int]) -> Iterator[dict[K
         yield {key: c for key, c in out.items() if c}
 
 
-def _trilinear(dim: int, entries: Mapping[Key4, int], scale: int) -> TrilinearMap:
-    return TrilinearMap(dim, {key: Fraction(c, scale) for key, c in entries.items()})
-
-
-def left_assoc_map(A: Algebra) -> TrilinearMap:
-    """(x1 x2) x3 as a trilinear map."""
-    P, d = _integer_table(A.products)
-    return _trilinear(A.dim, _left_products(P), d * d)
-
-
-def right_assoc_map(A: Algebra) -> TrilinearMap:
-    """x1 (x2 x3) as a trilinear map."""
-    P, d = _integer_table(A.products)
-    return _trilinear(A.dim, _right_products(P), d * d)
-
-
 def associator(A: Algebra) -> TrilinearMap:
     """(x1 x2) x3 - x1 (x2 x3): the union of the layers."""
     P, d = _integer_table(A.products)
     entries: dict[Key4, int] = {}
     for layer in _associator_layers(P):
         entries.update(layer)
-    return _trilinear(A.dim, entries, d * d)
+    return TrilinearMap(A.dim, {key: Fraction(c, d * d) for key, c in entries.items()})
 
 
 # Slot permutation by s = PERMS[p] sends the key (m1, m2, m3, l) to
@@ -362,34 +293,6 @@ def _associator_rows(A: Algebra) -> Iterator[tuple[int, ...]]:
         yield from _slot_rows(layer)
 
 
-def _independent_rows(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """A maximal independent subset of ``rows``, kept as given.
-
-    Fraction-free elimination: a row is reduced against each echelon row
-    by cross-multiplying and dividing out the gcd, so all arithmetic stays
-    in integers.  The scan stops as soon as the rank reaches 6, the
-    number of columns.
-    """
-    echelon: list[tuple[int, list[int]]] = []
-    kept: list[tuple[int, ...]] = []
-    for row in rows:
-        work = list(row)
-        for p, e in echelon:
-            c = work[p]
-            if c:
-                lead = e[p]
-                work = [lead * x - c * y for x, y in zip(work, e)]
-        pivot = next((j for j, x in enumerate(work) if x), None)
-        if pivot is None:
-            continue
-        g = gcd(*work)
-        echelon.append((pivot, [x // g for x in work]))
-        kept.append(row)
-        if len(kept) == 6:
-            break
-    return kept
-
-
 def is_sigma3_assoc_for(A: Algebra, v: GroupAlgElem) -> bool:
     """True iff the associator vanishes after slot permutation by ``v``:
     every slot row is orthogonal to the coordinates of ``v``.  The scan
@@ -419,10 +322,10 @@ def annihilator(A: Algebra) -> Subspace:
     coordinates of v as unknowns, one equation per tensor coordinate.
     The result is closed under right multiplication by every permutation.
 
-    The equations are produced layer by layer and scanned only until six
-    independent ones are found; those alone go to the exact kernel solve.
+    The equations are produced layer by layer and eliminated only until
+    their rank is 6; the echelon rows alone go to the exact kernel solve.
     """
-    return kernel(_independent_rows(_associator_rows(A)), 6)
+    return kernel(_echelon(_associator_rows(A))[1], 6)
 
 
 def commutator_algebra(A: Algebra) -> Algebra:
@@ -464,8 +367,8 @@ def gi_bang_check(A: Algebra, i: int) -> bool:
 
 
 def _triple_product_stabilizer(A: Algebra) -> frozenset[Perm3]:
-    """The permutations s with ``phi_precompose(left_assoc_map(A), s)``
-    equal to ``left_assoc_map(A)``: the slot symmetries of (xy)z.
+    """The permutations s with ``phi_precompose(L, s) == L`` for the
+    trilinear map L = (x1 x2) x3: the slot symmetries of (xy)z.
 
     Slot permutation is a bijection on keys, so the permuted map equals the
     original exactly when every key of the support reads the same value
@@ -490,26 +393,6 @@ def is_antisymmetric(A: Algebra) -> bool:
     return all(
         A.products.get((j, i, k), Fraction(0)) == -c for (i, j, k), c in A.products.items()
     )
-
-
-def is_algebra_morphism(images: Sequence[Sequence], source: Algebra, target: Algebra) -> bool:
-    """Whether the linear map sending e_j to ``images[j-1]`` intertwines the
-    products: f(x y) = f(x) f(y) on all basis pairs."""
-    imgs = [as_vec(v) for v in images]
-    if len(imgs) != source.dim or any(len(v) != target.dim for v in imgs):
-        raise ValueError("morphism images must map the source basis into the target")
-    for i in range(1, source.dim + 1):
-        for j in range(1, source.dim + 1):
-            prod = source.multiply(basis_vec(source.dim, i), basis_vec(source.dim, j))
-            lhs = [Fraction(0)] * target.dim
-            for k, c in enumerate(prod, start=1):
-                if c:
-                    for t in range(target.dim):
-                        lhs[t] += c * imgs[k - 1][t]
-            rhs = target.multiply(imgs[i - 1], imgs[j - 1])
-            if tuple(lhs) != rhs:
-                return False
-    return True
 
 
 class ClassificationReport(Record):

@@ -23,10 +23,10 @@ from typing import Iterable, Mapping, Sequence
 
 from ._record import Record
 from .algebras import (
-    _associator_layers,
     _check_index,
     _integer_table,
     _is_identity,
+    _left_products,
     _right_products,
     annihilator,
     classify,
@@ -185,14 +185,15 @@ def gi_bang_cocheck(C: Cogebra, i: int, *, literal: bool = False) -> bool:
     S that sum and R the iterated coproduct.  S*S = |G|*S, so S R = R gives
     (|G| - 1) S R = 0, hence S R = 0 and R = 0: for every index the literal
     reading holds exactly when the dual is associative and all its triple
-    products x(yz) vanish.  Both are decided on the dual's table, read
-    straight off C.
+    products x(yz) vanish.  The associator is (xy)z - x(yz), so that is
+    both composites (xy)z and x(yz) vanishing, decided on the dual's
+    table, read straight off C.
     """
     if not literal:
         return gi_bang_check(dualize_cogebra(C), i)
     _check_index(i, low=2)
     P, _ = _integer_table(_dual_products(C))
-    return not any(_associator_layers(P)) and not any(_right_products(P).values())
+    return not any(_left_products(P).values()) and not any(_right_products(P).values())
 
 
 def flip(C: Cogebra) -> Cogebra:

@@ -83,11 +83,10 @@ def _pivot(row: Sequence) -> int | None:
     return None
 
 
-def _integer_row(row: Sequence) -> list[int]:
-    """``row`` times the LCM of its denominators, as ints: the same line."""
-    vec = as_vec(row)
-    d = lcm(*(c.denominator for c in vec))
-    return [c.numerator * (d // c.denominator) for c in vec]
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times the LCM ``d`` of their denominators, as ints, and ``d``."""
+    d = lcm(*(c.denominator for c in values))
+    return [c.numerator * (d // c.denominator) for c in values], d
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -95,7 +94,7 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row]
 
 
-def _echelon(rows: Iterable[list[int]]) -> tuple[list[int], list[list[int]]]:
+def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """The reduced row-echelon form of the span of integer ``rows``,
     computed fraction-free: pivot columns in increasing order, and for each
     a primitive integer row that is zero in every other pivot column.
@@ -103,7 +102,9 @@ def _echelon(rows: Iterable[list[int]]) -> tuple[list[int], list[list[int]]]:
     A row is reduced against each basis row by cross-multiplying; a new
     basis row then clears its pivot column from the others the same way.
     Every row is divided by the gcd of its entries after each step, so the
-    entries stay small and all arithmetic is in integers.
+    entries stay small and all arithmetic is in integers.  Reading stops
+    once the rank equals the number of columns, so a lazy ``rows`` is
+    consumed no further than it must be.
     """
     pivots: list[int] = []
     basis: list[list[int]] = []
@@ -125,6 +126,8 @@ def _echelon(rows: Iterable[list[int]]) -> tuple[list[int], list[list[int]]]:
         at = bisect_left(pivots, q)
         pivots.insert(at, q)
         basis.insert(at, work)
+        if len(basis) == len(work):
+            break
     return pivots, basis
 
 
@@ -139,7 +142,7 @@ def span(vectors: Iterable[Sequence], ambient_dim: int | None = None) -> Subspac
     ``ambient_dim`` is required when the iterable is empty and is checked
     against every vector otherwise.
     """
-    rows = [_integer_row(v) for v in vectors]
+    rows = [_cleared(as_vec(v))[0] for v in vectors]
     if ambient_dim is None:
         if not rows:
             raise ValueError("ambient dimension required for an empty span")
@@ -156,7 +159,7 @@ def kernel(rows: Iterable[Sequence], ncols: int | None = None) -> Subspace:
     matrix.  Each row is cleared of denominators and the elimination runs
     in integers; fractions appear only in the canonical output.
     """
-    mat = [_integer_row(r) for r in rows]
+    mat = [_cleared(as_vec(r))[0] for r in rows]
     if ncols is None:
         if not mat:
             raise ValueError("column count required for an empty matrix")

@@ -206,15 +206,8 @@ def special_vector(name: str) -> GroupAlgElem:
         raise ValueError(f"unknown special vector {name!r}") from None
 
 
-def _act_by(u: GroupAlgElem, v: GroupAlgElem) -> GroupAlgElem:
-    """Apply a group-algebra element through the translation action."""
-    total = GroupAlgElem.zero()
-    for i, a in enumerate(u.coords):
-        if a:
-            total = total + a * action(PERMS[i], v)
-    return total
-
-
+# The central idempotents.  Each is fixed by p -> p^-1, so applying one
+# through the translation action is left multiplication by it.
 _E_TRIVIAL = Fraction(1, 6) * special_vector("W")
 _E_SIGN = Fraction(1, 6) * special_vector("V")
 _E_STANDARD = GroupAlgElem.from_perm(IDENTITY) - _E_TRIVIAL - _E_SIGN
@@ -236,9 +229,9 @@ def maschke_multiplicities(s: Subspace) -> tuple[int, int, int]:
         for p in PERMS:
             if not s.contains(action(p, e).coords):
                 raise ValueError("subspace is not invariant under the translation action")
-    m_trivial = span([_act_by(_E_TRIVIAL, e).coords for e in elems], 6).dim
-    m_sign = span([_act_by(_E_SIGN, e).coords for e in elems], 6).dim
-    standard_rank = span([_act_by(_E_STANDARD, e).coords for e in elems], 6).dim
+    m_trivial = span([ga_multiply(_E_TRIVIAL, e).coords for e in elems], 6).dim
+    m_sign = span([ga_multiply(_E_SIGN, e).coords for e in elems], 6).dim
+    standard_rank = span([ga_multiply(_E_STANDARD, e).coords for e in elems], 6).dim
     m_standard, remainder = divmod(standard_rank, 2)
     if remainder or m_trivial + m_sign + standard_rank != s.dim:
         raise ArithmeticError("isotypic ranks do not add up; invariance check is broken")

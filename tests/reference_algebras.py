@@ -7,6 +7,10 @@ every identity applies its own slot permutation to it, the annihilator
 solves the linear system over every tensor coordinate, and every
 triple-symmetry flag runs its own associativity check.  They are slow and
 obviously correct; ``nalg.algebras`` must agree with them on every input.
+
+The module also holds the tools the tests apply to trilinear maps and
+algebras: basis vectors, linear combinations, evaluation and the algebra
+morphism predicate.
 """
 
 from __future__ import annotations
@@ -15,9 +19,46 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 
-from nalg.algebras import Algebra, ClassificationReport, TrilinearMap, basis_vec
-from nalg.linalg import Subspace, kernel
+from nalg.algebras import Algebra, ClassificationReport, TrilinearMap
+from nalg.linalg import Subspace, Vec, as_vec, kernel
 from nalg.sym3 import PERMS, SUBGROUPS, GroupAlgElem, Perm3, special_vector
+
+
+def basis_vec(dim: int, j: int) -> Vec:
+    return tuple(Fraction(int(t == j)) for t in range(1, dim + 1))
+
+
+def combine(dim: int, terms) -> TrilinearMap:
+    """The linear combination of the (coefficient, TrilinearMap) pairs."""
+    out: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
+    for coeff, T in terms:
+        for key, c in T.entries.items():
+            out[key] += Fraction(coeff) * c
+    return TrilinearMap(dim, out)
+
+
+def evaluate(T: TrilinearMap, x, y, z) -> Vec:
+    """T(x, y, z) by trilinear extension of the entries."""
+    x, y, z = as_vec(x), as_vec(y), as_vec(z)
+    out = [Fraction(0)] * T.dim
+    for (i, j, k, l), c in T.entries.items():
+        out[l - 1] += c * x[i - 1] * y[j - 1] * z[k - 1]
+    return tuple(out)
+
+
+def is_algebra_morphism(images, source: Algebra, target: Algebra) -> bool:
+    """Whether the linear map sending e_j to ``images[j-1]`` intertwines the
+    products: f(x y) = f(x) f(y) on all basis pairs."""
+    imgs = [as_vec(v) for v in images]
+    if len(imgs) != source.dim or any(len(v) != target.dim for v in imgs):
+        raise ValueError("morphism images must map the source basis into the target")
+    es = [basis_vec(source.dim, i) for i in range(1, source.dim + 1)]
+    for i, j in itertools.product(range(source.dim), repeat=2):
+        prod = source.multiply(es[i], es[j])
+        lhs = tuple(sum((c * v[t] for c, v in zip(prod, imgs)), Fraction(0)) for t in range(target.dim))
+        if lhs != target.multiply(imgs[i], imgs[j]):
+            return False
+    return True
 
 
 def left_assoc_map(A: Algebra) -> TrilinearMap:
@@ -43,7 +84,7 @@ def right_assoc_map(A: Algebra) -> TrilinearMap:
 
 
 def associator(A: Algebra) -> TrilinearMap:
-    return left_assoc_map(A) - right_assoc_map(A)
+    return combine(A.dim, ((1, left_assoc_map(A)), (-1, right_assoc_map(A))))
 
 
 def phi_precompose(T: TrilinearMap, v) -> TrilinearMap:
@@ -62,7 +103,7 @@ def phi_precompose(T: TrilinearMap, v) -> TrilinearMap:
 
 
 def is_sigma3_assoc_for(A: Algebra, v: GroupAlgElem) -> bool:
-    return phi_precompose(associator(A), v).is_zero()
+    return not phi_precompose(associator(A), v).entries
 
 
 def gi_check(A: Algebra, i: int) -> bool:
@@ -96,7 +137,7 @@ def gi_bang_check(A: Algebra, i: int) -> bool:
 def classify(A: Algebra) -> ClassificationReport:
     T = associator(A)
     gi = {
-        i: phi_precompose(T, special_vector(f"a{i}")).is_zero() for i in range(1, 7)
+        i: not phi_precompose(T, special_vector(f"a{i}")).entries for i in range(1, 7)
     }
     bang = {i: gi_bang_check(A, i) for i in range(2, 7)}
     ann = annihilator(A)
@@ -105,7 +146,7 @@ def classify(A: Algebra) -> ClassificationReport:
         gi_bang=bang,
         is_associative=gi[1],
         is_lie_admissible=gi[6],
-        is_3_power_associative=phi_precompose(T, special_vector("W")).is_zero(),
+        is_3_power_associative=not phi_precompose(T, special_vector("W")).entries,
         has_unit=A.unit is not None,
         annihilator_dim=ann.dim,
         annihilator_basis=tuple(GroupAlgElem(row) for row in ann.basis),

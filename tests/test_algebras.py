@@ -5,26 +5,30 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_algebras import (
+    basis_vec,
+    combine,
+    evaluate,
+    is_algebra_morphism,
+    left_assoc_map,
+    right_assoc_map,
+)
 
 from nalg.algebras import (
     Algebra,
     TrilinearMap,
     annihilator,
     associator,
-    basis_vec,
     classify,
     commutator_algebra,
     gi_bang_check,
     gi_check,
-    is_algebra_morphism,
     is_antisymmetric,
     is_commutative,
     is_sigma3_assoc_for,
     jacobi_check,
-    left_assoc_map,
     phi_precompose,
     power_assoc_check,
-    right_assoc_map,
 )
 from nalg.linalg import member
 from nalg.sym3 import (
@@ -97,24 +101,24 @@ class TestAlgebraConstruction:
 
 class TestAssociator:
     def test_matrix_algebra_is_associative(self, catalog_algebras):
-        assert associator(catalog_algebras["mat2"]).is_zero()
+        assert not associator(catalog_algebras["mat2"]).entries
 
     def test_one_dim_always_associative(self):
-        assert associator(Algebra(1, {(1, 1, 1): 1})).is_zero()
-        assert associator(Algebra(1, {(1, 1, 1): -3})).is_zero()
+        assert not associator(Algebra(1, {(1, 1, 1): 1})).entries
+        assert not associator(Algebra(1, {(1, 1, 1): -3})).entries
 
     def test_witness_cube(self):
         # (e1 e1) e1 - e1 (e1 e1) = e2 e1 - e1 e2 = e1
         T = associator(witness2())
-        assert T.evaluate(basis_vec(2, 1), basis_vec(2, 1), basis_vec(2, 1)) == (
+        assert evaluate(T, basis_vec(2, 1), basis_vec(2, 1), basis_vec(2, 1)) == (
             F(1),
             F(0),
         )
-        assert T.get(1, 1, 1, 1) == 1
+        assert T.entries[(1, 1, 1, 1)] == 1
 
     def test_splits_into_left_and_right_parts(self, catalog_algebras):
         for A in catalog_algebras.values():
-            assert left_assoc_map(A) - right_assoc_map(A) == associator(A)
+            assert combine(A.dim, ((1, left_assoc_map(A)), (-1, right_assoc_map(A)))) == associator(A)
 
 
 class TestPhiPrecompose:
@@ -133,7 +137,7 @@ class TestPhiPrecompose:
         cycled = phi_precompose(T, PERMS[4])
         # coordinate at (i, j, k) must be the original at (k, i, j)
         for (i, j, k, l), c in cycled.entries.items():
-            assert T.get(k, i, j, l) == c
+            assert T.entries.get((k, i, j, l), F(0)) == c
         assert len(cycled.entries) == len(T.entries)
 
     def test_evaluation_oracle(self):
@@ -150,7 +154,7 @@ class TestPhiPrecompose:
             for _ in range(5):
                 xs = (rv(), rv(), rv())
                 permuted = tuple(xs[pinv(k) - 1] for k in (1, 2, 3))
-                assert composed.evaluate(*xs) == T.evaluate(*permuted)
+                assert evaluate(composed, *xs) == evaluate(T, *permuted)
 
     def test_homomorphism_law_all_pairs(self):
         T = symbolic81()
@@ -162,7 +166,7 @@ class TestPhiPrecompose:
     @settings(max_examples=25, deadline=None)
     def test_linearity(self, u, v):
         T = symbolic81()
-        both = phi_precompose(T, u) + phi_precompose(T, v)
+        both = combine(3, ((1, phi_precompose(T, u)), (1, phi_precompose(T, v))))
         assert both == phi_precompose(T, u + v)
 
 
@@ -295,7 +299,7 @@ class TestPowerAssociativity:
         A = witness2()
         assert not power_assoc_check(A)
         T = associator(A)
-        assert T.evaluate(basis_vec(2, 1), basis_vec(2, 1), basis_vec(2, 1)) == (1, 0)
+        assert evaluate(T, basis_vec(2, 1), basis_vec(2, 1), basis_vec(2, 1)) == (1, 0)
 
     def test_cube_coefficient_oracle(self, catalog_algebras):
         # The coefficient tensor of x -> A(x, x, x) is the symmetrized
@@ -309,7 +313,7 @@ class TestPowerAssociativity:
             ):
                 orderings = set(itertools.permutations(multiset))
                 for l in range(1, A.dim + 1):
-                    total = sum((T.get(i, j, k, l) for i, j, k in orderings), F(0))
+                    total = sum((T.entries.get((i, j, k, l), F(0)) for i, j, k in orderings), F(0))
                     if total:
                         out[(multiset, l)] = total
             return out
@@ -318,14 +322,14 @@ class TestPowerAssociativity:
             coeffs = cube_coefficients(A)
             symmetrized = phi_precompose(associator(A), special_vector("W"))
             assert power_assoc_check(A) == (not coeffs)
-            assert power_assoc_check(A) == symmetrized.is_zero()
+            assert power_assoc_check(A) == (not symmetrized.entries)
             for multiset in itertools.combinations_with_replacement(
                 range(1, A.dim + 1), 3
             ):
                 stabilizer = 6 // len(set(itertools.permutations(multiset)))
                 i, j, k = multiset
                 for l in range(1, A.dim + 1):
-                    assert symmetrized.get(i, j, k, l) == stabilizer * coeffs.get(
+                    assert symmetrized.entries.get((i, j, k, l), F(0)) == stabilizer * coeffs.get(
                         (multiset, l), F(0)
                     )
 
@@ -370,11 +374,8 @@ class TestAxiomaticSquare:
         for A in catalog_algebras.values():
             L, R = left_assoc_map(A), right_assoc_map(A)
             for i in range(1, 7):
-                left_sum = TrilinearMap(A.dim, {})
-                right_sum = TrilinearMap(A.dim, {})
-                for p in SUBGROUPS[i]:
-                    left_sum = left_sum + phi_precompose(L, p).scale(sign(p))
-                    right_sum = right_sum + phi_precompose(R, p).scale(sign(p))
+                left_sum = combine(A.dim, ((sign(p), phi_precompose(L, p)) for p in SUBGROUPS[i]))
+                right_sum = combine(A.dim, ((sign(p), phi_precompose(R, p)) for p in SUBGROUPS[i]))
                 assert (left_sum == right_sum) == gi_check(A, i)
 
 
@@ -391,7 +392,7 @@ class TestMultilinearityReduction:
             zero = tuple([F(0)] * A.dim)
             for i in range(1, 7):
                 defect = phi_precompose(T, special_vector(f"a{i}"))
-                on_random = all(defect.evaluate(x, y, z) == zero for x, y, z in triples)
+                on_random = all(evaluate(defect, x, y, z) == zero for x, y, z in triples)
                 assert on_random == gi_check(A, i)
 
 
@@ -422,6 +423,8 @@ class TestClassify:
 
 
 class TestMorphismPredicate:
+    # The predicate is the test tool behind test_products.TestFunctoriality;
+    # these cases keep it from passing everything.
     def test_projection_is_morphism(self, catalog_algebras):
         # truncated polynomials onto scalars: 1 -> 1, x -> 0
         assert is_algebra_morphism(

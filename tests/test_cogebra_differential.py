@@ -129,3 +129,13 @@ def test_literal_reading_cases():
         assert gi_bang_cocheck(SQUARE_ZERO, i, literal=True), i
         assert reference.gi_bang_cocheck(SQUARE_ZERO, i, literal=True), i
         assert gi_bang_cocheck(trunc, i) and not gi_bang_cocheck(trunc, i, literal=True), i
+
+
+def test_literal_reading_needs_coassociativity():
+    # The dual of e1 e1 = e2, e2 e1 = e3: (id (x) coproduct) after the
+    # coproduct is zero, as for SQUARE_ZERO, but the cogebra is not
+    # coassociative, so the literal reading fails.
+    C = dualize_algebra(Algebra(3, {(1, 1, 2): 1, (2, 1, 3): 1}))
+    for i in range(2, 7):
+        assert not gi_bang_cocheck(C, i, literal=True), i
+        assert not reference.gi_bang_cocheck(C, i, literal=True), i

@@ -22,8 +22,9 @@ from nalg.algebras import (
     Algebra,
     ClassificationReport,
     _associator_layers,
-    _independent_rows,
     _integer_table,
+    _left_products,
+    _right_products,
     _slot_rows,
     annihilator,
     associator,
@@ -33,12 +34,11 @@ from nalg.algebras import (
     gi_check,
     is_sigma3_assoc_for,
     jacobi_check,
-    left_assoc_map,
     phi_precompose,
     power_assoc_check,
-    right_assoc_map,
 )
-from nalg.sym3 import GroupAlgElem, special_vector
+from nalg.linalg import _echelon, span
+from nalg.sym3 import PERMS, GroupAlgElem, ga_multiply, special_vector
 
 
 @st.composite
@@ -133,9 +133,19 @@ def test_single_checks_match_reference(A, v):
 def test_trilinear_maps_match_reference(A, v):
     T = associator(A)
     assert T == reference.associator(A)
-    assert left_assoc_map(A) == reference.left_assoc_map(A)
-    assert right_assoc_map(A) == reference.right_assoc_map(A)
     assert phi_precompose(T, v) == reference.phi_precompose(T, v)
+    P, d = _integer_table(A.products)
+    for ours, ref in ((_left_products(P), reference.left_assoc_map(A)), (_right_products(P), reference.right_assoc_map(A))):
+        assert {key: Fraction(c, d * d) for key, c in ours.items() if c} == ref.entries
+
+
+@given(algebras())
+@settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
+def test_annihilator_is_closed_under_right_multiplication(A):
+    # The identity is among the permutations, so the translates span the closure.
+    ann = annihilator(A)
+    translates = [ga_multiply(GroupAlgElem(row), GroupAlgElem.from_perm(p)).coords for row in ann.basis for p in PERMS]
+    assert span(translates, 6) == ann
 
 
 def _layers(A):
@@ -147,7 +157,7 @@ def _rank_after_each_layer(A):
     rows, ranks = [], []
     for layer in _layers(A)[0]:
         rows.extend(_slot_rows(layer))
-        ranks.append(len(_independent_rows(rows)))
+        ranks.append(len(_echelon(rows)[1]))
     return ranks
 
 

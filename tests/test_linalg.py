@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from nalg.linalg import (
     Subspace,
+    _echelon,
     format_rational,
     kernel,
     member,
@@ -178,3 +179,16 @@ def test_integer_elimination_matches_fraction_reference(rows):
     rows = rows + [[2 * x for x in r] for r in rows[:2]] + [[x - y for x, y in zip(r, s)] for r, s in zip(rows, rows[1:3])]
     assert span(rows, 6).basis == _reference_rref(rows, 6)
     assert kernel(rows, 6).basis == _reference_kernel(rows, 6)
+
+
+def test_echelon_stops_at_full_rank():
+    # Six independent rows fill the six columns; the row after them must
+    # never be read.
+    def rows():
+        for i in range(6):
+            yield [3 * (j >= i) + (j == i) for j in range(6)]
+        raise AssertionError("row read after the rank reached the column count")
+
+    pivots, basis = _echelon(rows())
+    assert pivots == list(range(6))
+    assert basis == [[int(i == j) for j in range(6)] for i in range(6)]

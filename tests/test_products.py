@@ -1,11 +1,8 @@
 from fractions import Fraction as F
 
-from nalg.algebras import (
-    annihilator,
-    gi_bang_check,
-    gi_check,
-    is_algebra_morphism,
-)
+from reference_algebras import is_algebra_morphism
+
+from nalg.algebras import annihilator, gi_bang_check, gi_check
 from nalg.cogebras import gi_bang_cocheck, gi_cocheck
 from nalg.duality import dualize_algebra
 from nalg.products import convolution_algebra, pair_index, tensor_algebras

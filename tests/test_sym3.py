@@ -15,6 +15,9 @@ from nalg.sym3 import (
     T12,
     T13,
     T23,
+    _E_SIGN,
+    _E_STANDARD,
+    _E_TRIVIAL,
     GroupAlgElem,
     action,
     compose,
@@ -207,6 +210,17 @@ class TestMaschke:
     def test_rejects_wrong_ambient(self):
         with pytest.raises(ValueError):
             maschke_multiplicities(span([(1, 0)], 2))
+
+    @given(ga_elems)
+    @settings(max_examples=40)
+    def test_idempotents_act_by_left_multiplication(self, e):
+        # maschke_multiplicities applies each idempotent E by ga_multiply;
+        # through the translation action it gives the same vector.
+        for E in (_E_TRIVIAL, _E_SIGN, _E_STANDARD):
+            total = GroupAlgElem.zero()
+            for p, c in zip(PERMS, E.coords):
+                total = total + c * action(p, e)
+            assert total == ga_multiply(E, e)
 
     @given(ga_elems)
     @settings(max_examples=40)
