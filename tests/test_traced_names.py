@@ -9,8 +9,6 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import nalg.cli  # noqa: F401  (imports every nalg module, as the recorder expects)
-
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
