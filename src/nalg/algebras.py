@@ -9,13 +9,14 @@ three letters: index 1 is plain associativity, 2 is the Vinberg
 condition, and 6 is Lie-admissibility.  Every identity is decided exactly
 by evaluating on all basis triples, which suffices by multilinearity.
 
-``classify`` reads every check off one exact computation on the table
-cleared of denominators (Python ints, no floats): the annihilator of the
-associator, from a fraction-free solve that stops at full rank, and the
-stabilizer of (xy)z.  The associator is produced in layers of growing
-largest index, so the solve stops before the rest is computed.  The
-single-identity checks read the same layers and stop at the first
-coordinate that is not zero.
+Every check asks which group-algebra vectors kill a trilinear map under
+slot permutation, on the table cleared of denominators (Python ints, no
+floats).  The map is a composite left*(xy)z + right*x(yz), produced in
+layers of growing largest index: the associator for the identities, and
+(xy)z alone for the triple symmetries.  Two readers answer the question.
+``_slot_kernel`` finds all such vectors in one fraction-free solve that
+stops at full rank, so the later layers are never computed.  ``_kills``
+tests one vector and stops at the first coordinate that is not zero.
 """
 
 from __future__ import annotations
@@ -28,6 +29,21 @@ from typing import Iterator, Mapping, Sequence
 from ._record import Record
 from .linalg import Subspace, Vec, _cleared, _echelon, as_vec, kernel
 from .sym3 import SUBGROUPS, GroupAlgElem, Perm3, PERMS, inverse, special_vector
+
+
+def _table(dim: int, entries: Mapping[tuple, Fraction], size: int, what: str) -> dict:
+    """The nonzero ``entries`` as Fractions, after checking that every key
+    holds ``size`` indices in 1..dim; ``what`` names an entry in errors."""
+    table = {}
+    for key, c in entries.items():
+        if len(key) != size:
+            raise ValueError(f"{what} entry {key} has {len(key)} indices, not {size}")
+        if not all(1 <= t <= dim for t in key):
+            raise ValueError(f"index out of range in {what} entry {key}")
+        c = Fraction(c)
+        if c:
+            table[key] = c
+    return table
 
 
 def _is_identity(matrix: Mapping[tuple[int, int], Fraction], dim: int) -> bool:
@@ -57,13 +73,7 @@ class Algebra(Record):
     ):
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        table: dict[tuple[int, int, int], Fraction] = {}
-        for (i, j, k), c in products.items():
-            if not all(1 <= t <= dim for t in (i, j, k)):
-                raise ValueError(f"index out of range in product entry ({i}, {j}, {k})")
-            c = Fraction(c)
-            if c:
-                table[(i, j, k)] = c
+        table = _table(dim, products, 3, "product")
         if basis is not None:
             basis = tuple(str(n) for n in basis)
             if len(basis) != dim:
@@ -114,14 +124,8 @@ class TrilinearMap(Record):
     __slots__ = ("dim", "entries")
 
     def __init__(self, dim: int, entries: Mapping[tuple[int, int, int, int], Fraction]):
-        table: dict[tuple[int, int, int, int], Fraction] = {}
-        for key, c in entries.items():
-            if not all(1 <= t <= dim for t in key):
-                raise ValueError(f"index out of range in trilinear entry {key}")
-            c = Fraction(c)
-            if c:
-                table[key] = c
-        self._assign(dim, table)
+        self._assign(dim, _table(dim, entries, 4, "trilinear"))
+
 
 Key4 = tuple[int, int, int, int]
 
@@ -137,34 +141,13 @@ def _integer_table(
     return dict(zip(products, ints)), d
 
 
-def _left_products(P: Mapping[tuple[int, int, int], int]) -> dict[Key4, int]:
-    """(x1 x2) x3 on basis triples, over the integer table ``P``."""
-    by_left: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    for (m, k, l), c in P.items():
-        by_left[m].append((k, l, c))
-    out: dict[Key4, int] = defaultdict(int)
-    for (i, j, m), c1 in P.items():
-        for k, l, c2 in by_left.get(m, ()):
-            out[(i, j, k, l)] += c1 * c2
-    return out
-
-
-def _right_products(P: Mapping[tuple[int, int, int], int]) -> dict[Key4, int]:
-    """x1 (x2 x3) on basis triples, over the integer table ``P``."""
-    by_right: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    for (i, m, l), c in P.items():
-        by_right[m].append((i, l, c))
-    out: dict[Key4, int] = defaultdict(int)
-    for (j, k, m), c1 in P.items():
-        for i, l, c2 in by_right.get(m, ()):
-            out[(i, j, k, l)] += c1 * c2
-    return out
-
-
-def _associator_layers(P: Mapping[tuple[int, int, int], int]) -> Iterator[dict[Key4, int]]:
-    """The nonzero entries of the associator of the integer table ``P``, in
-    layers: layer t holds the keys (i, j, k, l) with max(i, j, k) = t, for
-    t = 1, 2, ... up to the largest index of ``P``.
+def _composite_layers(
+    P: Mapping[tuple[int, int, int], int], left: int, right: int
+) -> Iterator[dict[Key4, int]]:
+    """The nonzero entries of left*(xy)z + right*x(yz) over the integer
+    table ``P``, in layers: layer t holds the keys (i, j, k, l) with
+    max(i, j, k) = t, for t = 1, 2, ... up to the largest index of ``P``.
+    (1, -1) gives the associator, (1, 0) and (0, 1) the two composites.
 
     Slot permutation keeps max(i, j, k), so every layer is closed under it.
     Both composites join an inner product e_a e_b -> e_m, at level
@@ -176,25 +159,28 @@ def _associator_layers(P: Mapping[tuple[int, int, int], int]) -> Iterator[dict[K
     pair is joined exactly once, in the layer of its key.
     """
     n = max(map(max, P), default=0)
-    # Every entry (a, b, m, c) of P is filed by level three times: as an
-    # inner product at max(a, b), as an (xy)z outer one at b, and as an
-    # x(yz) outer one at a.  The *_by lists hold, by m, the entries of the
-    # levels already reached.  The six tables of n + 1 lists are cut from
-    # one list, which is cheaper to build for the many tiny tables the
-    # catalog searches check.
+    # Every entry (a, b, m, c) of P is filed by level up to three times: as
+    # an inner product at max(a, b), as an (xy)z outer one at b, and as an
+    # x(yz) outer one at a.  An outer entry carries its composite's
+    # coefficient, and a composite with coefficient 0 files none.  The *_by
+    # lists hold, by m, the entries of the levels already reached.  The six
+    # tables of n + 1 lists are cut from one list, which is cheaper to
+    # build for the many tiny tables the catalog searches check.
     lists: list[list[tuple[int, int, int, int]]] = [[] for _ in range(6 * n + 6)]
     inner_at, left_at, right_at = lists[0::6], lists[1::6], lists[2::6]
     inner_by, left_by, right_by = lists[3::6], lists[4::6], lists[5::6]
     for (a, b, m), c in P.items():
         entry = (a, b, m, c)
         inner_at[a if a > b else b].append(entry)
-        left_at[b].append(entry)
-        right_at[a].append(entry)
+        if left:
+            left_at[b].append(entry if left == 1 else (a, b, m, left * c))
+        if right:
+            right_at[a].append(entry if right == 1 else (a, b, m, right * c))
     for t in range(1, n + 1):
-        inner, left, right = inner_at[t], left_at[t], right_at[t]
-        for entry in left:
+        inner, outer_left, outer_right = inner_at[t], left_at[t], right_at[t]
+        for entry in outer_left:
             left_by[entry[0]].append(entry)
-        for entry in right:
+        for entry in outer_right:
             right_by[entry[1]].append(entry)
         out: dict[Key4, int] = {}
         for a, b, m, c1 in inner:
@@ -203,15 +189,15 @@ def _associator_layers(P: Mapping[tuple[int, int, int], int]) -> Iterator[dict[K
                 out[key] = out.get(key, 0) + c1 * c2
             for i, _, l, c2 in right_by[m]:
                 key = (i, a, b, l)
-                out[key] = out.get(key, 0) - c1 * c2
-        for m, k, l, c2 in left:
+                out[key] = out.get(key, 0) + c1 * c2
+        for m, k, l, c2 in outer_left:
             for a, b, _, c1 in inner_by[m]:
                 key = (a, b, k, l)
                 out[key] = out.get(key, 0) + c1 * c2
-        for i, m, l, c2 in right:
+        for i, m, l, c2 in outer_right:
             for a, b, _, c1 in inner_by[m]:
                 key = (i, a, b, l)
-                out[key] = out.get(key, 0) - c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         for entry in inner:
             inner_by[entry[2]].append(entry)
         yield {key: c for key, c in out.items() if c}
@@ -221,7 +207,7 @@ def associator(A: Algebra) -> TrilinearMap:
     """(x1 x2) x3 - x1 (x2 x3): the union of the layers."""
     P, d = _integer_table(A.products)
     entries: dict[Key4, int] = {}
-    for layer in _associator_layers(P):
+    for layer in _composite_layers(P, 1, -1):
         entries.update(layer)
     return TrilinearMap(A.dim, {key: Fraction(c, d * d) for key, c in entries.items()})
 
@@ -286,19 +272,28 @@ def _slot_rows(T: Mapping[Key4, int]) -> Iterator[tuple[int, ...]]:
                 yield reads(values)
 
 
-def _associator_rows(A: Algebra) -> Iterator[tuple[int, ...]]:
-    """The slot rows of the integer associator of ``A``, one layer at a
-    time: a layer is computed only when the rows before it are used up."""
-    for layer in _associator_layers(_integer_table(A.products)[0]):
-        yield from _slot_rows(layer)
+def _slot_kernel(layers: Iterator[dict[Key4, int]]) -> Subspace:
+    """All group-algebra vectors whose slot permutation kills the map
+    given by ``layers``: the kernel of its slot rows.  The rows are
+    eliminated only until their rank is 6, so a layer is computed only
+    when the rows before it are used up; the echelon rows alone go to the
+    exact kernel solve."""
+    return kernel(_echelon(row for layer in layers for row in _slot_rows(layer))[1], 6)
+
+
+def _kills(v: Sequence[int], layers: Iterator[dict[Key4, int]]) -> bool:
+    """Whether slot permutation by the integer coordinates ``v`` kills the
+    map given by ``layers``: every slot row is orthogonal to ``v``.  The
+    scan stops at the first row that is not."""
+    return not any(
+        sum(a * b for a, b in zip(v, row)) for layer in layers for row in _slot_rows(layer)
+    )
 
 
 def is_sigma3_assoc_for(A: Algebra, v: GroupAlgElem) -> bool:
-    """True iff the associator vanishes after slot permutation by ``v``:
-    every slot row is orthogonal to the coordinates of ``v``.  The scan
-    stops at the first row that is not."""
+    """True iff the associator vanishes after slot permutation by ``v``."""
     w, _ = _cleared(v.coords)
-    return not any(sum(a * b for a, b in zip(w, row)) for row in _associator_rows(A))
+    return _kills(w, _composite_layers(_integer_table(A.products)[0], 1, -1))
 
 
 def _check_index(i: int, low: int = 1) -> None:
@@ -321,11 +316,8 @@ def annihilator(A: Algebra) -> Subspace:
     associator: the exact solution set of the linear system with the six
     coordinates of v as unknowns, one equation per tensor coordinate.
     The result is closed under right multiplication by every permutation.
-
-    The equations are produced layer by layer and eliminated only until
-    their rank is 6; the echelon rows alone go to the exact kernel solve.
     """
-    return kernel(_echelon(_associator_rows(A))[1], 6)
+    return _slot_kernel(_composite_layers(_integer_table(A.products)[0], 1, -1))
 
 
 def commutator_algebra(A: Algebra) -> Algebra:
@@ -354,32 +346,28 @@ def power_assoc_check(A: Algebra) -> bool:
     return is_sigma3_assoc_for(A, special_vector("W"))
 
 
+# u_i - |G_i| id, with u_i the sum of the members of G_i, for i = 2..6.
+# u_i / |G_i| averages over G_i, and averaging fixes a trilinear map
+# exactly when G_i does, so this vector kills (xy)z under slot
+# permutation exactly when (xy)z is G_i-invariant.
+_BANG_VECTORS = {
+    i: tuple(int(p in G) - len(G) * (p == PERMS[0]) for p in PERMS)
+    for i, G in SUBGROUPS.items()
+    if i > 1
+}
+
+
 def gi_bang_check(A: Algebra, i: int) -> bool:
     """Associativity plus the triple-product slot symmetries for index i.
 
     For index 2 triple products are symmetric in the first two factors,
     for 3 in the last two, for 4 under reversal, for 5 under both cyclic
-    rotations (each asserted separately), and for 6 under every slot
-    permutation.
+    rotations, and for 6 under every slot permutation: u_i - |G_i| id
+    kills (xy)z.
     """
     _check_index(i, low=2)
-    return gi_check(A, 1) and set(SUBGROUPS[i]) <= _triple_product_stabilizer(A)
-
-
-def _triple_product_stabilizer(A: Algebra) -> frozenset[Perm3]:
-    """The permutations s with ``phi_precompose(L, s) == L`` for the
-    trilinear map L = (x1 x2) x3: the slot symmetries of (xy)z.
-
-    Slot permutation is a bijection on keys, so the permuted map equals the
-    original exactly when every key of the support reads the same value
-    through s^-1.
-    """
-    P, _ = _integer_table(A.products)
-    L = {key: c for key, c in _left_products(P).items() if c}
-    return frozenset(
-        s
-        for s, (q1, q2, q3) in zip(PERMS, _LOOKUP_ORDERS)
-        if all(L.get((k[q1], k[q2], k[q3], k[3])) == c for k, c in L.items())
+    return gi_check(A, 1) and _kills(
+        _BANG_VECTORS[i], _composite_layers(_integer_table(A.products)[0], 1, 0)
     )
 
 
@@ -433,20 +421,24 @@ class ClassificationReport(Record):
 
 
 def classify(A: Algebra) -> ClassificationReport:
-    """Every flag read off the annihilator and the stabilizer of (xy)z.
+    """Every flag read off two slot kernels: the annihilator, and the
+    kernel of (xy)z.
 
     Each signed subgroup sum a_i, and the symmetrizer W, holds exactly when
-    it lies in the annihilator.  The triple-symmetry flags need
-    associativity, so the stabilizer is computed only then.
+    it lies in the annihilator.  The triple-symmetry flag for index i holds
+    exactly when the algebra is associative and u_i - |G_i| id lies in the
+    kernel of (xy)z, so that kernel is computed only for an associative
+    algebra.
     """
     ann = annihilator(A)
     gi = {i: ann.contains(special_vector(f"a{i}").coords) for i in range(1, 7)}
-    # An empty stabilizer fails every triple-symmetry flag, as it must
-    # for a non-associative algebra.
-    stab = _triple_product_stabilizer(A) if gi[1] else frozenset()
+    bang = dict.fromkeys(_BANG_VECTORS, False)
+    if gi[1]:
+        sym = _slot_kernel(_composite_layers(_integer_table(A.products)[0], 1, 0))
+        bang = {i: sym.contains(v) for i, v in _BANG_VECTORS.items()}
     return ClassificationReport(
         gi_assoc=gi,
-        gi_bang={i: set(SUBGROUPS[i]) <= stab for i in range(2, 7)},
+        gi_bang=bang,
         is_associative=gi[1],
         is_lie_admissible=gi[6],
         is_3_power_associative=ann.contains(special_vector("W").coords),

@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .algebras import Algebra, ClassificationReport, annihilator, classify
-from .cogebras import CogebraReport, classify_cogebra, coannihilator, gi_bang_cocheck
+from .algebras import Algebra, annihilator, classify
+from .cogebras import classify_cogebra, coannihilator, gi_bang_cocheck
 from .duality import dualize_algebra, dualize_cogebra
 from .formats import (
     FormatError,
@@ -50,69 +50,37 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _algebra_report_json(report: ClassificationReport) -> dict:
-    return {
-        "kind": "algebra",
-        "dim": None,  # replaced by caller
-        "has_unit": report.has_unit,
-        "gi_assoc": {str(i): report.gi_assoc[i] for i in range(1, 7)},
-        "gi_bang": {str(i): report.gi_bang[i] for i in range(2, 7)},
-        "is_associative": report.is_associative,
-        "is_lie_admissible": report.is_lie_admissible,
-        "is_3_power_associative": report.is_3_power_associative,
-        "annihilator_dim": report.annihilator_dim,
-        "annihilator_basis": [format_ga_expr(e) for e in report.annihilator_basis],
-    }
-
-
-def _cogebra_report_json(report: CogebraReport) -> dict:
-    return {
-        "kind": "cogebra",
-        "dim": None,
-        "has_counit": report.has_counit,
-        "gi_coassoc": {str(i): report.gi_coassoc[i] for i in range(1, 7)},
-        "gi_bang_co": {str(i): report.gi_bang_co[i] for i in range(2, 7)},
-        "is_coassociative": report.is_coassociative,
-        "is_lie_coadmissible": report.is_lie_coadmissible,
-        "is_3_power_coassociative": report.is_3_power_coassociative,
-        "coannihilator_dim": report.coannihilator_dim,
-        "coannihilator_basis": [format_ga_expr(e) for e in report.coannihilator_basis],
-    }
-
-
 def _cmd_check(args) -> int:
     obj = parse_document(_read(args.file))
+    # The two reports list the same eight fields in the same order, and
+    # the cogebra's names and labels differ only by "co".
     if isinstance(obj, Algebra):
-        report = classify(obj)
-        doc = _algebra_report_json(report)
-        doc["dim"] = obj.dim
-        if args.json:
-            print(json.dumps(doc, indent=2))
-            return 0
-        print(f"kind: algebra  dim: {obj.dim}  unit: {_yes(report.has_unit)}")
-        lines = [(_GI_LABELS[i], report.gi_assoc[i]) for i in range(1, 7)]
-        lines += [(f"G{i}! triple symmetry", report.gi_bang[i]) for i in range(2, 7)]
-        lines.append(("3-power-associative", report.is_3_power_associative))
-        for label, value in lines:
-            print(f"  {label:<24} {_yes(value)}")
-        print(f"  {'annihilator dim':<24} {report.annihilator_dim}")
-        for e in report.annihilator_basis:
-            print(f"    {format_ga_expr(e)}")
-        return 0
-    report = classify_cogebra(obj)
-    doc = _cogebra_report_json(report)
-    doc["dim"] = obj.dim
+        kind, co, report = "algebra", "", classify(obj)
+    else:
+        kind, co, report = "cogebra", "co", classify_cogebra(obj)
+    names, fields = report.__slots__, report._fields()
+    gi, bang, _, _, power, unit, ann_dim, ann_basis = fields
     if args.json:
+        doc = {
+            "kind": kind,
+            "dim": obj.dim,
+            names[5]: unit,
+            names[0]: {str(i): gi[i] for i in range(1, 7)},
+            names[1]: {str(i): bang[i] for i in range(2, 7)},
+        }
+        doc.update(zip(names[2:5], fields[2:5]))
+        doc[names[6]] = ann_dim
+        doc[names[7]] = [format_ga_expr(e) for e in ann_basis]
         print(json.dumps(doc, indent=2))
         return 0
-    print(f"kind: cogebra  dim: {obj.dim}  counit: {_yes(report.has_counit)}")
-    lines = [(f"co-{_GI_LABELS[i]}", report.gi_coassoc[i]) for i in range(1, 7)]
-    lines += [(f"G{i}! co triple symmetry", report.gi_bang_co[i]) for i in range(2, 7)]
-    lines.append(("3-power-coassociative", report.is_3_power_coassociative))
+    print(f"kind: {kind}  dim: {obj.dim}  {co}unit: {_yes(unit)}")
+    lines = [((co and "co-") + _GI_LABELS[i], gi[i]) for i in range(1, 7)]
+    lines += [(f"G{i}! {co and 'co '}triple symmetry", bang[i]) for i in range(2, 7)]
+    lines.append((f"3-power-{co}associative", power))
     for label, value in lines:
         print(f"  {label:<24} {_yes(value)}")
-    print(f"  {'coannihilator dim':<24} {report.coannihilator_dim}")
-    for e in report.coannihilator_basis:
+    print(f"  {co + 'annihilator dim':<24} {ann_dim}")
+    for e in ann_basis:
         print(f"    {format_ga_expr(e)}")
     return 0
 

@@ -24,10 +24,10 @@ from typing import Iterable, Mapping, Sequence
 from ._record import Record
 from .algebras import (
     _check_index,
+    _composite_layers,
     _integer_table,
     _is_identity,
-    _left_products,
-    _right_products,
+    _table,
     annihilator,
     classify,
     commutator_algebra,
@@ -61,13 +61,7 @@ class Cogebra(Record):
     ):
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        table: dict[tuple[int, int, int], Fraction] = {}
-        for (k, i, j), c in coproducts.items():
-            if not all(1 <= t <= dim for t in (k, i, j)):
-                raise ValueError(f"index out of range in coproduct entry ({k}, {i}, {j})")
-            c = Fraction(c)
-            if c:
-                table[(k, i, j)] = c
+        table = _table(dim, coproducts, 3, "coproduct")
         if basis is not None:
             basis = tuple(str(n) for n in basis)
             if len(basis) != dim:
@@ -116,14 +110,7 @@ class CubeMap(Record):
     __slots__ = ("dim", "entries")
 
     def __init__(self, dim: int, entries: Mapping[tuple[int, int, int, int], Fraction]):
-        table: dict[tuple[int, int, int, int], Fraction] = {}
-        for key, c in entries.items():
-            if not all(1 <= t <= dim for t in key):
-                raise ValueError(f"index out of range in cube entry {key}")
-            c = Fraction(c)
-            if c:
-                table[key] = c
-        self._assign(dim, table)
+        self._assign(dim, _table(dim, entries, 4, "cube"))
 
     def phi(self, v) -> "CubeMap":
         """Apply the slot-permutation operator of ``v`` on the output side."""
@@ -180,20 +167,25 @@ def gi_bang_cocheck(C: Cogebra, i: int, *, literal: bool = False) -> bool:
     literally that forces |G|*x == x already for a grouplike element, so
     by default the check uses the normalized (averaged) reading, which is
     equivalent to invariance of the iterated coproduct under every slot
-    permutation in the subgroup: the dual's triple-symmetry check.  Pass
+    permutation in the subgroup: the dual's triple-symmetry check, which
+    asks whether u_i - |G_i| id, with u_i the sum of the members of the
+    subgroup, kills the dual's (xy)z under slot permutation.  Pass
     ``literal=True`` for the unnormalized displayed equality S R = R, with
     S that sum and R the iterated coproduct.  S*S = |G|*S, so S R = R gives
     (|G| - 1) S R = 0, hence S R = 0 and R = 0: for every index the literal
     reading holds exactly when the dual is associative and all its triple
     products x(yz) vanish.  The associator is (xy)z - x(yz), so that is
-    both composites (xy)z and x(yz) vanishing, decided on the dual's
-    table, read straight off C.
+    both composites (xy)z and x(yz) vanishing: every layer of each is
+    empty, on the dual's table read straight off C.  The scan stops at the
+    first layer that is not.
     """
     if not literal:
         return gi_bang_check(dualize_cogebra(C), i)
     _check_index(i, low=2)
     P, _ = _integer_table(_dual_products(C))
-    return not any(_left_products(P).values()) and not any(_right_products(P).values())
+    return not any(
+        layer for left, right in ((1, 0), (0, 1)) for layer in _composite_layers(P, left, right)
+    )
 
 
 def flip(C: Cogebra) -> Cogebra:

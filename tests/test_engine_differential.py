@@ -21,10 +21,8 @@ from nalg import catalog
 from nalg.algebras import (
     Algebra,
     ClassificationReport,
-    _associator_layers,
+    _composite_layers,
     _integer_table,
-    _left_products,
-    _right_products,
     _slot_rows,
     annihilator,
     associator,
@@ -77,9 +75,33 @@ EXTERIOR2 = Algebra(
     unit=(1, 0, 0, 0),
 )
 
+# e1 e2 = f12, e2 e3 = f23, e3 e1 = f31 (e4, e5, e6), and f12 e3 = f23 e1
+# = f31 e2 = e1 f23 = e2 f31 = e3 f12 = w (e7): associative, and (xy)z is
+# fixed by exactly {id, c1, c2}.
+CYCLIC7 = Algebra(
+    7,
+    {
+        (1, 2, 4): 1, (2, 3, 5): 1, (3, 1, 6): 1,
+        (4, 3, 7): 1, (5, 1, 7): 1, (6, 2, 7): 1,
+        (1, 5, 7): 1, (2, 6, 7): 1, (3, 4, 7): 1,
+    },
+)
+
+# e1 e2 = f12, e3 e2 = f32, e2 e3 = g23, e2 e1 = g21 (e4 to e7), and
+# f12 e3 = f32 e1 = e1 g23 = e3 g21 = w (e8): associative, and (xy)z is
+# fixed by exactly {id, t13}.
+REVERSAL8 = Algebra(
+    8,
+    {
+        (1, 2, 4): 1, (3, 2, 5): 1, (2, 3, 6): 1, (2, 1, 7): 1,
+        (4, 3, 8): 1, (5, 1, 8): 1, (1, 6, 8): 1, (3, 7, 8): 1,
+    },
+)
+
 # Cases random draws rarely reach: annihilators of dimension 5 and 2,
-# associative algebras whose (xy)z is fixed by {id, t12}, by {id, t23}
-# and by the identity alone, and a unital one.
+# associative algebras whose (xy)z is fixed by {id, t12}, by {id, t23},
+# by the identity alone, by {id, c1, c2} and by {id, t13}, and a unital
+# one.
 RARE = (
     Algebra(3, {(3, 3, 2): Fraction(-1, 2), (3, 2, 1): Fraction(1, 3)}),
     Algebra(3, {(3, 3, 3): Fraction(-1, 5), (2, 1, 3): Fraction(2, 3)}),
@@ -87,6 +109,8 @@ RARE = (
     Algebra(2, {(1, 1, 1): Fraction(-1, 3), (2, 1, 2): Fraction(-1, 3)}),
     Algebra(4, {(1, 1, 1): Fraction(-1, 5), (1, 3, 3): Fraction(-1, 5), (4, 1, 4): Fraction(-1, 5)}),
     EXTERIOR2,
+    CYCLIC7,
+    REVERSAL8,
 )
 
 
@@ -128,15 +152,24 @@ def test_single_checks_match_reference(A, v):
     assert annihilator(A) == reference.annihilator(A)
 
 
+def test_only_the_exact_stabilizer_holds():
+    # The triple-symmetry flags of index 4 and 5 are not full symmetry.
+    assert classify(CYCLIC7).gi_bang == {2: False, 3: False, 4: False, 5: True, 6: False}
+    assert classify(REVERSAL8).gi_bang == {2: False, 3: False, 4: True, 5: False, 6: False}
+
+
 @given(algebras(), ga_elems)
 @settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
 def test_trilinear_maps_match_reference(A, v):
     T = associator(A)
     assert T == reference.associator(A)
     assert phi_precompose(T, v) == reference.phi_precompose(T, v)
-    P, d = _integer_table(A.products)
-    for ours, ref in ((_left_products(P), reference.left_assoc_map(A)), (_right_products(P), reference.right_assoc_map(A))):
-        assert {key: Fraction(c, d * d) for key, c in ours.items() if c} == ref.entries
+    left, right = reference.left_assoc_map(A), reference.right_assoc_map(A)
+    for coefficients in ((1, 0), (0, 1), (2, -3)):
+        layers, scale = _layers(A, *coefficients)
+        assert all(max(key[:3]) == t for t, layer in enumerate(layers, start=1) for key in layer)
+        ref = reference.combine(A.dim, zip(coefficients, (left, right)))
+        assert {key: Fraction(c, scale) for layer in layers for key, c in layer.items()} == ref.entries
 
 
 @given(algebras())
@@ -148,9 +181,9 @@ def test_annihilator_is_closed_under_right_multiplication(A):
     assert span(translates, 6) == ann
 
 
-def _layers(A):
+def _layers(A, left=1, right=-1):
     P, d = _integer_table(A.products)
-    return list(_associator_layers(P)), d * d
+    return list(_composite_layers(P, left, right)), d * d
 
 
 def _rank_after_each_layer(A):

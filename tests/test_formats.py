@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nalg import catalog
+from nalg.algebras import Algebra
+from nalg.cogebras import Cogebra
 from nalg.formats import (
     FormatError,
     format_ga_expr,
@@ -141,6 +143,42 @@ class TestRoundTrips:
             calls.clear()
             parse_document(catalog.data_text(name))
             assert len(calls) == 1, name
+
+
+# Nonzero coefficients over mixed denominators, and basis names from all
+# of Unicode but the lone surrogates, which no UTF-8 text can hold.
+coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+names = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+
+
+@st.composite
+def documents(draw):
+    """A sparse algebra or cogebra table, with a unit or counit ``c e1``
+    half the time.  The unit's table has e1 e_j = e_j e1 = e_j / c and
+    draws the rest on e2..en; the counit's is the transpose."""
+    n = draw(st.integers(1, 5))
+    unital = draw(st.booleans())
+    low = 2 if unital else 1
+    keys = st.tuples(st.integers(low, n), st.integers(low, n), st.integers(1, n))
+    table = draw(st.dictionaries(keys, coefficients, max_size=8)) if n >= low else {}
+    unit = None
+    if unital:
+        c = draw(coefficients)
+        unit = (c,) + (0,) * (n - 1)
+        table.update({key: 1 / c for j in range(1, n + 1) for key in ((1, j, j), (j, 1, j))})
+    basis = tuple(draw(st.lists(names, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        return Algebra(n, table, unit=unit, basis=basis)
+    coproducts = {(k, i, j): c for (i, j, k), c in table.items()}
+    return Cogebra(n, coproducts, counit=unit, basis=basis)
+
+
+@given(documents())
+@settings(max_examples=150)
+def test_document_round_trip(X):
+    text = print_document(X)
+    assert parse_document(text) == X
+    assert print_document(parse_document(text)) == text
 
 
 class TestExpressions:

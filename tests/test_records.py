@@ -12,6 +12,7 @@ import time of every command.
 
 import copy
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -138,3 +139,34 @@ def test_catalog_instances_carry_their_names():
     for name in catalog.NAMES:
         assert catalog.get(name).name == name
         assert catalog.build(name).name == name
+
+
+# Each structure-table class with its key length and the name its errors
+# give an entry.
+TABLES = pytest.mark.parametrize(
+    "cls, size, what",
+    [(Algebra, 3, "product"), (Cogebra, 3, "coproduct"), (TrilinearMap, 4, "trilinear"), (CubeMap, 4, "cube")],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+
+
+@TABLES
+def test_tables_store_nonzero_fractions(cls, size, what):
+    value = cls(3, {(1,) * size: F(2, 4), (2,) * size: 0, (3,) * size: 5})
+    table = getattr(value, cls.__slots__[1])
+    assert table == {(1,) * size: F(1, 2), (3,) * size: F(5)}
+    assert all(type(c) is F for c in table.values())
+
+
+@TABLES
+def test_tables_reject_indices_out_of_range(cls, size, what):
+    for bad in ((0,) + (1,) * (size - 1), (1,) * (size - 1) + (4,)):
+        with pytest.raises(ValueError, match=re.escape(f"index out of range in {what} entry {bad}")):
+            cls(3, {bad: 1})
+
+
+@TABLES
+def test_tables_reject_keys_of_the_wrong_length(cls, size, what):
+    for bad in ((1,) * (size - 1), (1,) * (size + 1)):
+        with pytest.raises(ValueError, match=f"{what} entry"):
+            cls(3, {bad: 1})
