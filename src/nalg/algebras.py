@@ -258,7 +258,8 @@ def _slot_rows(T: Mapping[Key4, int]) -> Iterator[tuple[int, ...]]:
     that stops early skips the rest.
 
     The keys come in orbits under slot permutation, and the rows of an
-    orbit are rearrangements of its six values, which are read once."""
+    orbit are rearrangements of its six values, which are read once.  Each
+    distinct row of an orbit is yielded once: a symmetric map has one."""
     seen: set[Key4] = set()
     get = T.get
     for m in T:
@@ -266,10 +267,14 @@ def _slot_rows(T: Mapping[Key4, int]) -> Iterator[tuple[int, ...]]:
             continue
         keys = [(m[s1], m[s2], m[s3], m[3]) for s1, s2, s3 in _SLOT_ORDERS]
         values = [get(key, 0) for key in keys]
+        rows = set()
         for key, reads in zip(keys, _ROW_READS):
             if key not in seen:
                 seen.add(key)
-                yield reads(values)
+                row = reads(values)
+                if row not in rows:
+                    rows.add(row)
+                    yield row
 
 
 def _slot_kernel(layers: Iterator[dict[Key4, int]]) -> Subspace:

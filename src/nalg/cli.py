@@ -7,10 +7,10 @@ commands with expectation flags.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import catalog
 from .algebras import Algebra, annihilator, classify
@@ -176,79 +176,117 @@ def _cmd_catalog_regen(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The grammar, read by ``_parse`` and by ``_build_parser``.  A command
+# maps to its help and either its subcommands or a leaf: the handler, then
+# the names of its positionals and of its options.  An option maps to its
+# spellings and its argparse keywords; a flag is stored as True, an option
+# with a value is required.
+_LITERAL_HELP = "use the literal (unnormalized) reading of the cogebra triple symmetry"
+_OPTIONS = {
+    "json": (("--json",), {"action": "store_true"}),
+    "output": (("-o", "--output"), {"required": True}),
+    "literal_bang": (("--literal-bang",), {"action": "store_true", "help": _LITERAL_HELP}),
+}
+_S3 = {
+    "orbit": ("the six translates of an expression", (_cmd_s3_orbit, "expr", "")),
+    "span": ("span of the orbit of an expression", (_cmd_s3_span, "expr", "")),
+    "decompose": ("isotypic multiplicities of the orbit span", (_cmd_s3_decompose, "expr", "")),
+}
+_CATALOG = {
+    "list": ("list instance names", (_cmd_catalog_list, "", "")),
+    "emit": ("write an instance's committed file", (_cmd_catalog_emit, "name", "output")),
+    "regen": ("rebuild all instances and verify the data files", (_cmd_catalog_regen, "", "")),
+}
+_GRAMMAR = {
+    "check": ("classify an algebra or cogebra file", (_cmd_check, "file", "json")),
+    "dualize": ("write the dual of an algebra or cogebra file", (_cmd_dualize, "file", "output")),
+    "tensor": ("tensor product of two algebra files", (_cmd_tensor, "file_a file_b", "output")),
+    "convolve": (
+        "convolution algebra on Hom(cogebra, algebra)",
+        (_cmd_convolve, "cogebra_file algebra_file", "output literal_bang"),
+    ),
+    "annihilator": ("slot-permutation annihilator of a file", (_cmd_annihilator, "file", "json")),
+    "s3": ("group-algebra utilities", _S3),
+    "catalog": ("named example instances", _CATALOG),
+}
+
+
+def _build_parser():
+    """argparse's parser for the grammar.  It is built, and argparse
+    imported, only for argv that ``_parse`` leaves to it."""
+    import argparse
+
+    def add(parser, spec, dest):
+        if isinstance(spec, dict):
+            sub = parser.add_subparsers(dest=dest, required=True)
+            for name, (text, inner) in spec.items():
+                add(sub.add_parser(name, help=text), inner, f"{name}_command")
+            return
+        func, positionals, options = spec
+        for name in positionals.split():
+            parser.add_argument(name)
+        for name in options.split():
+            spellings, keywords = _OPTIONS[name]
+            parser.add_argument(*spellings, **keywords)
+        parser.set_defaults(func=func)
+
     parser = argparse.ArgumentParser(
         prog="nalg",
         description="Workbench for nonassociative algebras and cogebras over exact rationals.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="classify an algebra or cogebra file")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("dualize", help="write the dual of an algebra or cogebra file")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_dualize)
-
-    p = sub.add_parser("tensor", help="tensor product of two algebra files")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_tensor)
-
-    p = sub.add_parser("convolve", help="convolution algebra on Hom(cogebra, algebra)")
-    p.add_argument("cogebra_file")
-    p.add_argument("algebra_file")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument(
-        "--literal-bang",
-        action="store_true",
-        help="use the literal (unnormalized) reading of the cogebra triple symmetry",
-    )
-    p.set_defaults(func=_cmd_convolve)
-
-    p = sub.add_parser("annihilator", help="slot-permutation annihilator of a file")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_annihilator)
-
-    p = sub.add_parser("s3", help="group-algebra utilities")
-    s3sub = p.add_subparsers(dest="s3_command", required=True)
-    q = s3sub.add_parser("orbit", help="the six translates of an expression")
-    q.add_argument("expr")
-    q.set_defaults(func=_cmd_s3_orbit)
-    q = s3sub.add_parser("span", help="span of the orbit of an expression")
-    q.add_argument("expr")
-    q.set_defaults(func=_cmd_s3_span)
-    q = s3sub.add_parser("decompose", help="isotypic multiplicities of the orbit span")
-    q.add_argument("expr")
-    q.set_defaults(func=_cmd_s3_decompose)
-
-    p = sub.add_parser("catalog", help="named example instances")
-    catsub = p.add_subparsers(dest="catalog_command", required=True)
-    q = catsub.add_parser("list", help="list instance names")
-    q.set_defaults(func=_cmd_catalog_list)
-    q = catsub.add_parser("emit", help="write an instance's committed file")
-    q.add_argument("name")
-    q.add_argument("-o", "--output", required=True)
-    q.set_defaults(func=_cmd_catalog_emit)
-    q = catsub.add_parser("regen", help="rebuild all instances and verify the data files")
-    q.set_defaults(func=_cmd_catalog_regen)
-
+    add(parser, _GRAMMAR, "command")
     return parser
 
 
+def _parse(argv) -> SimpleNamespace | None:
+    """The namespace argparse gives for ``argv``, read off the grammar by
+    exact spelling; or None where argparse has a rule or a message of its
+    own: help, abbreviations, ``-oX``, values and positionals that start
+    with "-", unknown words and wrong counts.  Options may come anywhere,
+    ``--output=X`` is read, and every word after "--" is positional."""
+    found, spec, dest = {}, _GRAMMAR, "command"
+    words = iter(argv)
+    while isinstance(spec, dict):
+        name = next(words, None)
+        if name not in spec:
+            return None
+        found[dest], spec, dest = name, spec[name][1], f"{name}_command"
+    func, positionals, options = spec[0], spec[1].split(), spec[2].split()
+    spelled = {s: name for name in options for s in _OPTIONS[name][0]}
+    flags = [name for name in options if "action" in _OPTIONS[name][1]]
+    found.update(dict.fromkeys(flags, False))
+    values = []
+    for word in words:
+        if word == "--":
+            tail = list(words)
+            if not tail or any(w.startswith("-") for w in tail):
+                return None
+            values += tail
+        elif not word.startswith("-"):
+            values.append(word)
+        elif spelled.get(word) in flags:
+            found[spelled[word]] = True
+        else:
+            option, eq, value = word.partition("=")
+            if eq and option.startswith("--"):
+                name = spelled.get(option)
+            else:
+                name, value = spelled.get(word), next(words, "")
+            if name is None or name in flags or value[:1] in ("", "-"):
+                return None
+            found[name] = value
+    if len(values) != len(positionals) or any(name not in found for name in options):
+        return None
+    found.update(zip(positionals, values), func=func)
+    return SimpleNamespace(**found)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

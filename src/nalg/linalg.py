@@ -89,6 +89,13 @@ def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (d // c.denominator) for c in values], d
 
 
+def _integers(row: Sequence) -> Sequence[int]:
+    """A row of ints as it is; any other row cleared of denominators."""
+    if all(type(x) is int for x in row):
+        return row
+    return _cleared(as_vec(row))[0]
+
+
 def _primitive(row: list[int]) -> list[int]:
     g = gcd(*row)
     return [x // g for x in row]
@@ -142,7 +149,7 @@ def span(vectors: Iterable[Sequence], ambient_dim: int | None = None) -> Subspac
     ``ambient_dim`` is required when the iterable is empty and is checked
     against every vector otherwise.
     """
-    rows = [_cleared(as_vec(v))[0] for v in vectors]
+    rows = [_integers(v) for v in vectors]
     if ambient_dim is None:
         if not rows:
             raise ValueError("ambient dimension required for an empty span")
@@ -156,10 +163,11 @@ def kernel(rows: Iterable[Sequence], ncols: int | None = None) -> Subspace:
     """Exact null space of the matrix with the given rows, in canonical form.
 
     Satisfies rank + nullity = ncols.  ``ncols`` is required for an empty
-    matrix.  Each row is cleared of denominators and the elimination runs
-    in integers; fractions appear only in the canonical output.
+    matrix.  Each row not already of ints is cleared of denominators, and
+    the elimination runs in integers; fractions appear only in the
+    canonical output.
     """
-    mat = [_cleared(as_vec(r))[0] for r in rows]
+    mat = [_integers(r) for r in rows]
     if ncols is None:
         if not mat:
             raise ValueError("column count required for an empty matrix")

@@ -17,6 +17,7 @@ from reference_algebras import (
 from nalg.algebras import (
     Algebra,
     TrilinearMap,
+    _slot_rows,
     annihilator,
     associator,
     classify,
@@ -394,6 +395,21 @@ class TestMultilinearityReduction:
                 defect = phi_precompose(T, special_vector(f"a{i}"))
                 on_random = all(evaluate(defect, x, y, z) == zero for x, y, z in triples)
                 assert on_random == gi_check(A, i)
+
+
+class TestSlotRows:
+    def test_symmetric_map_yields_one_row_per_orbit(self):
+        # Every value is 1, so the six rows of each orbit are equal.
+        keys = [(*m, l) for m in itertools.product(range(1, 4), repeat=3) for l in (1, 2)]
+        orbits = {(tuple(sorted(key[:3])), key[3]) for key in keys}
+        assert len(orbits) == 20
+        assert list(_slot_rows(dict.fromkeys(keys, 1))) == [(1,) * 6] * 20
+
+    def test_distinct_rows_of_an_orbit_are_all_kept(self):
+        # The six values of the orbit differ, so its six rows do too.
+        keys = [(*p, 1) for p in itertools.permutations((1, 2, 3))]
+        rows = list(_slot_rows({key: v for v, key in enumerate(keys, start=1)}))
+        assert len(rows) == len(set(rows)) == 6
 
 
 class TestClassify:

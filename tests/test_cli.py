@@ -6,7 +6,7 @@ import reference_cogebras as reference
 
 from nalg import catalog, cogebras
 from nalg.algebras import annihilator, classify, gi_check
-from nalg.cli import main
+from nalg.cli import _build_parser, main
 from nalg.formats import format_ga_expr, parse_algebra, parse_document
 from nalg.products import convolution_algebra, tensor_algebras
 
@@ -257,7 +257,34 @@ class TestCatalogCommands:
             assert f"{name}: ok" in out
 
 
-def test_usage_error_exits_2():
+def outcome(capsys, call):
+    """The exit code, stdout and stderr of a call that ends in SystemExit."""
     with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+        call()
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+USAGE = {
+    "help": ["-h"],
+    "check-help": ["check", "-h"],
+    "s3-help": ["s3", "-h"],
+    "s3-span-help": ["s3", "span", "-h"],
+    "catalog-help": ["catalog", "-h"],
+    "catalog-emit-help": ["catalog", "emit", "-h"],
+    "missing-positional": ["check"],
+    "extra-positional": ["check", "a.json", "b.json"],
+    "unknown-command": ["no-such-command"],
+    "output-without-value": ["dualize", "a.json", "-o"],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE.values()), ids=list(USAGE))
+def test_help_and_usage_errors_match_argparse(capsys, argv):
+    # Help exits 0 with the usage on stdout; a usage error exits 2 with it
+    # on stderr.  Both are argparse's own output for the same argv.
+    code, out, err = outcome(capsys, lambda: main(argv))
+    assert (code, out, err) == outcome(capsys, lambda: _build_parser().parse_args(argv))
+    asks_help = "-h" in argv
+    assert code == (0 if asks_help else 2)
+    assert (out if asks_help else err).startswith("usage: nalg")

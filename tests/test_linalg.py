@@ -98,6 +98,20 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel([])
 
+    def test_rows_of_ints_fractions_and_strings_agree(self):
+        ints = [(2, -4, 0, 6), (1, 1, 1, 1)]
+        halves = [tuple(F(x, 2) for x in r) for r in ints]
+        texts = [tuple(str(x) for x in r) for r in halves]
+        assert kernel(ints, 4) == kernel(halves, 4) == kernel(texts, 4)
+        assert kernel(ints, 4).basis == ((1, 0, F(-2, 3), F(-1, 3)), (0, 1, F(-5, 3), F(2, 3)))
+
+    def test_rows_of_ints_skip_the_fraction_conversion(self, monkeypatch):
+        def no_fractions(values):
+            raise AssertionError("integer row converted to fractions")
+
+        monkeypatch.setattr("nalg.linalg.as_vec", no_fractions)
+        assert kernel([[3, 0, 6], [0, 2, 2]], 3).basis == ((1, F(1, 2), F(-1, 2)),)
+
     @given(
         st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=6)
     )

@@ -7,7 +7,9 @@ of the tuple of fields (unhashable when a field is a dict), the
 ``Name(field=value, ...)`` repr, and ``AttributeError`` on assignment.
 Importing ``nalg.cli`` must not load the code-generation machinery of
 ``dataclasses`` (``inspect``, ``ast``), which once took a quarter of the
-import time of every command.
+import time of every command, and a command that parses needs neither
+``argparse`` nor the ``gettext`` it imports: those load only for help and
+usage errors.
 """
 
 import copy
@@ -38,6 +40,23 @@ def test_cli_import_loads_no_code_generation_modules():
         [sys.executable, "-S", "-c", code, str(SRC)], capture_output=True, text=True, check=True
     )
     assert done.stdout.split() == []
+
+
+def test_check_loads_argparse_only_for_a_usage_error():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from nalg.cli import main; "
+        "main(['check', sys.argv[2], '--json']); "
+        "print('loaded:' + ' '.join(m for m in ('argparse', 'gettext') if m in sys.modules)); "
+        "main(['check'])"
+    )
+    mat2 = SRC / "nalg" / "data" / "mat2.json"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC), str(mat2)], capture_output=True, text=True
+    )
+    assert done.stdout.splitlines()[-1] == "loaded:"
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: nalg check [-h] [--json] file\n")
+    assert done.stderr.endswith("error: the following arguments are required: file\n")
 
 
 # Each maker returns a fresh value for variant 0 or a different one for 1.
