@@ -52,9 +52,8 @@ NOISE = st.sampled_from(
 def argvs(draw, noise):
     """An argv for a leaf command: its words, options in exact spellings
     or ``--output=X``, in any order, and at times "--" before the last
-    positionals.
-    With ``noise``, also odd words, option prefixes and odd ``=`` forms,
-    and words inserted or deleted anywhere."""
+    positionals.  With ``noise``, also odd words, option prefixes and odd
+    ``=`` forms, and words inserted or deleted anywhere."""
     path, (_, positionals, options) = draw(st.sampled_from(LEAVES))
     words = WORDS if noise else PLAIN
     groups = []
