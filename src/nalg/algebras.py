@@ -34,25 +34,73 @@ from .sym3 import SUBGROUPS, GroupAlgElem, Perm3, PERMS, inverse, special_vector
 def _table(dim: int, entries: Mapping[tuple, Fraction], size: int, what: str) -> dict:
     """The nonzero ``entries`` as Fractions, after checking that every key
     holds ``size`` indices in 1..dim; ``what`` names an entry in errors."""
+    indices = range(1, dim + 1)
     table = {}
     for key, c in entries.items():
         if len(key) != size:
             raise ValueError(f"{what} entry {key} has {len(key)} indices, not {size}")
-        if not all(1 <= t <= dim for t in key):
-            raise ValueError(f"index out of range in {what} entry {key}")
-        c = Fraction(c)
+        for t in key:
+            if t not in indices:
+                raise ValueError(f"index out of range in {what} entry {key}")
+        if type(c) is not Fraction:
+            c = Fraction(c)
         if c:
             table[key] = c
     return table
 
 
-def _is_identity(matrix: Mapping[tuple[int, int], Fraction], dim: int) -> bool:
-    """Whether the sparse ``dim`` x ``dim`` matrix, keyed by (row, column)
-    with absent entries zero, is the identity."""
-    return {key: c for key, c in matrix.items() if c} == {(j, j): 1 for j in range(1, dim + 1)}
+class _Structure(Record):
+    """What an algebra and a cogebra share: the dimension, a table keyed by
+    index triples, an optional unit or counit, optional basis names and a
+    free label, in that field order, all checked on construction.
+
+    The counit axiom of a cogebra is the unit axiom of its dual algebra, so
+    one check serves both kinds: a key is rotated left by ``_shift`` places
+    to read it as (left, right, out), which reads a cogebra's (k, i, j) as
+    its dual's (i, j, k).  The identity test does not see that the two
+    one-sided maps it builds are then the transposes of the cogebra's.
+    Each subclass also sets ``_entry``, an entry's name in errors, and
+    ``_unit_error``, the text of a failed (co)unit check.
+    """
+
+    __slots__ = ()
+
+    def _init(self, dim, table, unit, basis, name) -> None:
+        if dim < 1:
+            raise ValueError("dimension must be at least 1")
+        table = _table(dim, table, 3, self._entry)
+        if basis is not None:
+            basis = tuple(str(n) for n in basis)
+            if len(basis) != dim:
+                raise ValueError("basis-name count differs from dimension")
+        if unit is not None:
+            u = unit = as_vec(unit)
+            if len(u) != dim:
+                raise ValueError(f"{self.__slots__[2]} length differs from dimension")
+            # u e_j and e_i u for every basis element at once: left[(j, k)]
+            # is the e_k coordinate of u e_j, right[(i, k)] that of e_i u.
+            left: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+            right: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+            s = self._shift
+            for key, c in table.items():
+                i, j, k = key[s:] + key[:s]
+                if u[i - 1]:
+                    left[(j, k)] += c * u[i - 1]
+                if u[j - 1]:
+                    right[(i, k)] += c * u[j - 1]
+            # Both must be the identity matrix, keyed by (row, column).
+            identity = {(j, j): 1 for j in range(1, dim + 1)}
+            if any({key: c for key, c in m.items() if c} != identity for m in (left, right)):
+                raise ValueError(self._unit_error)
+        self._assign(dim, table, unit, basis, name)
+
+    def basis_names(self) -> tuple[str, ...]:
+        if self.basis is not None:
+            return self.basis
+        return tuple(f"e{i}" for i in range(1, self.dim + 1))
 
 
-class Algebra(Record):
+class Algebra(_Structure):
     """An algebra by structure constants.
 
     ``products[(i, j, k)]`` is the coefficient of ``e_k`` in ``e_i * e_j``;
@@ -62,6 +110,7 @@ class Algebra(Record):
     """
 
     __slots__ = ("dim", "products", "unit", "basis", "name")
+    _entry, _shift, _unit_error = "product", 0, "declared unit is not a two-sided unit"
 
     def __init__(
         self,
@@ -71,29 +120,7 @@ class Algebra(Record):
         basis: tuple[str, ...] | None = None,
         name: str | None = None,
     ):
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
-        table = _table(dim, products, 3, "product")
-        if basis is not None:
-            basis = tuple(str(n) for n in basis)
-            if len(basis) != dim:
-                raise ValueError("basis-name count differs from dimension")
-        if unit is not None:
-            u = unit = as_vec(unit)
-            if len(u) != dim:
-                raise ValueError("unit length differs from dimension")
-            # u e_j and e_i u for every basis element at once: left[(j, k)]
-            # is the e_k coordinate of u e_j, right[(i, k)] that of e_i u.
-            left: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-            right: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-            for (i, j, k), c in table.items():
-                if u[i - 1]:
-                    left[(j, k)] += c * u[i - 1]
-                if u[j - 1]:
-                    right[(i, k)] += c * u[j - 1]
-            if not (_is_identity(left, dim) and _is_identity(right, dim)):
-                raise ValueError("declared unit is not a two-sided unit")
-        self._assign(dim, table, unit, basis, name)
+        self._init(dim, products, unit, basis, name)
 
     def multiply(self, x: Sequence, y: Sequence) -> Vec:
         """Bilinear extension of the structure constants."""
@@ -109,11 +136,6 @@ class Algebra(Record):
                 if yj:
                     out[k - 1] += c * xi * yj
         return tuple(out)
-
-    def basis_names(self) -> tuple[str, ...]:
-        if self.basis is not None:
-            return self.basis
-        return tuple(f"e{i}" for i in range(1, self.dim + 1))
 
 
 class TrilinearMap(Record):

@@ -38,7 +38,6 @@ Search spaces, per instance:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -52,19 +51,19 @@ from .algebras import (
     is_commutative,
     jacobi_check,
 )
-from .cogebras import Cogebra
 from .duality import dualize_algebra
 from .products import tensor_algebras
 
-_VALUES = (Fraction(-1), Fraction(0), Fraction(1))
+# Ints, so that each candidate's constructor makes Fractions of its own:
+# tables sharing Fraction objects would pickle to other bytes.
+_VALUES = (-1, 0, 1)
 _DATA = Path(__file__).parent / "data"
 
 
 def _named(obj, name: str):
-    """The algebra or cogebra ``obj`` labelled ``name``."""
-    if isinstance(obj, Cogebra):
-        return Cogebra(obj.dim, obj.coproducts, obj.counit, obj.basis, name)
-    return Algebra(obj.dim, obj.products, obj.unit, obj.basis, name)
+    """The algebra or cogebra ``obj`` labelled ``name``: its fields, the
+    label last, passed back to its constructor."""
+    return type(obj)(*obj._fields()[:-1], name)
 
 
 def _mat2() -> Algebra:
@@ -179,7 +178,7 @@ _ANTISYM_SLOTS = tuple((i, j, k) for (i, j) in _ANTISYM_PAIRS for k in (1, 2, 3)
 
 def _antisym3_candidates():
     for values in itertools.product(_VALUES, repeat=9):
-        table: dict[tuple[int, int, int], Fraction] = {}
+        table: dict[tuple[int, int, int], int] = {}
         for (i, j, k), c in zip(_ANTISYM_SLOTS, values):
             if c:
                 table[(i, j, k)] = c

@@ -26,7 +26,7 @@ from .algebras import (
     _check_index,
     _composite_layers,
     _integer_table,
-    _is_identity,
+    _Structure,
     _table,
     annihilator,
     classify,
@@ -40,16 +40,18 @@ from .linalg import Subspace, Vec, as_vec, span
 from .sym3 import GroupAlgElem, Perm3, PERMS, inverse
 
 
-class Cogebra(Record):
+class Cogebra(_Structure):
     """A cogebra by costructure constants.
 
     ``coproducts[(k, i, j)]`` is the coefficient of ``e_i (x) e_j`` in the
     coproduct of ``e_k``; absent entries are zero.  ``counit``, when given,
     holds the functional's coordinates and must satisfy the counit axiom
-    on every basis element (checked on construction).
+    on every basis element (checked on construction, as the unit axiom of
+    the dual algebra).
     """
 
     __slots__ = ("dim", "coproducts", "counit", "basis", "name")
+    _entry, _shift, _unit_error = "coproduct", 1, "declared counit fails the counit axiom"
 
     def __init__(
         self,
@@ -59,30 +61,7 @@ class Cogebra(Record):
         basis: tuple[str, ...] | None = None,
         name: str | None = None,
     ):
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
-        table = _table(dim, coproducts, 3, "coproduct")
-        if basis is not None:
-            basis = tuple(str(n) for n in basis)
-            if len(basis) != dim:
-                raise ValueError("basis-name count differs from dimension")
-        if counit is not None:
-            eps = counit = as_vec(counit)
-            if len(eps) != dim:
-                raise ValueError("counit length differs from dimension")
-            # (eps (x) id) and (id (x) eps) after the coproduct, for every
-            # basis element at once: left[(k, j)] is the e_j coordinate of
-            # the first on e_k, right[(k, i)] the e_i coordinate of the second.
-            left: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-            right: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-            for (k, i, j), c in table.items():
-                if eps[i - 1]:
-                    left[(k, j)] += c * eps[i - 1]
-                if eps[j - 1]:
-                    right[(k, i)] += c * eps[j - 1]
-            if not (_is_identity(left, dim) and _is_identity(right, dim)):
-                raise ValueError("declared counit fails the counit axiom")
-        self._assign(dim, table, counit, basis, name)
+        self._init(dim, coproducts, counit, basis, name)
 
     def comultiply(self, x: Sequence) -> dict[tuple[int, int], Fraction]:
         """Coordinates of the coproduct of ``x`` on the tensor square,
@@ -96,11 +75,6 @@ class Cogebra(Record):
             if xk:
                 out[(i, j)] += c * xk
         return {key: c for key, c in out.items() if c}
-
-    def basis_names(self) -> tuple[str, ...]:
-        if self.basis is not None:
-            return self.basis
-        return tuple(f"e{i}" for i in range(1, self.dim + 1))
 
 
 class CubeMap(Record):

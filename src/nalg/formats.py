@@ -15,7 +15,9 @@ and a cogebra file replaces ``products``/``unit`` with
 All indices are 1-based; omitted products are zero; rationals use the
 strict "p/q" text form.  Unknown fields are rejected and printing is
 canonical (entries sorted, rationals in lowest terms), so parse-then-print
-is the identity on canonical files.
+is the identity on canonical files.  In both kinds a structure-constant
+key is an entry's indices followed by an output term's, (left, right, k)
+and (in, i, j), so one reader and one printer serve both.
 
 Group-algebra expressions are sums of terms ``id, t12, t13, t23, c1, c2``,
 each optionally prefixed by a rational and ``*``, joined by ``+``/``-``;
@@ -40,8 +42,20 @@ class FormatError(ValueError):
 
 # --- JSON documents ---------------------------------------------------------
 
-_ALGEBRA_KEYS = {"kind", "dim", "basis", "products", "unit"}
-_COGEBRA_KEYS = {"kind", "dim", "basis", "coproducts", "counit"}
+# One row per kind: the class, its table field, the index fields of an
+# entry and of an output term, its (co)unit field, and the texts its errors
+# use for the document, an entry's fields, a term's fields and a repeated
+# key.
+_KINDS = {
+    "algebra": (
+        Algebra, "products", ("left", "right"), ("k",), "unit",
+        "an algebra", "'left', 'right', 'out'", "'k' and 'c'", "structure-constant",
+    ),
+    "cogebra": (
+        Cogebra, "coproducts", ("in",), ("i", "j"), "counit",
+        "a cogebra", "'in' and 'out'", "'i', 'j' and 'c'", "costructure-constant",
+    ),
+}
 
 
 def _load_object(text: str) -> dict:
@@ -83,168 +97,120 @@ def _read_basis(doc: dict, dim: int) -> tuple[str, ...]:
     return tuple(basis)
 
 
-def _read_index(value, dim: int, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{what} must be an integer")
+def _read_index(value, dim: int, field: str) -> int:
+    if type(value) is not int:
+        raise FormatError(f"'{field}' must be an integer")
     if not 1 <= value <= dim:
-        raise FormatError(f"index out of range: {what} = {value}")
+        raise FormatError(f"index out of range: '{field}' = {value}")
     return value
 
 
-def _read_coefficient(value, where: str) -> Fraction:
-    if not isinstance(value, str):
-        raise FormatError(f"coefficient in {where} must be a rational string")
-    try:
-        return parse_rational(value)
-    except ValueError as exc:
-        raise FormatError(f"{exc} (in {where})") from None
+def _read_coefficient(value, noun: str, head: tuple | None = None) -> Fraction:
+    """The rational string ``value``; errors place it in ``noun``, followed
+    by the entry ``head`` when there is one.  The place is only formatted
+    for an error."""
+    if isinstance(value, str):
+        try:
+            return parse_rational(value)
+        except ValueError as exc:
+            raise FormatError(f"{exc} (in {_place(noun, head)})") from None
+    raise FormatError(f"coefficient in {_place(noun, head)} must be a rational string")
 
 
-def _read_optional_vector(doc: dict, key: str, dim: int) -> tuple[Fraction, ...] | None:
-    value = doc[key]
-    if value is None:
-        return None
-    if not isinstance(value, list) or len(value) != dim:
-        raise FormatError(f"'{key}' must be null or a list of {dim} rationals")
-    return tuple(_read_coefficient(c, f"'{key}'") for c in value)
+def _place(noun: str, head: tuple | None) -> str:
+    return noun if head is None else f"{noun} {_label(head)}"
+
+
+def _label(head: tuple) -> str:
+    """An entry's indices as errors show them: ``2`` or ``(1, 2)``."""
+    return str(head[0] if len(head) == 1 else head)
 
 
 def parse_algebra(text: str) -> Algebra:
-    return _read_algebra(_load_object(text))
+    return _read(_load_object(text), "algebra")
 
 
 def parse_cogebra(text: str) -> Cogebra:
-    return _read_cogebra(_load_object(text))
-
-
-def _read_algebra(doc: dict) -> Algebra:
-    if doc.get("kind") != "algebra":
-        raise FormatError("expected an algebra document ('kind': 'algebra')")
-    _check_keys(doc, _ALGEBRA_KEYS)
-    dim = _read_dim(doc)
-    basis = _read_basis(doc, dim)
-    if not isinstance(doc["products"], list):
-        raise FormatError("'products' must be a list")
-    table: dict[tuple[int, int, int], Fraction] = {}
-    seen_pairs: set[tuple[int, int]] = set()
-    for entry in doc["products"]:
-        if not isinstance(entry, dict) or set(entry) != {"left", "right", "out"}:
-            raise FormatError("each product entry needs exactly 'left', 'right', 'out'")
-        i = _read_index(entry["left"], dim, "'left'")
-        j = _read_index(entry["right"], dim, "'right'")
-        if (i, j) in seen_pairs:
-            raise FormatError(f"duplicate product entry for ({i}, {j})")
-        seen_pairs.add((i, j))
-        if not isinstance(entry["out"], list):
-            raise FormatError("'out' must be a list")
-        for term in entry["out"]:
-            if not isinstance(term, dict) or set(term) != {"k", "c"}:
-                raise FormatError("each output term needs exactly 'k' and 'c'")
-            k = _read_index(term["k"], dim, "'k'")
-            if (i, j, k) in table:
-                raise FormatError(f"duplicate structure-constant entry ({i}, {j}, {k})")
-            table[(i, j, k)] = _read_coefficient(term["c"], f"product ({i}, {j})")
-    unit = _read_optional_vector(doc, "unit", dim)
-    try:
-        return Algebra(dim, table, unit=unit, basis=basis)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-
-
-def _read_cogebra(doc: dict) -> Cogebra:
-    if doc.get("kind") != "cogebra":
-        raise FormatError("expected a cogebra document ('kind': 'cogebra')")
-    _check_keys(doc, _COGEBRA_KEYS)
-    dim = _read_dim(doc)
-    basis = _read_basis(doc, dim)
-    if not isinstance(doc["coproducts"], list):
-        raise FormatError("'coproducts' must be a list")
-    table: dict[tuple[int, int, int], Fraction] = {}
-    seen_in: set[int] = set()
-    for entry in doc["coproducts"]:
-        if not isinstance(entry, dict) or set(entry) != {"in", "out"}:
-            raise FormatError("each coproduct entry needs exactly 'in' and 'out'")
-        k = _read_index(entry["in"], dim, "'in'")
-        if k in seen_in:
-            raise FormatError(f"duplicate coproduct entry for {k}")
-        seen_in.add(k)
-        if not isinstance(entry["out"], list):
-            raise FormatError("'out' must be a list")
-        for term in entry["out"]:
-            if not isinstance(term, dict) or set(term) != {"i", "j", "c"}:
-                raise FormatError("each output term needs exactly 'i', 'j' and 'c'")
-            i = _read_index(term["i"], dim, "'i'")
-            j = _read_index(term["j"], dim, "'j'")
-            if (k, i, j) in table:
-                raise FormatError(f"duplicate costructure-constant entry ({k}, {i}, {j})")
-            table[(k, i, j)] = _read_coefficient(term["c"], f"coproduct {k}")
-    counit = _read_optional_vector(doc, "counit", dim)
-    try:
-        return Cogebra(dim, table, counit=counit, basis=basis)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return _read(_load_object(text), "cogebra")
 
 
 def parse_document(text: str):
     """Parse either kind of document, keyed on the 'kind' field."""
     doc = _load_object(text)
     kind = doc.get("kind")
-    if kind == "algebra":
-        return _read_algebra(doc)
-    if kind == "cogebra":
-        return _read_cogebra(doc)
-    raise FormatError("'kind' must be 'algebra' or 'cogebra'")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise FormatError("'kind' must be 'algebra' or 'cogebra'")
+    return _read(doc, kind)
 
 
-def print_algebra(A: Algebra) -> str:
-    by_pair: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for (i, j, k), c in sorted(A.products.items()):
-        by_pair.setdefault((i, j), []).append((k, c))
-    products = [
-        {
-            "left": i,
-            "right": j,
-            "out": [{"k": k, "c": format_rational(c)} for k, c in terms],
-        }
-        for (i, j), terms in sorted(by_pair.items())
-    ]
-    doc = {
-        "kind": "algebra",
-        "dim": A.dim,
-        "basis": list(A.basis_names()),
-        "products": products,
-        "unit": None if A.unit is None else [format_rational(c) for c in A.unit],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-def print_cogebra(C: Cogebra) -> str:
-    by_in: dict[int, list[tuple[int, int, Fraction]]] = {}
-    for (k, i, j), c in sorted(C.coproducts.items()):
-        by_in.setdefault(k, []).append((i, j, c))
-    coproducts = [
-        {
-            "in": k,
-            "out": [{"i": i, "j": j, "c": format_rational(c)} for i, j, c in terms],
-        }
-        for k, terms in sorted(by_in.items())
-    ]
-    doc = {
-        "kind": "cogebra",
-        "dim": C.dim,
-        "basis": list(C.basis_names()),
-        "coproducts": coproducts,
-        "counit": None if C.counit is None else [format_rational(c) for c in C.counit],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+def _read(doc: dict, kind: str):
+    """The algebra or cogebra of ``kind`` that the decoded ``doc`` holds."""
+    (cls, field, entry_fields, term_fields, unit_field,
+     article, entry_keys, term_keys, constant) = _KINDS[kind]
+    if doc.get("kind") != kind:
+        raise FormatError(f"expected {article} document ('kind': '{kind}')")
+    _check_keys(doc, {"kind", "dim", "basis", field, unit_field})
+    dim = _read_dim(doc)
+    basis = _read_basis(doc, dim)
+    entries = doc[field]
+    if not isinstance(entries, list):
+        raise FormatError(f"'{field}' must be a list")
+    noun = field[:-1]
+    entry_set = {*entry_fields, "out"}
+    term_set = {*term_fields, "c"}
+    table: dict[tuple[int, int, int], Fraction] = {}
+    heads: set[tuple[int, ...]] = set()
+    for entry in entries:
+        if not isinstance(entry, dict) or entry.keys() != entry_set:
+            raise FormatError(f"each {noun} entry needs exactly {entry_keys}")
+        head = tuple([_read_index(entry[f], dim, f) for f in entry_fields])
+        if head in heads:
+            raise FormatError(f"duplicate {noun} entry for {_label(head)}")
+        heads.add(head)
+        terms = entry["out"]
+        if not isinstance(terms, list):
+            raise FormatError("'out' must be a list")
+        for term in terms:
+            if not isinstance(term, dict) or term.keys() != term_set:
+                raise FormatError(f"each output term needs exactly {term_keys}")
+            key = head + tuple([_read_index(term[f], dim, f) for f in term_fields])
+            if key in table:
+                raise FormatError(f"duplicate {constant} entry {key}")
+            table[key] = _read_coefficient(term["c"], noun, head)
+    value = doc[unit_field]
+    unit = None
+    if value is not None:
+        if not isinstance(value, list) or len(value) != dim:
+            raise FormatError(f"'{unit_field}' must be null or a list of {dim} rationals")
+        unit = tuple([_read_coefficient(c, f"'{unit_field}'") for c in value])
+    try:
+        return cls(dim, table, unit, basis)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def print_document(obj) -> str:
-    if isinstance(obj, Algebra):
-        return print_algebra(obj)
-    if isinstance(obj, Cogebra):
-        return print_cogebra(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """The canonical text of an algebra or a cogebra."""
+    for kind, (cls, field, entry_fields, term_fields, unit_field, *_) in _KINDS.items():
+        if isinstance(obj, cls):
+            break
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    n = len(entry_fields)
+    by_head: dict[tuple[int, ...], list] = {}
+    for key, c in sorted(getattr(obj, field).items()):
+        by_head.setdefault(key[:n], []).append(
+            {**dict(zip(term_fields, key[n:])), "c": format_rational(c)}
+        )
+    unit = getattr(obj, unit_field)
+    doc = {
+        "kind": kind,
+        "dim": obj.dim,
+        "basis": list(obj.basis_names()),
+        field: [{**dict(zip(entry_fields, head)), "out": terms} for head, terms in by_head.items()],
+        unit_field: None if unit is None else [format_rational(c) for c in unit],
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 # --- group-algebra expressions ----------------------------------------------

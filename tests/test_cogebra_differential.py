@@ -139,3 +139,54 @@ def test_literal_reading_needs_coassociativity():
     for i in range(2, 7):
         assert not gi_bang_cocheck(C, i, literal=True), i
         assert not reference.gi_bang_cocheck(C, i, literal=True), i
+
+
+@st.composite
+def unit_candidates(draw):
+    """A table of dim 1-4 and a vector.  The table makes e_1 / c a unit,
+    a left unit only, a right unit only, or neither, on top of sparse
+    products among e_2..e_n, sometimes with one product of e_1 changed;
+    the vector is e_1 / c, a multiple of it, or small and random."""
+    n = draw(st.integers(1, 4))
+    c = draw(st.sampled_from((1, -1, 2, Fraction(-1, 3))))
+    sides = draw(st.sampled_from(((1, 1), (1, 1), (1, 0), (0, 1), (0, 0))))
+    if n > 1:
+        table = {(i + 1, j + 1, k): v for (k, i, j), v in draw(sparse_tables(n - 1)).items()}
+    else:
+        table = {}
+    for j in range(1, n + 1):
+        if sides[0]:
+            table[(1, j, j)] = c
+        if sides[1]:
+            table[(j, 1, j)] = c
+    if draw(st.integers(0, 2)) == 0:
+        key = (draw(st.sampled_from(((1, 1), (1, n), (n, 1)))) + (draw(st.integers(1, n)),))
+        table[key] = draw(st.sampled_from((0, 1, c, -c)))
+    unit = (1 / Fraction(c),) + (0,) * (n - 1)
+    vector = draw(
+        st.one_of(
+            st.just(unit),
+            st.just(unit),
+            st.sampled_from((2, -1)).map(lambda t: tuple(t * u for u in unit)),
+            st.lists(st.sampled_from((0, 0, 1, -1, Fraction(1, 2))), min_size=n, max_size=n),
+        )
+    )
+    return n, table, tuple(vector)
+
+
+def _raises(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
+
+
+@given(unit_candidates())
+@settings(max_examples=150 * settings.default.max_examples // 100, deadline=None)
+def test_unit_axiom_is_the_counit_axiom_of_the_transpose(case):
+    """The one constructor check reads a cogebra key (k, i, j) as the dual's
+    (i, j, k); this pins that the counit axiom is the unit axiom there."""
+    n, table, u = case
+    transpose = {(k, i, j): c for (i, j, k), c in table.items()}
+    assert _raises(lambda: Algebra(n, table, unit=u)) == _raises(lambda: Cogebra(n, transpose, counit=u))

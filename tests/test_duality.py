@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from nalg.algebras import Algebra, gi_check
 from nalg.cogebras import Cogebra, gi_cocheck
 from nalg.duality import dualize_algebra, dualize_cogebra
-from nalg.formats import print_algebra, print_cogebra
+from nalg.formats import print_document
 
 
 class TestDualizeAlgebra:
@@ -51,11 +51,11 @@ class TestDualizeCogebra:
 class TestSerializedInvolution:
     def test_double_dual_bytes_algebras(self, catalog_algebras):
         for A in catalog_algebras.values():
-            assert print_algebra(dualize_cogebra(dualize_algebra(A))) == print_algebra(A)
+            assert print_document(dualize_cogebra(dualize_algebra(A))) == print_document(A)
 
     def test_double_dual_bytes_cogebras(self, catalog_cogebras):
         for C in catalog_cogebras.values():
-            assert print_cogebra(dualize_algebra(dualize_cogebra(C))) == print_cogebra(C)
+            assert print_document(dualize_algebra(dualize_cogebra(C))) == print_document(C)
 
 
 class TestPropagation:

@@ -15,7 +15,6 @@ from nalg.formats import (
     parse_cogebra,
     parse_document,
     parse_ga_expr,
-    print_algebra,
     print_document,
 )
 from nalg.sym3 import GroupAlgElem, special_vector
@@ -46,7 +45,7 @@ class TestAlgebraFiles:
             )
         )
         assert A.products == {(1, 1, 1): F(1, 2)}
-        assert '"c": "1/2"' in print_algebra(A)
+        assert '"c": "1/2"' in print_document(A)
 
     def test_index_zero_rejected(self):
         with pytest.raises(FormatError, match="index out of range"):
@@ -123,7 +122,7 @@ class TestRoundTrips:
 
     def test_object_round_trip(self, catalog_algebras):
         for A in catalog_algebras.values():
-            again = parse_algebra(print_algebra(A))
+            again = parse_algebra(print_document(A))
             assert again.products == A.products
             assert again.unit == A.unit
             assert again.basis == A.basis
@@ -222,3 +221,230 @@ class TestExpressions:
         if elem.is_zero():
             return
         assert parse_ga_expr(format_ga_expr(elem)) == elem
+
+
+# --- every document error, pinned ------------------------------------------
+#
+# Each row is a malformed document and the exact text of the FormatError it
+# raises.  ``parse_document`` and the reader of the document's kind give
+# that text; the reader of the other kind stops at the 'kind' field.
+
+
+_DROP = object()  # a field value that removes the field
+
+
+def _algebra(**fields):
+    doc = {
+        "kind": "algebra",
+        "dim": 2,
+        "basis": ["a", "b"],
+        "products": [{"left": 1, "right": 2, "out": [{"k": 2, "c": "1"}]}],
+        "unit": None,
+    }
+    doc.update(fields)
+    return {key: value for key, value in doc.items() if value is not _DROP}
+
+
+def _cogebra(**fields):
+    doc = {
+        "kind": "cogebra",
+        "dim": 2,
+        "basis": ["a", "b"],
+        "coproducts": [{"in": 2, "out": [{"i": 1, "j": 2, "c": "1"}]}],
+        "counit": None,
+    }
+    doc.update(fields)
+    return {key: value for key, value in doc.items() if value is not _DROP}
+
+
+def _product(left=1, right=2, k=2, c="1"):
+    return {"left": left, "right": right, "out": [{"k": k, "c": c}]}
+
+
+def _coproduct(in_=2, i=1, j=2, c="1"):
+    return {"in": in_, "out": [{"i": i, "j": j, "c": c}]}
+
+
+# e1 e1 = e1 and e1 e2 = e2: e1 is a left unit only.  Its transpose makes
+# e1 a right unit only; the cogebra rows use the duals of both.
+_LEFT_UNIT_ONLY = [
+    {"left": 1, "right": 1, "out": [{"k": 1, "c": "1"}]},
+    {"left": 1, "right": 2, "out": [{"k": 2, "c": "1"}]},
+]
+_RIGHT_UNIT_ONLY = [
+    {"left": 1, "right": 1, "out": [{"k": 1, "c": "1"}]},
+    {"left": 2, "right": 1, "out": [{"k": 2, "c": "1"}]},
+]
+_LEFT_COUNIT_ONLY = [
+    {"in": 1, "out": [{"i": 1, "j": 1, "c": "1"}]},
+    {"in": 2, "out": [{"i": 1, "j": 2, "c": "1"}]},
+]
+_RIGHT_COUNIT_ONLY = [
+    {"in": 1, "out": [{"i": 1, "j": 1, "c": "1"}]},
+    {"in": 2, "out": [{"i": 2, "j": 1, "c": "1"}]},
+]
+
+_ALGEBRA_ERRORS = [
+    (_algebra(extra=1), "unknown field(s): extra"),
+    (_algebra(unit=_DROP), "missing field(s): unit"),
+    (_algebra(basis=_DROP, products=_DROP), "missing field(s): basis, products"),
+    (_algebra(products=_DROP, coproducts=[]), "unknown field(s): coproducts"),
+    (_algebra(dim="2"), "'dim' must be a positive integer"),
+    (_algebra(dim=0), "'dim' must be a positive integer"),
+    (_algebra(dim=True), "'dim' must be a positive integer"),
+    (_algebra(dim=2.0), "'dim' must be a positive integer"),
+    (_algebra(basis=["a"]), "'basis' must list one name per basis element"),
+    (_algebra(basis=["a", 2]), "'basis' must list one name per basis element"),
+    (_algebra(basis="ab"), "'basis' must list one name per basis element"),
+    (_algebra(products={}), "'products' must be a list"),
+    (_algebra(products=[[1, 2]]), "each product entry needs exactly 'left', 'right', 'out'"),
+    (
+        _algebra(products=[{"left": 1, "right": 2, "k": 2, "out": []}]),
+        "each product entry needs exactly 'left', 'right', 'out'",
+    ),
+    (_algebra(products=[{"left": 1, "right": 2}]), "each product entry needs exactly 'left', 'right', 'out'"),
+    (_algebra(products=[_product(left=0)]), "index out of range: 'left' = 0"),
+    (_algebra(products=[_product(left=3)]), "index out of range: 'left' = 3"),
+    (_algebra(products=[_product(left=True)]), "'left' must be an integer"),
+    (_algebra(products=[_product(left=1.0)]), "'left' must be an integer"),
+    (_algebra(products=[_product(right=0)]), "index out of range: 'right' = 0"),
+    (_algebra(products=[_product(right=3)]), "index out of range: 'right' = 3"),
+    (_algebra(products=[_product(right=True)]), "'right' must be an integer"),
+    (_algebra(products=[_product(right=1.0)]), "'right' must be an integer"),
+    (_algebra(products=[_product(k=0)]), "index out of range: 'k' = 0"),
+    (_algebra(products=[_product(k=3)]), "index out of range: 'k' = 3"),
+    (_algebra(products=[_product(k=True)]), "'k' must be an integer"),
+    (_algebra(products=[_product(k=1.0)]), "'k' must be an integer"),
+    (_algebra(products=[_product(), _product(k=1)]), "duplicate product entry for (1, 2)"),
+    (_algebra(products=[{"left": 1, "right": 2, "out": {}}]), "'out' must be a list"),
+    (
+        _algebra(products=[{"left": 1, "right": 2, "out": [[2, "1"]]}]),
+        "each output term needs exactly 'k' and 'c'",
+    ),
+    (
+        _algebra(products=[{"left": 1, "right": 2, "out": [{"i": 1, "k": 2, "c": "1"}]}]),
+        "each output term needs exactly 'k' and 'c'",
+    ),
+    (
+        _algebra(products=[{"left": 1, "right": 2, "out": [{"k": 2, "c": "1"}, {"k": 2, "c": "2"}]}]),
+        "duplicate structure-constant entry (1, 2, 2)",
+    ),
+    (_algebra(products=[_product(c=1)]), "coefficient in product (1, 2) must be a rational string"),
+    (_algebra(products=[_product(c="1.5")]), "malformed rational: '1.5' (in product (1, 2))"),
+    (
+        _algebra(products=[_product(c="1/0")]),
+        "malformed rational: '1/0' (denominator must be positive) (in product (1, 2))",
+    ),
+    (_algebra(unit="1"), "'unit' must be null or a list of 2 rationals"),
+    (_algebra(unit=["1"]), "'unit' must be null or a list of 2 rationals"),
+    (_algebra(unit=[1, 0]), "coefficient in 'unit' must be a rational string"),
+    (_algebra(unit=["x", "0"]), "malformed rational: 'x' (in 'unit')"),
+    (_algebra(unit=["1", "0"]), "declared unit is not a two-sided unit"),
+    (_algebra(products=_LEFT_UNIT_ONLY, unit=["1", "0"]), "declared unit is not a two-sided unit"),
+    (_algebra(products=_RIGHT_UNIT_ONLY, unit=["1", "0"]), "declared unit is not a two-sided unit"),
+]
+
+_COGEBRA_ERRORS = [
+    (_cogebra(extra=1), "unknown field(s): extra"),
+    (_cogebra(counit=_DROP), "missing field(s): counit"),
+    (_cogebra(basis=_DROP, coproducts=_DROP), "missing field(s): basis, coproducts"),
+    (_cogebra(coproducts=_DROP, products=[]), "unknown field(s): products"),
+    (_cogebra(dim="2"), "'dim' must be a positive integer"),
+    (_cogebra(dim=0), "'dim' must be a positive integer"),
+    (_cogebra(dim=True), "'dim' must be a positive integer"),
+    (_cogebra(dim=2.0), "'dim' must be a positive integer"),
+    (_cogebra(basis=["a"]), "'basis' must list one name per basis element"),
+    (_cogebra(basis=["a", 2]), "'basis' must list one name per basis element"),
+    (_cogebra(basis="ab"), "'basis' must list one name per basis element"),
+    (_cogebra(coproducts={}), "'coproducts' must be a list"),
+    (_cogebra(coproducts=[[2]]), "each coproduct entry needs exactly 'in' and 'out'"),
+    (
+        _cogebra(coproducts=[{"in": 2, "k": 2, "out": []}]),
+        "each coproduct entry needs exactly 'in' and 'out'",
+    ),
+    (_cogebra(coproducts=[{"in": 2}]), "each coproduct entry needs exactly 'in' and 'out'"),
+    (_cogebra(coproducts=[_coproduct(in_=0)]), "index out of range: 'in' = 0"),
+    (_cogebra(coproducts=[_coproduct(in_=3)]), "index out of range: 'in' = 3"),
+    (_cogebra(coproducts=[_coproduct(in_=True)]), "'in' must be an integer"),
+    (_cogebra(coproducts=[_coproduct(in_=1.0)]), "'in' must be an integer"),
+    (_cogebra(coproducts=[_coproduct(i=0)]), "index out of range: 'i' = 0"),
+    (_cogebra(coproducts=[_coproduct(i=3)]), "index out of range: 'i' = 3"),
+    (_cogebra(coproducts=[_coproduct(i=True)]), "'i' must be an integer"),
+    (_cogebra(coproducts=[_coproduct(i=1.0)]), "'i' must be an integer"),
+    (_cogebra(coproducts=[_coproduct(j=0)]), "index out of range: 'j' = 0"),
+    (_cogebra(coproducts=[_coproduct(j=3)]), "index out of range: 'j' = 3"),
+    (_cogebra(coproducts=[_coproduct(j=True)]), "'j' must be an integer"),
+    (_cogebra(coproducts=[_coproduct(j=1.0)]), "'j' must be an integer"),
+    (_cogebra(coproducts=[_coproduct(), _coproduct(i=2)]), "duplicate coproduct entry for 2"),
+    (_cogebra(coproducts=[{"in": 2, "out": {}}]), "'out' must be a list"),
+    (
+        _cogebra(coproducts=[{"in": 2, "out": [[1, 2, "1"]]}]),
+        "each output term needs exactly 'i', 'j' and 'c'",
+    ),
+    (
+        _cogebra(coproducts=[{"in": 2, "out": [{"i": 1, "c": "1"}]}]),
+        "each output term needs exactly 'i', 'j' and 'c'",
+    ),
+    (
+        _cogebra(coproducts=[{"in": 2, "out": [{"i": 1, "j": 2, "c": "1"}, {"i": 1, "j": 2, "c": "2"}]}]),
+        "duplicate costructure-constant entry (2, 1, 2)",
+    ),
+    (_cogebra(coproducts=[_coproduct(c=1)]), "coefficient in coproduct 2 must be a rational string"),
+    (_cogebra(coproducts=[_coproduct(c="1.5")]), "malformed rational: '1.5' (in coproduct 2)"),
+    (
+        _cogebra(coproducts=[_coproduct(c="1/0")]),
+        "malformed rational: '1/0' (denominator must be positive) (in coproduct 2)",
+    ),
+    (_cogebra(counit="1"), "'counit' must be null or a list of 2 rationals"),
+    (_cogebra(counit=["1"]), "'counit' must be null or a list of 2 rationals"),
+    (_cogebra(counit=[1, 0]), "coefficient in 'counit' must be a rational string"),
+    (_cogebra(counit=["x", "0"]), "malformed rational: 'x' (in 'counit')"),
+    (_cogebra(counit=["1", "0"]), "declared counit fails the counit axiom"),
+    (_cogebra(coproducts=_LEFT_COUNIT_ONLY, counit=["1", "0"]), "declared counit fails the counit axiom"),
+    (_cogebra(coproducts=_RIGHT_COUNIT_ONLY, counit=["1", "0"]), "declared counit fails the counit axiom"),
+]
+
+_NOT_ALGEBRA = "expected an algebra document ('kind': 'algebra')"
+_NOT_COGEBRA = "expected a cogebra document ('kind': 'cogebra')"
+_NO_KIND = "'kind' must be 'algebra' or 'cogebra'"
+
+# Documents whose 'kind' is wrong or unknown, with the texts from
+# parse_document, parse_algebra and parse_cogebra.
+_KIND_ERRORS = [
+    (
+        _algebra(kind="cogebra"),
+        ("unknown field(s): products, unit", _NOT_ALGEBRA, "unknown field(s): products, unit"),
+    ),
+    (
+        _cogebra(kind="algebra"),
+        ("unknown field(s): coproducts, counit", "unknown field(s): coproducts, counit", _NOT_COGEBRA),
+    ),
+    (_algebra(kind="widget"), (_NO_KIND, _NOT_ALGEBRA, _NOT_COGEBRA)),
+    (_cogebra(kind=_DROP), (_NO_KIND, _NOT_ALGEBRA, _NOT_COGEBRA)),
+    (_algebra(kind=None), (_NO_KIND, _NOT_ALGEBRA, _NOT_COGEBRA)),
+    (_cogebra(kind=["cogebra"]), (_NO_KIND, _NOT_ALGEBRA, _NOT_COGEBRA)),
+]
+
+
+def _message(parse, doc):
+    with pytest.raises(FormatError) as info:
+        parse(json.dumps(doc))
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    _ALGEBRA_ERRORS + _COGEBRA_ERRORS,
+    ids=[f"algebra-{n}" for n in range(len(_ALGEBRA_ERRORS))]
+    + [f"cogebra-{n}" for n in range(len(_COGEBRA_ERRORS))],
+)
+def test_document_error_message(doc, message):
+    own, other = (parse_algebra, parse_cogebra) if doc["kind"] == "algebra" else (parse_cogebra, parse_algebra)
+    assert _message(parse_document, doc) == message
+    assert _message(own, doc) == message
+    assert _message(other, doc) == (_NOT_COGEBRA if other is parse_cogebra else _NOT_ALGEBRA)
+
+
+@pytest.mark.parametrize("doc, messages", _KIND_ERRORS)
+def test_document_kind_error_message(doc, messages):
+    assert tuple(_message(parse, doc) for parse in (parse_document, parse_algebra, parse_cogebra)) == messages
