@@ -37,7 +37,6 @@ from .cogebras import (
 )
 from .duality import dualize_algebra, dualize_cogebra
 from .linalg import (
-    Rational,
     Subspace,
     format_rational,
     kernel,

@@ -2,13 +2,14 @@
 
 Subspaces, permutations, group-algebra elements, algebras, cogebras,
 trilinear and cube maps and the classification reports are plain
-``__slots__`` classes with hand-written constructors.  They behave like
-frozen dataclasses: the fields are the slots, in constructor order;
-equality compares the fields of two values of the same class; the hash
-is the hash of the tuple of fields (so a value holding a dict is
-unhashable); the repr is ``Name(field=value, ...)``; and assignment
-raises ``AttributeError``.  Nothing is generated at import time, which
-keeps ``import nalg`` cheap for the one-command-per-process CLI.
+``__slots__`` classes, with hand-written constructors where there are
+arguments to check.  They behave like frozen dataclasses: the fields are
+the slots, in constructor order; equality compares the fields of two
+values of the same class; the hash is the hash of the tuple of fields (so
+a value holding a dict is unhashable); the repr is ``Name(field=value,
+...)``; and assignment raises ``AttributeError``.  Nothing is generated at
+import time, which keeps ``import nalg`` cheap for a CLI that runs one
+command per process.
 """
 
 from __future__ import annotations
@@ -18,12 +19,19 @@ class Record:
     """Field-wise equality, hash and repr over ``__slots__``, and no
     assignment after construction.
 
-    A subclass lists its fields in ``__slots__`` in constructor order, and
-    its ``__init__`` validates the arguments and stores them with
-    ``_assign``.
+    A subclass lists its fields in ``__slots__`` in constructor order.  One
+    with arguments to check has an ``__init__`` that validates them and
+    stores them with ``_assign``; the others take the fields as given.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        values += tuple(named.pop(name) for name in self.__slots__[len(values) :] if name in named)
+        if named or len(values) != len(self.__slots__):
+            fields = ", ".join(self.__slots__)
+            raise TypeError(f"{type(self).__qualname__} takes the fields {fields}")
+        self._assign(*values)
 
     def _assign(self, *values) -> None:
         """Store ``values`` in the fields, in ``__slots__`` order."""

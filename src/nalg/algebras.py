@@ -13,22 +13,26 @@ Every check asks which group-algebra vectors kill a trilinear map under
 slot permutation, on the table cleared of denominators (Python ints, no
 floats).  The map is a composite left*(xy)z + right*x(yz), produced in
 layers of growing largest index: the associator for the identities, and
-(xy)z alone for the triple symmetries.  Two readers answer the question.
-``_slot_kernel`` finds all such vectors in one fraction-free solve that
-stops at full rank, so the later layers are never computed.  ``_kills``
-tests one vector and stops at the first coordinate that is not zero.
+(xy)z alone for the triple symmetries.  Each orbit K of keys under slot
+permutation gives a group-algebra element f_K, and slot permutation by v
+kills the map on K exactly when f_K v = 0: three integer tests on the
+Wedderburn splits (:mod:`nalg.sym3`).  ``_split_solve`` folds the orbits
+into one generator g of the left ideal they span and stops once g is
+invertible, so the later layers are never computed; the answer is the
+right annihilator of g, and every flag one ``killed`` read of g.
+``_kills`` tests one vector and stops at the first orbit it fails on.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from ._record import Record
-from .linalg import Subspace, Vec, _cleared, _echelon, as_vec, kernel
-from .sym3 import SUBGROUPS, GroupAlgElem, Perm3, PERMS, inverse, special_vector
+from .linalg import Subspace, Vec, _cleared, as_vec
+from .sym3 import SUBGROUPS, GroupAlgElem, Perm3, PERMS, killed, special_vector, split
+from .sym3 import right_annihilator
 
 
 def _table(dim: int, entries: Mapping[tuple, Fraction], size: int, what: str) -> dict:
@@ -236,10 +240,8 @@ def associator(A: Algebra) -> TrilinearMap:
 
 # Slot permutation by s = PERMS[p] sends the key (m1, m2, m3, l) to
 # (m[s1], m[s2], m[s3], l) with (s1, s2, s3) = _SLOT_ORDERS[p], the 0-based
-# images of s.  So the permuted map at a key K reads the original at
-# (K[q1], K[q2], K[q3], l) with (q1, q2, q3) = _LOOKUP_ORDERS[p], those of s^-1.
+# images of s.
 _SLOT_ORDERS = tuple((s(1) - 1, s(2) - 1, s(3) - 1) for s in PERMS)
-_LOOKUP_ORDERS = tuple((t(1) - 1, t(2) - 1, t(3) - 1) for t in map(inverse, PERMS))
 
 
 def phi_precompose(T: TrilinearMap, v) -> TrilinearMap:
@@ -263,58 +265,49 @@ def phi_precompose(T: TrilinearMap, v) -> TrilinearMap:
     return TrilinearMap(T.dim, out)
 
 
-# The orbit of a key m under slot permutation is the six keys
-# (m[s1], m[s2], m[s3], l) over _SLOT_ORDERS, and the row at any of them
-# reads only values at those six.  _ROW_READS[p] picks, from the six
-# values in that order, the row at the p-th orbit key.
-_ROW_READS = tuple(
-    itemgetter(*(_SLOT_ORDERS.index((s[q1], s[q2], s[q3])) for q1, q2, q3 in _LOOKUP_ORDERS))
-    for s in _SLOT_ORDERS
-)
-
-
-def _slot_rows(T: Mapping[Key4, int]) -> Iterator[tuple[int, ...]]:
-    """The six slot-permuted copies of ``T`` as one row per key of their
-    joint support: entry p of the row at key K is the coefficient of K in
-    ``phi_precompose(T, PERMS[p])``.  Rows are produced lazily, so a caller
-    that stops early skips the rest.
-
-    The keys come in orbits under slot permutation, and the rows of an
-    orbit are rearrangements of its six values, which are read once.  Each
-    distinct row of an orbit is yielded once: a symmetric map has one."""
+def _orbit_splits(T: Mapping[Key4, int]) -> Iterator[tuple[int, ...]]:
+    """The split of f_K for each orbit K of the keys of ``T`` under slot
+    permutation, lazily.  With the orbit's keys K_p = (m[s1], m[s2], m[s3],
+    l) in _SLOT_ORDERS order, f_K is the sum of T(K_p) PERMS[p], and slot
+    permutation by v gives the coefficient of PERMS[r] in f_K v at K_r.
+    Another start m only multiplies f_K on the left by a permutation."""
     seen: set[Key4] = set()
     get = T.get
     for m in T:
         if m in seen:
             continue
         keys = [(m[s1], m[s2], m[s3], m[3]) for s1, s2, s3 in _SLOT_ORDERS]
-        values = [get(key, 0) for key in keys]
-        rows = set()
-        for key, reads in zip(keys, _ROW_READS):
-            if key not in seen:
-                seen.add(key)
-                row = reads(values)
-                if row not in rows:
-                    rows.add(row)
-                    yield row
+        seen.update(keys)
+        yield split([get(key, 0) for key in keys])
 
 
-def _slot_kernel(layers: Iterator[dict[Key4, int]]) -> Subspace:
-    """All group-algebra vectors whose slot permutation kills the map
-    given by ``layers``: the kernel of its slot rows.  The rows are
-    eliminated only until their rank is 6, so a layer is computed only
-    when the rows before it are used up; the echelon rows alone go to the
-    exact kernel solve."""
-    return kernel(_echelon(row for layer in layers for row in _slot_rows(layer))[1], 6)
+def _split_solve(layers: Iterator[dict[Key4, int]]) -> tuple[int, ...]:
+    """The split of a generator g of the left ideal spanned by the f_K of
+    the map given by ``layers``: v kills the map exactly when g v = 0.
+
+    The scalars of g are the first nonzero ones of an f_K, and rho(g) has
+    the row space of all rho(f_K): zero, one row (x, y) over a zero row,
+    or the identity.  The scan stops once g is invertible, so a layer is
+    computed only when the orbits before it leave g singular."""
+    eps = sgn = x = y = 0
+    full = False
+    for layer in layers:
+        for e, s, r11, r12, r21, r22 in _orbit_splits(layer):
+            eps, sgn = eps or e, sgn or s
+            if not (x or y):
+                x, y = (r11, r12) if r11 or r12 else (r21, r22)
+            full = full or x * r12 != y * r11 or x * r22 != y * r21
+            if full and eps and sgn:
+                return eps, sgn, 1, 0, 0, 1
+    return (eps, sgn, 1, 0, 0, 1) if full else (eps, sgn, x, y, 0, 0)
 
 
 def _kills(v: Sequence[int], layers: Iterator[dict[Key4, int]]) -> bool:
     """Whether slot permutation by the integer coordinates ``v`` kills the
-    map given by ``layers``: every slot row is orthogonal to ``v``.  The
-    scan stops at the first row that is not."""
-    return not any(
-        sum(a * b for a, b in zip(v, row)) for layer in layers for row in _slot_rows(layer)
-    )
+    map given by ``layers``: f_K v = 0 on every orbit, up to the first
+    orbit where it is not."""
+    w = split(v)
+    return all(killed(f, w) for layer in layers for f in _orbit_splits(layer))
 
 
 def is_sigma3_assoc_for(A: Algebra, v: GroupAlgElem) -> bool:
@@ -342,9 +335,11 @@ def annihilator(A: Algebra) -> Subspace:
     """All group-algebra vectors v whose slot permutation kills the
     associator: the exact solution set of the linear system with the six
     coordinates of v as unknowns, one equation per tensor coordinate.
-    The result is closed under right multiplication by every permutation.
+    The result is the right annihilator of one group-algebra element, so
+    it is closed under right multiplication by every permutation.
     """
-    return _slot_kernel(_composite_layers(_integer_table(A.products)[0], 1, -1))
+    P = _integer_table(A.products)[0]
+    return right_annihilator(_split_solve(_composite_layers(P, 1, -1)))
 
 
 def commutator_algebra(A: Algebra) -> Algebra:
@@ -383,6 +378,11 @@ _BANG_VECTORS = {
     if i > 1
 }
 
+# The splits of the vectors every report reads.
+_GI_SPLITS = {i: split(map(int, special_vector(f"a{i}").coords)) for i in range(1, 7)}
+_W_SPLIT = split(map(int, special_vector("W").coords))
+_BANG_SPLITS = {i: split(v) for i, v in _BANG_VECTORS.items()}
+
 
 def gi_bang_check(A: Algebra, i: int) -> bool:
     """Associativity plus the triple-product slot symmetries for index i.
@@ -411,7 +411,9 @@ def is_antisymmetric(A: Algebra) -> bool:
 
 
 class ClassificationReport(Record):
-    """Aggregated results of all invariance checks for one algebra."""
+    """Aggregated results of all invariance checks for one algebra: each
+    gi map takes a subgroup index to its flag, and the annihilator basis
+    holds group-algebra elements."""
 
     __slots__ = (
         "gi_assoc",
@@ -424,51 +426,31 @@ class ClassificationReport(Record):
         "annihilator_basis",
     )
 
-    def __init__(
-        self,
-        gi_assoc: Mapping[int, bool],
-        gi_bang: Mapping[int, bool],
-        is_associative: bool,
-        is_lie_admissible: bool,
-        is_3_power_associative: bool,
-        has_unit: bool,
-        annihilator_dim: int,
-        annihilator_basis: tuple[GroupAlgElem, ...],
-    ):
-        self._assign(
-            gi_assoc,
-            gi_bang,
-            is_associative,
-            is_lie_admissible,
-            is_3_power_associative,
-            has_unit,
-            annihilator_dim,
-            annihilator_basis,
-        )
-
 
 def classify(A: Algebra) -> ClassificationReport:
-    """Every flag read off two slot kernels: the annihilator, and the
-    kernel of (xy)z.
+    """Every flag read off two generators: g for the associator, and one
+    for (xy)z.
 
     Each signed subgroup sum a_i, and the symmetrizer W, holds exactly when
-    it lies in the annihilator.  The triple-symmetry flag for index i holds
-    exactly when the algebra is associative and u_i - |G_i| id lies in the
-    kernel of (xy)z, so that kernel is computed only for an associative
+    g kills it.  The triple-symmetry flag for index i holds exactly when
+    the algebra is associative and the (xy)z generator kills
+    u_i - |G_i| id, so that generator is computed only for an associative
     algebra.
     """
-    ann = annihilator(A)
-    gi = {i: ann.contains(special_vector(f"a{i}").coords) for i in range(1, 7)}
+    P = _integer_table(A.products)[0]
+    g = _split_solve(_composite_layers(P, 1, -1))
+    gi = {i: killed(g, f) for i, f in _GI_SPLITS.items()}
     bang = dict.fromkeys(_BANG_VECTORS, False)
     if gi[1]:
-        sym = _slot_kernel(_composite_layers(_integer_table(A.products)[0], 1, 0))
-        bang = {i: sym.contains(v) for i, v in _BANG_VECTORS.items()}
+        sym = _split_solve(_composite_layers(P, 1, 0))
+        bang = {i: killed(sym, f) for i, f in _BANG_SPLITS.items()}
+    ann = right_annihilator(g)
     return ClassificationReport(
         gi_assoc=gi,
         gi_bang=bang,
         is_associative=gi[1],
         is_lie_admissible=gi[6],
-        is_3_power_associative=ann.contains(special_vector("W").coords),
+        is_3_power_associative=killed(g, _W_SPLIT),
         has_unit=A.unit is not None,
         annihilator_dim=ann.dim,
         annihilator_basis=tuple(GroupAlgElem(row) for row in ann.basis),

@@ -197,7 +197,8 @@ def coannihilator(C: Cogebra) -> Subspace:
 
 
 class CogebraReport(Record):
-    """Aggregated results of the arrow-reversed checks for one cogebra."""
+    """Aggregated results of the arrow-reversed checks for one cogebra: the
+    mirror, field by field, of :class:`nalg.algebras.ClassificationReport`."""
 
     __slots__ = (
         "gi_coassoc",
@@ -209,28 +210,6 @@ class CogebraReport(Record):
         "coannihilator_dim",
         "coannihilator_basis",
     )
-
-    def __init__(
-        self,
-        gi_coassoc: Mapping[int, bool],
-        gi_bang_co: Mapping[int, bool],
-        is_coassociative: bool,
-        is_lie_coadmissible: bool,
-        is_3_power_coassociative: bool,
-        has_counit: bool,
-        coannihilator_dim: int,
-        coannihilator_basis: tuple[GroupAlgElem, ...],
-    ):
-        self._assign(
-            gi_coassoc,
-            gi_bang_co,
-            is_coassociative,
-            is_lie_coadmissible,
-            is_3_power_coassociative,
-            has_counit,
-            coannihilator_dim,
-            coannihilator_basis,
-        )
 
 
 def classify_cogebra(C: Cogebra) -> CogebraReport:

@@ -21,8 +21,6 @@ from typing import Iterable, Sequence
 
 from ._record import Record
 
-Rational = Fraction
-
 Vec = tuple[Fraction, ...]
 
 _RATIONAL_FORM = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")

@@ -15,12 +15,14 @@ the annihilator subspaces of slot-permutation identities (see
 :mod:`nalg.algebras`) are closed under *right multiplication* instead.
 The two do not coincide in general, so both ``orbit_span`` and
 ``right_ideal`` are exposed; the identity-propagation facts checked by the
-test suite go through ``right_ideal``.
+test suite go through ``right_ideal``.  Zero products, right annihilators
+and isotypic multiplicities are read off the Wedderburn split, ``split``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from ._record import Record
 from .linalg import Subspace, span
@@ -206,11 +208,42 @@ def special_vector(name: str) -> GroupAlgElem:
         raise ValueError(f"unknown special vector {name!r}") from None
 
 
-# The central idempotents.  Each is fixed by p -> p^-1, so applying one
-# through the translation action is left multiplication by it.
-_E_TRIVIAL = Fraction(1, 6) * special_vector("W")
-_E_SIGN = Fraction(1, 6) * special_vector("V")
-_E_STANDARD = GroupAlgElem.from_perm(IDENTITY) - _E_TRIVIAL - _E_SIGN
+def split(f: Sequence) -> tuple:
+    """The Wedderburn split Q[S3] -> Q + Q + M2(Q) of the coordinates ``f``:
+    augmentation, sign, and r11, r12, r21, r22 of rho, which permutes the
+    coordinates of x1 + x2 + x3 = 0, in the basis e1 - e2, e2 - e3."""
+    a, b, c, d, e, g = f
+    even, odd = a + e + g, b + c + d
+    return (even + odd, even - odd, a - b + d - g, b - c - e + g, d - c + e - g, a + b - d - e)
+
+
+def killed(f: tuple, v: tuple) -> bool:
+    """Whether the product of two elements is zero, given their splits."""
+    e, s, f11, f12, f21, f22 = f
+    e2, s2, v11, v12, v21, v22 = v
+    return not (e * e2 or s * s2 or f11 * v11 + f12 * v21 or f11 * v12 + f12 * v22
+                or f21 * v11 + f22 * v21 or f21 * v12 + f22 * v22)
+
+
+_TRIVIAL, _SIGN = (1,) * 6, tuple(int(sign(p)) for p in PERMS)
+# rho(p^-1) for each basis permutation p.  By Fourier inversion, 3 times the
+# element with both scalars 0 and rho = k e_j^T has (rho(p^-1) k)_j at p.
+_INVERSE_RHO = tuple(split([int(q == inverse(p)) for q in PERMS])[2:] for p in PERMS)
+
+
+def right_annihilator(g: tuple) -> Subspace:
+    """All v with g v = 0, for the split ``g``, in canonical form: W if the
+    augmentation of g is 0, V if its sign is, and for each k in the kernel
+    of rho(g) the two elements with rho = k e_1^T and k e_2^T."""
+    eps, sgn, r11, r12, r21, r22 = g
+    vectors = [w for w, scalar in ((_TRIVIAL, eps), (_SIGN, sgn)) if not scalar]
+    null = [(1, 0), (0, 1)]
+    if r11 or r12 or r21 or r22:
+        x, y = (r11, r12) if r11 or r12 else (r21, r22)
+        null = [(-y, x)] if r11 * r22 == r12 * r21 else []
+    for k1, k2 in null:
+        vectors += [tuple(rho[j] * k1 + rho[j + 1] * k2 for rho in _INVERSE_RHO) for j in (0, 2)]
+    return span(vectors, 6)
 
 
 def maschke_multiplicities(s: Subspace) -> tuple[int, int, int]:
@@ -218,9 +251,9 @@ def maschke_multiplicities(s: Subspace) -> tuple[int, int, int]:
     components of an invariant subspace of the group algebra.
 
     ``s`` must be closed under the translation action; a ValueError is
-    raised otherwise.  The multiplicities are ranks of the images of ``s``
-    under the three central idempotents (the standard component has
-    dimension 2 per copy, so its rank is halved).
+    raised otherwise.  The multiplicities are the ranks of the augmentation
+    and of the sign over the splits of the basis, and half the rank of their
+    rho entries (the standard component has dimension 2 per copy).
     """
     if s.ambient_dim != 6:
         raise ValueError("expected a subspace of the 6-dimensional group algebra")
@@ -229,9 +262,9 @@ def maschke_multiplicities(s: Subspace) -> tuple[int, int, int]:
         for p in PERMS:
             if not s.contains(action(p, e).coords):
                 raise ValueError("subspace is not invariant under the translation action")
-    m_trivial = span([ga_multiply(_E_TRIVIAL, e).coords for e in elems], 6).dim
-    m_sign = span([ga_multiply(_E_SIGN, e).coords for e in elems], 6).dim
-    standard_rank = span([ga_multiply(_E_STANDARD, e).coords for e in elems], 6).dim
+    splits = [split(row) for row in s.basis]
+    m_trivial, m_sign = (int(any(f[k] for f in splits)) for k in (0, 1))
+    standard_rank = span([f[2:] for f in splits], 4).dim
     m_standard, remainder = divmod(standard_rank, 2)
     if remainder or m_trivial + m_sign + standard_rank != s.dim:
         raise ArithmeticError("isotypic ranks do not add up; invariance check is broken")

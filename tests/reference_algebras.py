@@ -8,6 +8,12 @@ solves the linear system over every tensor coordinate, and every
 triple-symmetry flag runs its own associativity check.  They are slow and
 obviously correct; ``nalg.algebras`` must agree with them on every input.
 
+The slot-row solve is kept here too: each key of a layer of the integer
+composite gives one equation in the six coordinates of a group-algebra
+vector, and the rows are eliminated until their rank is six.  It is the
+oracle of the Wedderburn-split solve in ``nalg.algebras``, which reads the
+same layers one orbit at a time.
+
 The module also holds the tools the tests apply to trilinear maps and
 algebras: basis vectors, linear combinations, evaluation and the algebra
 morphism predicate.
@@ -18,10 +24,11 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from fractions import Fraction
+from operator import itemgetter
 
-from nalg.algebras import Algebra, ClassificationReport, TrilinearMap
-from nalg.linalg import Subspace, Vec, as_vec, kernel
-from nalg.sym3 import PERMS, SUBGROUPS, GroupAlgElem, Perm3, special_vector
+from nalg.algebras import _SLOT_ORDERS, Algebra, ClassificationReport, TrilinearMap
+from nalg.linalg import Subspace, Vec, _echelon, as_vec, kernel
+from nalg.sym3 import PERMS, SUBGROUPS, GroupAlgElem, Perm3, inverse, special_vector
 
 
 def basis_vec(dim: int, j: int) -> Vec:
@@ -170,3 +177,50 @@ def jacobi_check(A: Algebra) -> bool:
         if tuple(total) != zero:
             return False
     return True
+
+
+# The permuted map at a key K reads the original at (K[q1], K[q2], K[q3], l)
+# with (q1, q2, q3) = _LOOKUP_ORDERS[p], the 0-based images of PERMS[p]^-1.
+# The orbit of a key m is the six keys (m[s1], m[s2], m[s3], l) over
+# _SLOT_ORDERS, and the row at any of them reads only values at those six:
+# _ROW_READS[p] picks, from the six values in that order, the row at the
+# p-th orbit key.
+_LOOKUP_ORDERS = tuple((t(1) - 1, t(2) - 1, t(3) - 1) for t in map(inverse, PERMS))
+_ROW_READS = tuple(
+    itemgetter(*(_SLOT_ORDERS.index((s[q1], s[q2], s[q3])) for q1, q2, q3 in _LOOKUP_ORDERS))
+    for s in _SLOT_ORDERS
+)
+
+
+def slot_rows(T):
+    """The six slot-permuted copies of the integer map ``T`` as one row per
+    key of their joint support, lazily: entry p of the row at key K is the
+    coefficient of K in ``phi_precompose(T, PERMS[p])``.  Each distinct row
+    of an orbit is yielded once: a symmetric map has one."""
+    seen = set()
+    get = T.get
+    for m in T:
+        if m in seen:
+            continue
+        keys = [(m[s1], m[s2], m[s3], m[3]) for s1, s2, s3 in _SLOT_ORDERS]
+        values = [get(key, 0) for key in keys]
+        rows = set()
+        for key, reads in zip(keys, _ROW_READS):
+            if key not in seen:
+                seen.add(key)
+                row = reads(values)
+                if row not in rows:
+                    rows.add(row)
+                    yield row
+
+
+def slot_kernel(layers) -> Subspace:
+    """The kernel of the slot rows of ``layers``, eliminated only until
+    their rank is 6, so a layer is pulled only when the rows before it are
+    used up."""
+    return kernel(_echelon(row for layer in layers for row in slot_rows(layer))[1], 6)
+
+
+def slot_kills(v, layers) -> bool:
+    """Whether every slot row of ``layers`` is orthogonal to ``v``."""
+    return not any(sum(a * b for a, b in zip(v, row)) for layer in layers for row in slot_rows(layer))

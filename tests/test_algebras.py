@@ -12,12 +12,12 @@ from reference_algebras import (
     is_algebra_morphism,
     left_assoc_map,
     right_assoc_map,
+    slot_rows,
 )
 
 from nalg.algebras import (
     Algebra,
     TrilinearMap,
-    _slot_rows,
     annihilator,
     associator,
     classify,
@@ -403,12 +403,12 @@ class TestSlotRows:
         keys = [(*m, l) for m in itertools.product(range(1, 4), repeat=3) for l in (1, 2)]
         orbits = {(tuple(sorted(key[:3])), key[3]) for key in keys}
         assert len(orbits) == 20
-        assert list(_slot_rows(dict.fromkeys(keys, 1))) == [(1,) * 6] * 20
+        assert list(slot_rows(dict.fromkeys(keys, 1))) == [(1,) * 6] * 20
 
     def test_distinct_rows_of_an_orbit_are_all_kept(self):
         # The six values of the orbit differ, so its six rows do too.
         keys = [(*p, 1) for p in itertools.permutations((1, 2, 3))]
-        rows = list(_slot_rows({key: v for v, key in enumerate(keys, start=1)}))
+        rows = list(slot_rows({key: v for v, key in enumerate(keys, start=1)}))
         assert len(rows) == len(set(rows)) == 6
 
 

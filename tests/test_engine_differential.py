@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 
 from nalg import catalog
 from nalg.algebras import (
+    _BANG_VECTORS,
     Algebra,
     ClassificationReport,
     _composite_layers,
     _integer_table,
-    _slot_rows,
+    _kills,
+    _split_solve,
     annihilator,
     associator,
     classify,
@@ -35,8 +37,19 @@ from nalg.algebras import (
     phi_precompose,
     power_assoc_check,
 )
+from nalg.cogebras import coannihilator
+from nalg.duality import dualize_algebra
 from nalg.linalg import _echelon, span
-from nalg.sym3 import PERMS, GroupAlgElem, ga_multiply, special_vector
+from nalg.sym3 import (
+    PERMS,
+    GroupAlgElem,
+    ga_multiply,
+    inverse,
+    killed,
+    right_annihilator,
+    special_vector,
+    split,
+)
 
 
 @st.composite
@@ -189,7 +202,7 @@ def _layers(A, left=1, right=-1):
 def _rank_after_each_layer(A):
     rows, ranks = [], []
     for layer in _layers(A)[0]:
-        rows.extend(_slot_rows(layer))
+        rows.extend(reference.slot_rows(layer))
         ranks.append(len(_echelon(rows)[1]))
     return ranks
 
@@ -215,6 +228,7 @@ LAST_LAYER = Algebra(3, {(1, 2, 1): Fraction(-1, 2), (1, 3, 2): 1})
 
 def test_rank_six_only_in_the_last_layer():
     assert _rank_after_each_layer(LAST_LAYER) == [0, 3, 6]
+    assert _layers_pulled(LAST_LAYER, 1, -1) == (3, 3)
     assert annihilator(LAST_LAYER) == reference.annihilator(LAST_LAYER)
     assert annihilator(LAST_LAYER).dim == 0
     assert classify(LAST_LAYER) == reference.classify(LAST_LAYER)
@@ -239,3 +253,57 @@ def test_dimension_one_and_empty_tables():
         assert power_assoc_check(A)
     assert _layers(Algebra(1, {(1, 1, 1): 1}))[0] == [{}]
     assert _layers(Algebra(4, {}))[0] == []
+
+
+def _counted(layers, pulled):
+    for layer in layers:
+        pulled.append(layer)
+        yield layer
+
+
+def _layers_pulled(A, left, right):
+    """How many layers of the composite the split solve and the slot-row
+    solve each pull before they stop."""
+    P = _integer_table(A.products)[0]
+    by_split, by_rows = [], []
+    _split_solve(_counted(_composite_layers(P, left, right), by_split))
+    reference.slot_kernel(_counted(_composite_layers(P, left, right), by_rows))
+    return len(by_split), len(by_rows)
+
+
+# The integer vectors a report reads: a_1..a_6 and W on the associator, the
+# bang vectors on (xy)z.
+ASSOCIATOR_VECTORS = {
+    name: tuple(map(int, special_vector(name).coords)) for name in ("a1", "a2", "a3", "a4", "a5", "a6", "W")
+}
+INVERSE_ORDER = [PERMS.index(inverse(p)) for p in PERMS]
+
+
+@with_rare_examples((2, -1, 0, 0, 1, -2))
+@given(algebras(), st.tuples(*[st.integers(-2, 2)] * 6))
+@settings(max_examples=80 * settings.default.max_examples // 100, deadline=None)
+def test_split_solve_matches_the_slot_row_solve(A, v):
+    P = _integer_table(A.products)[0]
+    solved = {}
+    for composite, vectors in (((1, -1), ASSOCIATOR_VECTORS), ((1, 0), _BANG_VECTORS)):
+        g = _split_solve(_composite_layers(P, *composite))
+        ann = reference.slot_kernel(_composite_layers(P, *composite))
+        assert right_annihilator(g) == ann
+        by_split, by_rows = _layers_pulled(A, *composite)
+        assert by_split == by_rows
+        for w in (v, *vectors.values()):
+            assert killed(g, split(w)) == ann.contains(w)
+            ours = _kills(w, _composite_layers(P, *composite))
+            assert ours == reference.slot_kills(w, _composite_layers(P, *composite))
+        solved[composite] = ann
+    ann, sym = solved[(1, -1)], solved[(1, 0)]
+    assert annihilator(A) == ann
+    inverted = [tuple(row[q] for q in INVERSE_ORDER) for row in ann.basis]
+    assert coannihilator(dualize_algebra(A)) == span(inverted, 6)
+    report = classify(A)
+    gi = {i: ann.contains(ASSOCIATOR_VECTORS[f"a{i}"]) for i in range(1, 7)}
+    assert report.gi_assoc == gi
+    assert report.gi_bang == {i: gi[1] and sym.contains(u) for i, u in _BANG_VECTORS.items()}
+    assert report.is_3_power_associative == ann.contains(ASSOCIATOR_VECTORS["W"])
+    assert report.annihilator_dim == ann.dim
+    assert report.annihilator_basis == tuple(GroupAlgElem(row) for row in ann.basis)

@@ -154,6 +154,17 @@ def test_constructor_keywords_and_defaults():
     assert GroupAlgElem(coords=(0,) * 6) == GroupAlgElem.zero()
 
 
+def test_reports_take_their_fields_by_position_or_name():
+    for report in (classify(catalog.get("vinberg2")), classify_cogebra(catalog.get("dual_vinberg2"))):
+        cls, values = type(report), fields(report)
+        named = dict(zip(cls.__slots__, values))
+        assert cls(*values) == cls(**named) == cls(*values[:3], **dict(list(named.items())[3:])) == report
+        first = cls.__slots__[0]
+        for args, kwargs in ((values[:-1], {}), (values, {"extra": 1}), (values, {first: values[0]})):
+            with pytest.raises(TypeError, match=f"{cls.__name__} takes the fields {first}, "):
+                cls(*args, **kwargs)
+
+
 def test_catalog_instances_carry_their_names():
     for name in catalog.NAMES:
         assert catalog.get(name).name == name

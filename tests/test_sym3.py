@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+import reference_sym3 as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,20 +16,20 @@ from nalg.sym3 import (
     T12,
     T13,
     T23,
-    _E_SIGN,
-    _E_STANDARD,
-    _E_TRIVIAL,
     GroupAlgElem,
     action,
     compose,
     ga_multiply,
     inverse,
+    killed,
     maschke_multiplicities,
     orbit,
     orbit_span,
+    right_annihilator,
     right_ideal,
     sign,
     special_vector,
+    split,
 )
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -36,6 +37,9 @@ ga_elems = st.builds(
     lambda cs: GroupAlgElem(tuple(cs)),
     st.lists(rationals, min_size=6, max_size=6),
 )
+# Small integer coordinates, zero half the time, so that zero divisors
+# (elements with a vanishing augmentation, sign or singular rho) are common.
+int_elems = st.builds(GroupAlgElem, st.tuples(*[st.sampled_from((0, 0, 0, 1, -1, 2))] * 6))
 
 
 class TestPerms:
@@ -214,9 +218,9 @@ class TestMaschke:
     @given(ga_elems)
     @settings(max_examples=40)
     def test_idempotents_act_by_left_multiplication(self, e):
-        # maschke_multiplicities applies each idempotent E by ga_multiply;
-        # through the translation action it gives the same vector.
-        for E in (_E_TRIVIAL, _E_SIGN, _E_STANDARD):
+        # The oracle applies each idempotent E by ga_multiply; through the
+        # translation action it gives the same vector.
+        for E in (reference.E_TRIVIAL, reference.E_SIGN, reference.E_STANDARD):
             total = GroupAlgElem.zero()
             for p, c in zip(PERMS, E.coords):
                 total = total + c * action(p, e)
@@ -228,6 +232,90 @@ class TestMaschke:
         s = orbit_span(v)
         m1, m2, m3 = maschke_multiplicities(s)
         assert m1 + m2 + 2 * m3 == s.dim
+
+    @given(int_elems)
+    @settings(max_examples=100)
+    def test_matches_the_idempotent_oracle(self, v):
+        s = orbit_span(v)
+        assert maschke_multiplicities(s) == reference.maschke_multiplicities(s)
+
+    def test_oracle_on_every_invariant_line_and_the_whole_algebra(self):
+        for v in (special_vector("V"), special_vector("W"), special_vector("a2"), GroupAlgElem.from_perm(T12)):
+            s = orbit_span(v)
+            assert maschke_multiplicities(s) == reference.maschke_multiplicities(s)
+
+
+def _rho(p):
+    r11, r12, r21, r22 = split(GroupAlgElem.from_perm(p).coords)[2:]
+    return ((r11, r12), (r21, r22))
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2))
+
+
+class TestSplit:
+    def test_rho_is_a_homomorphism(self):
+        for p, q in itertools.product(PERMS, repeat=2):
+            assert _rho(compose(p, q)) == _matmul(_rho(p), _rho(q))
+
+    def test_scalars_are_multiplicative(self):
+        for p, q in itertools.product(PERMS, repeat=2):
+            fp, fq = split(GroupAlgElem.from_perm(p).coords), split(GroupAlgElem.from_perm(q).coords)
+            pq = split(GroupAlgElem.from_perm(compose(p, q)).coords)
+            assert pq[:2] == (fp[0] * fq[0], fp[1] * fq[1])
+        for p in PERMS:
+            assert split(GroupAlgElem.from_perm(p).coords)[:2] == (1, sign(p))
+
+    def test_splits_of_the_permutations_span_everything(self):
+        assert span([split(GroupAlgElem.from_perm(p).coords) for p in PERMS], 6).dim == 6
+
+    def test_rho_permutes_the_plane_coordinates(self):
+        # rho(p) e_i = e_p(i): t12 sends e1 - e2 to its negative and
+        # e2 - e3 to e1 - e3, the sum of the two basis vectors.
+        assert _rho(T12) == ((-1, 1), (0, 1))
+        assert _rho(C1) == ((0, -1), (1, -1))
+
+    def test_zero_divisors(self):
+        W, V = special_vector("W"), special_vector("V")
+        one_minus_t12 = GroupAlgElem.from_perm(IDENTITY) - GroupAlgElem.from_perm(T12)
+        for f, v in ((W, one_minus_t12), (V, special_vector("u2")), (one_minus_t12, special_vector("u2"))):
+            assert ga_multiply(f, v).is_zero()
+            assert killed(split(f.coords), split(v.coords))
+        assert not killed(split(W.coords), split(W.coords))
+
+    def test_killed_on_the_split_basis(self):
+        # The elements whose splits are the unit vectors, by Fourier
+        # inversion: 6 f_p = eps + sgn(p) sgn + 2 tr(rho(p^-1) M).  Every
+        # entry of the componentwise product is read on some pair of them.
+        units = []
+        for t in itertools.product((0, 1), repeat=6):
+            if sum(t) == 1:
+                M = ((t[2], t[3]), (t[4], t[5]))
+                coords = []
+                for p in PERMS:
+                    r = _rho(inverse(p))
+                    trace = sum(r[i][j] * M[j][i] for i in range(2) for j in range(2))
+                    coords.append(F(t[0] + sign(p) * t[1] + 2 * trace, 6))
+                assert split(coords) == t
+                units.append(GroupAlgElem(coords))
+        for f, v in itertools.product(units, repeat=2):
+            assert killed(split(f.coords), split(v.coords)) == ga_multiply(f, v).is_zero()
+
+    @given(int_elems, int_elems)
+    @settings(max_examples=200)
+    def test_killed_is_a_zero_product(self, f, v):
+        assert killed(split(f.coords), split(v.coords)) == ga_multiply(f, v).is_zero()
+
+    @given(int_elems)
+    @settings(max_examples=100)
+    def test_right_annihilator_is_the_kernel_of_left_multiplication(self, f):
+        # A subspace of the kernel with the kernel's dimension is the kernel.
+        ann = right_annihilator(split(f.coords))
+        images = [ga_multiply(f, GroupAlgElem.from_perm(p)).coords for p in PERMS]
+        assert ann.dim == 6 - span(images, 6).dim
+        for row in ann.basis:
+            assert ga_multiply(f, GroupAlgElem(row)).is_zero()
 
 
 def test_subgroup_tables():
