@@ -171,9 +171,10 @@ def _composite_layers(
     P: Mapping[tuple[int, int, int], int], left: int, right: int
 ) -> Iterator[dict[Key4, int]]:
     """The nonzero entries of left*(xy)z + right*x(yz) over the integer
-    table ``P``, in layers: layer t holds the keys (i, j, k, l) with
-    max(i, j, k) = t, for t = 1, 2, ... up to the largest index of ``P``.
-    (1, -1) gives the associator, (1, 0) and (0, 1) the two composites.
+    table ``P``, in layers: one per index used by ``P``, in increasing
+    order, the layer of t holding the keys (i, j, k, l) with
+    max(i, j, k) = t.  (1, -1) gives the associator, (1, 0) and (0, 1) the
+    two composites.
 
     Slot permutation keeps max(i, j, k), so every layer is closed under it.
     Both composites join an inner product e_a e_b -> e_m, at level
@@ -182,50 +183,54 @@ def _composite_layers(
     the larger level.  So layer t joins the level-t inner products with the
     outer ones up to level t, then the level-t outer products with the
     inner ones below level t; the earlier sides are indexed by m.  Every
-    pair is joined exactly once, in the layer of its key.
+    pair is joined exactly once, in the layer of its key.  Levels and m
+    are stored by rank among the used indices, so the cost follows the
+    entries of ``P``, not the size of its largest index.
     """
-    n = max(map(max, P), default=0)
+    rank = {t: r for r, t in enumerate(sorted(set().union(*P)))}
+    n = len(rank)
     # Every entry (a, b, m, c) of P is filed by level up to three times: as
     # an inner product at max(a, b), as an (xy)z outer one at b, and as an
     # x(yz) outer one at a.  An outer entry carries its composite's
     # coefficient, and a composite with coefficient 0 files none.  The *_by
-    # lists hold, by m, the entries of the levels already reached.  The six
-    # tables of n + 1 lists are cut from one list, which is cheaper to
-    # build for the many tiny tables the catalog searches check.
-    lists: list[list[tuple[int, int, int, int]]] = [[] for _ in range(6 * n + 6)]
+    # lists hold, by the rank of m, the entries of the levels already
+    # reached.  The six tables of n lists are cut from one list, which is
+    # cheaper to build for the many tiny tables the catalog searches check.
+    lists: list[list[tuple[int, int, int, int]]] = [[] for _ in range(6 * n)]
     inner_at, left_at, right_at = lists[0::6], lists[1::6], lists[2::6]
     inner_by, left_by, right_by = lists[3::6], lists[4::6], lists[5::6]
     for (a, b, m), c in P.items():
         entry = (a, b, m, c)
-        inner_at[a if a > b else b].append(entry)
+        inner_at[rank[a if a > b else b]].append(entry)
         if left:
-            left_at[b].append(entry if left == 1 else (a, b, m, left * c))
+            left_at[rank[b]].append(entry if left == 1 else (a, b, m, left * c))
         if right:
-            right_at[a].append(entry if right == 1 else (a, b, m, right * c))
-    for t in range(1, n + 1):
+            right_at[rank[a]].append(entry if right == 1 else (a, b, m, right * c))
+    for t in range(n):
         inner, outer_left, outer_right = inner_at[t], left_at[t], right_at[t]
         for entry in outer_left:
-            left_by[entry[0]].append(entry)
+            left_by[rank[entry[0]]].append(entry)
         for entry in outer_right:
-            right_by[entry[1]].append(entry)
+            right_by[rank[entry[1]]].append(entry)
         out: dict[Key4, int] = {}
         for a, b, m, c1 in inner:
-            for _, k, l, c2 in left_by[m]:
+            r = rank[m]
+            for _, k, l, c2 in left_by[r]:
                 key = (a, b, k, l)
                 out[key] = out.get(key, 0) + c1 * c2
-            for i, _, l, c2 in right_by[m]:
+            for i, _, l, c2 in right_by[r]:
                 key = (i, a, b, l)
                 out[key] = out.get(key, 0) + c1 * c2
         for m, k, l, c2 in outer_left:
-            for a, b, _, c1 in inner_by[m]:
+            for a, b, _, c1 in inner_by[rank[m]]:
                 key = (a, b, k, l)
                 out[key] = out.get(key, 0) + c1 * c2
         for i, m, l, c2 in outer_right:
-            for a, b, _, c1 in inner_by[m]:
+            for a, b, _, c1 in inner_by[rank[m]]:
                 key = (i, a, b, l)
                 out[key] = out.get(key, 0) + c1 * c2
         for entry in inner:
-            inner_by[entry[2]].append(entry)
+            inner_by[rank[entry[2]]].append(entry)
         yield {key: c for key, c in out.items() if c}
 
 
@@ -302,18 +307,36 @@ def _split_solve(layers: Iterator[dict[Key4, int]]) -> tuple[int, ...]:
     return (eps, sgn, 1, 0, 0, 1) if full else (eps, sgn, x, y, 0, 0)
 
 
-def _kills(v: Sequence[int], layers: Iterator[dict[Key4, int]]) -> bool:
-    """Whether slot permutation by the integer coordinates ``v`` kills the
+# u_i - |G_i| id, with u_i the sum of the members of G_i, for i = 2..6.
+# u_i / |G_i| averages over G_i, and averaging fixes a trilinear map
+# exactly when G_i does, so this vector kills (xy)z under slot
+# permutation exactly when (xy)z is G_i-invariant.
+_BANG_VECTORS = {
+    i: tuple(int(p in G) - len(G) * (p == PERMS[0]) for p in PERMS)
+    for i, G in SUBGROUPS.items()
+    if i > 1
+}
+
+# The splits of the vectors every check reads.
+_GI_SPLITS = {i: split(map(int, special_vector(f"a{i}").coords)) for i in range(1, 7)}
+_W_SPLIT = split(map(int, special_vector("W").coords))
+_BANG_SPLITS = {i: split(v) for i, v in _BANG_VECTORS.items()}
+
+
+def _kills(w: tuple, layers: Iterator[dict[Key4, int]]) -> bool:
+    """Whether slot permutation by the vector with split ``w`` kills the
     map given by ``layers``: f_K v = 0 on every orbit, up to the first
     orbit where it is not."""
-    w = split(v)
     return all(killed(f, w) for layer in layers for f in _orbit_splits(layer))
+
+
+def _associator_kills(A: Algebra, w: tuple) -> bool:
+    return _kills(w, _composite_layers(_integer_table(A.products)[0], 1, -1))
 
 
 def is_sigma3_assoc_for(A: Algebra, v: GroupAlgElem) -> bool:
     """True iff the associator vanishes after slot permutation by ``v``."""
-    w, _ = _cleared(v.coords)
-    return _kills(w, _composite_layers(_integer_table(A.products)[0], 1, -1))
+    return _associator_kills(A, split(_cleared(v.coords)[0]))
 
 
 def _check_index(i: int, low: int = 1) -> None:
@@ -328,7 +351,7 @@ def gi_check(A: Algebra, i: int) -> bool:
     reversal identity.  5: generalized Jacobi.  6: Lie-admissible.
     """
     _check_index(i)
-    return is_sigma3_assoc_for(A, special_vector(f"a{i}"))
+    return _associator_kills(A, _GI_SPLITS[i])
 
 
 def annihilator(A: Algebra) -> Subspace:
@@ -365,23 +388,7 @@ def power_assoc_check(A: Algebra) -> bool:
     """A(x, x, x) = 0 for all x; equivalent (characteristic zero) to the
     full symmetrization of the associator vanishing, which is what is
     evaluated here."""
-    return is_sigma3_assoc_for(A, special_vector("W"))
-
-
-# u_i - |G_i| id, with u_i the sum of the members of G_i, for i = 2..6.
-# u_i / |G_i| averages over G_i, and averaging fixes a trilinear map
-# exactly when G_i does, so this vector kills (xy)z under slot
-# permutation exactly when (xy)z is G_i-invariant.
-_BANG_VECTORS = {
-    i: tuple(int(p in G) - len(G) * (p == PERMS[0]) for p in PERMS)
-    for i, G in SUBGROUPS.items()
-    if i > 1
-}
-
-# The splits of the vectors every report reads.
-_GI_SPLITS = {i: split(map(int, special_vector(f"a{i}").coords)) for i in range(1, 7)}
-_W_SPLIT = split(map(int, special_vector("W").coords))
-_BANG_SPLITS = {i: split(v) for i, v in _BANG_VECTORS.items()}
+    return _associator_kills(A, _W_SPLIT)
 
 
 def gi_bang_check(A: Algebra, i: int) -> bool:
@@ -393,8 +400,9 @@ def gi_bang_check(A: Algebra, i: int) -> bool:
     kills (xy)z.
     """
     _check_index(i, low=2)
-    return gi_check(A, 1) and _kills(
-        _BANG_VECTORS[i], _composite_layers(_integer_table(A.products)[0], 1, 0)
+    P = _integer_table(A.products)[0]
+    return _kills(_GI_SPLITS[1], _composite_layers(P, 1, -1)) and _kills(
+        _BANG_SPLITS[i], _composite_layers(P, 1, 0)
     )
 
 

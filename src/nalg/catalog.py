@@ -8,30 +8,34 @@ is deterministic.  ``regenerate`` rebuilds everything and compares it to
 the stored files byte for byte, which doubles as a canary for accidental
 convention changes.
 
-Search spaces, per instance:
+Search spaces, per instance, in the row order of ``_SEARCHES``.  Each is
+built by ``_candidates(dim, slots)``: every table whose constants on
+``slots`` range lexicographically over {-1, 0, 1} (in ``slots`` order;
+other slots are zero), on the basis e1..e<dim>.
 
 * ``vinberg2`` / ``prelie2`` / ``g4_2`` / ``g5_only``: all 2-dimensional
-  tables with the 8 structure constants (ordered by (i, j, k)) ranging
-  lexicographically over {-1, 0, 1}.  ``prelie2`` carries one extra
-  condition: its tensor product with ``vinberg2`` must have a trivial
-  slot-permutation annihilator.  Tiny tables are often degenerate enough
-  that a tensor of two non-associative algebras still satisfies some
-  slot identity (the first few pre-Lie hits do exactly that), and the
-  designated pair exists to witness the opposite, jointly generic
-  behavior.
-* ``nonjacobi3``: 3-dimensional antisymmetric tables; the 9 constants for
-  the pairs (1,2), (1,3), (2,3) times output index range over {-1, 0, 1}.
+  tables, the 8 slots ordered by (i, j, k), where the identity of index 2,
+  3, 4 or 5 holds and associativity fails (``g5_only`` is also not
+  antisymmetric).  ``prelie2`` carries one extra condition: its tensor
+  product with ``vinberg2`` must have a trivial slot-permutation
+  annihilator.  Tiny tables are often degenerate enough that a tensor of
+  two non-associative algebras still satisfies some slot identity (the
+  first few pre-Lie hits do exactly that), and the designated pair exists
+  to witness the opposite, jointly generic behavior.
 * ``g2bang3``: 3-dimensional strictly graded tables (products land only in
   strictly higher basis indices, so the candidate slots are (1,1,2),
-  (1,1,3), (1,2,3), (2,1,3), (2,2,3)); constants range over {-1, 0, 1}.
-  The full unrestricted 3-dimensional space (3**27 tables) is far beyond
-  desk scale, so the restriction is part of the instance's definition.
+  (1,1,3), (1,2,3), (2,1,3), (2,2,3)) that are not commutative and whose
+  index-2 triple symmetry holds.  The full unrestricted 3-dimensional
+  space (3**27 tables) is far beyond desk scale, so the restriction is
+  part of the instance's definition.
+* ``nonjacobi3``: 3-dimensional antisymmetric tables that fail the Jacobi
+  identity: the commutator algebras of the tables on the 9 slots (i, j, k)
+  with i < j, ordered by (i, j, k).
 * ``generic3``: 3-dimensional tables supported on the one-sided cyclic
-  slots (1,2,3), (2,3,1), (3,1,2) plus the symmetry-breaking slot
-  (2,1,1); constants range over {-1, 0, 1}.  This instance has a trivial
-  slot-permutation annihilator, which no 2-dimensional algebra can have:
-  the alternating sum of the six slot permutations is the triple
-  antisymmetrizer, and that operator vanishes identically on a
+  slots (1,2,3), (2,3,1), (3,1,2) plus the symmetry-breaking slot (2,1,1),
+  with a trivial slot-permutation annihilator, which no 2-dimensional
+  algebra can have: the alternating sum of the six slot permutations is
+  the triple antisymmetrizer, and that operator vanishes identically on a
   2-dimensional space, so every 2-dimensional algebra is Lie-admissible.
 """
 
@@ -45,6 +49,7 @@ from . import formats
 from .algebras import (
     Algebra,
     annihilator,
+    commutator_algebra,
     gi_bang_check,
     gi_check,
     is_antisymmetric,
@@ -104,12 +109,12 @@ def _sl2() -> Algebra:
     return Algebra(3, products, basis=("h", "e", "f"), name="sl2")
 
 
-_DIM2_SLOTS = tuple(itertools.product((1, 2), repeat=3))
-
-
-def _dim2_candidates():
-    for values in itertools.product(_VALUES, repeat=8):
-        yield Algebra(2, dict(zip(_DIM2_SLOTS, values)), basis=("e1", "e2"))
+def _candidates(dim: int, slots):
+    """Every table with constants from ``_VALUES`` on ``slots`` (absent
+    slots are zero), lexicographically, on the basis e1..e<dim>."""
+    basis = tuple(f"e{i}" for i in range(1, dim + 1))
+    for values in itertools.product(_VALUES, repeat=len(slots)):
+        yield Algebra(dim, dict(zip(slots, values)), basis=basis)
 
 
 def _first(candidates, predicate, name: str) -> Algebra:
@@ -119,108 +124,55 @@ def _first(candidates, predicate, name: str) -> Algebra:
     raise LookupError(f"search space for {name!r} contains no matching instance")
 
 
-# Cached: ``prelie2`` is searched against it, so a regen would search twice.
-@lru_cache(maxsize=None)
-def _vinberg2() -> Algebra:
-    return _first(
-        _dim2_candidates(),
-        lambda A: gi_check(A, 2) and not gi_check(A, 1),
-        "vinberg2",
-    )
+_DIM2 = tuple(itertools.product((1, 2), repeat=3))
+_PAIRS3 = tuple((i, j, k) for i, j in ((1, 2), (1, 3), (2, 3)) for k in (1, 2, 3))
+_GRADED3 = ((1, 1, 2), (1, 1, 3), (1, 2, 3), (2, 1, 3), (2, 2, 3))
+_GENERIC3 = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 1))
 
-
-def _prelie2() -> Algebra:
-    v2 = _vinberg2()
-
-    def jointly_generic(A: Algebra) -> bool:
-        if not (gi_check(A, 3) and not gi_check(A, 1)):
-            return False
-        return annihilator(tensor_algebras(v2, A)).dim == 0
-
-    return _first(_dim2_candidates(), jointly_generic, "prelie2")
-
-
-def _g4_2() -> Algebra:
-    return _first(
-        _dim2_candidates(),
-        lambda A: gi_check(A, 4) and not gi_check(A, 1),
-        "g4_2",
-    )
-
-
-def _g5_only() -> Algebra:
-    return _first(
-        _dim2_candidates(),
+#: Each searched instance: its candidate space, made afresh per search, and
+#: the predicate whose first hit it is.  The rows follow "Search spaces" in
+#: the module docstring.
+_SEARCHES = {
+    "vinberg2": (lambda: _candidates(2, _DIM2), lambda A: gi_check(A, 2) and not gi_check(A, 1)),
+    "prelie2": (
+        lambda: _candidates(2, _DIM2),
+        lambda A: gi_check(A, 3) and not gi_check(A, 1)
+        and annihilator(tensor_algebras(_search("vinberg2"), A)).dim == 0,
+    ),
+    "g4_2": (lambda: _candidates(2, _DIM2), lambda A: gi_check(A, 4) and not gi_check(A, 1)),
+    "g5_only": (
+        lambda: _candidates(2, _DIM2),
         lambda A: gi_check(A, 5) and not gi_check(A, 1) and not is_antisymmetric(A),
-        "g5_only",
-    )
-
-
-_GENERIC3_SLOTS = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 1))
-
-
-def _generic3_candidates():
-    for values in itertools.product(_VALUES, repeat=4):
-        yield Algebra(3, dict(zip(_GENERIC3_SLOTS, values)), basis=("e1", "e2", "e3"))
-
-
-def _generic3() -> Algebra:
-    return _first(
-        _generic3_candidates(),
-        lambda A: annihilator(A).dim == 0,
-        "generic3",
-    )
-
-
-_ANTISYM_PAIRS = ((1, 2), (1, 3), (2, 3))
-_ANTISYM_SLOTS = tuple((i, j, k) for (i, j) in _ANTISYM_PAIRS for k in (1, 2, 3))
-
-
-def _antisym3_candidates():
-    for values in itertools.product(_VALUES, repeat=9):
-        table: dict[tuple[int, int, int], int] = {}
-        for (i, j, k), c in zip(_ANTISYM_SLOTS, values):
-            if c:
-                table[(i, j, k)] = c
-                table[(j, i, k)] = -c
-        yield Algebra(3, table, basis=("e1", "e2", "e3"))
-
-
-def _nonjacobi3() -> Algebra:
-    return _first(_antisym3_candidates(), lambda A: not jacobi_check(A), "nonjacobi3")
-
-
-_GRADED3_SLOTS = ((1, 1, 2), (1, 1, 3), (1, 2, 3), (2, 1, 3), (2, 2, 3))
-
-
-def _graded3_candidates():
-    for values in itertools.product(_VALUES, repeat=5):
-        yield Algebra(3, dict(zip(_GRADED3_SLOTS, values)), basis=("e1", "e2", "e3"))
-
-
-def _g2bang3() -> Algebra:
-    return _first(
-        _graded3_candidates(),
-        lambda A: gi_bang_check(A, 2) and not is_commutative(A),
-        "g2bang3",
-    )
-
-
-_BUILDERS = {
-    "mat2": _mat2,
-    "trunc_poly2": _trunc_poly2,
-    "k1": _k1,
-    "vinberg2": _vinberg2,
-    "prelie2": _prelie2,
-    "g4_2": _g4_2,
-    "sl2": _sl2,
-    "g5_only": _g5_only,
-    "g2bang3": _g2bang3,
-    "nonjacobi3": _nonjacobi3,
-    "generic3": _generic3,
+    ),
+    "g2bang3": (lambda: _candidates(3, _GRADED3), lambda A: gi_bang_check(A, 2) and not is_commutative(A)),
+    "nonjacobi3": (lambda: map(commutator_algebra, _candidates(3, _PAIRS3)), lambda A: not jacobi_check(A)),
+    "generic3": (lambda: _candidates(3, _GENERIC3), lambda A: annihilator(A).dim == 0),
 }
 
-ALGEBRA_NAMES: tuple[str, ...] = tuple(_BUILDERS)
+
+# Cached: ``prelie2`` is searched against ``vinberg2``, so a regen would
+# search that twice.
+@lru_cache(maxsize=None)
+def _search(name: str) -> Algebra:
+    candidates, predicate = _SEARCHES[name]
+    return _first(candidates(), predicate, name)
+
+
+_FIXED = {"mat2": _mat2, "trunc_poly2": _trunc_poly2, "k1": _k1, "sl2": _sl2}
+
+ALGEBRA_NAMES: tuple[str, ...] = (
+    "mat2",
+    "trunc_poly2",
+    "k1",
+    "vinberg2",
+    "prelie2",
+    "g4_2",
+    "sl2",
+    "g5_only",
+    "g2bang3",
+    "nonjacobi3",
+    "generic3",
+)
 COGEBRA_NAMES: tuple[str, ...] = tuple(f"dual_{n}" for n in ALGEBRA_NAMES)
 NAMES: tuple[str, ...] = ALGEBRA_NAMES + COGEBRA_NAMES
 
@@ -316,8 +268,10 @@ def build(name: str):
     if name.startswith("dual_"):
         base = build(name[len("dual_"):])
         return _named(dualize_algebra(base), name)
+    if name in _SEARCHES:
+        return _search(name)
     try:
-        builder = _BUILDERS[name]
+        builder = _FIXED[name]
     except KeyError:
         raise ValueError(f"unknown catalog instance {name!r}") from None
     return builder()
@@ -364,11 +318,3 @@ def regenerate() -> dict[str, str]:
         )
     return report
 
-
-def write_data_files(directory) -> None:
-    """Write (or overwrite) the committed data files; maintenance helper for
-    intentional convention changes."""
-    target = Path(directory)
-    target.mkdir(parents=True, exist_ok=True)
-    for name, obj in _build_all().items():
-        (target / f"{name}.json").write_text(formats.print_document(obj), encoding="utf-8")

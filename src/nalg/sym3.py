@@ -146,13 +146,9 @@ def ga_multiply(u: GroupAlgElem, v: GroupAlgElem) -> GroupAlgElem:
 
 
 def action(p: Perm3, v: GroupAlgElem) -> GroupAlgElem:
-    """Translation action: each basis permutation r moves to compose(inverse(p), r)."""
-    pinv = inverse(p)
-    out = [Fraction(0)] * 6
-    for i, a in enumerate(v.coords):
-        if a:
-            out[_PERM_INDEX[compose(pinv, PERMS[i])]] += a
-    return GroupAlgElem(tuple(out))
+    """Translation action: each basis permutation r moves to
+    compose(inverse(p), r), so v moves to inverse(p) * v."""
+    return ga_multiply(GroupAlgElem.from_perm(inverse(p)), v)
 
 
 def orbit(v: GroupAlgElem) -> list[GroupAlgElem]:
@@ -250,22 +246,21 @@ def maschke_multiplicities(s: Subspace) -> tuple[int, int, int]:
     """Multiplicities (trivial, sign, standard) of the three irreducible
     components of an invariant subspace of the group algebra.
 
-    ``s`` must be closed under the translation action; a ValueError is
-    raised otherwise.  The multiplicities are the ranks of the augmentation
-    and of the sign over the splits of the basis, and half the rank of their
-    rho entries (the standard component has dimension 2 per copy).
+    ``s`` must be closed under the translation action, which multiplies on
+    the left by permutations: it must be a left ideal, and a ValueError is
+    raised otherwise.  On the split, the left ideal that ``s`` generates is
+    Q in the augmentation if some basis element has one, likewise in the
+    sign, and in M2(Q) the matrices whose rows lie in the span R of the
+    rows of every rho.  It contains ``s``, so it is ``s`` exactly when its
+    dimension, the two bits plus 2 dim R, is ``s.dim``.  The multiplicities
+    are then the two bits and dim R (the standard component has dimension
+    2 per copy).
     """
     if s.ambient_dim != 6:
         raise ValueError("expected a subspace of the 6-dimensional group algebra")
-    elems = [GroupAlgElem(row) for row in s.basis]
-    for e in elems:
-        for p in PERMS:
-            if not s.contains(action(p, e).coords):
-                raise ValueError("subspace is not invariant under the translation action")
     splits = [split(row) for row in s.basis]
     m_trivial, m_sign = (int(any(f[k] for f in splits)) for k in (0, 1))
-    standard_rank = span([f[2:] for f in splits], 4).dim
-    m_standard, remainder = divmod(standard_rank, 2)
-    if remainder or m_trivial + m_sign + standard_rank != s.dim:
-        raise ArithmeticError("isotypic ranks do not add up; invariance check is broken")
+    m_standard = span([row for f in splits for row in (f[2:4], f[4:])], 2).dim
+    if m_trivial + m_sign + 2 * m_standard != s.dim:
+        raise ValueError("subspace is not invariant under the translation action")
     return (m_trivial, m_sign, m_standard)

@@ -1,7 +1,9 @@
 """Reference isotypic decomposition, kept as the oracle for
 ``nalg.sym3.maschke_multiplicities``.
 
-The multiplicities are the ranks of the images of an invariant subspace
+Invariance is checked translate by translate, in ``fractions.Fraction``:
+every permutation's action on every basis element must stay in the
+subspace.  The multiplicities are the ranks of the images of an invariant subspace
 under the three central idempotents of the group algebra, computed in
 ``fractions.Fraction`` by left multiplication; the standard component has
 dimension 2 per copy, so its rank is halved.
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from nalg.linalg import Subspace, span
-from nalg.sym3 import IDENTITY, GroupAlgElem, ga_multiply, special_vector
+from nalg.sym3 import IDENTITY, PERMS, GroupAlgElem, action, ga_multiply, special_vector
 
 # The central idempotents.  Each is fixed by p -> p^-1, so applying one
 # through the translation action is left multiplication by it.
@@ -28,3 +30,8 @@ def maschke_multiplicities(s: Subspace) -> tuple[int, int, int]:
         span([ga_multiply(E, e).coords for e in elems], 6).dim for E in (E_TRIVIAL, E_SIGN, E_STANDARD)
     )
     return (trivial, sign, standard // 2)
+
+
+def is_invariant(s: Subspace) -> bool:
+    """Whether ``s`` is closed under the translation action."""
+    return all(s.contains(action(p, GroupAlgElem(row)).coords) for row in s.basis for p in PERMS)

@@ -1,4 +1,8 @@
+import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -64,12 +68,51 @@ class TestInstances:
             catalog.build("nope")
 
 
+# Candidates each search examines, its hit included.  Any reordering of a
+# candidate space changes one of them, even where the hit stays the same.
+SCANS = {"vinberg2": 81, "prelie2": 356, "g4_2": 73, "g5_only": 2, "g2bang3": 85, "nonjacobi3": 2, "generic3": 1}
+
+# Builds every algebra in a fresh process, so that no search is answered
+# from a cache, and prints the predicate calls of each search.
+_COUNT_SCANS = """
+import json
+from nalg import catalog
+
+first, scans = catalog._first, {}
+
+def counted(candidates, predicate, name):
+    def tested(A):
+        scans[name] = scans.get(name, 0) + 1
+        return predicate(A)
+
+    return first(candidates, tested, name)
+
+catalog._first = counted
+for name in catalog.ALGEBRA_NAMES:
+    catalog.build(name)
+print(json.dumps(scans))
+"""
+
+
 class TestDeterminism:
     def test_builders_are_deterministic(self):
         for name in ("vinberg2", "prelie2", "g2bang3", "nonjacobi3", "generic3"):
             first = catalog.build(name)
+            catalog._search.cache_clear()
             second = catalog.build(name)
             assert first.products == second.products
+
+    def test_each_search_scans_a_pinned_number_of_candidates(self):
+        src = Path(catalog.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", _COUNT_SCANS],
+            env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert json.loads(done.stdout) == SCANS
+        assert sum(SCANS.values()) == 600
 
     def test_committed_files_match_builders(self):
         # byte-for-byte regeneration, within the documented time budget

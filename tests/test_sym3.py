@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 import reference_sym3 as reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nalg.linalg import member, span
@@ -238,6 +238,24 @@ class TestMaschke:
     def test_matches_the_idempotent_oracle(self, v):
         s = orbit_span(v)
         assert maschke_multiplicities(s) == reference.maschke_multiplicities(s)
+
+    # Random spans are rarely invariant; the examples are: the zero space,
+    # the trivial and sign lines, and the orbit spans of id - t12 (sign plus
+    # one standard copy) and of the standard idempotent (two copies).
+    @example([(0,) * 6])
+    @example([special_vector("W").coords])
+    @example([special_vector("V").coords])
+    @example(list(orbit_span(GroupAlgElem.from_perm(IDENTITY) - GroupAlgElem.from_perm(T12)).basis))
+    @example(list(orbit_span(reference.E_STANDARD).basis))
+    @given(st.lists(st.tuples(*[st.integers(-2, 2)] * 6), min_size=1, max_size=4))
+    @settings(max_examples=200)
+    def test_rejects_exactly_the_spans_the_oracle_finds_not_invariant(self, vectors):
+        s = span(vectors, 6)
+        if reference.is_invariant(s):
+            assert maschke_multiplicities(s) == reference.maschke_multiplicities(s)
+        else:
+            with pytest.raises(ValueError, match="not invariant under the translation action"):
+                maschke_multiplicities(s)
 
     def test_oracle_on_every_invariant_line_and_the_whole_algebra(self):
         for v in (special_vector("V"), special_vector("W"), special_vector("a2"), GroupAlgElem.from_perm(T12)):
