@@ -21,12 +21,22 @@ into one generator g of the left ideal they span and stops once g is
 invertible, so the later layers are never computed; the answer is the
 right annihilator of g, and every flag one ``killed`` read of g.
 ``_kills`` tests one vector and stops at the first orbit it fails on.
+
+``_solve`` reads ``_orbit_probe`` before the layers: the composite at the
+slot permutations of the first three indices the table uses.  An orbit
+with a repeated index is fixed by the transposition of the equal slots,
+so its sign is zero; these are the first orbits with three distinct
+indices, and on a generic table they alone make g invertible, before the
+first layer is computed.  They are orbits of the third layer, and an
+orbit read twice adds nothing to the ideal, so the answer is unchanged;
+on any other table the layered scan follows as before.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 from ._record import Record
@@ -307,6 +317,45 @@ def _split_solve(layers: Iterator[dict[Key4, int]]) -> tuple[int, ...]:
     return (eps, sgn, 1, 0, 0, 1) if full else (eps, sgn, x, y, 0, 0)
 
 
+def _orbit_probe(P: Mapping[tuple[int, int, int], int], left: int, right: int) -> dict[Key4, int]:
+    """The nonzero entries of left*(xy)z + right*x(yz) over the integer
+    table ``P`` at the six slot permutations of the first three indices
+    that ``P`` uses, for every output index; {} when ``P`` uses fewer than
+    three.  These keys lie in the third layer, and their orbits are the
+    first with three distinct indices, so the first whose sign can be
+    nonzero.  Each value is joined straight from the (a, b) rows of ``P``:
+    e_i e_j through e_m e_k for (xy)z, e_j e_k through e_i e_m for x(yz)."""
+    used = sorted(set().union(*P))[:3]
+    if len(used) < 3:
+        return {}
+    rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (a, b, m), c in P.items():
+        rows.setdefault((a, b), []).append((m, c))
+    out: dict[Key4, int] = {}
+    for s1, s2, s3 in _SLOT_ORDERS:
+        i, j, k = used[s1], used[s2], used[s3]
+        if left:
+            for m, c1 in rows.get((i, j), ()):
+                for l, c2 in rows.get((m, k), ()):
+                    key = (i, j, k, l)
+                    out[key] = out.get(key, 0) + left * c1 * c2
+        if right:
+            for m, c1 in rows.get((j, k), ()):
+                for l, c2 in rows.get((i, m), ()):
+                    key = (i, j, k, l)
+                    out[key] = out.get(key, 0) + right * c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _solve(P: Mapping[tuple[int, int, int], int], left: int, right: int) -> tuple[int, ...]:
+    """``_split_solve`` of left*(xy)z + right*x(yz), reading the probe's
+    orbits before the layers.  They are some of the layers' orbits, and
+    reading an orbit twice leaves the ideal as it is, so the generator
+    spans the same left ideal; a generic table is certified before the
+    first layer is computed."""
+    return _split_solve(chain((_orbit_probe(P, left, right),), _composite_layers(P, left, right)))
+
+
 # u_i - |G_i| id, with u_i the sum of the members of G_i, for i = 2..6.
 # u_i / |G_i| averages over G_i, and averaging fixes a trilinear map
 # exactly when G_i does, so this vector kills (xy)z under slot
@@ -361,8 +410,7 @@ def annihilator(A: Algebra) -> Subspace:
     The result is the right annihilator of one group-algebra element, so
     it is closed under right multiplication by every permutation.
     """
-    P = _integer_table(A.products)[0]
-    return right_annihilator(_split_solve(_composite_layers(P, 1, -1)))
+    return right_annihilator(_solve(_integer_table(A.products)[0], 1, -1))
 
 
 def commutator_algebra(A: Algebra) -> Algebra:
@@ -446,11 +494,11 @@ def classify(A: Algebra) -> ClassificationReport:
     algebra.
     """
     P = _integer_table(A.products)[0]
-    g = _split_solve(_composite_layers(P, 1, -1))
+    g = _solve(P, 1, -1)
     gi = {i: killed(g, f) for i, f in _GI_SPLITS.items()}
     bang = dict.fromkeys(_BANG_VECTORS, False)
     if gi[1]:
-        sym = _split_solve(_composite_layers(P, 1, 0))
+        sym = _solve(P, 1, 0)
         bang = {i: killed(sym, f) for i, f in _BANG_SPLITS.items()}
     ann = right_annihilator(g)
     return ClassificationReport(

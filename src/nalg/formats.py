@@ -17,7 +17,11 @@ strict "p/q" text form.  Unknown fields are rejected and printing is
 canonical (entries sorted, rationals in lowest terms), so parse-then-print
 is the identity on canonical files.  In both kinds a structure-constant
 key is an entry's indices followed by an output term's, (left, right, k)
-and (in, i, j), so one reader and one printer serve both.
+and (in, i, j), so one reader and one printer serve both.  Each distinct
+coefficient text is parsed once per document, and equal texts share one
+``Fraction``, (co)unit included: a parsed table compares equal to one
+built entry by entry, but may pickle to other bytes, since pickle writes
+a shared object once (see ``catalog._VALUES``).
 
 Group-algebra expressions are sums of terms ``id, t12, t13, t23, c1, c2``,
 each optionally prefixed by a rational and ``*``, joined by ``+``/``-``;
@@ -105,15 +109,21 @@ def _read_index(value, dim: int, field: str) -> int:
     return value
 
 
-def _read_coefficient(value, noun: str, head: tuple | None = None) -> Fraction:
+def _read_coefficient(value, texts: dict, noun: str, head: tuple | None = None) -> Fraction:
     """The rational string ``value``; errors place it in ``noun``, followed
     by the entry ``head`` when there is one.  The place is only formatted
-    for an error."""
+    for an error.  ``texts`` maps each text already read in the document
+    to its value, so each distinct text is parsed once and equal texts
+    share one Fraction; a text that fails is not stored."""
     if isinstance(value, str):
+        c = texts.get(value)
+        if c is not None:
+            return c
         try:
-            return parse_rational(value)
+            c = texts[value] = parse_rational(value)
         except ValueError as exc:
             raise FormatError(f"{exc} (in {_place(noun, head)})") from None
+        return c
     raise FormatError(f"coefficient in {_place(noun, head)} must be a rational string")
 
 
@@ -159,6 +169,7 @@ def _read(doc: dict, kind: str):
     entry_set = {*entry_fields, "out"}
     term_set = {*term_fields, "c"}
     table: dict[tuple[int, int, int], Fraction] = {}
+    texts: dict[str, Fraction] = {}
     heads: set[tuple[int, ...]] = set()
     for entry in entries:
         if not isinstance(entry, dict) or entry.keys() != entry_set:
@@ -176,13 +187,13 @@ def _read(doc: dict, kind: str):
             key = head + tuple([_read_index(term[f], dim, f) for f in term_fields])
             if key in table:
                 raise FormatError(f"duplicate {constant} entry {key}")
-            table[key] = _read_coefficient(term["c"], noun, head)
+            table[key] = _read_coefficient(term["c"], texts, noun, head)
     value = doc[unit_field]
     unit = None
     if value is not None:
         if not isinstance(value, list) or len(value) != dim:
             raise FormatError(f"'{unit_field}' must be null or a list of {dim} rationals")
-        unit = tuple([_read_coefficient(c, f"'{unit_field}'") for c in value])
+        unit = tuple([_read_coefficient(c, texts, f"'{unit_field}'") for c in value])
     try:
         return cls(dim, table, unit, basis)
     except ValueError as exc:

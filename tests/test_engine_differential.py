@@ -8,6 +8,8 @@ identities at once, which brings annihilators of every dimension from 0
 to 6.  Half the tables only multiply upward (e_i e_j lands on indices at
 least max(i, j)); those are often associative with nonzero triple
 products, whose slot stabilizer is then neither trivial nor everything.
+Dense tables of dimension 3 to 6 are drawn as well, because the orbit
+probe alone decides most of them, and sparse ones seldom.
 """
 
 import itertools
@@ -16,7 +18,9 @@ from fractions import Fraction
 import reference_algebras as reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_scaling import dense_table_text
 
+import nalg.algebras
 from nalg import catalog
 from nalg.algebras import (
     _BANG_VECTORS,
@@ -25,6 +29,8 @@ from nalg.algebras import (
     _composite_layers,
     _integer_table,
     _kills,
+    _orbit_probe,
+    _solve,
     _split_solve,
     annihilator,
     associator,
@@ -39,6 +45,7 @@ from nalg.algebras import (
 )
 from nalg.cogebras import coannihilator
 from nalg.duality import dualize_algebra
+from nalg.formats import parse_document
 from nalg.linalg import _echelon, span
 from nalg.sym3 import (
     PERMS,
@@ -72,6 +79,21 @@ def algebras(draw):
         table[key] = Fraction(numerator, shared * draw(st.sampled_from((1, 1, 1, 2, 3, 5))))
     A = Algebra(n, table)
     return commutator_algebra(A) if draw(st.booleans()) else A
+
+
+DENSE_VALUES = tuple(Fraction(c) for c in ("-2", "-1", "-1/2", "1/2", "1", "2"))
+
+
+@st.composite
+def dense_algebras(draw):
+    """Tables of dimension 3 to 6 with about half of all slots set, to the
+    values of the benchmark's dense tables: generic enough that the orbit
+    probe usually decides them alone, which ``algebras()`` with its eight
+    keys rarely is."""
+    n = draw(st.integers(3, 6))
+    slots = list(itertools.product(range(1, n + 1), repeat=3))
+    values = draw(st.lists(st.sampled_from((None,) * 6 + DENSE_VALUES), min_size=len(slots), max_size=len(slots)))
+    return Algebra(n, {slot: c for slot, c in zip(slots, values) if c is not None})
 
 
 # The exterior algebra on two generators, with its unit: (xy)z has the
@@ -320,3 +342,93 @@ def test_split_solve_matches_the_slot_row_solve(A, v):
     assert report.is_3_power_associative == ann.contains(ASSOCIATOR_VECTORS["W"])
     assert report.annihilator_dim == ann.dim
     assert report.annihilator_basis == tuple(GroupAlgElem(row) for row in ann.basis)
+
+
+# Used indices 3 and 7 only: no orbit with three distinct indices.
+TWO_INDICES = Algebra(9, {(3, 7, 3): 1, (7, 7, 3): Fraction(-1, 2), (7, 3, 7): 2})
+# Used indices 2, 5 and 9, so the probe reads the slot permutations of
+# (2, 5, 9), not of (1, 2, 3).
+SPREAD = Algebra(9, {(2, 5, 9): 1, (9, 2, 5): 2, (5, 9, 2): -1, (9, 9, 9): Fraction(1, 3), (5, 2, 2): 1})
+# e4 e4 = e1 + e2 + e3 and e4 e1 = e4: every product among e1, e2, e3 is
+# zero, so the probe is zero in both composites, and the first nonzero
+# layer is the fourth.
+LATE = Algebra(4, {(4, 4, 1): 1, (4, 4, 2): 1, (4, 4, 3): 1, (4, 1, 4): 1})
+
+
+def _at_probe_keys(A, left, right):
+    """The composite over all layers, restricted to the keys whose input
+    indices are the first three that the table uses, in some order."""
+    P = _integer_table(A.products)[0]
+    first = _used(A)[:3]
+    return {
+        key: c
+        for layer in _composite_layers(P, left, right)
+        for key, c in layer.items()
+        if len(first) == 3 and sorted(key[:3]) == first
+    }
+
+
+@example(TWO_INDICES)
+@example(SPREAD)
+@example(LATE)
+@given(st.one_of(algebras(), dense_algebras()))
+@settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
+def test_probe_is_the_composite_at_its_keys(A):
+    P = _integer_table(A.products)[0]
+    for composite in ((1, -1), (1, 0)):
+        assert _orbit_probe(P, *composite) == _at_probe_keys(A, *composite), composite
+        ann = reference.slot_kernel(_composite_layers(P, *composite))
+        assert right_annihilator(_solve(P, *composite)) == ann, composite
+    ann = reference.slot_kernel(_composite_layers(P, 1, -1))
+    assert annihilator(A) == ann
+    report = classify(A)
+    assert report.annihilator_basis == tuple(GroupAlgElem(row) for row in ann.basis)
+    assert report.gi_assoc == {i: ann.contains(ASSOCIATOR_VECTORS[f"a{i}"]) for i in range(1, 7)}
+
+
+def test_probe_cases():
+    for composite in ((1, -1), (1, 0)):
+        assert _orbit_probe(_integer_table(TWO_INDICES.products)[0], *composite) == {}
+        probe = _orbit_probe(_integer_table(SPREAD.products)[0], *composite)
+        assert probe and {tuple(sorted(key[:3])) for key in probe} == {(2, 5, 9)}
+        # A zero probe leaves the solve to the layers, which it reads to
+        # the fourth, the first nonzero one.
+        assert _orbit_probe(_integer_table(LATE.products)[0], *composite) == {}
+        layers = _layers(LATE, *composite)[0]
+        assert layers[:3] == [{}] * 3 and layers[3]
+    assert _layers_pulled(LATE, 1, -1) == (4, 4)
+    assert _pulled_by_classify(LATE) == [4]
+    for A in (TWO_INDICES, SPREAD, LATE):
+        assert classify(A) == reference.classify(A)
+
+
+def _pulled_by_classify(A):
+    """How many layers each call of ``_composite_layers`` made by
+    ``classify(A)`` pulls; a call whose layers are never read is absent."""
+    pulled = []
+    composite_layers = nalg.algebras._composite_layers
+
+    def counting(P, left, right):
+        layers = []
+        pulled.append(layers)
+        yield from _counted(composite_layers(P, left, right), layers)
+
+    nalg.algebras._composite_layers = counting
+    try:
+        classify(A)
+    finally:
+        nalg.algebras._composite_layers = composite_layers
+    return [len(layers) for layers in pulled]
+
+
+def test_generic_tables_are_decided_by_the_probe():
+    # A generic dense table, and the dim-40 table of the scaling guard,
+    # are decided before the first layer is computed; the associative
+    # mat2 reads all four of its (empty) associator layers, as before the
+    # probe, and the probe decides its (xy)z.  A refactor that drops the
+    # probe keeps every answer, so only these counts show it.
+    for dim in (5, 40):
+        A = parse_document(dense_table_text(dim))
+        assert _pulled_by_classify(A) == [], dim
+    mat2 = catalog.get("mat2")
+    assert _pulled_by_classify(mat2) == [mat2.dim]

@@ -143,6 +143,26 @@ class TestRoundTrips:
             parse_document(catalog.data_text(name))
             assert len(calls) == 1, name
 
+    def test_each_coefficient_text_is_parsed_once(self, monkeypatch):
+        import nalg.formats
+
+        calls = []
+        parse = nalg.formats.parse_rational
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(nalg.formats, "parse_rational", counting_parse)
+        for name in ("mat2", "dual_mat2", "trunc_poly2"):
+            doc = json.loads(catalog.data_text(name))
+            field, unit_field = ("products", "unit") if doc["kind"] == "algebra" else ("coproducts", "counit")
+            texts = [term["c"] for entry in doc[field] for term in entry["out"]] + (doc[unit_field] or [])
+            assert len(texts) > len(set(texts)), name
+            calls.clear()
+            parse_document(catalog.data_text(name))
+            assert sorted(calls) == sorted(set(texts)), name
+
 
 # Nonzero coefficients over mixed denominators, and basis names from all
 # of Unicode but the lone surrogates, which no UTF-8 text can hold.
