@@ -46,14 +46,20 @@ from .sym3 import right_annihilator
 
 
 def _table(dim: int, entries: Mapping[tuple, Fraction], size: int, what: str) -> dict:
-    """The nonzero ``entries`` as Fractions, after checking that every key
-    holds ``size`` indices in 1..dim; ``what`` names an entry in errors."""
+    """The nonzero ``entries`` as Fractions, after checking that ``dim`` is
+    an int of at least 1 and every key holds ``size`` int indices in 1..dim
+    (exactly int: a bool or float equals one but prints as another JSON
+    value); ``what`` names an entry in errors."""
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"dimension must be an int of at least 1, got {dim!r}")
     indices = range(1, dim + 1)
     table = {}
     for key, c in entries.items():
         if len(key) != size:
             raise ValueError(f"{what} entry {key} has {len(key)} indices, not {size}")
         for t in key:
+            if type(t) is not int:
+                raise ValueError(f"index {t!r} is not an int in {what} entry {key}")
             if t not in indices:
                 raise ValueError(f"index out of range in {what} entry {key}")
         if type(c) is not Fraction:
@@ -80,8 +86,6 @@ class _Structure(Record):
     __slots__ = ()
 
     def _init(self, dim, table, unit, basis, name) -> None:
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
         table = _table(dim, table, 3, self._entry)
         if basis is not None:
             basis = tuple(str(n) for n in basis)

@@ -6,13 +6,16 @@ Slot permutations act on output tensor cubes with the same convention as
 in :mod:`nalg.algebras`: the permutation operator of ``s`` places the
 factor with index s^{-1}(k) into slot k.
 
-Every check is decided by :mod:`nalg.algebras` on the dual algebra.  The
-coassociativity defect of a cogebra is the associator of its dual with
-the output index moved to the front, and slot permutation by p on the
-cogebra side is slot permutation by p^-1 on the dual.  Every subgroup is
-closed under inverses and p^-1 has the sign of p, so each signed subgroup
-sum, the symmetrizer and each stabilizer condition carries over
-unchanged; only the coannihilator is moved, by the map p -> p^-1.
+Every check, and every map built here, comes from :mod:`nalg.algebras`
+on the dual algebra.  The iterated coproducts of a cogebra are the
+composites (xy)z and x(yz) of its dual with the output index moved to the
+front, so the coassociativity defect is the dual's associator moved the
+same way; slot permutation by p on the cogebra side is slot permutation
+by p^-1 on the dual, which is how ``CubeMap.phi`` applies it.  Every
+subgroup is closed under inverses and p^-1 has the sign of p, so each
+signed subgroup sum, the symmetrizer and each stabilizer condition
+carries over unchanged; only the coannihilator is moved, by the map
+p -> p^-1.
 """
 
 from __future__ import annotations
@@ -28,16 +31,23 @@ from .algebras import (
     _integer_table,
     _Structure,
     _table,
+    TrilinearMap,
     annihilator,
     classify,
     commutator_algebra,
     gi_bang_check,
     gi_check,
     jacobi_check,
+    phi_precompose,
 )
 from .duality import _dual_products, dualize_algebra, dualize_cogebra
 from .linalg import Subspace, Vec, as_vec, span
 from .sym3 import GroupAlgElem, Perm3, PERMS, inverse
+
+
+# Coordinate k of the image of v under p -> p^-1 is coordinate
+# _INVERSE_ORDER[k] of v: the two 3-cycles swap, the rest stay.
+_INVERSE_ORDER = tuple(PERMS.index(inverse(p)) for p in PERMS)
 
 
 class Cogebra(_Structure):
@@ -87,43 +97,37 @@ class CubeMap(Record):
         self._assign(dim, _table(dim, entries, 4, "cube"))
 
     def phi(self, v) -> "CubeMap":
-        """Apply the slot-permutation operator of ``v`` on the output side."""
+        """Apply the slot-permutation operator of ``v`` on the output side:
+        ``phi_precompose`` of the map with its output index last, by the
+        image of ``v`` under p -> p^-1."""
         if isinstance(v, Perm3):
             v = GroupAlgElem.from_perm(v)
-        out: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
-        for pos, coeff in enumerate(v.coords):
-            if not coeff:
-                continue
-            sinv = inverse(PERMS[pos])
-            p1, p2, p3 = sinv(1), sinv(2), sinv(3)
-            for (k, m1, m2, m3), c in self.entries.items():
-                mm = (m1, m2, m3)
-                out[(k, mm[p1 - 1], mm[p2 - 1], mm[p3 - 1])] += coeff * c
-        return CubeMap(self.dim, out)
+        T = TrilinearMap(self.dim, {key[1:] + key[:1]: c for key, c in self.entries.items()})
+        w = GroupAlgElem(tuple(v.coords[q] for q in _INVERSE_ORDER))
+        out = phi_precompose(T, w).entries
+        return CubeMap(self.dim, {key[3:] + key[:3]: c for key, c in out.items()})
+
+
+def _iterated(C: Cogebra, left: int, right: int) -> CubeMap:
+    """left*(xy)z + right*x(yz) on the dual, with the output index moved to
+    the front: the dual's table is cleared by d, so each value is divided
+    by d^2."""
+    P, d = _integer_table(_dual_products(C))
+    entries = {}
+    for layer in _composite_layers(P, left, right):
+        for (i, j, k, l), c in layer.items():
+            entries[(l, i, j, k)] = Fraction(c, d * d)
+    return CubeMap(C.dim, entries)
 
 
 def coassoc_left(C: Cogebra) -> CubeMap:
-    """(coproduct (x) id) after the coproduct."""
-    by_out: dict[int, list[tuple[int, int, Fraction]]] = defaultdict(list)
-    for (a, i, j), c in C.coproducts.items():
-        by_out[a].append((i, j, c))
-    out: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
-    for (k, a, b), c1 in C.coproducts.items():
-        for i, j, c2 in by_out.get(a, ()):
-            out[(k, i, j, b)] += c1 * c2
-    return CubeMap(C.dim, out)
+    """(coproduct (x) id) after the coproduct: the dual's (xy)z."""
+    return _iterated(C, 1, 0)
 
 
 def coassoc_right(C: Cogebra) -> CubeMap:
-    """(id (x) coproduct) after the coproduct."""
-    by_out: dict[int, list[tuple[int, int, Fraction]]] = defaultdict(list)
-    for (a, i, j), c in C.coproducts.items():
-        by_out[a].append((i, j, c))
-    out: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
-    for (k, a, b), c1 in C.coproducts.items():
-        for i, j, c2 in by_out.get(b, ()):
-            out[(k, a, i, j)] += c1 * c2
-    return CubeMap(C.dim, out)
+    """(id (x) coproduct) after the coproduct: the dual's x(yz)."""
+    return _iterated(C, 0, 1)
 
 
 def gi_cocheck(C: Cogebra, i: int) -> bool:
@@ -149,17 +153,13 @@ def gi_bang_cocheck(C: Cogebra, i: int, *, literal: bool = False) -> bool:
     (|G| - 1) S R = 0, hence S R = 0 and R = 0: for every index the literal
     reading holds exactly when the dual is associative and all its triple
     products x(yz) vanish.  The associator is (xy)z - x(yz), so that is
-    both composites (xy)z and x(yz) vanishing: every layer of each is
-    empty, on the dual's table read straight off C.  The scan stops at the
-    first layer that is not.
+    both composites (xy)z and x(yz) vanishing: both iterated coproducts
+    are zero.
     """
     if not literal:
         return gi_bang_check(dualize_cogebra(C), i)
     _check_index(i, low=2)
-    P, _ = _integer_table(_dual_products(C))
-    return not any(
-        layer for left, right in ((1, 0), (0, 1)) for layer in _composite_layers(P, left, right)
-    )
+    return not any(_iterated(C, left, right).entries for left, right in ((1, 0), (0, 1)))
 
 
 def flip(C: Cogebra) -> Cogebra:
@@ -178,11 +178,6 @@ def is_lie_cogebra(C: Cogebra) -> bool:
     """Co-anticommutativity plus the co-Jacobi identity: the iterated
     coproduct summed over the three even slot rotations vanishes."""
     return jacobi_check(dualize_cogebra(C))
-
-
-# Coordinate k of the image of v under p -> p^-1 is coordinate
-# _INVERSE_ORDER[k] of v: the two 3-cycles swap, the rest stay.
-_INVERSE_ORDER = tuple(PERMS.index(inverse(p)) for p in PERMS)
 
 
 def _inverted(rows: Iterable[Sequence[Fraction]]) -> Subspace:

@@ -4,6 +4,10 @@ Dual bases are identified positionally (the functional f_i pairs with the
 basis vector e_i), so dualizing transposes the structure constants:
 ``D[k][(i, j)] = C[(i, j)][k]``.  Units become counits by evaluation and
 vice versa.  Both round trips are the identity on the stored data.
+
+The argument was checked on construction, and the counit axiom is the
+unit axiom of the dual read on the same numbers, so the dual stores the
+transposed fields without checking them again.
 """
 
 from __future__ import annotations
@@ -17,6 +21,13 @@ if TYPE_CHECKING:
     from .cogebras import Cogebra
 
 
+def _stored(cls, *fields):
+    """A ``cls`` holding ``fields`` as given, without the constructor's checks."""
+    structure = cls.__new__(cls)
+    structure._assign(*fields)
+    return structure
+
+
 def dualize_algebra(A: Algebra) -> Cogebra:
     """The cogebra on the dual space; the counit, when the algebra has a
     unit, is evaluation at that unit."""
@@ -25,13 +36,7 @@ def dualize_algebra(A: Algebra) -> Cogebra:
     from .cogebras import Cogebra
 
     coproducts = {(k, i, j): c for (i, j, k), c in A.products.items()}
-    return Cogebra(
-        A.dim,
-        coproducts,
-        counit=A.unit,
-        basis=A.basis,
-        name=A.name,
-    )
+    return _stored(Cogebra, A.dim, coproducts, A.unit, A.basis, A.name)
 
 
 def _dual_products(C: Cogebra) -> dict[tuple[int, int, int], Fraction]:
@@ -42,10 +47,4 @@ def _dual_products(C: Cogebra) -> dict[tuple[int, int, int], Fraction]:
 def dualize_cogebra(C: Cogebra) -> Algebra:
     """The algebra on the dual space; the unit, when the cogebra has a
     counit, has the counit's coordinates."""
-    return Algebra(
-        C.dim,
-        _dual_products(C),
-        unit=C.counit,
-        basis=C.basis,
-        name=C.name,
-    )
+    return _stored(Algebra, C.dim, _dual_products(C), C.counit, C.basis, C.name)

@@ -1,5 +1,5 @@
-"""The cogebra checks, decided on the dual algebra, against the reference
-implementation that works on the cogebra itself.
+"""The cogebra checks and maps, built from the dual algebra, against the
+reference implementation that works on the cogebra itself.
 
 Costructure tables are sparse with coefficients over denominators 1, 2,
 3 and 5.  Half of them only comultiply downward (the coproduct of e_k
@@ -23,12 +23,15 @@ from nalg.cogebras import (
     CogebraReport,
     classify_cogebra,
     coannihilator,
+    coassoc_left,
+    coassoc_right,
     gi_bang_cocheck,
     gi_cocheck,
     is_lie_cogebra,
     lie_cogebra_from,
 )
 from nalg.duality import dualize_algebra
+from nalg.sym3 import PERMS, GroupAlgElem
 
 
 @st.composite
@@ -121,6 +124,21 @@ def test_single_cochecks_match_reference(C):
             assert ours == reference.gi_bang_cocheck(C, i, literal=literal), (i, literal)
     assert is_lie_cogebra(C) == reference.is_lie_cogebra(C)
     assert coannihilator(C) == reference.coannihilator(C)
+
+
+@with_pinned_examples
+@given(cogebras())
+@settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
+def test_iterated_coproducts_and_phi_match_reference(C):
+    """Both iterated coproducts, built from the dual's composites, and slot
+    permutation on the output side, built from ``phi_precompose``."""
+    left, right = coassoc_left(C), coassoc_right(C)
+    assert left == reference.coassoc_left(C)
+    assert right == reference.coassoc_right(C)
+    v = GroupAlgElem((1, Fraction(-1, 2), 0, 3, Fraction(2, 3), -1))
+    for X in (left, right):
+        for p in PERMS + (v,):
+            assert X.phi(p) == reference.phi(X, p), p
 
 
 def test_literal_reading_cases():

@@ -6,6 +6,7 @@ from nalg import catalog
 from nalg.algebras import gi_bang_check, gi_check
 from nalg.cogebras import (
     Cogebra,
+    CubeMap,
     classify_cogebra,
     coannihilator,
     coassoc_left,
@@ -17,6 +18,7 @@ from nalg.cogebras import (
     lie_cogebra_from,
 )
 from nalg.duality import dualize_algebra
+from nalg.sym3 import PERMS, compose
 
 
 def grouplike1():
@@ -178,3 +180,13 @@ def test_iterated_coproduct_shapes():
     C = grouplike1()
     assert coassoc_left(C).entries == {(1, 1, 1, 1): F(1)}
     assert coassoc_right(C).entries == {(1, 1, 1, 1): F(1)}
+
+
+def test_phi_is_a_left_action():
+    # The slots of the first key hold three distinct indices, so its six
+    # slot permutations are distinct keys, and a wrong convention (p for
+    # p^-1) shows on each non-commuting pair.
+    X = CubeMap(3, {(1, 1, 2, 3): 1, (2, 3, 1, 1): 2})
+    for p in PERMS:
+        for q in PERMS:
+            assert X.phi(p).phi(q) == X.phi(compose(q, p)), (p, q)

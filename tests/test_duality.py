@@ -1,8 +1,8 @@
 from fractions import Fraction as F
 
-from nalg.algebras import Algebra, gi_check
+from nalg.algebras import Algebra, _Structure, gi_check
 from nalg.cogebras import Cogebra, gi_cocheck
-from nalg.duality import dualize_algebra, dualize_cogebra
+from nalg.duality import _dual_products, dualize_algebra, dualize_cogebra
 from nalg.formats import print_document
 
 
@@ -65,3 +65,32 @@ class TestPropagation:
             for i in range(1, 7):
                 if gi_check(A, i):
                     assert gi_cocheck(D, i)
+
+
+def _named_units():
+    """A unital algebra and a cogebra with a counit, both with basis names and a name."""
+    A = Algebra(2, {(1, 1, 1): F(1, 2), (1, 2, 2): F(1, 2), (2, 1, 2): F(1, 2)}, (2, 0), ("u", "x"), "half")
+    C = Cogebra(2, {(1, 1, 1): 3, (2, 1, 2): 3, (2, 2, 1): 3}, (F(1, 3), 0), ("f", "g"), "thrice")
+    return A, C
+
+
+class TestStoredWithoutChecking:
+    def test_duals_equal_the_checked_constructions(self, catalog_algebras, catalog_cogebras):
+        named_algebra, named_cogebra = _named_units()
+        for A in (named_algebra, *catalog_algebras.values()):
+            transposed = {(k, i, j): c for (i, j, k), c in A.products.items()}
+            assert dualize_algebra(A) == Cogebra(A.dim, transposed, A.unit, A.basis, A.name)
+        for C in (named_cogebra, *catalog_cogebras.values()):
+            assert dualize_cogebra(C) == Algebra(C.dim, _dual_products(C), C.counit, C.basis, C.name)
+
+    def test_no_constructor_check_runs(self, monkeypatch, catalog_algebras, catalog_cogebras):
+        named_algebra, named_cogebra = _named_units()
+
+        def fail(*args):
+            raise AssertionError("_Structure._init ran")
+
+        monkeypatch.setattr(_Structure, "_init", fail)
+        for A in (named_algebra, *catalog_algebras.values()):
+            assert dualize_algebra(A).counit == A.unit
+        for C in (named_cogebra, *catalog_cogebras.values()):
+            assert dualize_cogebra(C).unit == C.counit

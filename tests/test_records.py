@@ -200,3 +200,14 @@ def test_tables_reject_keys_of_the_wrong_length(cls, size, what):
     for bad in ((1,) * (size - 1), (1,) * (size + 1)):
         with pytest.raises(ValueError, match=f"{what} entry"):
             cls(3, {bad: 1})
+
+
+@TABLES
+def test_tables_reject_indices_and_dims_that_are_not_ints(cls, size, what):
+    # A bool or a float equals an int index, and would print as true or 2.0.
+    for bad, index in (((2.0,) + (1,) * (size - 1), "2.0"), ((1,) * (size - 1) + (True,), "True")):
+        with pytest.raises(ValueError, match=re.escape(f"index {index} is not an int in {what} entry {bad}")):
+            cls(2, {bad: 1})
+    for dim in (True, 2.0, 0):
+        with pytest.raises(ValueError, match="dimension must be an int of at least 1"):
+            cls(dim, {(1,) * size: 1})
