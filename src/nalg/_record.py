@@ -33,10 +33,11 @@ class Record:
             raise TypeError(f"{type(self).__qualname__} takes the fields {fields}")
         self._assign(*values)
 
-    def _assign(self, *values) -> None:
-        """Store ``values`` in the fields, in ``__slots__`` order."""
+    def _assign(self, *values):
+        """Store ``values`` in the fields, in ``__slots__`` order; return self."""
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+        return self
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

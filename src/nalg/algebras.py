@@ -23,20 +23,20 @@ right annihilator of g, and every flag one ``killed`` read of g.
 ``_kills`` tests one vector and stops at the first orbit it fails on.
 
 ``_solve`` reads ``_orbit_probe`` before the layers: the composite at the
-slot permutations of the first three indices the table uses.  An orbit
-with a repeated index is fixed by the transposition of the equal slots,
-so its sign is zero; these are the first orbits with three distinct
-indices, and on a generic table they alone make g invertible, before the
-first layer is computed.  They are orbits of the third layer, and an
-orbit read twice adds nothing to the ideal, so the answer is unchanged;
-on any other table the layered scan follows as before.
+slot permutations of the first three indices the table uses, one output
+index (one orbit) at a time.  An orbit with a repeated index is fixed by
+a transposition, so its sign is zero; these are the first orbits with
+three distinct indices, and on a generic table the first of them alone
+makes g invertible, before any other is joined or a layer computed.  They
+are orbits of the third layer, and an orbit read twice adds nothing to
+the ideal, so the answer is unchanged; otherwise the layers follow.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, permutations
 from typing import Iterator, Mapping, Sequence
 
 from ._record import Record
@@ -85,8 +85,8 @@ class _Structure(Record):
 
     __slots__ = ()
 
-    def _init(self, dim, table, unit, basis, name) -> None:
-        table = _table(dim, table, 3, self._entry)
+    def _init(self, dim, table, unit, basis, name):
+        """Self, once the basis and (co)unit check out; ``table`` is as ``_table`` returns it."""
         if basis is not None:
             basis = tuple(str(n) for n in basis)
             if len(basis) != dim:
@@ -110,7 +110,7 @@ class _Structure(Record):
             identity = {(j, j): 1 for j in range(1, dim + 1)}
             if any({key: c for key, c in m.items() if c} != identity for m in (left, right)):
                 raise ValueError(self._unit_error)
-        self._assign(dim, table, unit, basis, name)
+        return self._assign(dim, table, unit, basis, name)
 
     def basis_names(self) -> tuple[str, ...]:
         if self.basis is not None:
@@ -138,7 +138,7 @@ class Algebra(_Structure):
         basis: tuple[str, ...] | None = None,
         name: str | None = None,
     ):
-        self._init(dim, products, unit, basis, name)
+        self._init(dim, _table(dim, products, 3, self._entry), unit, basis, name)
 
     def multiply(self, x: Sequence, y: Sequence) -> Vec:
         """Bilinear extension of the structure constants."""
@@ -176,8 +176,12 @@ def _integer_table(
     """The structure constants cleared of denominators, and the factor ``d``
     that cleared them.  Every identity below is homogeneous in the
     constants, so it holds for the scaled table exactly when it holds for
-    the original one."""
-    ints, d = _cleared(list(products.values()))
+    the original one.  Each distinct value object, keyed by identity, is
+    cleared once: a read table shares one Fraction per coefficient text."""
+    distinct = dict(zip(map(id, products.values()), products.values()))
+    ints, d = _cleared(distinct.values())
+    if len(distinct) < len(products):
+        ints = map(dict(zip(distinct, ints)).__getitem__, map(id, products.values()))
     return dict(zip(products, ints)), d
 
 
@@ -321,43 +325,39 @@ def _split_solve(layers: Iterator[dict[Key4, int]]) -> tuple[int, ...]:
     return (eps, sgn, 1, 0, 0, 1) if full else (eps, sgn, x, y, 0, 0)
 
 
-def _orbit_probe(P: Mapping[tuple[int, int, int], int], left: int, right: int) -> dict[Key4, int]:
+def _orbit_probe(P: Mapping[tuple[int, int, int], int], left: int, right: int) -> Iterator[dict[Key4, int]]:
     """The nonzero entries of left*(xy)z + right*x(yz) over the integer
-    table ``P`` at the six slot permutations of the first three indices
-    that ``P`` uses, for every output index; {} when ``P`` uses fewer than
-    three.  These keys lie in the third layer, and their orbits are the
-    first with three distinct indices, so the first whose sign can be
-    nonzero.  Each value is joined straight from the (a, b) rows of ``P``:
-    e_i e_j through e_m e_k for (xy)z, e_j e_k through e_i e_m for x(yz)."""
-    used = sorted(set().union(*P))[:3]
+    table ``P`` at the six slot permutations p of the first three indices
+    that ``P`` uses, lazily, one orbit (one output l) per step; none when
+    ``P`` uses fewer than three.  These are the third layer's first orbits
+    with three distinct indices, so the first whose sign can be nonzero.
+    A term (p, w, a, b) adds w * P[(a, b, l)] at p: w from a row of the
+    probe, e_i e_j for (xy)z or e_j e_k for x(yz), and l over the outputs
+    of the outer products e_a e_b, read with ``P.get``."""
+    used = sorted(set().union(*P))
     if len(used) < 3:
-        return {}
-    rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (a, b, m), c in P.items():
-        rows.setdefault((a, b), []).append((m, c))
-    out: dict[Key4, int] = {}
-    for s1, s2, s3 in _SLOT_ORDERS:
-        i, j, k = used[s1], used[s2], used[s3]
-        if left:
-            for m, c1 in rows.get((i, j), ()):
-                for l, c2 in rows.get((m, k), ()):
-                    key = (i, j, k, l)
-                    out[key] = out.get(key, 0) + left * c1 * c2
-        if right:
-            for m, c1 in rows.get((j, k), ()):
-                for l, c2 in rows.get((i, m), ()):
-                    key = (i, j, k, l)
-                    out[key] = out.get(key, 0) + right * c1 * c2
-    return {key: c for key, c in out.items() if c}
+        return
+    get, reached = P.get, set()
+    rows = {(a, b): [(m, c) for m in used if (c := get((a, b, m)))] for a, b in permutations(used[:3], 2)}
+    keys = [(used[s1], used[s2], used[s3]) for s1, s2, s3 in _SLOT_ORDERS]
+    terms = [(p, left * c, m, k) for p, (i, j, k) in enumerate(keys) for m, c in rows[i, j] if left]
+    terms += [(p, right * c, i, m) for p, (i, j, k) in enumerate(keys) for m, c in rows[j, k] if right]
+    pairs = {(a, b) for _, _, a, b in terms}
+    for a, b, l in P:
+        if l not in reached and (a, b) in pairs:
+            reached.add(l)
+            values = [0] * 6
+            for p, w, m, n in terms:
+                values[p] += w * get((m, n, l), 0)
+            if any(values):
+                yield {(*keys[p], l): c for p, c in enumerate(values) if c}
 
 
 def _solve(P: Mapping[tuple[int, int, int], int], left: int, right: int) -> tuple[int, ...]:
     """``_split_solve`` of left*(xy)z + right*x(yz), reading the probe's
-    orbits before the layers.  They are some of the layers' orbits, and
-    reading an orbit twice leaves the ideal as it is, so the generator
-    spans the same left ideal; a generic table is certified before the
-    first layer is computed."""
-    return _split_solve(chain((_orbit_probe(P, left, right),), _composite_layers(P, left, right)))
+    orbits, some of the layers' own, before the layers: the generator
+    spans the same left ideal."""
+    return _split_solve(chain(_orbit_probe(P, left, right), _composite_layers(P, left, right)))
 
 
 # u_i - |G_i| id, with u_i the sum of the members of G_i, for i = 2..6.

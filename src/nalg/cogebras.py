@@ -71,7 +71,7 @@ class Cogebra(_Structure):
         basis: tuple[str, ...] | None = None,
         name: str | None = None,
     ):
-        self._init(dim, coproducts, counit, basis, name)
+        self._init(dim, _table(dim, coproducts, 3, self._entry), counit, basis, name)
 
     def comultiply(self, x: Sequence) -> dict[tuple[int, int], Fraction]:
         """Coordinates of the coproduct of ``x`` on the tensor square,

@@ -23,9 +23,7 @@ if TYPE_CHECKING:
 
 def _stored(cls, *fields):
     """A ``cls`` holding ``fields`` as given, without the constructor's checks."""
-    structure = cls.__new__(cls)
-    structure._assign(*fields)
-    return structure
+    return cls.__new__(cls)._assign(*fields)
 
 
 def dualize_algebra(A: Algebra) -> Cogebra:

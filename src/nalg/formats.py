@@ -17,11 +17,12 @@ strict "p/q" text form.  Unknown fields are rejected and printing is
 canonical (entries sorted, rationals in lowest terms), so parse-then-print
 is the identity on canonical files.  In both kinds a structure-constant
 key is an entry's indices followed by an output term's, (left, right, k)
-and (in, i, j), so one reader and one printer serve both.  Each distinct
-coefficient text is parsed once per document, and equal texts share one
-``Fraction``, (co)unit included: a parsed table compares equal to one
-built entry by entry, but may pickle to other bytes, since pickle writes
-a shared object once (see ``catalog._VALUES``).
+and (in, i, j), so one reader and one printer serve both.  The reader
+checks each index, key and coefficient once and builds the constructor's
+table itself, zero terms dropped.  Each distinct coefficient text is
+parsed once, and equal texts share one ``Fraction``, (co)unit included,
+so a parsed table may pickle to other bytes than an equal one built entry
+by entry (see ``catalog._VALUES``).
 
 Group-algebra expressions are sums of terms ``id, t12, t13, t23, c1, c2``,
 each optionally prefixed by a rational and ``*``, joined by ``+``/``-``;
@@ -33,6 +34,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from operator import itemgetter
 
 from .algebras import Algebra
 from .cogebras import Cogebra
@@ -101,12 +103,12 @@ def _read_basis(doc: dict, dim: int) -> tuple[str, ...]:
     return tuple(basis)
 
 
-def _read_index(value, dim: int, field: str) -> int:
-    if type(value) is not int:
-        raise FormatError(f"'{field}' must be an integer")
-    if not 1 <= value <= dim:
-        raise FormatError(f"index out of range: '{field}' = {value}")
-    return value
+def _read_index(obj: dict, fields: tuple, dim: int) -> None:
+    for field in fields:
+        if type(obj[field]) is not int:
+            raise FormatError(f"'{field}' must be an integer")
+        if not 1 <= obj[field] <= dim:
+            raise FormatError(f"index out of range: '{field}' = {obj[field]}")
 
 
 def _read_coefficient(value, texts: dict, noun: str, head: tuple | None = None) -> Fraction:
@@ -166,28 +168,38 @@ def _read(doc: dict, kind: str):
     if not isinstance(entries, list):
         raise FormatError(f"'{field}' must be a list")
     noun = field[:-1]
-    entry_set = {*entry_fields, "out"}
-    term_set = {*term_fields, "c"}
+    entry_set, entry_get = {*entry_fields, "out"}, itemgetter(*entry_fields, "out")
+    term_set, term_get = {*term_fields, "c"}, itemgetter(*term_fields, "c")
     table: dict[tuple[int, int, int], Fraction] = {}
     texts: dict[str, Fraction] = {}
     heads: set[tuple[int, ...]] = set()
     for entry in entries:
         if not isinstance(entry, dict) or entry.keys() != entry_set:
             raise FormatError(f"each {noun} entry needs exactly {entry_keys}")
-        head = tuple([_read_index(entry[f], dim, f) for f in entry_fields])
+        got = entry_get(entry)
+        head, terms = got[:-1], got[-1]
+        for t in head:
+            if type(t) is not int or not 0 < t <= dim:
+                _read_index(entry, entry_fields, dim)
         if head in heads:
             raise FormatError(f"duplicate {noun} entry for {_label(head)}")
         heads.add(head)
-        terms = entry["out"]
         if not isinstance(terms, list):
             raise FormatError("'out' must be a list")
         for term in terms:
             if not isinstance(term, dict) or term.keys() != term_set:
                 raise FormatError(f"each output term needs exactly {term_keys}")
-            key = head + tuple([_read_index(term[f], dim, f) for f in term_fields])
+            got = term_get(term)
+            for t in got[:-1]:
+                if type(t) is not int or not 0 < t <= dim:
+                    _read_index(term, term_fields, dim)
+            key = head + got[:-1]
             if key in table:
                 raise FormatError(f"duplicate {constant} entry {key}")
-            table[key] = _read_coefficient(term["c"], texts, noun, head)
+            c = got[-1]
+            table[key] = texts[c] if type(c) is str and c in texts else _read_coefficient(c, texts, noun, head)
+    if not all(texts.values()):
+        table = {key: c for key, c in table.items() if c}
     value = doc[unit_field]
     unit = None
     if value is not None:
@@ -195,7 +207,7 @@ def _read(doc: dict, kind: str):
             raise FormatError(f"'{unit_field}' must be null or a list of {dim} rationals")
         unit = tuple([_read_coefficient(c, texts, f"'{unit_field}'") for c in value])
     try:
-        return cls(dim, table, unit, basis)
+        return cls.__new__(cls)._init(dim, table, unit, basis, None)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

@@ -17,11 +17,13 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Collection, Iterable, Sequence
 
 from ._record import Record
 
 Vec = tuple[Fraction, ...]
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 _RATIONAL_FORM = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
@@ -81,10 +83,11 @@ def _pivot(row: Sequence) -> int | None:
     return None
 
 
-def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def _cleared(values: Collection[Fraction]) -> tuple[list[int], int]:
     """The values times the LCM ``d`` of their denominators, as ints, and ``d``."""
-    d = lcm(*(c.denominator for c in values))
-    return [c.numerator * (d // c.denominator) for c in values], d
+    d = lcm(*map(_denominator, values))
+    ints = list(map(_numerator, values)) if d == 1 else [c.numerator * (d // c.denominator) for c in values]
+    return ints, d
 
 
 def _integers(row: Sequence) -> Sequence[int]:

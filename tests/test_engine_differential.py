@@ -47,6 +47,7 @@ from nalg.cogebras import coannihilator
 from nalg.duality import dualize_algebra
 from nalg.formats import parse_document
 from nalg.linalg import _echelon, span
+from nalg.products import tensor_algebras
 from nalg.sym3 import (
     PERMS,
     GroupAlgElem,
@@ -376,7 +377,12 @@ def _at_probe_keys(A, left, right):
 def test_probe_is_the_composite_at_its_keys(A):
     P = _integer_table(A.products)[0]
     for composite in ((1, -1), (1, 0)):
-        assert _orbit_probe(P, *composite) == _at_probe_keys(A, *composite), composite
+        steps = list(_orbit_probe(P, *composite))
+        # One output index per step, never one twice, and together the
+        # composite at the probe's keys.
+        assert all(len({key[3] for key in step}) == 1 for step in steps), composite
+        assert len({next(iter(step))[3] for step in steps}) == len(steps), composite
+        assert {key: c for step in steps for key, c in step.items()} == _at_probe_keys(A, *composite), composite
         ann = reference.slot_kernel(_composite_layers(P, *composite))
         assert right_annihilator(_solve(P, *composite)) == ann, composite
     ann = reference.slot_kernel(_composite_layers(P, 1, -1))
@@ -388,12 +394,12 @@ def test_probe_is_the_composite_at_its_keys(A):
 
 def test_probe_cases():
     for composite in ((1, -1), (1, 0)):
-        assert _orbit_probe(_integer_table(TWO_INDICES.products)[0], *composite) == {}
-        probe = _orbit_probe(_integer_table(SPREAD.products)[0], *composite)
-        assert probe and {tuple(sorted(key[:3])) for key in probe} == {(2, 5, 9)}
+        assert list(_orbit_probe(_integer_table(TWO_INDICES.products)[0], *composite)) == []
+        probe = list(_orbit_probe(_integer_table(SPREAD.products)[0], *composite))
+        assert probe and {tuple(sorted(key[:3])) for step in probe for key in step} == {(2, 5, 9)}
         # A zero probe leaves the solve to the layers, which it reads to
         # the fourth, the first nonzero one.
-        assert _orbit_probe(_integer_table(LATE.products)[0], *composite) == {}
+        assert list(_orbit_probe(_integer_table(LATE.products)[0], *composite)) == []
         layers = _layers(LATE, *composite)[0]
         assert layers[:3] == [{}] * 3 and layers[3]
     assert _layers_pulled(LATE, 1, -1) == (4, 4)
@@ -402,23 +408,34 @@ def test_probe_cases():
         assert classify(A) == reference.classify(A)
 
 
-def _pulled_by_classify(A):
-    """How many layers each call of ``_composite_layers`` made by
-    ``classify(A)`` pulls; a call whose layers are never read is absent."""
+def _pulled_by_classify(A, name="_composite_layers"):
+    """How many layers (or, with ``name`` "_orbit_probe", probe steps) each
+    call of the generator ``name`` made by ``classify(A)`` pulls; a call
+    whose items are never read is absent."""
     pulled = []
-    composite_layers = nalg.algebras._composite_layers
+    generator = getattr(nalg.algebras, name)
 
     def counting(P, left, right):
-        layers = []
-        pulled.append(layers)
-        yield from _counted(composite_layers(P, left, right), layers)
+        items = []
+        pulled.append(items)
+        yield from _counted(generator(P, left, right), items)
 
-    nalg.algebras._composite_layers = counting
+    setattr(nalg.algebras, name, counting)
     try:
         classify(A)
     finally:
-        nalg.algebras._composite_layers = composite_layers
-    return [len(layers) for layers in pulled]
+        setattr(nalg.algebras, name, generator)
+    return [len(items) for items in pulled]
+
+
+class _CountingGets(dict):
+    """A table that counts its ``get`` calls."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
 
 
 def test_generic_tables_are_decided_by_the_probe():
@@ -430,5 +447,30 @@ def test_generic_tables_are_decided_by_the_probe():
     for dim in (5, 40):
         A = parse_document(dense_table_text(dim))
         assert _pulled_by_classify(A) == [], dim
+        # The probe itself stops after its first output index, and joins
+        # the later ones only when they are pulled.
+        assert _pulled_by_classify(A, "_orbit_probe") == [1], dim
+        P = _CountingGets(_integer_table(A.products)[0])
+        steps = _orbit_probe(P, 1, -1)
+        next(steps)
+        first = P.gets
+        assert list(steps) and P.gets > first, dim
     mat2 = catalog.get("mat2")
     assert _pulled_by_classify(mat2) == [mat2.dim]
+
+
+def test_probe_reads_only_the_outputs_its_rows_reach():
+    # On the mat2 towers the probe's rows reach the same few outputs
+    # whatever the dimension, so past the reads that build its rows (six
+    # pairs at every used index) its steps read the same number of keys
+    # on every tower; ranging over every used output would read more on
+    # each larger tower.
+    mat2 = catalog.get("mat2")
+    m4 = tensor_algebras(mat2, mat2)
+    for composite in ((1, -1), (1, 0)):
+        extra = set()
+        for A in (mat2, m4, tensor_algebras(m4, mat2)):
+            P = _CountingGets(_integer_table(A.products)[0])
+            list(_orbit_probe(P, *composite))
+            extra.add(P.gets - 6 * len(set().union(*P)))
+        assert len(extra) == 1, composite

@@ -1,12 +1,13 @@
 import json
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nalg import catalog
-from nalg.algebras import Algebra
+from nalg.algebras import Algebra, _integer_table
 from nalg.cogebras import Cogebra
 from nalg.formats import (
     FormatError,
@@ -17,6 +18,7 @@ from nalg.formats import (
     parse_ga_expr,
     print_document,
 )
+from nalg.linalg import _cleared, format_rational, parse_rational
 from nalg.sym3 import GroupAlgElem, special_vector
 
 
@@ -143,6 +145,22 @@ class TestRoundTrips:
             parse_document(catalog.data_text(name))
             assert len(calls) == 1, name
 
+    def test_reader_does_not_check_the_table_again(self, monkeypatch):
+        # The reader checks every entry itself, so the constructors' table
+        # check never runs on a parsed document.
+        import nalg.algebras
+        import nalg.cogebras
+
+        def unreachable(*args):
+            raise AssertionError("table checked twice")
+
+        texts = {name: catalog.data_text(name) for name in catalog.NAMES}
+        expected = {name: parse_document(text) for name, text in texts.items()}
+        monkeypatch.setattr(nalg.algebras, "_table", unreachable)
+        monkeypatch.setattr(nalg.cogebras, "_table", unreachable)
+        for name, text in texts.items():
+            assert parse_document(text) == expected[name], name
+
     def test_each_coefficient_text_is_parsed_once(self, monkeypatch):
         import nalg.formats
 
@@ -198,6 +216,79 @@ def test_document_round_trip(X):
     text = print_document(X)
     assert parse_document(text) == X
     assert print_document(parse_document(text)) == text
+
+
+# Coefficient texts that repeat within a document: zero in two spellings,
+# and forms that are not canonical.
+_TEXTS = ("0", "0/3", "1", "-1", "2/4", "-3/2", "5")
+
+
+@st.composite
+def raw_documents(draw):
+    """The text of an algebra or cogebra document that repeats its
+    coefficient texts and has zero terms, with a unit or counit ``c e1``
+    (its other coordinates zero in either spelling) half the time, and the
+    structure the checking constructor builds from the same numbers."""
+    n = draw(st.integers(1, 4))
+    unital = draw(st.booleans())
+    low = 2 if unital else 1
+    keys = st.tuples(st.integers(low, n), st.integers(low, n), st.integers(1, n))
+    texts = draw(st.dictionaries(keys, st.sampled_from(_TEXTS), max_size=10)) if n >= low else {}
+    unit = None
+    if unital:
+        c = draw(st.sampled_from(("1", "2", "-1/3")))
+        unit = [c] + [draw(st.sampled_from(("0", "0/3"))) for _ in range(n - 1)]
+        inverse = format_rational(1 / parse_rational(c))
+        texts.update({key: inverse for j in range(1, n + 1) for key in ((1, j, j), (j, 1, j))})
+    basis = [f"b{i}" for i in range(1, n + 1)]
+    if draw(st.booleans()):
+        kind, cls, field, unit_field, n_head = "algebra", Algebra, "products", "unit", 2
+        entry_fields, term_fields = ("left", "right"), ("k",)
+    else:
+        kind, cls, field, unit_field, n_head = "cogebra", Cogebra, "coproducts", "counit", 1
+        entry_fields, term_fields = ("in",), ("i", "j")
+        texts = {(k, i, j): t for (i, j, k), t in texts.items()}
+    by_head = {}
+    for key, t in texts.items():
+        by_head.setdefault(key[:n_head], []).append({**dict(zip(term_fields, key[n_head:])), "c": t})
+    doc = {
+        "kind": kind,
+        "dim": n,
+        "basis": basis,
+        field: [{**dict(zip(entry_fields, head)), "out": terms} for head, terms in by_head.items()],
+        unit_field: unit,
+    }
+    values = {key: parse_rational(t) for key, t in texts.items()}
+    return json.dumps(doc), cls(n, values, unit and tuple(map(parse_rational, unit)), tuple(basis))
+
+
+def _constants(X):
+    return X.products if isinstance(X, Algebra) else X.coproducts
+
+
+@given(raw_documents())
+@settings(max_examples=150)
+def test_reader_builds_what_the_constructor_builds(case):
+    # The reader checks each entry once and builds the table itself; the
+    # constructor checks the same numbers again and drops the zeros.
+    text, expected = case
+    X = parse_document(text)
+    assert X == expected
+    assert all(type(c) is F and c for c in _constants(X).values())
+    assert parse_document(print_document(X)) == expected
+
+
+@given(raw_documents())
+@settings(max_examples=100)
+def test_integer_table_clears_shared_and_unshared_values(case):
+    # A read table shares one Fraction per coefficient text; a copy of it
+    # holds a Fraction object of its own at every key.
+    table = _constants(parse_document(case[0]))
+    for T in (table, {key: F(c.numerator, c.denominator) for key, c in table.items()}):
+        ints, d = _cleared(list(T.values()))
+        assert _integer_table(T) == (dict(zip(T, ints)), d)
+        assert d == lcm(1, *(c.denominator for c in T.values()))
+        assert all(F(n, d) == T[key] for key, n in _integer_table(T)[0].items())
 
 
 class TestExpressions:
@@ -362,6 +453,34 @@ _ALGEBRA_ERRORS = [
     (_algebra(unit=["1", "0"]), "declared unit is not a two-sided unit"),
     (_algebra(products=_LEFT_UNIT_ONLY, unit=["1", "0"]), "declared unit is not a two-sided unit"),
     (_algebra(products=_RIGHT_UNIT_ONLY, unit=["1", "0"]), "declared unit is not a two-sided unit"),
+    # The reader checks indices inline, in one pass, and drops zero terms
+    # itself: an entry's indices are checked even when it has no terms, a
+    # later error is found in its place, and a zero term still holds its key.
+    (_algebra(products=[{"left": 0, "right": 2, "out": []}]), "index out of range: 'left' = 0"),
+    (_algebra(products=[_product(), {"left": 2, "right": True, "out": []}]), "'right' must be an integer"),
+    (
+        _algebra(products=[{"left": 1, "right": 2, "out": [{"k": 2, "c": "1"}, {"k": True, "c": "1"}]}]),
+        "'k' must be an integer",
+    ),
+    (
+        _algebra(products=[{"left": 1, "right": 2, "out": [{"k": 1, "c": "1"}, {"k": 1.0, "c": "1"}]}]),
+        "'k' must be an integer",
+    ),
+    (
+        _algebra(
+            products=[_product(), {"left": 2, "right": 1, "out": [{"k": 1, "c": "1"}, {"k": 0, "c": "1"}]}]
+        ),
+        "index out of range: 'k' = 0",
+    ),
+    (
+        _algebra(products=[{"left": 1, "right": 2, "out": [{"k": 2, "c": "0"}, {"k": 2, "c": "1"}]}]),
+        "duplicate structure-constant entry (1, 2, 2)",
+    ),
+    (
+        _algebra(products=[{"left": 1, "right": 2, "out": [{"k": 2, "c": "0/3"}, {"k": 2, "c": "x"}]}]),
+        "duplicate structure-constant entry (1, 2, 2)",
+    ),
+    (_algebra(products=[_product(c="0"), _product(c="0", k=1)]), "duplicate product entry for (1, 2)"),
 ]
 
 _COGEBRA_ERRORS = [
@@ -422,6 +541,23 @@ _COGEBRA_ERRORS = [
     (_cogebra(counit=["1", "0"]), "declared counit fails the counit axiom"),
     (_cogebra(coproducts=_LEFT_COUNIT_ONLY, counit=["1", "0"]), "declared counit fails the counit axiom"),
     (_cogebra(coproducts=_RIGHT_COUNIT_ONLY, counit=["1", "0"]), "declared counit fails the counit axiom"),
+    (_cogebra(coproducts=[{"in": 3, "out": []}]), "index out of range: 'in' = 3"),
+    (_cogebra(coproducts=[_coproduct(), {"in": 1.0, "out": []}]), "'in' must be an integer"),
+    (
+        _cogebra(coproducts=[{"in": 2, "out": [{"i": 1, "j": 2, "c": "1"}, {"i": 1, "j": True, "c": "1"}]}]),
+        "'j' must be an integer",
+    ),
+    (_cogebra(coproducts=[{"in": 2, "out": [{"i": 1.0, "j": 0, "c": "1"}]}]), "'i' must be an integer"),
+    (
+        _cogebra(
+            coproducts=[_coproduct(), {"in": 1, "out": [{"i": 1, "j": 1, "c": "1"}, {"i": 2, "j": 0, "c": "1"}]}]
+        ),
+        "index out of range: 'j' = 0",
+    ),
+    (
+        _cogebra(coproducts=[{"in": 2, "out": [{"i": 1, "j": 2, "c": "0"}, {"i": 1, "j": 2, "c": "1"}]}]),
+        "duplicate costructure-constant entry (2, 1, 2)",
+    ),
 ]
 
 _NOT_ALGEBRA = "expected an algebra document ('kind': 'algebra')"
