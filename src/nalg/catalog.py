@@ -8,7 +8,12 @@ is deterministic.  ``regenerate`` rebuilds everything and compares it to
 the stored files byte for byte, which doubles as a canary for accidental
 convention changes.
 
-Search spaces, per instance, in the row order of ``_SEARCHES``.  Each is
+Every algebra instance is one row of ``_BUILDERS``, whose order is the
+catalog's order.  ``build`` is the one way to build an instance, cached
+once per process: it runs a row, or derives a ``dual_`` instance from its
+algebra.
+
+Search spaces, per instance, in the row order of ``_BUILDERS``.  Each is
 built by ``_candidates(dim, slots)``: every table whose constants on
 ``slots`` range lexicographically over {-1, 0, 1} (in ``slots`` order;
 other slots are zero), on the basis e1..e<dim>.
@@ -56,7 +61,7 @@ from .algebras import (
     is_commutative,
     jacobi_check,
 )
-from .duality import dualize_algebra
+from .duality import _stored, dualize_algebra
 from .products import tensor_algebras
 
 # Ints, so that each candidate's constructor makes Fractions of its own:
@@ -66,12 +71,12 @@ _DATA = Path(__file__).parent / "data"
 
 
 def _named(obj, name: str):
-    """The algebra or cogebra ``obj`` labelled ``name``: its fields, the
-    label last, passed back to its constructor."""
-    return type(obj)(*obj._fields()[:-1], name)
+    """The algebra or cogebra ``obj`` labelled ``name``.  ``obj`` was checked
+    when it was made, so its fields are stored without checking them again."""
+    return _stored(type(obj), *obj._fields()[:-1], name)
 
 
-def _mat2() -> Algebra:
+def _mat2(name: str) -> Algebra:
     # Basis E11, E12, E21, E22 with E_ab * E_cd = [b == c] * E_ad.
     products = {
         (1, 1, 1): 1,
@@ -83,20 +88,20 @@ def _mat2() -> Algebra:
         (4, 3, 3): 1,
         (4, 4, 4): 1,
     }
-    return Algebra(4, products, unit=(1, 0, 0, 1), basis=("E11", "E12", "E21", "E22"), name="mat2")
+    return Algebra(4, products, unit=(1, 0, 0, 1), basis=("E11", "E12", "E21", "E22"), name=name)
 
 
-def _trunc_poly2() -> Algebra:
+def _trunc_poly2(name: str) -> Algebra:
     # Polynomials modulo x**2: basis 1, x.
     products = {(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1}
-    return Algebra(2, products, unit=(1, 0), basis=("1", "x"), name="trunc_poly2")
+    return Algebra(2, products, unit=(1, 0), basis=("1", "x"), name=name)
 
 
-def _k1() -> Algebra:
-    return Algebra(1, {(1, 1, 1): 1}, unit=(1,), basis=("1",), name="k1")
+def _k1(name: str) -> Algebra:
+    return Algebra(1, {(1, 1, 1): 1}, unit=(1,), basis=("1",), name=name)
 
 
-def _sl2() -> Algebra:
+def _sl2(name: str) -> Algebra:
     # Bracket basis h, e, f: [h,e] = 2e, [h,f] = -2f, [e,f] = h.
     products = {
         (1, 2, 2): 2,
@@ -106,7 +111,7 @@ def _sl2() -> Algebra:
         (2, 3, 1): 1,
         (3, 2, 1): -1,
     }
-    return Algebra(3, products, basis=("h", "e", "f"), name="sl2")
+    return Algebra(3, products, basis=("h", "e", "f"), name=name)
 
 
 def _candidates(dim: int, slots):
@@ -124,166 +129,55 @@ def _first(candidates, predicate, name: str) -> Algebra:
     raise LookupError(f"search space for {name!r} contains no matching instance")
 
 
+def _searched(candidates, predicate):
+    """The builder of a searched instance: the first hit of ``predicate`` in
+    a fresh ``candidates()``."""
+    return lambda name: _first(candidates(), predicate, name)
+
+
 _DIM2 = tuple(itertools.product((1, 2), repeat=3))
 _PAIRS3 = tuple((i, j, k) for i, j in ((1, 2), (1, 3), (2, 3)) for k in (1, 2, 3))
 _GRADED3 = ((1, 1, 2), (1, 1, 3), (1, 2, 3), (2, 1, 3), (2, 2, 3))
 _GENERIC3 = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 1))
 
-#: Each searched instance: its candidate space, made afresh per search, and
-#: the predicate whose first hit it is.  The rows follow "Search spaces" in
-#: the module docstring.
-_SEARCHES = {
-    "vinberg2": (lambda: _candidates(2, _DIM2), lambda A: gi_check(A, 2) and not gi_check(A, 1)),
-    "prelie2": (
+#: Every algebra instance, in catalog order: its builder, which takes the
+#: name.  The searched rows follow "Search spaces" in the module docstring.
+_BUILDERS = {
+    "mat2": _mat2,
+    "trunc_poly2": _trunc_poly2,
+    "k1": _k1,
+    "vinberg2": _searched(lambda: _candidates(2, _DIM2), lambda A: gi_check(A, 2) and not gi_check(A, 1)),
+    "prelie2": _searched(
         lambda: _candidates(2, _DIM2),
         lambda A: gi_check(A, 3) and not gi_check(A, 1)
-        and annihilator(tensor_algebras(_search("vinberg2"), A)).dim == 0,
+        and annihilator(tensor_algebras(build("vinberg2"), A)).dim == 0,
     ),
-    "g4_2": (lambda: _candidates(2, _DIM2), lambda A: gi_check(A, 4) and not gi_check(A, 1)),
-    "g5_only": (
+    "g4_2": _searched(lambda: _candidates(2, _DIM2), lambda A: gi_check(A, 4) and not gi_check(A, 1)),
+    "sl2": _sl2,
+    "g5_only": _searched(
         lambda: _candidates(2, _DIM2),
         lambda A: gi_check(A, 5) and not gi_check(A, 1) and not is_antisymmetric(A),
     ),
-    "g2bang3": (lambda: _candidates(3, _GRADED3), lambda A: gi_bang_check(A, 2) and not is_commutative(A)),
-    "nonjacobi3": (lambda: map(commutator_algebra, _candidates(3, _PAIRS3)), lambda A: not jacobi_check(A)),
-    "generic3": (lambda: _candidates(3, _GENERIC3), lambda A: annihilator(A).dim == 0),
+    "g2bang3": _searched(lambda: _candidates(3, _GRADED3), lambda A: gi_bang_check(A, 2) and not is_commutative(A)),
+    "nonjacobi3": _searched(lambda: map(commutator_algebra, _candidates(3, _PAIRS3)), lambda A: not jacobi_check(A)),
+    "generic3": _searched(lambda: _candidates(3, _GENERIC3), lambda A: annihilator(A).dim == 0),
 }
 
-
-# Cached: ``prelie2`` is searched against ``vinberg2``, so a regen would
-# search that twice.
-@lru_cache(maxsize=None)
-def _search(name: str) -> Algebra:
-    candidates, predicate = _SEARCHES[name]
-    return _first(candidates(), predicate, name)
-
-
-_FIXED = {"mat2": _mat2, "trunc_poly2": _trunc_poly2, "k1": _k1, "sl2": _sl2}
-
-ALGEBRA_NAMES: tuple[str, ...] = (
-    "mat2",
-    "trunc_poly2",
-    "k1",
-    "vinberg2",
-    "prelie2",
-    "g4_2",
-    "sl2",
-    "g5_only",
-    "g2bang3",
-    "nonjacobi3",
-    "generic3",
-)
+ALGEBRA_NAMES: tuple[str, ...] = tuple(_BUILDERS)
 COGEBRA_NAMES: tuple[str, ...] = tuple(f"dual_{n}" for n in ALGEBRA_NAMES)
 NAMES: tuple[str, ...] = ALGEBRA_NAMES + COGEBRA_NAMES
 
-#: Classification flags each algebra instance is committed to; the test
-#: suite checks them against ``classify`` output exactly.
-ADVERTISED: dict[str, dict] = {
-    "mat2": {
-        "gi_assoc": {1: True, 2: True, 3: True, 4: True, 5: True, 6: True},
-        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
-        "is_3_power_associative": True,
-        "has_unit": True,
-        "annihilator_dim": 6,
-    },
-    "trunc_poly2": {
-        "gi_assoc": {1: True, 2: True, 3: True, 4: True, 5: True, 6: True},
-        "gi_bang": {2: True, 3: True, 4: True, 5: True, 6: True},
-        "is_3_power_associative": True,
-        "has_unit": True,
-        "annihilator_dim": 6,
-    },
-    "k1": {
-        "gi_assoc": {1: True, 2: True, 3: True, 4: True, 5: True, 6: True},
-        "gi_bang": {2: True, 3: True, 4: True, 5: True, 6: True},
-        "is_3_power_associative": True,
-        "has_unit": True,
-        "annihilator_dim": 6,
-    },
-    "vinberg2": {
-        "gi_assoc": {1: False, 2: True, 3: False, 4: False, 5: False, 6: True},
-        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
-        "is_3_power_associative": False,
-        "has_unit": False,
-        "annihilator_dim": 3,
-    },
-    "prelie2": {
-        # The lexicographically first pre-Lie-not-associative table happens
-        # to satisfy the index-2 and index-4 identities as well.
-        "gi_assoc": {1: False, 2: True, 3: True, 4: True, 5: False, 6: True},
-        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
-        "is_3_power_associative": False,
-        "has_unit": False,
-        "annihilator_dim": 5,
-    },
-    "g4_2": {
-        "gi_assoc": {1: False, 2: False, 3: False, 4: True, 5: False, 6: True},
-        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
-        "is_3_power_associative": False,
-        "has_unit": False,
-        "annihilator_dim": 3,
-    },
-    "sl2": {
-        "gi_assoc": {1: False, 2: False, 3: False, 4: False, 5: True, 6: True},
-        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
-        "is_3_power_associative": True,
-        "has_unit": False,
-        "annihilator_dim": 4,
-    },
-    "g5_only": {
-        "gi_assoc": {1: False, 2: False, 3: False, 4: False, 5: True, 6: True},
-        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
-        "is_3_power_associative": True,
-        "has_unit": False,
-        "annihilator_dim": 4,
-    },
-    "g2bang3": {
-        "gi_assoc": {1: True, 2: True, 3: True, 4: True, 5: True, 6: True},
-        "gi_bang": {2: True, 3: True, 4: True, 5: True, 6: True},
-        "is_3_power_associative": True,
-        "has_unit": False,
-        "annihilator_dim": 6,
-    },
-    "nonjacobi3": {
-        # Antisymmetric, so 3-power associativity is automatic even though
-        # every signed subgroup identity fails.
-        "gi_assoc": {1: False, 2: False, 3: False, 4: False, 5: False, 6: False},
-        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
-        "is_3_power_associative": True,
-        "has_unit": False,
-        "annihilator_dim": 3,
-    },
-    "generic3": {
-        "gi_assoc": {1: False, 2: False, 3: False, 4: False, 5: False, 6: False},
-        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
-        "is_3_power_associative": False,
-        "has_unit": False,
-        "annihilator_dim": 0,
-    },
-}
 
-
+# Cached: ``prelie2`` is searched against ``vinberg2``, and each dual is
+# derived from its algebra, so a regen would build those twice.
+@lru_cache(maxsize=None)
 def build(name: str):
-    """Rebuild an instance from scratch (running its search if it has one)."""
-    if name.startswith("dual_"):
-        base = build(name[len("dual_"):])
-        return _named(dualize_algebra(base), name)
-    if name in _SEARCHES:
-        return _search(name)
-    try:
-        builder = _FIXED[name]
-    except KeyError:
-        raise ValueError(f"unknown catalog instance {name!r}") from None
-    return builder()
-
-
-def _build_all() -> dict:
-    """Every instance rebuilt from scratch, in ``NAMES`` order; each base
-    algebra is built once and its dual derived from it."""
-    built = {name: build(name) for name in ALGEBRA_NAMES}
-    for name in ALGEBRA_NAMES:
-        built[f"dual_{name}"] = _named(dualize_algebra(built[name]), f"dual_{name}")
-    return built
+    """Build an instance from scratch, once per process (running its search if it has one)."""
+    if name not in NAMES:
+        raise ValueError(f"unknown catalog instance {name!r}")
+    if name in _BUILDERS:
+        return _BUILDERS[name](name)
+    return _named(dualize_algebra(build(name[len("dual_"):])), name)
 
 
 def data_text(name: str) -> str:
@@ -300,21 +194,9 @@ def get(name: str):
 
 
 def regenerate() -> dict[str, str]:
-    """Re-run every builder and search and compare the result, serialized,
-    against the committed data files.  Raises on any divergence."""
-    report: dict[str, str] = {}
-    divergent: list[str] = []
-    for name, obj in _build_all().items():
-        expected = data_text(name)
-        actual = formats.print_document(obj)
-        if actual == expected:
-            report[name] = "ok"
-        else:
-            report[name] = "divergent"
-            divergent.append(name)
+    """Rebuild every instance and compare it, serialized, against its
+    committed data file.  Raises on any divergence."""
+    divergent = [name for name in NAMES if formats.print_document(build(name)) != data_text(name)]
     if divergent:
-        raise ValueError(
-            "regenerated instances diverge from committed data: " + ", ".join(divergent)
-        )
-    return report
-
+        raise ValueError("regenerated instances diverge from committed data: " + ", ".join(divergent))
+    return dict.fromkeys(NAMES, "ok")

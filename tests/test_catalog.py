@@ -5,11 +5,99 @@ import time
 from pathlib import Path
 
 import pytest
+import reference_algebras as reference
 
 from nalg import catalog
 from nalg.algebras import classify, gi_check, is_antisymmetric, is_commutative
 from nalg.cogebras import classify_cogebra
 from nalg.formats import print_document
+from nalg.products import tensor_algebras
+
+# Classification flags each algebra instance is committed to, checked
+# against ``classify`` output exactly.
+ADVERTISED: dict[str, dict] = {
+    "mat2": {
+        "gi_assoc": {1: True, 2: True, 3: True, 4: True, 5: True, 6: True},
+        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
+        "is_3_power_associative": True,
+        "has_unit": True,
+        "annihilator_dim": 6,
+    },
+    "trunc_poly2": {
+        "gi_assoc": {1: True, 2: True, 3: True, 4: True, 5: True, 6: True},
+        "gi_bang": {2: True, 3: True, 4: True, 5: True, 6: True},
+        "is_3_power_associative": True,
+        "has_unit": True,
+        "annihilator_dim": 6,
+    },
+    "k1": {
+        "gi_assoc": {1: True, 2: True, 3: True, 4: True, 5: True, 6: True},
+        "gi_bang": {2: True, 3: True, 4: True, 5: True, 6: True},
+        "is_3_power_associative": True,
+        "has_unit": True,
+        "annihilator_dim": 6,
+    },
+    "vinberg2": {
+        "gi_assoc": {1: False, 2: True, 3: False, 4: False, 5: False, 6: True},
+        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
+        "is_3_power_associative": False,
+        "has_unit": False,
+        "annihilator_dim": 3,
+    },
+    "prelie2": {
+        # The lexicographically first pre-Lie-not-associative table happens
+        # to satisfy the index-2 and index-4 identities as well.
+        "gi_assoc": {1: False, 2: True, 3: True, 4: True, 5: False, 6: True},
+        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
+        "is_3_power_associative": False,
+        "has_unit": False,
+        "annihilator_dim": 5,
+    },
+    "g4_2": {
+        "gi_assoc": {1: False, 2: False, 3: False, 4: True, 5: False, 6: True},
+        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
+        "is_3_power_associative": False,
+        "has_unit": False,
+        "annihilator_dim": 3,
+    },
+    "sl2": {
+        "gi_assoc": {1: False, 2: False, 3: False, 4: False, 5: True, 6: True},
+        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
+        "is_3_power_associative": True,
+        "has_unit": False,
+        "annihilator_dim": 4,
+    },
+    "g5_only": {
+        "gi_assoc": {1: False, 2: False, 3: False, 4: False, 5: True, 6: True},
+        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
+        "is_3_power_associative": True,
+        "has_unit": False,
+        "annihilator_dim": 4,
+    },
+    "g2bang3": {
+        "gi_assoc": {1: True, 2: True, 3: True, 4: True, 5: True, 6: True},
+        "gi_bang": {2: True, 3: True, 4: True, 5: True, 6: True},
+        "is_3_power_associative": True,
+        "has_unit": False,
+        "annihilator_dim": 6,
+    },
+    "nonjacobi3": {
+        # Antisymmetric, so 3-power associativity is automatic even though
+        # every signed subgroup identity fails.
+        "gi_assoc": {1: False, 2: False, 3: False, 4: False, 5: False, 6: False},
+        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
+        "is_3_power_associative": True,
+        "has_unit": False,
+        "annihilator_dim": 3,
+    },
+    "generic3": {
+        "gi_assoc": {1: False, 2: False, 3: False, 4: False, 5: False, 6: False},
+        "gi_bang": {2: False, 3: False, 4: False, 5: False, 6: False},
+        "is_3_power_associative": False,
+        "has_unit": False,
+        "annihilator_dim": 0,
+    },
+}
 
 
 class TestInstances:
@@ -33,7 +121,7 @@ class TestInstances:
     def test_advertised_flags_match_classify(self, catalog_algebras):
         for name, A in catalog_algebras.items():
             r = classify(A)
-            adv = catalog.ADVERTISED[name]
+            adv = ADVERTISED[name]
             assert {i: r.gi_assoc[i] for i in range(1, 7)} == adv["gi_assoc"], name
             assert {i: r.gi_bang[i] for i in range(2, 7)} == adv["gi_bang"], name
             assert r.is_3_power_associative == adv["is_3_power_associative"], name
@@ -44,7 +132,7 @@ class TestInstances:
         for name, C in catalog_cogebras.items():
             base = name[len("dual_"):]
             r = classify_cogebra(C)
-            adv = catalog.ADVERTISED[base]
+            adv = ADVERTISED[base]
             assert {i: r.gi_coassoc[i] for i in range(1, 7)} == adv["gi_assoc"], name
             assert {i: r.gi_bang_co[i] for i in range(2, 7)} == adv["gi_bang"], name
             assert r.has_counit == adv["has_unit"], name
@@ -64,8 +152,9 @@ class TestInstances:
     def test_get_unknown_name(self):
         with pytest.raises(ValueError):
             catalog.get("nope")
-        with pytest.raises(ValueError):
-            catalog.build("nope")
+        for name in ("nope", "dual_dual_mat2", "dual_nope", "dual_"):
+            with pytest.raises(ValueError, match=f"unknown catalog instance '{name}'"):
+                catalog.build(name)
 
 
 # Candidates each search examines, its hit included.  Any reordering of a
@@ -94,11 +183,64 @@ print(json.dumps(scans))
 """
 
 
+def _symmetric(A, sign):
+    """Whether e_i e_j = sign * e_j e_i for every pair of basis vectors."""
+    es = [reference.basis_vec(A.dim, i) for i in range(1, A.dim + 1)]
+    return all(A.multiply(x, y) == tuple(sign * c for c in A.multiply(y, x)) for x in es for y in es)
+
+
+def _reference_predicates():
+    """Each search's predicate, from ``tests/reference_algebras.py`` and
+    direct tests of the products of basis vectors."""
+    vinberg2 = catalog.get("vinberg2")
+    g, bang = reference.gi_check, reference.gi_bang_check
+    return {
+        "vinberg2": lambda A: g(A, 2) and not g(A, 1),
+        "prelie2": lambda A: g(A, 3) and not g(A, 1)
+        and reference.annihilator(tensor_algebras(vinberg2, A)).dim == 0,
+        "g4_2": lambda A: g(A, 4) and not g(A, 1),
+        "g5_only": lambda A: g(A, 5) and not g(A, 1) and not _symmetric(A, -1),
+        "g2bang3": lambda A: bang(A, 2) and not _symmetric(A, 1),
+        "nonjacobi3": lambda A: not reference.jacobi_check(A),
+        "generic3": lambda A: reference.annihilator(A).dim == 0,
+    }
+
+
+class TestSearchesAgainstReference:
+    def test_every_scanned_candidate_answers_as_the_reference(self):
+        first, scanned = catalog._first, []
+
+        def recording(candidates, predicate, name):
+            def tested(A):
+                answer = predicate(A)
+                scanned.append((name, A, answer))
+                return answer
+
+            return first(candidates, tested, name)
+
+        catalog._first = recording
+        catalog.build.cache_clear()
+        try:
+            built = {name: catalog.build(name) for name in catalog.ALGEBRA_NAMES}
+        finally:
+            catalog._first = first
+            catalog.build.cache_clear()
+        assert len(scanned) == sum(SCANS.values()) == 600
+        predicates = _reference_predicates()
+        checked = [(name, A, predicates[name](A), answer) for name, A, answer in scanned]
+        assert [(name, A.products) for name, A, expected, answer in checked if expected != answer] == []
+        for name, count in SCANS.items():
+            scan = [(A, expected) for n, A, expected, _ in checked if n == name]
+            # the hit is the first candidate the reference accepts
+            assert [expected for _, expected in scan] == [False] * (count - 1) + [True], name
+            assert scan[-1][0].products == built[name].products, name
+
+
 class TestDeterminism:
     def test_builders_are_deterministic(self):
         for name in ("vinberg2", "prelie2", "g2bang3", "nonjacobi3", "generic3"):
             first = catalog.build(name)
-            catalog._search.cache_clear()
+            catalog.build.cache_clear()
             second = catalog.build(name)
             assert first.products == second.products
 
