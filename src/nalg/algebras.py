@@ -176,12 +176,8 @@ def _integer_table(
     """The structure constants cleared of denominators, and the factor ``d``
     that cleared them.  Every identity below is homogeneous in the
     constants, so it holds for the scaled table exactly when it holds for
-    the original one.  Each distinct value object, keyed by identity, is
-    cleared once: a read table shares one Fraction per coefficient text."""
-    distinct = dict(zip(map(id, products.values()), products.values()))
-    ints, d = _cleared(distinct.values())
-    if len(distinct) < len(products):
-        ints = map(dict(zip(distinct, ints)).__getitem__, map(id, products.values()))
+    the original one."""
+    ints, d = _cleared(products.values())
     return dict(zip(products, ints)), d
 
 
@@ -459,15 +455,11 @@ def gi_bang_check(A: Algebra, i: int) -> bool:
 
 
 def is_commutative(A: Algebra) -> bool:
-    return all(
-        A.products.get((j, i, k), Fraction(0)) == c for (i, j, k), c in A.products.items()
-    )
+    return all(A.products.get((j, i, k), 0) == c for (i, j, k), c in A.products.items())
 
 
 def is_antisymmetric(A: Algebra) -> bool:
-    return all(
-        A.products.get((j, i, k), Fraction(0)) == -c for (i, j, k), c in A.products.items()
-    )
+    return all(A.products.get((j, i, k), 0) == -c for (i, j, k), c in A.products.items())
 
 
 class ClassificationReport(Record):

@@ -187,9 +187,8 @@ def data_text(name: str) -> str:
     return (_DATA / f"{name}.json").read_text("utf-8")
 
 
-@lru_cache(maxsize=None)
 def get(name: str):
-    """Load an instance from its committed data file."""
+    """Load an instance from its committed data file, a new object on each call."""
     return _named(formats.parse_document(data_text(name)), name)
 
 

@@ -240,10 +240,10 @@ def _build_parser():
 
 def _parse(argv) -> SimpleNamespace | None:
     """The namespace argparse gives for ``argv``, read off the grammar by
-    exact spelling; or None where argparse has a rule or a message of its
-    own: help, abbreviations, ``-oX``, values and positionals that start
-    with "-", unknown words and wrong counts.  Options may come anywhere,
-    ``--output=X`` is read, and every word after "--" is positional."""
+    exact spelling only, options anywhere; or None for any other argv, which
+    argparse reads with rules and messages of its own: help, "--",
+    ``--output=X``, ``-oX``, abbreviations, values and positionals that
+    start with "-", unknown words and wrong counts."""
     found, spec, dest = {}, _GRAMMAR, "command"
     words = iter(argv)
     while isinstance(spec, dict):
@@ -257,22 +257,13 @@ def _parse(argv) -> SimpleNamespace | None:
     found.update(dict.fromkeys(flags, False))
     values = []
     for word in words:
-        if word == "--":
-            tail = list(words)
-            if not tail or any(w.startswith("-") for w in tail):
-                return None
-            values += tail
-        elif not word.startswith("-"):
+        if not word.startswith("-"):
             values.append(word)
         elif spelled.get(word) in flags:
             found[spelled[word]] = True
         else:
-            option, eq, value = word.partition("=")
-            if eq and option.startswith("--"):
-                name = spelled.get(option)
-            else:
-                name, value = spelled.get(word), next(words, "")
-            if name is None or name in flags or value[:1] in ("", "-"):
+            name, value = spelled.get(word), next(words, "")
+            if name is None or value[:1] in ("", "-"):
                 return None
             found[name] = value
     if len(values) != len(positionals) or any(name not in found for name in options):

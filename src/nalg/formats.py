@@ -25,8 +25,9 @@ so a parsed table may pickle to other bytes than an equal one built entry
 by entry (see ``catalog._VALUES``).
 
 Group-algebra expressions are sums of terms ``id, t12, t13, t23, c1, c2``,
-each optionally prefixed by a rational and ``*``, joined by ``+``/``-``;
-whitespace is ignored.  Example: ``id - t12 - t13 - t23 + c1 + c2``.
+each optionally prefixed by a rational and ``*``, joined by ``+``/``-``,
+or ``0`` alone, as the zero element prints; whitespace is ignored.
+Example: ``id - t12 - t13 - t23 + c1 + c2``.
 """
 
 from __future__ import annotations
@@ -247,6 +248,8 @@ def parse_ga_expr(text: str) -> GroupAlgElem:
     s = "".join(text.split())
     if not s:
         raise FormatError("empty expression")
+    if s == "0":
+        return GroupAlgElem.zero()
     coords = [Fraction(0)] * 6
     pos = 0
     first = True

@@ -23,7 +23,7 @@ from typing import Collection, Iterable, Sequence
 from ._record import Record
 
 Vec = tuple[Fraction, ...]
-_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+_denominator = attrgetter("denominator")
 
 _RATIONAL_FORM = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
@@ -86,8 +86,7 @@ def _pivot(row: Sequence) -> int | None:
 def _cleared(values: Collection[Fraction]) -> tuple[list[int], int]:
     """The values times the LCM ``d`` of their denominators, as ints, and ``d``."""
     d = lcm(*map(_denominator, values))
-    ints = list(map(_numerator, values)) if d == 1 else [c.numerator * (d // c.denominator) for c in values]
-    return ints, d
+    return [c.numerator * (d // c.denominator) for c in values], d
 
 
 def _integers(row: Sequence) -> Sequence[int]:

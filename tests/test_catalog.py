@@ -149,6 +149,13 @@ class TestInstances:
         assert not is_antisymmetric(catalog_algebras["g5_only"])
         assert not is_commutative(catalog_algebras["g2bang3"])
 
+    def test_get_shares_no_table(self):
+        # The tables are plain dicts, so a shared result would carry one
+        # caller's edits to the next.
+        loaded = catalog.get("mat2")
+        loaded.products.clear()
+        assert catalog.get("mat2").products
+
     def test_get_unknown_name(self):
         with pytest.raises(ValueError):
             catalog.get("nope")

@@ -221,6 +221,13 @@ class TestS3Commands:
         assert out.splitlines()[0] == "dim 1"
         assert "id - t12 - t13 - t23 + c1 + c2" in out
 
+    def test_zero_round_trips(self, capsys):
+        # The orbit of zero prints "0", and "0" reads back as zero.
+        code, out, _ = run(capsys, "s3", "orbit", "0*id")
+        assert code == 0 and out.splitlines() == ["0"] * 6
+        code, out, _ = run(capsys, "s3", "span", "0")
+        assert code == 0 and out == "dim 0\n"
+
     def test_decompose(self, capsys):
         code, out, _ = run(capsys, "s3", "decompose", "id + t12 + t13 + t23 + c1 + c2")
         assert code == 0

@@ -1,0 +1,166 @@
+"""Metamorphic and exhaustive checks of ``classify``.
+
+The differential tests compare the engine with a second implementation of
+the same definitions.  These compare the engine with itself, on inputs
+that move the support, the orbits and the probe's three indices while the
+answer stays fixed or moves in a known way:
+
+* The opposite algebra x * y = yx has associator (x, y, z) -> -A(z, y, x),
+  so slot permutation by v kills it exactly when t13 v kills A's:
+  ann(A^op) = t13 ann(A), and the flags of the identities 2 and 3 (and of
+  the triple symmetries 2 and 3) swap.  On the dual cogebras the
+  coannihilator moves by right multiplication instead, since it is the
+  dual algebra's annihilator moved by p -> p^-1.
+* A change of basis is an isomorphism, so the report does not change.
+* Every 2-dimensional table over {-1, 0, 1}, each answer tied to the answers
+  on its orbit under signed basis permutations and the opposite algebra.
+"""
+
+import itertools
+from collections import Counter
+from functools import cache
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_engine_differential import algebras, dense_algebras
+
+from nalg import catalog
+from nalg.algebras import Algebra, ClassificationReport, annihilator, classify
+from nalg.cogebras import coannihilator
+from nalg.duality import dualize_algebra
+from nalg.linalg import span
+from nalg.sym3 import GroupAlgElem, ga_multiply
+
+T13 = GroupAlgElem((0, 0, 1, 0, 0, 0))
+SWAP = {1: 1, 2: 3, 3: 2, 4: 4, 5: 5, 6: 6}
+
+
+def opposite(A: Algebra) -> Algebra:
+    return Algebra(A.dim, {(j, i, k): c for (i, j, k), c in A.products.items()}, unit=A.unit)
+
+
+def moved(basis, left=None, right=None):
+    """The span of left * v * right over the rows v of ``basis``."""
+    elems = [GroupAlgElem(row) for row in basis]
+    if left is not None:
+        elems = [ga_multiply(left, v) for v in elems]
+    if right is not None:
+        elems = [ga_multiply(v, right) for v in elems]
+    return span([v.coords for v in elems], 6)
+
+
+@cache
+def mirrored(basis: tuple) -> tuple:
+    """The annihilator basis ``basis`` moved by t13 on the left."""
+    return tuple(GroupAlgElem(row) for row in moved([e.coords for e in basis], left=T13).basis)
+
+
+def swapped(report: ClassificationReport) -> ClassificationReport:
+    """``report`` with the flags 2 and 3 exchanged and the annihilator
+    moved by t13 on the left: the report of the opposite algebra."""
+    fields = dict(zip(report.__slots__, report._fields()))
+    fields["gi_assoc"] = {i: report.gi_assoc[SWAP[i]] for i in report.gi_assoc}
+    fields["gi_bang"] = {i: report.gi_bang[SWAP[i]] for i in report.gi_bang}
+    fields["annihilator_basis"] = mirrored(report.annihilator_basis)
+    return ClassificationReport(**fields)
+
+
+def check_opposite(A: Algebra) -> None:
+    op = opposite(A)
+    assert classify(op) == swapped(classify(A))
+    assert annihilator(op) == moved(annihilator(A).basis, left=T13)
+    co = coannihilator(dualize_algebra(A)).basis
+    assert coannihilator(dualize_algebra(op)) == moved(co, right=T13)
+
+
+def inverse(M):
+    """The inverse of the square matrix ``M``, or None: the reduced form of
+    [M | I] is [I | M^-1] exactly when M is invertible."""
+    n = len(M)
+    rows = span([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]).basis
+    return [row[n:] for row in rows] if all(row[i] for i, row in enumerate(rows)) else None
+
+
+def rebased(A: Algebra, M, Minv) -> Algebra:
+    """A on the basis f_a = sum_i M[i][a] e_i, with its unit rewritten."""
+    n = range(A.dim)
+    products: dict = {}
+    for (i, j, k), c in A.products.items():
+        for a in n:
+            for b in n:
+                ab = c * M[i - 1][a] * M[j - 1][b]
+                if ab:
+                    for out in n:
+                        key = (a + 1, b + 1, out + 1)
+                        products[key] = products.get(key, 0) + ab * Minv[out][k - 1]
+    unit = None
+    if A.unit is not None:
+        unit = [sum(Minv[a][i] * A.unit[i] for i in n) for a in n]
+    return Algebra(A.dim, products, unit=unit)
+
+
+@st.composite
+def with_basis_change(draw, tables):
+    A = draw(tables)
+    M = [[draw(st.integers(-2, 2)) for _ in range(A.dim)] for _ in range(A.dim)]
+    Minv = inverse(M)
+    assume(Minv is not None)
+    return A, M, Minv
+
+
+@pytest.mark.parametrize("name", catalog.ALGEBRA_NAMES)
+def test_opposite_of_catalog_algebra(name):
+    check_opposite(catalog.get(name))
+
+
+@given(st.one_of(algebras(), dense_algebras()))
+@settings(max_examples=100 * settings.default.max_examples // 100, deadline=None)
+def test_opposite_algebra(A):
+    check_opposite(A)
+
+
+@pytest.mark.parametrize("name", catalog.ALGEBRA_NAMES)
+@given(data=st.data())
+@settings(max_examples=5 * settings.default.max_examples // 100, deadline=None)
+def test_basis_change_of_catalog_algebra(name, data):
+    A = catalog.get(name)
+    _, M, Minv = data.draw(with_basis_change(st.just(A)))
+    assert classify(rebased(A, M, Minv)) == classify(A)
+
+
+@given(with_basis_change(st.one_of(algebras(), dense_algebras())))
+@settings(max_examples=40 * settings.default.max_examples // 100, deadline=None)
+def test_basis_change(case):
+    A, M, Minv = case
+    assert classify(rebased(A, M, Minv)) == classify(A)
+
+
+# --- every 2-dimensional table over {-1, 0, 1} ------------------------------
+
+SLOTS2 = tuple(itertools.product((1, 2), repeat=3))
+
+
+def test_every_two_dimensional_table():
+    reports = {}
+    for values in itertools.product((-1, 0, 1), repeat=len(SLOTS2)):
+        reports[values] = classify(Algebra(2, dict(zip(SLOTS2, values))))
+    census = Counter(r.annihilator_dim for r in reports.values())
+    assert census == {1: 5528, 2: 24, 3: 240, 4: 648, 5: 16, 6: 105}
+    # The antisymmetrizer vanishes on a 2-dimensional space.
+    assert all(r.is_lie_admissible for r in reports.values())
+    # Signed basis permutations f_a = s_a e_pi(a) give the same answer, and
+    # the opposite algebra the swapped one: with the signs, a group of order
+    # 16 acting on the tables.
+    position = {key: at for at, key in enumerate(SLOTS2)}
+    for values, report in reports.items():
+        at = dict(zip(SLOTS2, values))
+        for pi in ((1, 2), (2, 1)):
+            for s in itertools.product((1, -1), repeat=2):
+                image = tuple(
+                    s[a - 1] * s[b - 1] * s[c - 1] * at[pi[a - 1], pi[b - 1], pi[c - 1]]
+                    for a, b, c in SLOTS2
+                )
+                assert reports[image] == report
+        op = tuple(values[position[j, i, k]] for i, j, k in SLOTS2)
+        assert reports[op] == swapped(report)
