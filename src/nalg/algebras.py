@@ -36,11 +36,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 from ._record import Record
-from .linalg import Subspace, Vec, _cleared, as_vec
+from .linalg import Subspace, Vec, _cleared, _exact, as_vec
 from .sym3 import SUBGROUPS, GroupAlgElem, Perm3, PERMS, killed, special_vector, split
 from .sym3 import right_annihilator
 
@@ -49,7 +49,7 @@ def _table(dim: int, entries: Mapping[tuple, Fraction], size: int, what: str) ->
     """The nonzero ``entries`` as Fractions, after checking that ``dim`` is
     an int of at least 1 and every key holds ``size`` int indices in 1..dim
     (exactly int: a bool or float equals one but prints as another JSON
-    value); ``what`` names an entry in errors."""
+    value); ``what`` names an entry in errors.  A float value is rejected."""
     if type(dim) is not int or dim < 1:
         raise ValueError(f"dimension must be an int of at least 1, got {dim!r}")
     indices = range(1, dim + 1)
@@ -63,7 +63,7 @@ def _table(dim: int, entries: Mapping[tuple, Fraction], size: int, what: str) ->
             if t not in indices:
                 raise ValueError(f"index out of range in {what} entry {key}")
         if type(c) is not Fraction:
-            c = Fraction(c)
+            c = _exact(c)
         if c:
             table[key] = c
     return table
@@ -197,64 +197,60 @@ def _composite_layers(
     the larger level.  So layer t joins the level-t inner products with the
     outer ones up to level t, then the level-t outer products with the
     inner ones below level t; the earlier sides are indexed by m.  Every
-    pair is joined exactly once, in the layer of its key.  Levels and m
-    are stored by rank among the used indices, so the cost follows the
+    pair is joined exactly once, in the layer of its key.  Entries are
+    filed in dicts keyed by the indices themselves, so the cost follows the
     entries of ``P``, not the size of its largest index.
     """
-    rank = {t: r for r, t in enumerate(sorted(set().union(*P)))}
-    n = len(rank)
     # Every entry (a, b, m, c) of P is filed by level up to three times: as
     # an inner product at max(a, b), as an (xy)z outer one at b, and as an
     # x(yz) outer one at a.  An outer entry carries its composite's
     # coefficient, and a composite with coefficient 0 files none.  The *_by
-    # lists hold, by the rank of m, the entries of the levels already
-    # reached.  The six tables of n lists are cut from one list, which is
-    # cheaper to build for the many tiny tables the catalog searches check.
-    lists: list[list[tuple[int, int, int, int]]] = [[] for _ in range(6 * n)]
-    inner_at, left_at, right_at = lists[0::6], lists[1::6], lists[2::6]
-    inner_by, left_by, right_by = lists[3::6], lists[4::6], lists[5::6]
+    # tables hold, by m, the entries of the levels already reached.
+    inner_at, left_at, right_at = defaultdict(list), defaultdict(list), defaultdict(list)
+    inner_by, left_by, right_by = defaultdict(list), defaultdict(list), defaultdict(list)
     for (a, b, m), c in P.items():
         entry = (a, b, m, c)
-        inner_at[rank[a if a > b else b]].append(entry)
+        inner_at[a if a > b else b].append(entry)
         if left:
-            left_at[rank[b]].append(entry if left == 1 else (a, b, m, left * c))
+            left_at[b].append(entry if left == 1 else (a, b, m, left * c))
         if right:
-            right_at[rank[a]].append(entry if right == 1 else (a, b, m, right * c))
-    for t in range(n):
+            right_at[a].append(entry if right == 1 else (a, b, m, right * c))
+    for t in sorted(set().union(*P)):
         inner, outer_left, outer_right = inner_at[t], left_at[t], right_at[t]
         for entry in outer_left:
-            left_by[rank[entry[0]]].append(entry)
+            left_by[entry[0]].append(entry)
         for entry in outer_right:
-            right_by[rank[entry[1]]].append(entry)
+            right_by[entry[1]].append(entry)
         out: dict[Key4, int] = {}
         for a, b, m, c1 in inner:
-            r = rank[m]
-            for _, k, l, c2 in left_by[r]:
+            for _, k, l, c2 in left_by[m]:
                 key = (a, b, k, l)
                 out[key] = out.get(key, 0) + c1 * c2
-            for i, _, l, c2 in right_by[r]:
+            for i, _, l, c2 in right_by[m]:
                 key = (i, a, b, l)
                 out[key] = out.get(key, 0) + c1 * c2
         for m, k, l, c2 in outer_left:
-            for a, b, _, c1 in inner_by[rank[m]]:
+            for a, b, _, c1 in inner_by[m]:
                 key = (a, b, k, l)
                 out[key] = out.get(key, 0) + c1 * c2
         for i, m, l, c2 in outer_right:
-            for a, b, _, c1 in inner_by[rank[m]]:
+            for a, b, _, c1 in inner_by[m]:
                 key = (i, a, b, l)
                 out[key] = out.get(key, 0) + c1 * c2
         for entry in inner:
-            inner_by[rank[entry[2]]].append(entry)
+            inner_by[entry[2]].append(entry)
         yield {key: c for key, c in out.items() if c}
 
 
+def _composite(products: Mapping, left: int, right: int) -> dict[Key4, Fraction]:
+    """left*(xy)z + right*x(yz) over ``products``: the cleared table's layers, divided by d^2."""
+    P, d = _integer_table(products)
+    return {key: Fraction(c, d * d) for layer in _composite_layers(P, left, right) for key, c in layer.items()}
+
+
 def associator(A: Algebra) -> TrilinearMap:
-    """(x1 x2) x3 - x1 (x2 x3): the union of the layers."""
-    P, d = _integer_table(A.products)
-    entries: dict[Key4, int] = {}
-    for layer in _composite_layers(P, 1, -1):
-        entries.update(layer)
-    return TrilinearMap(A.dim, {key: Fraction(c, d * d) for key, c in entries.items()})
+    """(x1 x2) x3 - x1 (x2 x3)."""
+    return TrilinearMap(A.dim, _composite(A.products, 1, -1))
 
 
 # Slot permutation by s = PERMS[p] sends the key (m1, m2, m3, l) to
@@ -327,17 +323,20 @@ def _orbit_probe(P: Mapping[tuple[int, int, int], int], left: int, right: int) -
     that ``P`` uses, lazily, one orbit (one output l) per step; none when
     ``P`` uses fewer than three.  These are the third layer's first orbits
     with three distinct indices, so the first whose sign can be nonzero.
-    A term (p, w, a, b) adds w * P[(a, b, l)] at p: w from a row of the
-    probe, e_i e_j for (xy)z or e_j e_k for x(yz), and l over the outputs
-    of the outer products e_a e_b, read with ``P.get``."""
+    A term (p, w, a, b) adds w * P[(a, b, l)] at p = (i, j, k): w is read
+    with ``P.get`` from e_i e_j -> e_m for (xy)z or e_j e_k -> e_m for
+    x(yz), at every used m, and l runs over the outputs of e_a e_b."""
     used = sorted(set().union(*P))
     if len(used) < 3:
         return
-    get, reached = P.get, set()
-    rows = {(a, b): [(m, c) for m in used if (c := get((a, b, m)))] for a, b in permutations(used[:3], 2)}
+    get, reached, terms = P.get, set(), []
     keys = [(used[s1], used[s2], used[s3]) for s1, s2, s3 in _SLOT_ORDERS]
-    terms = [(p, left * c, m, k) for p, (i, j, k) in enumerate(keys) for m, c in rows[i, j] if left]
-    terms += [(p, right * c, i, m) for p, (i, j, k) in enumerate(keys) for m, c in rows[j, k] if right]
+    for p, (i, j, k) in enumerate(keys):
+        for m in used:
+            if left and (c := get((i, j, m))):
+                terms.append((p, left * c, m, k))
+            if right and (c := get((j, k, m))):
+                terms.append((p, right * c, i, m))
     pairs = {(a, b) for _, _, a, b in terms}
     for a, b, l in P:
         if l not in reached and (a, b) in pairs:

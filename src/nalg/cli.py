@@ -17,7 +17,6 @@ from .algebras import Algebra, annihilator, classify
 from .cogebras import classify_cogebra, coannihilator, gi_bang_cocheck
 from .duality import dualize_algebra, dualize_cogebra
 from .formats import (
-    FormatError,
     format_ga_expr,
     parse_algebra,
     parse_cogebra,
@@ -277,7 +276,7 @@ def main(argv=None) -> int:
     args = _parse(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -27,8 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from ._record import Record
 from .algebras import (
     _check_index,
-    _composite_layers,
-    _integer_table,
+    _composite,
     _Structure,
     _table,
     TrilinearMap,
@@ -109,15 +108,8 @@ class CubeMap(Record):
 
 
 def _iterated(C: Cogebra, left: int, right: int) -> CubeMap:
-    """left*(xy)z + right*x(yz) on the dual, with the output index moved to
-    the front: the dual's table is cleared by d, so each value is divided
-    by d^2."""
-    P, d = _integer_table(_dual_products(C))
-    entries = {}
-    for layer in _composite_layers(P, left, right):
-        for (i, j, k, l), c in layer.items():
-            entries[(l, i, j, k)] = Fraction(c, d * d)
-    return CubeMap(C.dim, entries)
+    """left*(xy)z + right*x(yz) on the dual, with the output index moved to the front."""
+    return CubeMap(C.dim, {key[3:] + key[:3]: c for key, c in _composite(_dual_products(C), left, right).items()})
 
 
 def coassoc_left(C: Cogebra) -> CubeMap:

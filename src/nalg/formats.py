@@ -261,7 +261,7 @@ def parse_ga_expr(text: str) -> GroupAlgElem:
         elif not first:
             raise FormatError(f"expected '+' or '-' at position {pos} in {text!r}")
         m = _TERM_RE.match(s, pos)
-        if m is None or m.start() != pos:
+        if m is None:
             raise FormatError(f"malformed term at position {pos} in {text!r}")
         if m.group(1) is None:
             coef = Fraction(1)

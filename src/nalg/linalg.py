@@ -50,8 +50,15 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _exact(value) -> Fraction:
+    """``value`` as a Fraction; a float is rejected, as its binary value is rarely the number meant."""
+    if isinstance(value, float):
+        raise ValueError(f"not an exact number: {value!r} (floats are rejected)")
+    return Fraction(value)
+
+
 def as_vec(values: Iterable) -> Vec:
-    return tuple(Fraction(v) for v in values)
+    return tuple(map(_exact, values))
 
 
 class Subspace(Record):

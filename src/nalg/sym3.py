@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._record import Record
-from .linalg import Subspace, span
+from .linalg import Subspace, _exact, as_vec, span
 
 
 class Perm3(Record):
@@ -34,9 +34,9 @@ class Perm3(Record):
     __slots__ = ("images",)
 
     def __init__(self, images: tuple[int, int, int]):
-        if sorted(images) != [1, 2, 3]:
+        if not all(type(k) is int for k in images) or sorted(images) != [1, 2, 3]:
             raise ValueError(f"not a permutation of 1..3: {images!r}")
-        self._assign(images)
+        self._assign(tuple(images))
 
     def __call__(self, k: int) -> int:
         return self.images[k - 1]
@@ -51,20 +51,12 @@ def compose(p: Perm3, q: Perm3) -> Perm3:
 
 
 def inverse(p: Perm3) -> Perm3:
-    img = [0, 0, 0]
-    for k in (1, 2, 3):
-        img[p(k) - 1] = k
-    return Perm3((img[0], img[1], img[2]))
+    return Perm3(tuple(p.images.index(k) + 1 for k in (1, 2, 3)))
 
 
 def sign(p: Perm3) -> Fraction:
     """+1 on the identity and the 3-cycles, -1 on the transpositions."""
-    inversions = sum(
-        1
-        for a in (1, 2, 3)
-        for b in (1, 2, 3)
-        if a < b and p(a) > p(b)
-    )
+    inversions = sum(p(a) > p(b) for a, b in ((1, 2), (1, 3), (2, 3)))
     return Fraction(-1) if inversions % 2 else Fraction(1)
 
 
@@ -100,7 +92,7 @@ class GroupAlgElem(Record):
     def __init__(self, coords: tuple[Fraction, ...]):
         if len(coords) != 6:
             raise ValueError("group-algebra elements have exactly six coordinates")
-        self._assign(tuple(Fraction(c) for c in coords))
+        self._assign(as_vec(coords))
 
     @classmethod
     def zero(cls) -> "GroupAlgElem":
@@ -124,10 +116,9 @@ class GroupAlgElem(Record):
     def __mul__(self, other):
         if isinstance(other, GroupAlgElem):
             return ga_multiply(self, other)
-        return GroupAlgElem(tuple(a * Fraction(other) for a in self.coords))
+        return GroupAlgElem(tuple(a * _exact(other) for a in self.coords))
 
-    def __rmul__(self, other):
-        return GroupAlgElem(tuple(Fraction(other) * a for a in self.coords))
+    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return not any(self.coords)

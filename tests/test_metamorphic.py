@@ -11,7 +11,10 @@ answer stays fixed or moves in a known way:
   the triple symmetries 2 and 3) swap.  On the dual cogebras the
   coannihilator moves by right multiplication instead, since it is the
   dual algebra's annihilator moved by p -> p^-1.
-* A change of basis is an isomorphism, so the report does not change.
+* A change of basis is an isomorphism, so the report does not change,
+  for an algebra and for a cogebra; and dualizing commutes with it: the
+  dual of a cogebra rebased by M is its dual algebra rebased by (M^-1)^T,
+  the change to the dual basis.
 * Every 2-dimensional table over {-1, 0, 1}, each answer tied to the answers
   on its orbit under signed basis permutations and the opposite algebra.
 """
@@ -23,12 +26,13 @@ from functools import cache
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_cogebra_differential import cogebras
 from test_engine_differential import algebras, dense_algebras
 
 from nalg import catalog
 from nalg.algebras import Algebra, ClassificationReport, annihilator, classify
-from nalg.cogebras import coannihilator
-from nalg.duality import dualize_algebra
+from nalg.cogebras import Cogebra, classify_cogebra, coannihilator
+from nalg.duality import dualize_algebra, dualize_cogebra
 from nalg.linalg import span
 from nalg.sym3 import GroupAlgElem, ga_multiply
 
@@ -100,6 +104,33 @@ def rebased(A: Algebra, M, Minv) -> Algebra:
     return Algebra(A.dim, products, unit=unit)
 
 
+def rebased_cogebra(C: Cogebra, M, Minv) -> Cogebra:
+    """C on the basis f_a = sum_k M[k][a] e_k: the coproduct of f_a written
+    on f (x) f through M^-1, and the counit at f_a."""
+    n = range(C.dim)
+    coproducts: dict = {}
+    for (k, i, j), c in C.coproducts.items():
+        for a in n:
+            ka = c * M[k - 1][a]
+            if ka:
+                for b in n:
+                    for d in n:
+                        key = (a + 1, b + 1, d + 1)
+                        coproducts[key] = coproducts.get(key, 0) + ka * Minv[b][i - 1] * Minv[d][j - 1]
+    counit = None
+    if C.counit is not None:
+        counit = [sum(M[k][a] * C.counit[k] for k in n) for a in n]
+    return Cogebra(C.dim, coproducts, counit=counit)
+
+
+def check_cogebra_basis_change(C: Cogebra, M, Minv) -> None:
+    R = rebased_cogebra(C, M, Minv)
+    assert classify_cogebra(R) == classify_cogebra(C)
+    transposed = [list(col) for col in zip(*Minv)], [list(col) for col in zip(*M)]
+    expected, dual = rebased(dualize_cogebra(C), *transposed), dualize_cogebra(R)
+    assert (dual.products, dual.unit) == (expected.products, expected.unit)
+
+
 @st.composite
 def with_basis_change(draw, tables):
     A = draw(tables)
@@ -134,6 +165,20 @@ def test_basis_change_of_catalog_algebra(name, data):
 def test_basis_change(case):
     A, M, Minv = case
     assert classify(rebased(A, M, Minv)) == classify(A)
+
+
+@pytest.mark.parametrize("name", catalog.COGEBRA_NAMES)
+@given(data=st.data())
+@settings(max_examples=5 * settings.default.max_examples // 100, deadline=None)
+def test_basis_change_of_catalog_cogebra(name, data):
+    C = catalog.get(name)
+    check_cogebra_basis_change(C, *data.draw(with_basis_change(st.just(C)))[1:])
+
+
+@given(with_basis_change(cogebras()))
+@settings(max_examples=40 * settings.default.max_examples // 100, deadline=None)
+def test_cogebra_basis_change(case):
+    check_cogebra_basis_change(*case)
 
 
 # --- every 2-dimensional table over {-1, 0, 1} ------------------------------

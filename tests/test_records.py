@@ -25,7 +25,7 @@ import pytest
 from nalg import catalog
 from nalg.algebras import Algebra, ClassificationReport, TrilinearMap, classify
 from nalg.cogebras import Cogebra, CogebraReport, CubeMap, classify_cogebra
-from nalg.linalg import Subspace, span
+from nalg.linalg import Subspace, as_vec, span
 from nalg.sym3 import GroupAlgElem, Perm3
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -200,6 +200,35 @@ def test_tables_reject_keys_of_the_wrong_length(cls, size, what):
     for bad in ((1,) * (size - 1), (1,) * (size + 1)):
         with pytest.raises(ValueError, match=f"{what} entry"):
             cls(3, {bad: 1})
+
+
+@TABLES
+def test_tables_reject_floats(cls, size, what):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10.
+    for c in (0.1, 0.5, 2.0):
+        with pytest.raises(ValueError, match=re.escape(f"not an exact number: {c!r} (floats are rejected)")):
+            cls(2, {(1,) * size: c})
+    value = cls(2, {(1,) * size: "1/10", (2,) * size: 3})
+    assert getattr(value, cls.__slots__[1]) == {(1,) * size: F(1, 10), (2,) * size: F(3)}
+
+
+def test_vectors_and_group_algebra_elements_reject_floats():
+    one = GroupAlgElem.from_perm(Perm3((1, 2, 3)))
+    for make in (
+        lambda: as_vec((1, 0.5)),
+        lambda: Algebra(1, {(1, 1, 1): 1}, unit=(1.0,)),
+        lambda: Cogebra(1, {(1, 1, 1): 1}, counit=(1.0,)),
+        lambda: Algebra(1, {(1, 1, 1): 1}).multiply((0.5,), (1,)),
+        lambda: GroupAlgElem((0.5, 0, 0, 0, 0, 0)),
+        lambda: one * 0.5,
+        lambda: 0.5 * one,
+    ):
+        with pytest.raises(ValueError, match="floats are rejected"):
+            make()
+    # Ints, Fractions and rational strings still pass.
+    assert as_vec((1, F(1, 2), "-2/6")) == (F(1), F(1, 2), F(-1, 3))
+    assert GroupAlgElem(("1/2", 1, F(1, 3), 0, 0, 0)).coords == (F(1, 2), F(1), F(1, 3), 0, 0, 0)
+    assert one * "1/2" == F(1, 2) * one == GroupAlgElem((F(1, 2), 0, 0, 0, 0, 0))
 
 
 @TABLES

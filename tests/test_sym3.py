@@ -79,6 +79,21 @@ class TestPerms:
         with pytest.raises(ValueError):
             Perm3((1, 1, 3))
 
+    def test_images_are_stored_as_a_tuple_of_exact_ints(self):
+        # A list was stored as given, so the permutation could not be
+        # hashed; a bool or a float equals an int but prints as another value.
+        from nalg.algebras import TrilinearMap, phi_precompose
+        from nalg.sym3 import Perm3
+
+        p = Perm3([2, 1, 3])
+        assert p.images == (2, 1, 3) and p == T12 and hash(p) == hash(T12)
+        assert GroupAlgElem.from_perm(p) == GroupAlgElem.from_perm(T12)
+        T = TrilinearMap(3, {(1, 2, 3, 1): 1, (2, 2, 1, 3): F(1, 2)})
+        assert phi_precompose(T, p) == phi_precompose(T, T12)
+        for bad in ((True, 2, 3), (1.0, 2, 3), (1, 2, F(3)), ("1", 2, 3)):
+            with pytest.raises(ValueError, match="not a permutation of 1..3"):
+                Perm3(bad)
+
 
 class TestGroupAlgebra:
     def test_identity_element(self):
