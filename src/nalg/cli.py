@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 on input errors (bad files, bad expressions,
-unknown names) and on running out of memory.  Exit code 1 is reserved for future use by check-style
+Exit codes: 0 on success, and when the reader closes stdout early; 2 on
+input errors (bad files, bad expressions, unknown names) and on running out
+of memory.  Exit code 1 is reserved for future use by check-style
 commands with expectation flags.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -275,7 +277,14 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv) or _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush
+        # at exit finds it writable, as the signal module's SIGPIPE note does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -239,7 +239,7 @@ def print_document(obj) -> str:
 
 # --- group-algebra expressions ----------------------------------------------
 
-_TERM_RE = re.compile(r"(?:([+-]?[0-9]+(?:/[0-9]+)?)\*)?(id|t12|t13|t23|c1|c2)")
+_TERM_RE = re.compile(rf"(?:([+-]?[0-9]+(?:/[0-9]+)?)\*)?({'|'.join(PERM_NAMES)})")
 _TERM_INDEX = {name: i for i, name in enumerate(PERM_NAMES)}
 
 

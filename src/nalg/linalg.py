@@ -72,22 +72,12 @@ class Subspace(Record):
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, basis: tuple[Vec, ...]):
-        self._assign(ambient_dim, basis)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, vector: Sequence) -> bool:
         return member(vector, self)
-
-
-def _pivot(row: Sequence) -> int | None:
-    for j, c in enumerate(row):
-        if c:
-            return j
-    return None
 
 
 def _cleared(values: Collection[Fraction]) -> tuple[list[int], int]:
@@ -128,7 +118,7 @@ def _echelon(rows: Iterable[Sequence[int]]) -> tuple[list[int], list[list[int]]]
             if c:
                 lead = r[p]
                 work = [lead * x - c * y for x, y in zip(work, r)]
-        q = _pivot(work)
+        q = next((j for j, x in enumerate(work) if x), None)
         if q is None:
             continue
         work = _primitive(work)
@@ -198,14 +188,9 @@ def kernel(rows: Iterable[Sequence], ncols: int | None = None) -> Subspace:
 
 
 def member(vector: Sequence, subspace: Subspace) -> bool:
-    """True iff ``vector`` lies in ``subspace``."""
-    v = list(as_vec(vector))
+    """True iff ``vector`` lies in ``subspace``: appending it to the basis
+    leaves the rank of the integer elimination at ``subspace.dim``."""
+    v = as_vec(vector)
     if len(v) != subspace.ambient_dim:
         raise ValueError("vector/subspace dimension mismatch")
-    for row in subspace.basis:
-        p = _pivot(row)
-        c = v[p]
-        if c:
-            for j in range(len(v)):
-                v[j] -= c * row[j]
-    return not any(v)
+    return len(_echelon(map(_integers, (*subspace.basis, v)))[0]) == subspace.dim

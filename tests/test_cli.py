@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +91,28 @@ class TestCheck:
         monkeypatch.setattr("nalg.cli.classify", exhausted)
         code, out, err = run(capsys, "check", data_path("mat2"))
         assert (code, out, err) == (2, "", "error: out of memory\n")
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        # An OSError while writing -o is still an input error.
+        code, out, err = run(capsys, "dualize", data_path("mat2"), "-o", str(tmp_path))
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["check", "--json", data_path("generic3")], ["s3", "orbit", "id"]], ids=["check", "orbit"])
+def test_closed_stdout_exits_0_quietly(argv, unbuffered):
+    # A reader that closes stdout early is not an input error.  Buffered,
+    # the write fails only when stdout is flushed; unbuffered, in print.
+    src = str(Path(catalog.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-m", "nalg.cli", *argv], stdout=w, stderr=subprocess.PIPE, env=env, timeout=30)
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 class TestTransforms:

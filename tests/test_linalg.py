@@ -195,6 +195,19 @@ def test_integer_elimination_matches_fraction_reference(rows):
     assert kernel(rows, 6).basis == _reference_kernel(rows, 6)
 
 
+@given(st.lists(st.lists(rationals, min_size=6, max_size=6), max_size=8), st.data())
+@settings(max_examples=60)
+def test_member_matches_fraction_reference(rows, data):
+    # Half the vectors are drawn as rational combinations of the rows, so
+    # members are common even when the rows span a proper subspace.
+    if rows and data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+        v = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(6)]
+    else:
+        v = data.draw(st.lists(rationals, min_size=6, max_size=6))
+    assert member(v, span(rows, 6)) == (len(_reference_rref(rows + [v], 6)) == len(_reference_rref(rows, 6)))
+
+
 def test_echelon_stops_at_full_rank():
     # Six independent rows fill the six columns; the row after them must
     # never be read.
