@@ -488,7 +488,12 @@ def classify(A: Algebra) -> ClassificationReport:
     u_i - |G_i| id, so that generator is computed only for an associative
     algebra.
     """
-    P = _integer_table(A.products)[0]
+    return _classify(_integer_table(A.products)[0], A.unit is not None)
+
+
+def _classify(P: Mapping[tuple[int, int, int], int], has_unit: bool) -> ClassificationReport:
+    """``classify`` of the algebra with the cleared table ``P``, as
+    ``_integer_table`` returns it, and a unit when ``has_unit``."""
     g = _solve(P, 1, -1)
     gi = {i: killed(g, f) for i, f in _GI_SPLITS.items()}
     bang = dict.fromkeys(_BANG_VECTORS, False)
@@ -496,13 +501,7 @@ def classify(A: Algebra) -> ClassificationReport:
         sym = _solve(P, 1, 0)
         bang = {i: killed(sym, f) for i, f in _BANG_SPLITS.items()}
     ann = right_annihilator(g)
+    # The fields in slot order: positional arguments build it fastest.
     return ClassificationReport(
-        gi_assoc=gi,
-        gi_bang=bang,
-        is_associative=gi[1],
-        is_lie_admissible=gi[6],
-        is_3_power_associative=killed(g, _W_SPLIT),
-        has_unit=A.unit is not None,
-        annihilator_dim=ann.dim,
-        annihilator_basis=tuple(GroupAlgElem(row) for row in ann.basis),
+        gi, bang, gi[1], gi[6], killed(g, _W_SPLIT), has_unit, ann.dim, tuple(map(GroupAlgElem, ann.basis))
     )

@@ -15,10 +15,11 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import catalog
-from .algebras import Algebra, annihilator, classify
+from .algebras import Algebra, _classify, annihilator, classify
 from .cogebras import classify_cogebra, coannihilator, gi_bang_cocheck
 from .duality import dualize_algebra, dualize_cogebra
 from .formats import (
+    _read_document,
     format_ga_expr,
     parse_algebra,
     parse_cogebra,
@@ -40,7 +41,11 @@ _GI_LABELS = {
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The UTF-8 text of the file at ``path``, with "\r\n" and a lone "\r"
+    read as "\n", as text mode reads them.  Unbuffered, as it is read whole."""
+    with open(path, "rb", buffering=0) as f:
+        text = f.read().decode()
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _write(path: str, text: str) -> None:
@@ -51,29 +56,36 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _json_report(kind: str, dim: int, report) -> str:
+    """``json.dumps(doc, indent=2)`` of the ``--json`` report ``doc``, written
+    out for its fixed shape.  Its strings need no escapes: the field names,
+    and expressions in ids, digits, "/", "*", "+", "-" and spaces."""
+    b, names = ("false", "true"), report.__slots__
+    gi, bang, assoc, lie, power, unit, ann_dim, ann_basis = report._fields()
+    gi = ",\n".join([f'    "{i}": {b[gi[i]]}' for i in range(1, 7)])
+    bang = ",\n".join([f'    "{i}": {b[bang[i]]}' for i in range(2, 7)])
+    basis = ",\n".join([f'    "{format_ga_expr(e)}"' for e in ann_basis])
+    basis = f"[\n{basis}\n  ]" if basis else "[]"
+    return (
+        f'{{\n  "kind": "{kind}",\n  "dim": {dim},\n  "{names[5]}": {b[unit]},\n'
+        f'  "{names[0]}": {{\n{gi}\n  }},\n  "{names[1]}": {{\n{bang}\n  }},\n'
+        f'  "{names[2]}": {b[assoc]},\n  "{names[3]}": {b[lie]},\n  "{names[4]}": {b[power]},\n'
+        f'  "{names[6]}": {ann_dim},\n  "{names[7]}": {basis}\n}}'
+    )
+
+
 def _cmd_check(args) -> int:
-    obj = parse_document(_read(args.file))
+    obj, cleared = _read_document(_read(args.file))
     # The two reports list the same eight fields in the same order, and
     # the cogebra's names and labels differ only by "co".
     if isinstance(obj, Algebra):
-        kind, co, report = "algebra", "", classify(obj)
+        kind, co, report = "algebra", "", _classify(cleared, obj.unit is not None)
     else:
         kind, co, report = "cogebra", "co", classify_cogebra(obj)
-    names, fields = report.__slots__, report._fields()
-    gi, bang, _, _, power, unit, ann_dim, ann_basis = fields
     if args.json:
-        doc = {
-            "kind": kind,
-            "dim": obj.dim,
-            names[5]: unit,
-            names[0]: {str(i): gi[i] for i in range(1, 7)},
-            names[1]: {str(i): bang[i] for i in range(2, 7)},
-        }
-        doc.update(zip(names[2:5], fields[2:5]))
-        doc[names[6]] = ann_dim
-        doc[names[7]] = [format_ga_expr(e) for e in ann_basis]
-        print(json.dumps(doc, indent=2))
+        print(_json_report(kind, obj.dim, report))
         return 0
+    gi, bang, _, _, power, unit, ann_dim, ann_basis = report._fields()
     print(f"kind: {kind}  dim: {obj.dim}  {co}unit: {_yes(unit)}")
     lines = [((co and "co-") + _GI_LABELS[i], gi[i]) for i in range(1, 7)]
     lines += [(f"G{i}! {co and 'co '}triple symmetry", bang[i]) for i in range(2, 7)]
@@ -275,11 +287,14 @@ def _parse(argv) -> SimpleNamespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse(argv) or _build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
+        try:
+            args = _parse(argv) or _build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            # Flushed here, after argparse's help too, so that a closed stdout
+            # raises where it is handled.
+            sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout.  Point it at devnull so that the flush
         # at exit finds it writable, as the signal module's SIGPIPE note does.

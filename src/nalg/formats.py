@@ -22,7 +22,9 @@ checks each index, key and coefficient once and builds the constructor's
 table itself, zero terms dropped.  Each distinct coefficient text is
 parsed once, and equal texts share one ``Fraction``, (co)unit included,
 so a parsed table may pickle to other bytes than an equal one built entry
-by entry (see ``catalog._VALUES``).
+by entry (see ``catalog._VALUES``).  From those few values it also clears
+the table of denominators, as ``algebras._integer_table`` does, and
+``_read_document`` hands that table over with the structure.
 
 Group-algebra expressions are sums of terms ``id, t12, t13, t23, c1, c2``,
 each optionally prefixed by a rational and ``*``, joined by ``+``/``-``,
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 from .algebras import Algebra
@@ -140,15 +143,21 @@ def _label(head: tuple) -> str:
 
 
 def parse_algebra(text: str) -> Algebra:
-    return _read(_load_object(text), "algebra")
+    return _read(_load_object(text), "algebra")[0]
 
 
 def parse_cogebra(text: str) -> Cogebra:
-    return _read(_load_object(text), "cogebra")
+    return _read(_load_object(text), "cogebra")[0]
 
 
 def parse_document(text: str):
     """Parse either kind of document, keyed on the 'kind' field."""
+    return _read_document(text)[0]
+
+
+def _read_document(text: str) -> tuple:
+    """The structure of either kind that ``text`` holds, and its table
+    cleared of denominators (see ``_read``)."""
     doc = _load_object(text)
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
@@ -156,8 +165,9 @@ def parse_document(text: str):
     return _read(doc, kind)
 
 
-def _read(doc: dict, kind: str):
-    """The algebra or cogebra of ``kind`` that the decoded ``doc`` holds."""
+def _read(doc: dict, kind: str) -> tuple:
+    """The algebra or cogebra of ``kind`` that the decoded ``doc`` holds, and
+    its table cleared of denominators as ``algebras._integer_table`` clears it."""
     (cls, field, entry_fields, term_fields, unit_field,
      article, entry_keys, term_keys, constant) = _KINDS[kind]
     if doc.get("kind") != kind:
@@ -201,6 +211,10 @@ def _read(doc: dict, kind: str):
             table[key] = texts[c] if type(c) is str and c in texts else _read_coefficient(c, texts, noun, head)
     if not all(texts.values()):
         table = {key: c for key, c in table.items() if c}
+    # Each distinct value object, kept alive by ``texts``, gets one int.
+    d = lcm(*[c.denominator for c in texts.values()])
+    ints = {id(c): c.numerator * (d // c.denominator) for c in texts.values()}
+    cleared = dict(zip(table, map(ints.__getitem__, map(id, table.values()))))
     value = doc[unit_field]
     unit = None
     if value is not None:
@@ -208,7 +222,7 @@ def _read(doc: dict, kind: str):
             raise FormatError(f"'{unit_field}' must be null or a list of {dim} rationals")
         unit = tuple([_read_coefficient(c, texts, f"'{unit_field}'") for c in value])
     try:
-        return cls.__new__(cls)._init(dim, table, unit, basis, None)
+        return cls.__new__(cls)._init(dim, table, unit, basis, None), cleared
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

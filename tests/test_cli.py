@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 import reference_cogebras as reference
+from hypothesis import assume, given, settings
+from test_engine_differential import algebras
 
 from nalg import catalog, cogebras
-from nalg.algebras import annihilator, classify, gi_check
-from nalg.cli import _build_parser, main
+from nalg.algebras import Algebra, annihilator, classify, gi_check
+from nalg.cli import _build_parser, _json_report, main
+from nalg.duality import dualize_algebra
 from nalg.formats import format_ga_expr, parse_algebra, parse_document
 from nalg.products import convolution_algebra, tensor_algebras
 
@@ -85,12 +88,24 @@ class TestCheck:
         assert err == "error: document is nested too deeply\n"
 
     def test_out_of_memory_exits_2(self, capsys, monkeypatch):
-        def exhausted(A):
+        def exhausted(P, has_unit):
             raise MemoryError
 
-        monkeypatch.setattr("nalg.cli.classify", exhausted)
+        # An algebra check classifies the reader's cleared table.
+        monkeypatch.setattr("nalg.cli._classify", exhausted)
         code, out, err = run(capsys, "check", data_path("mat2"))
         assert (code, out, err) == (2, "", "error: out of memory\n")
+
+    def test_algebra_check_classifies_the_readers_table(self, capsys, monkeypatch):
+        # The reader hands over the table cleared of denominators, so an
+        # algebra check does not clear it a second time.
+        def unreachable(products):
+            raise AssertionError("table cleared twice")
+
+        monkeypatch.setattr("nalg.algebras._integer_table", unreachable)
+        code, out, err = run(capsys, "check", data_path("mat2"), "--json")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "check_mat2.json").read_text()
 
     def test_unwritable_output_exits_2(self, capsys, tmp_path):
         # An OSError while writing -o is still an input error.
@@ -98,11 +113,82 @@ class TestCheck:
         assert code == 2 and out == "" and err.startswith("error:")
 
 
+def report_doc(kind, dim, report):
+    """The ``check --json`` report of ``report`` as a dict, keys in printed order."""
+    names, fields = report.__slots__, report._fields()
+    doc = {
+        "kind": kind,
+        "dim": dim,
+        names[5]: fields[5],
+        names[0]: {str(i): fields[0][i] for i in range(1, 7)},
+        names[1]: {str(i): fields[1][i] for i in range(2, 7)},
+    }
+    doc.update(zip(names[2:5], fields[2:5]))
+    doc[names[6]] = fields[6]
+    doc[names[7]] = [format_ga_expr(e) for e in fields[7]]
+    return doc
+
+
+@pytest.mark.parametrize("name", catalog.NAMES)
+def test_json_report_is_json_dumps_on_the_catalog(capsys, name):
+    X = catalog.get(name)
+    kind, report = ("algebra", classify(X)) if isinstance(X, Algebra) else ("cogebra", cogebras.classify_cogebra(X))
+    code, out, err = run(capsys, "check", "--json", data_path(name))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(report_doc(kind, X.dim, report), indent=2) + "\n"
+
+
+@given(algebras())
+@settings(max_examples=60, deadline=None)
+def test_json_report_is_json_dumps(A):
+    # Tables whose annihilator basis is not empty, so the list prints too.
+    report = classify(A)
+    assume(report.annihilator_dim)
+    co_report = cogebras.classify_cogebra(dualize_algebra(A))
+    for kind, r in (("algebra", report), ("cogebra", co_report)):
+        assert _json_report(kind, A.dim, r) == json.dumps(report_doc(kind, A.dim, r), indent=2)
+
+
+class TestReading:
+    """The file is read as UTF-8 with newlines translated, as text mode reads it."""
+
+    def check(self, capsys, tmp_path, data: bytes):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        return run(capsys, "check", "--json", str(path))
+
+    def test_lone_cr_ends_a_line(self, capsys, tmp_path):
+        data = b'{\r"kind": "algebra",\r"dim": ,\r"basis": []}'
+        code, out, err = self.check(capsys, tmp_path, data)
+        assert (code, out) == (2, "")
+        assert err == "error: syntax error at line 3, column 8: Expecting value\n"
+
+    def test_crlf_file_parses(self, capsys, tmp_path):
+        data = catalog.data_text("mat2").replace("\n", "\r\n").encode()
+        assert self.check(capsys, tmp_path, data) == (0, (GOLDEN / "check_mat2.json").read_text(), "")
+
+    def test_invalid_utf8_exits_2(self, capsys, tmp_path):
+        code, out, err = self.check(capsys, tmp_path, b"\xff" + catalog.data_text("mat2").encode())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff ")
+
+    def test_utf8_bom_exits_2(self, capsys, tmp_path):
+        code, out, err = self.check(capsys, tmp_path, b"\xef\xbb\xbf" + catalog.data_text("mat2").encode())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: syntax error at line 1, column 1: Unexpected UTF-8 BOM")
+
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("argv", [["check", "--json", data_path("generic3")], ["s3", "orbit", "id"]], ids=["check", "orbit"])
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--json", data_path("generic3")], ["s3", "orbit", "id"], ["--help"], ["check", "-h"]],
+    ids=["check", "orbit", "help", "check-help"],
+)
 def test_closed_stdout_exits_0_quietly(argv, unbuffered):
     # A reader that closes stdout early is not an input error.  Buffered,
     # the write fails only when stdout is flushed; unbuffered, in print.
+    # Help is written by argparse, which then exits.
     src = str(Path(catalog.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))

@@ -11,6 +11,7 @@ from nalg.algebras import Algebra, _integer_table
 from nalg.cogebras import Cogebra
 from nalg.formats import (
     FormatError,
+    _read_document,
     format_ga_expr,
     parse_algebra,
     parse_cogebra,
@@ -289,6 +290,25 @@ def test_integer_table_clears_shared_and_unshared_values(case):
         assert _integer_table(T) == (dict(zip(T, ints)), d)
         assert d == lcm(1, *(c.denominator for c in T.values()))
         assert all(F(n, d) == T[key] for key, n in _integer_table(T)[0].items())
+
+
+def assert_hands_over_the_cleared_table(text):
+    # The reader clears each distinct value once; the result is the table
+    # _integer_table clears entry by entry, in the same order.
+    X, cleared = _read_document(text)
+    assert list(cleared.items()) == list(_integer_table(_constants(X))[0].items())
+    assert all(type(c) is int and c for c in cleared.values())
+
+
+def test_reader_hands_over_the_cleared_table_of_the_catalog():
+    for name in catalog.NAMES:
+        assert_hands_over_the_cleared_table(catalog.data_text(name))
+
+
+@given(raw_documents())
+@settings(max_examples=150)
+def test_reader_hands_over_the_cleared_table(case):
+    assert_hands_over_the_cleared_table(case[0])
 
 
 class TestExpressions:
@@ -606,3 +626,23 @@ def test_document_error_message(doc, message):
 @pytest.mark.parametrize("doc, messages", _KIND_ERRORS)
 def test_document_kind_error_message(doc, messages):
     assert tuple(_message(parse, doc) for parse in (parse_document, parse_algebra, parse_cogebra)) == messages
+
+
+# Two faulty entries, and the text of each fault alone: the reader reports
+# the fault of entry 1, the first in document order.
+_TWO_FAULTS = [
+    (_product(1, 1, 1, "x"), _product(1, 2, 2, "1.5"),
+     "malformed rational: 'x' (in product (1, 1))", "malformed rational: '1.5' (in product (1, 2))"),
+    (_product(1, 1, 1, 1), _product(1, 2, 2, "x"),
+     "coefficient in product (1, 1) must be a rational string", "malformed rational: 'x' (in product (1, 2))"),
+    (_product(1, 1, 3, "x"), _product(1, 2, 2, "x"),
+     "index out of range: 'k' = 3", "malformed rational: 'x' (in product (1, 2))"),
+    (_product(1, 1, 1, "x"), _product(3, 2, 2, "1"),
+     "malformed rational: 'x' (in product (1, 1))", "index out of range: 'left' = 3"),
+]
+
+
+@pytest.mark.parametrize("first, second, first_fault, second_fault", _TWO_FAULTS)
+def test_first_fault_in_document_order_is_reported(first, second, first_fault, second_fault):
+    assert _message(parse_document, _algebra(products=[first, second])) == first_fault
+    assert _message(parse_document, _algebra(products=[_product(1, 1, 1), second])) == second_fault
