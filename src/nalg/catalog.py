@@ -16,7 +16,11 @@ algebra.
 Search spaces, per instance, in the row order of ``_BUILDERS``.  Each is
 built by ``_candidates(dim, slots)``: every table whose constants on
 ``slots`` range lexicographically over {-1, 0, 1} (in ``slots`` order;
-other slots are zero), on the basis e1..e<dim>.
+other slots are zero), on the basis e1..e<dim>.  A candidate is an
+integer table made without the constructor's checks, which it passes by
+construction (its keys are in-range index triples, its values ints), and
+the predicates take it as it is; only the hit goes through the checking
+constructor, which gives the instance Fractions of its own.
 
 * ``vinberg2`` / ``prelie2`` / ``g4_2`` / ``g5_only``: all 2-dimensional
   tables, the 8 slots ordered by (i, j, k), where the identity of index 2,
@@ -64,8 +68,9 @@ from .algebras import (
 from .duality import _stored, dualize_algebra
 from .products import tensor_algebras
 
-# Ints, so that each candidate's constructor makes Fractions of its own:
-# tables sharing Fraction objects would pickle to other bytes.
+# Ints: the checks take an int-valued table as it is, and the constructor
+# that ``_first`` runs on a hit makes Fractions of its own (tables sharing
+# Fraction objects would pickle to other bytes).
 _VALUES = (-1, 0, 1)
 _DATA = Path(__file__).parent / "data"
 
@@ -116,16 +121,20 @@ def _sl2(name: str) -> Algebra:
 
 def _candidates(dim: int, slots):
     """Every table with constants from ``_VALUES`` on ``slots`` (absent
-    slots are zero), lexicographically, on the basis e1..e<dim>."""
+    slots are zero), lexicographically, on the basis e1..e<dim>, without a
+    unit: int tables, zeros dropped, unchecked (see the module docstring)."""
     basis = tuple(f"e{i}" for i in range(1, dim + 1))
     for values in itertools.product(_VALUES, repeat=len(slots)):
-        yield Algebra(dim, dict(zip(slots, values)), basis=basis)
+        yield _stored(Algebra, dim, {slot: v for slot, v in zip(slots, values) if v}, None, basis, None)
 
 
 def _first(candidates, predicate, name: str) -> Algebra:
+    """The first of ``candidates`` that ``predicate`` accepts, rebuilt
+    through the constructor under ``name``: its table holds Fractions of
+    its own."""
     for A in candidates:
         if predicate(A):
-            return _named(A, name)
+            return Algebra(A.dim, A.products, basis=A.basis, name=name)
     raise LookupError(f"search space for {name!r} contains no matching instance")
 
 

@@ -251,6 +251,26 @@ def _build_parser():
     return parser
 
 
+def _readings(table) -> dict:
+    """What ``_parse`` reads off each leaf command under ``table``, by its
+    spec: the handler, the positional and option names, the option
+    spellings mapped to the option names, and the flag names."""
+    out = {}
+    for _, spec in table.values():
+        if isinstance(spec, dict):
+            out.update(_readings(spec))
+            continue
+        func, positionals, options = spec
+        options = options.split()
+        spelled = {s: name for name in options for s in _OPTIONS[name][0]}
+        flags = [name for name in options if "action" in _OPTIONS[name][1]]
+        out[spec] = func, positionals.split(), options, spelled, flags
+    return out
+
+
+_READINGS = _readings(_GRAMMAR)
+
+
 def _parse(argv) -> SimpleNamespace | None:
     """The namespace argparse gives for ``argv``, read off the grammar by
     exact spelling only, options anywhere; or None for any other argv, which
@@ -264,9 +284,7 @@ def _parse(argv) -> SimpleNamespace | None:
         if name not in spec:
             return None
         found[dest], spec, dest = name, spec[name][1], f"{name}_command"
-    func, positionals, options = spec[0], spec[1].split(), spec[2].split()
-    spelled = {s: name for name in options for s in _OPTIONS[name][0]}
-    flags = [name for name in options if "action" in _OPTIONS[name][1]]
+    func, positionals, options, spelled, flags = _READINGS[spec]
     found.update(dict.fromkeys(flags, False))
     values = []
     for word in words:

@@ -1,14 +1,16 @@
+import itertools
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import reference_algebras as reference
 
 from nalg import catalog
-from nalg.algebras import classify, gi_check, is_antisymmetric, is_commutative
+from nalg.algebras import Algebra, classify, commutator_algebra, gi_check, is_antisymmetric, is_commutative
 from nalg.cogebras import classify_cogebra
 from nalg.formats import print_document
 from nalg.products import tensor_algebras
@@ -190,6 +192,46 @@ print(json.dumps(scans))
 """
 
 
+# Counts the checked constructions of a regen in a fresh process, so that
+# no instance is answered from a cache.
+_COUNT_CONSTRUCTIONS = """
+from nalg import catalog
+from nalg.algebras import Algebra
+
+calls, init = [0], Algebra.__init__
+
+def counted(self, *args, **kwargs):
+    calls[0] += 1
+    init(self, *args, **kwargs)
+
+Algebra.__init__ = counted
+catalog.regenerate()
+print(calls[0])
+"""
+
+# The candidate space of each search: its dimension and slots.
+SPACES = {
+    "vinberg2": (2, catalog._DIM2),
+    "prelie2": (2, catalog._DIM2),
+    "g4_2": (2, catalog._DIM2),
+    "g5_only": (2, catalog._DIM2),
+    "g2bang3": (3, catalog._GRADED3),
+    "nonjacobi3": (3, catalog._PAIRS3),
+    "generic3": (3, catalog._GENERIC3),
+}
+
+
+def _run(script):
+    src = Path(catalog.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+
+
 def _symmetric(A, sign):
     """Whether e_i e_j = sign * e_j e_i for every pair of basis vectors."""
     es = [reference.basis_vec(A.dim, i) for i in range(1, A.dim + 1)]
@@ -252,16 +294,14 @@ class TestDeterminism:
             assert first.products == second.products
 
     def test_each_search_scans_a_pinned_number_of_candidates(self):
-        src = Path(catalog.__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-c", _COUNT_SCANS],
-            env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert json.loads(done.stdout) == SCANS
+        assert json.loads(_run(_COUNT_SCANS)) == SCANS
         assert sum(SCANS.values()) == 600
+
+    def test_a_regen_checks_a_pinned_number_of_constructions(self):
+        # 4 fixed instances, 7 hits, 2 commutator algebras scanned for
+        # nonjacobi3 and 3 tensor products scanned for prelie2: candidates
+        # are made without the constructor's checks.
+        assert int(_run(_COUNT_CONSTRUCTIONS)) == 16
 
     def test_committed_files_match_builders(self):
         # byte-for-byte regeneration, within the documented time budget
@@ -275,3 +315,26 @@ class TestDeterminism:
     def test_get_parses_committed_bytes(self, catalog_algebras):
         for name, A in catalog_algebras.items():
             assert print_document(A) == catalog.data_text(name)
+
+
+class TestCandidates:
+    def test_unchecked_candidates_equal_checked_ones(self):
+        for name, count in SCANS.items():
+            dim, slots = SPACES[name]
+            basis = tuple(f"e{i}" for i in range(1, dim + 1))
+            values = itertools.product(catalog._VALUES, repeat=len(slots))
+            checked = [Algebra(dim, dict(zip(slots, v)), basis=basis) for v in itertools.islice(values, count)]
+            unchecked = list(itertools.islice(catalog._candidates(dim, slots), count))
+            if name == "nonjacobi3":
+                checked, unchecked = map(commutator_algebra, checked), map(commutator_algebra, unchecked)
+            for A, B in itertools.zip_longest(unchecked, checked):
+                # items, not the dicts alone: the order is the printed order
+                assert list(A.products.items()) == list(B.products.items()), name
+                assert (A.dim, A.basis, A.unit) == (B.dim, B.basis, B.unit), name
+
+    def test_built_instances_keep_their_own_fractions(self):
+        # Tables sharing Fraction objects would pickle to other bytes.
+        for name in catalog.NAMES:
+            table = catalog.build(name)._fields()[1]
+            assert all(type(c) is Fraction for c in table.values()), name
+            assert len({id(c) for c in table.values()}) == len(table), name
