@@ -388,8 +388,9 @@ def is_sigma3_assoc_for(A: Algebra, v: GroupAlgElem) -> bool:
 
 
 def _check_index(i: int, low: int = 1) -> None:
-    if i not in range(low, 7):
-        raise ValueError(f"subgroup index must be in {low}..6, got {i}")
+    # Exactly int, as ``_table`` asks of an index: True and 2.0 equal one.
+    if type(i) is not int or not low <= i <= 6:
+        raise ValueError(f"subgroup index must be in {low}..6, got {i!r}")
 
 
 def gi_check(A: Algebra, i: int) -> bool:

@@ -19,7 +19,8 @@ from .algebras import Algebra, _classify, annihilator, classify
 from .cogebras import classify_cogebra, coannihilator, gi_bang_cocheck
 from .duality import dualize_algebra, dualize_cogebra
 from .formats import (
-    _read_document,
+    _build,
+    _scan_document,
     format_ga_expr,
     parse_algebra,
     parse_cogebra,
@@ -40,11 +41,26 @@ _GI_LABELS = {
 }
 
 
+# Bytes asked of each ``os.read``: a document of this size or less is read
+# whole by the first call, and the next finds the end of the file.
+_CHUNK = 1 << 16
+
+
 def _read(path: str) -> str:
     """The UTF-8 text of the file at ``path``, with "\r\n" and a lone "\r"
-    read as "\n", as text mode reads them.  Unbuffered, as it is read whole."""
-    with open(path, "rb", buffering=0) as f:
-        text = f.read().decode()
+    read as "\n", as text mode reads them.  Read with plain system calls,
+    as it is read whole; an error of a read names ``path``, as an error of
+    the open does."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _CHUNK):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode()
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
@@ -75,18 +91,22 @@ def _json_report(kind: str, dim: int, report) -> str:
 
 
 def _cmd_check(args) -> int:
-    obj, cleared = _read_document(_read(args.file))
-    # The two reports list the same eight fields in the same order, and
-    # the cogebra's names and labels differ only by "co".
-    if isinstance(obj, Algebra):
-        kind, co, report = "algebra", "", _classify(cleared, obj.unit is not None)
+    parts, cleared = _scan_document(_read(args.file))
+    cls, dim, *_, unit = parts
+    # An algebra is classified from its cleared table, and built only to
+    # check a unit.  The two reports list the same eight fields in the same
+    # order, and the cogebra's names and labels differ only by "co".
+    if cls is Algebra:
+        if unit is not None:
+            _build(*parts)
+        kind, co, report = "algebra", "", _classify(cleared, unit is not None)
     else:
-        kind, co, report = "cogebra", "co", classify_cogebra(obj)
+        kind, co, report = "cogebra", "co", classify_cogebra(_build(*parts))
     if args.json:
-        print(_json_report(kind, obj.dim, report))
+        print(_json_report(kind, dim, report))
         return 0
     gi, bang, _, _, power, unit, ann_dim, ann_basis = report._fields()
-    print(f"kind: {kind}  dim: {obj.dim}  {co}unit: {_yes(unit)}")
+    print(f"kind: {kind}  dim: {dim}  {co}unit: {_yes(unit)}")
     lines = [((co and "co-") + _GI_LABELS[i], gi[i]) for i in range(1, 7)]
     lines += [(f"G{i}! {co and 'co '}triple symmetry", bang[i]) for i in range(2, 7)]
     lines.append((f"3-power-{co}associative", power))

@@ -18,13 +18,16 @@ canonical (entries sorted, rationals in lowest terms), so parse-then-print
 is the identity on canonical files.  In both kinds a structure-constant
 key is an entry's indices followed by an output term's, (left, right, k)
 and (in, i, j), so one reader and one printer serve both.  The reader
-checks each index, key and coefficient once and builds the constructor's
-table itself, zero terms dropped.  Each distinct coefficient text is
-parsed once, and equal texts share one ``Fraction``, (co)unit included,
-so a parsed table may pickle to other bytes than an equal one built entry
-by entry (see ``catalog._VALUES``).  From those few values it also clears
-the table of denominators, as ``algebras._integer_table`` does, and
-``_read_document`` hands that table over with the structure.
+works in two steps.  ``_scan`` checks each index, key and coefficient
+once, in document order, and parses each distinct coefficient text once,
+into a reduced int pair; from those few pairs it clears the table of
+denominators, as ``algebras._integer_table`` does, zero terms dropped.
+``_build`` makes one ``Fraction`` per distinct text, shared by every entry
+and (co)unit coordinate that holds it, and builds the structure through
+the constructor's (co)unit and basis checks only.  A parsed table may so
+pickle to other bytes than an equal one built entry by entry (see
+``catalog._VALUES``).  ``nalg check`` classifies an algebra that has no
+unit from the cleared table alone, and builds no structure for it.
 
 Group-algebra expressions are sums of terms ``id, t12, t13, t23, c1, c2``,
 each optionally prefixed by a rational and ``*``, joined by ``+``/``-``,
@@ -42,7 +45,7 @@ from operator import itemgetter
 
 from .algebras import Algebra
 from .cogebras import Cogebra
-from .linalg import format_rational, parse_rational
+from .linalg import _rational_pair, format_rational, parse_rational
 from .sym3 import PERM_NAMES, GroupAlgElem
 
 
@@ -115,22 +118,20 @@ def _read_index(obj: dict, fields: tuple, dim: int) -> None:
             raise FormatError(f"index out of range: '{field}' = {obj[field]}")
 
 
-def _read_coefficient(value, texts: dict, noun: str, head: tuple | None = None) -> Fraction:
-    """The rational string ``value``; errors place it in ``noun``, followed
-    by the entry ``head`` when there is one.  The place is only formatted
-    for an error.  ``texts`` maps each text already read in the document
-    to its value, so each distinct text is parsed once and equal texts
-    share one Fraction; a text that fails is not stored."""
-    if isinstance(value, str):
-        c = texts.get(value)
-        if c is not None:
-            return c
+def _read_coefficient(value, texts: dict, noun: str, head: tuple | None = None) -> None:
+    """Check the rational string ``value`` and store its reduced int pair
+    in ``texts`` under it; errors place it in ``noun``, followed by the
+    entry ``head`` when there is one.  The place is only formatted for an
+    error.  ``texts`` maps each text already read in the document to its
+    pair, so each distinct text is parsed once; a text that fails is not
+    stored."""
+    if not isinstance(value, str):
+        raise FormatError(f"coefficient in {_place(noun, head)} must be a rational string")
+    if value not in texts:
         try:
-            c = texts[value] = parse_rational(value)
+            texts[value] = _rational_pair(value)
         except ValueError as exc:
             raise FormatError(f"{exc} (in {_place(noun, head)})") from None
-        return c
-    raise FormatError(f"coefficient in {_place(noun, head)} must be a rational string")
 
 
 def _place(noun: str, head: tuple | None) -> str:
@@ -143,31 +144,41 @@ def _label(head: tuple) -> str:
 
 
 def parse_algebra(text: str) -> Algebra:
-    return _read(_load_object(text), "algebra")[0]
+    return _build(*_scan(_load_object(text), "algebra")[0])
 
 
 def parse_cogebra(text: str) -> Cogebra:
-    return _read(_load_object(text), "cogebra")[0]
+    return _build(*_scan(_load_object(text), "cogebra")[0])
 
 
 def parse_document(text: str):
     """Parse either kind of document, keyed on the 'kind' field."""
-    return _read_document(text)[0]
+    return _build(*_scan_document(text)[0])
 
 
 def _read_document(text: str) -> tuple:
     """The structure of either kind that ``text`` holds, and its table
-    cleared of denominators (see ``_read``)."""
+    cleared of denominators (see ``_scan``)."""
+    parts, cleared = _scan_document(text)
+    return _build(*parts), cleared
+
+
+def _scan_document(text: str) -> tuple:
+    """``_scan`` of either kind of document, keyed on the 'kind' field."""
     doc = _load_object(text)
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise FormatError("'kind' must be 'algebra' or 'cogebra'")
-    return _read(doc, kind)
+    return _scan(doc, kind)
 
 
-def _read(doc: dict, kind: str) -> tuple:
-    """The algebra or cogebra of ``kind`` that the decoded ``doc`` holds, and
-    its table cleared of denominators as ``algebras._integer_table`` clears it."""
+def _scan(doc: dict, kind: str) -> tuple:
+    """Check the decoded ``doc`` as a document of ``kind``, in one pass in
+    document order, short of the (co)unit axiom, which ``_build`` checks.
+    Returns the arguments of ``_build`` and the table cleared of
+    denominators as ``algebras._integer_table`` clears it.  The table and
+    the (co)unit hold coefficient texts, and ``texts`` maps each to its
+    reduced int pair."""
     (cls, field, entry_fields, term_fields, unit_field,
      article, entry_keys, term_keys, constant) = _KINDS[kind]
     if doc.get("kind") != kind:
@@ -179,15 +190,20 @@ def _read(doc: dict, kind: str) -> tuple:
     if not isinstance(entries, list):
         raise FormatError(f"'{field}' must be a list")
     noun = field[:-1]
-    entry_set, entry_get = {*entry_fields, "out"}, itemgetter(*entry_fields, "out")
-    term_set, term_get = {*term_fields, "c"}, itemgetter(*term_fields, "c")
-    table: dict[tuple[int, int, int], Fraction] = {}
-    texts: dict[str, Fraction] = {}
+    # A JSON value of the length of a field list that yields every field
+    # is a dict with exactly those keys.
+    entry_len, entry_get = len(entry_fields) + 1, itemgetter(*entry_fields, "out")
+    term_len, term_get = len(term_fields) + 1, itemgetter(*term_fields, "c")
+    table: dict[tuple[int, int, int], str] = {}
+    texts: dict[str, tuple[int, int]] = {}
     heads: set[tuple[int, ...]] = set()
     for entry in entries:
-        if not isinstance(entry, dict) or entry.keys() != entry_set:
+        try:
+            got = entry_get(entry) if len(entry) == entry_len else ()
+        except (TypeError, KeyError):
+            got = ()
+        if not got:
             raise FormatError(f"each {noun} entry needs exactly {entry_keys}")
-        got = entry_get(entry)
         head, terms = got[:-1], got[-1]
         for t in head:
             if type(t) is not int or not 0 < t <= dim:
@@ -198,31 +214,49 @@ def _read(doc: dict, kind: str) -> tuple:
         if not isinstance(terms, list):
             raise FormatError("'out' must be a list")
         for term in terms:
-            if not isinstance(term, dict) or term.keys() != term_set:
+            try:
+                got = term_get(term) if len(term) == term_len else ()
+            except (TypeError, KeyError):
+                got = ()
+            if not got:
                 raise FormatError(f"each output term needs exactly {term_keys}")
-            got = term_get(term)
-            for t in got[:-1]:
+            tail = got[:-1]
+            for t in tail:
                 if type(t) is not int or not 0 < t <= dim:
                     _read_index(term, term_fields, dim)
-            key = head + got[:-1]
+            key = head + tail
             if key in table:
                 raise FormatError(f"duplicate {constant} entry {key}")
             c = got[-1]
-            table[key] = texts[c] if type(c) is str and c in texts else _read_coefficient(c, texts, noun, head)
-    if not all(texts.values()):
-        table = {key: c for key, c in table.items() if c}
-    # Each distinct value object, kept alive by ``texts``, gets one int.
-    d = lcm(*[c.denominator for c in texts.values()])
-    ints = {id(c): c.numerator * (d // c.denominator) for c in texts.values()}
-    cleared = dict(zip(table, map(ints.__getitem__, map(id, table.values()))))
-    value = doc[unit_field]
-    unit = None
-    if value is not None:
-        if not isinstance(value, list) or len(value) != dim:
+            if type(c) is not str or c not in texts:
+                _read_coefficient(c, texts, noun, head)
+            table[key] = c
+    # Zero terms are dropped: every zero text reads (0, 1).  Then each
+    # distinct text of the table, the (co)unit's not yet read, gets one int.
+    if (0, 1) in texts.values():
+        table = {key: c for key, c in table.items() if texts[c][0]}
+    d = lcm(*[q for _, q in texts.values()])
+    ints = {c: p * (d // q) for c, (p, q) in texts.items()}
+    cleared = dict(zip(table, map(ints.__getitem__, table.values())))
+    unit = doc[unit_field]
+    if unit is not None:
+        if not isinstance(unit, list) or len(unit) != dim:
             raise FormatError(f"'{unit_field}' must be null or a list of {dim} rationals")
-        unit = tuple([_read_coefficient(c, texts, f"'{unit_field}'") for c in value])
+        for c in unit:
+            _read_coefficient(c, texts, f"'{unit_field}'")
+    return (cls, dim, basis, table, texts, unit), cleared
+
+
+def _build(cls, dim: int, basis: tuple, table: dict, texts: dict, unit: list | None):
+    """The structure of a document that ``_scan`` checked and returned as
+    these parts: one Fraction per distinct coefficient text, shared by the
+    table and the (co)unit, and the constructor's (co)unit and basis checks."""
+    values = {c: Fraction(p, q) for c, (p, q) in texts.items()}
+    table = dict(zip(table, map(values.__getitem__, table.values())))
+    if unit is not None:
+        unit = tuple(map(values.__getitem__, unit))
     try:
-        return cls.__new__(cls)._init(dim, table, unit, basis, None), cleared
+        return cls.__new__(cls)._init(dim, table, unit, basis, None)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

@@ -28,19 +28,26 @@ _denominator = attrgetter("denominator")
 _RATIONAL_FORM = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the strict text form: optional sign, integer, optional "/" and
-    positive integer.  Anything else (floats, exponents, whitespace) is
-    rejected."""
+def _rational_pair(text: str) -> tuple[int, int]:
+    """The reduced pair ``(p, q)``, ``q`` positive, of the strict text form:
+    optional sign, integer, optional "/" and positive integer.  Anything
+    else (floats, exponents, whitespace) is rejected."""
     m = _RATIONAL_FORM.match(text)
     if m is None:
         raise ValueError(f"malformed rational: {text!r}")
     if m.group(2) is None:
-        return Fraction(int(m.group(1)))
-    den = int(m.group(2))
-    if den == 0:
+        return int(m.group(1)), 1
+    q = int(m.group(2))
+    if q == 0:
         raise ValueError(f"malformed rational: {text!r} (denominator must be positive)")
-    return Fraction(int(m.group(1)), den)
+    p = int(m.group(1))
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def parse_rational(text: str) -> Fraction:
+    """The Fraction of the strict text form (see ``_rational_pair``)."""
+    return Fraction(*_rational_pair(text))
 
 
 def format_rational(value: Fraction) -> str:

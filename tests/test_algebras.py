@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from reference_algebras import (
     slot_rows,
 )
 
+from nalg import catalog
 from nalg.algebras import (
     Algebra,
     TrilinearMap,
@@ -31,6 +33,7 @@ from nalg.algebras import (
     phi_precompose,
     power_assoc_check,
 )
+from nalg.cogebras import gi_bang_cocheck, gi_cocheck
 from nalg.linalg import member
 from nalg.sym3 import (
     PERMS,
@@ -212,6 +215,18 @@ class TestSigmaChecks:
             gi_check(catalog_algebras["mat2"], 0)
         with pytest.raises(ValueError):
             gi_bang_check(catalog_algebras["mat2"], 1)
+
+
+@pytest.mark.parametrize("index", [True, 2.0, "2"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize(
+    "check, name",
+    [(gi_check, "vinberg2"), (gi_bang_check, "vinberg2"), (gi_cocheck, "dual_vinberg2"), (gi_bang_cocheck, "dual_vinberg2")],
+    ids=["gi_check", "gi_bang_check", "gi_cocheck", "gi_bang_cocheck"],
+)
+def test_subgroup_index_must_be_an_int(check, name, index):
+    # True and 2.0 equal the indices 1 and 2, but only an int is an index.
+    with pytest.raises(ValueError, match=re.escape(f"..6, got {index!r}")):
+        check(catalog.get(name), index)
 
 
 class TestAnnihilator:

@@ -1,7 +1,10 @@
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -11,9 +14,10 @@ from test_engine_differential import algebras
 
 from nalg import catalog, cogebras
 from nalg.algebras import Algebra, annihilator, classify, gi_check
-from nalg.cli import _build_parser, _json_report, main
+from nalg.cli import _CHUNK, _build_parser, _json_report, main
 from nalg.duality import dualize_algebra
-from nalg.formats import format_ga_expr, parse_algebra, parse_document
+from nalg.cogebras import Cogebra
+from nalg.formats import format_ga_expr, parse_algebra, parse_document, print_document
 from nalg.products import convolution_algebra, tensor_algebras
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -107,6 +111,45 @@ class TestCheck:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "check_mat2.json").read_text()
 
+    def test_algebra_without_unit_is_not_built(self, capsys, monkeypatch, tmp_path):
+        # An algebra with no unit is classified from the reader's cleared
+        # table alone: no Fraction table, no Algebra.
+        rng = random.Random(5)
+        table = {key: rng.choice(("-2", "-1", "-1/2", "1/2", "1", "2"))
+                 for key in itertools.product(range(1, 6), repeat=3) if rng.random() < 0.5}
+        A = Algebra(5, {key: F(c) for key, c in table.items()})
+        dense = tmp_path / "dense.json"
+        dense.write_text(print_document(A))
+        expected = {path: json.dumps(report_doc("algebra", X.dim, classify(X)), indent=2) + "\n"
+                    for path, X in ((data_path("generic3"), catalog.get("generic3")), (str(dense), A))}
+
+        def unreachable(*args):
+            raise AssertionError("structure built")
+
+        monkeypatch.setattr(Algebra, "_init", unreachable)
+        for path, report in expected.items():
+            assert run(capsys, "check", "--json", path) == (0, report, "")
+
+    @pytest.mark.parametrize("name, cls", [("mat2", Algebra), ("dual_vinberg2", Cogebra)])
+    def test_unit_or_cogebra_is_built(self, capsys, monkeypatch, name, cls):
+        # A unit needs the structure for its axiom check, and a cogebra is
+        # classified from the structure.
+        built = []
+        init = cls._init
+
+        def counted(self, *args):
+            built.append(type(self))
+            return init(self, *args)
+
+        monkeypatch.setattr(cls, "_init", counted)
+        assert run(capsys, "check", "--json", data_path(name)) == (0, (GOLDEN / f"check_{name}.json").read_text(), "")
+        assert built == [cls]
+
+    def test_unit_failing_the_axiom_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad_unit.json"
+        bad.write_text(catalog.data_text("mat2").replace('"unit": [\n    "1",', '"unit": [\n    "2",'))
+        assert run(capsys, "check", "--json", str(bad)) == (2, "", "error: declared unit is not a two-sided unit\n")
+
     def test_unwritable_output_exits_2(self, capsys, tmp_path):
         # An OSError while writing -o is still an input error.
         code, out, err = run(capsys, "dualize", data_path("mat2"), "-o", str(tmp_path))
@@ -176,6 +219,20 @@ class TestReading:
         code, out, err = self.check(capsys, tmp_path, b"\xef\xbb\xbf" + catalog.data_text("mat2").encode())
         assert (code, out) == (2, "")
         assert err.startswith("error: syntax error at line 1, column 1: Unexpected UTF-8 BOM")
+
+    def test_directory_exits_2(self, capsys, tmp_path):
+        path = str(tmp_path)
+        assert run(capsys, "check", path) == (2, "", f"error: [Errno 21] Is a directory: {path!r}\n")
+
+    def test_missing_path_exits_2(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.json")
+        assert run(capsys, "check", path) == (2, "", f"error: [Errno 2] No such file or directory: {path!r}\n")
+
+    def test_file_longer_than_one_read_parses(self, capsys, tmp_path):
+        # Spaces after the first line break, so that the document is whole
+        # only when every read is joined.
+        text = catalog.data_text("mat2").replace("\n", "\n" + " " * (2 * _CHUNK), 1)
+        assert self.check(capsys, tmp_path, text.encode()) == (0, (GOLDEN / "check_mat2.json").read_text(), "")
 
 
 

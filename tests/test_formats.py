@@ -166,13 +166,13 @@ class TestRoundTrips:
         import nalg.formats
 
         calls = []
-        parse = nalg.formats.parse_rational
+        parse = nalg.formats._rational_pair
 
         def counting_parse(text):
             calls.append(text)
             return parse(text)
 
-        monkeypatch.setattr(nalg.formats, "parse_rational", counting_parse)
+        monkeypatch.setattr(nalg.formats, "_rational_pair", counting_parse)
         for name in ("mat2", "dual_mat2", "trunc_poly2"):
             doc = json.loads(catalog.data_text(name))
             field, unit_field = ("products", "unit") if doc["kind"] == "algebra" else ("coproducts", "counit")
