@@ -22,14 +22,15 @@ invertible, so the later layers are never computed; the answer is the
 right annihilator of g, and every flag one ``killed`` read of g.
 ``_kills`` tests one vector and stops at the first orbit it fails on.
 
-``_solve`` reads ``_orbit_probe`` before the layers: the composite at the
-slot permutations of the first three indices the table uses, one output
-index (one orbit) at a time.  An orbit with a repeated index is fixed by
-a transposition, so its sign is zero; these are the first orbits with
-three distinct indices, and on a generic table the first of them alone
-makes g invertible, before any other is joined or a layer computed.  They
-are orbits of the third layer, and an orbit read twice adds nothing to
-the ideal, so the answer is unchanged; otherwise the layers follow.
+``_solve`` folds ``_orbit_probe`` before the layers: the splits of the
+composite at the slot permutations of the first three indices the table
+uses, one output index (one orbit) at a time.  An orbit with a repeated
+index is fixed by a transposition, so its sign is zero; these are the
+first orbits with three distinct indices, and on a generic table the
+first of them alone makes g invertible, before any other is joined or a
+layer computed.  They are orbits of the third layer, and an orbit read
+twice adds nothing to the ideal, so the answer is unchanged; otherwise
+the layers follow.
 """
 
 from __future__ import annotations
@@ -280,58 +281,59 @@ def phi_precompose(T: TrilinearMap, v) -> TrilinearMap:
     return TrilinearMap(T.dim, out)
 
 
-def _orbit_splits(T: Mapping[Key4, int]) -> Iterator[tuple[int, ...]]:
-    """The split of f_K for each orbit K of the keys of ``T`` under slot
-    permutation, lazily.  With the orbit's keys K_p = (m[s1], m[s2], m[s3],
-    l) in _SLOT_ORDERS order, f_K is the sum of T(K_p) PERMS[p], and slot
-    permutation by v gives the coefficient of PERMS[r] in f_K v at K_r.
-    Another start m only multiplies f_K on the left by a permutation."""
-    seen: set[Key4] = set()
-    get = T.get
-    for m in T:
-        if m in seen:
-            continue
-        keys = [(m[s1], m[s2], m[s3], m[3]) for s1, s2, s3 in _SLOT_ORDERS]
-        seen.update(keys)
-        yield split([get(key, 0) for key in keys])
+def _orbit_splits(layers: Iterator[dict[Key4, int]]) -> Iterator[tuple[int, ...]]:
+    """The split of f_K for each orbit K of the keys of each layer T under
+    slot permutation, lazily.  With the orbit's keys K_p = (m[s1], m[s2],
+    m[s3], l) in _SLOT_ORDERS order, f_K is the sum of T(K_p) PERMS[p], and
+    slot permutation by v gives the coefficient of PERMS[r] in f_K v at
+    K_r.  Another start m only multiplies f_K on the left by a permutation."""
+    for T in layers:
+        seen: set[Key4] = set()
+        get = T.get
+        for m in T:
+            if m in seen:
+                continue
+            keys = [(m[s1], m[s2], m[s3], m[3]) for s1, s2, s3 in _SLOT_ORDERS]
+            seen.update(keys)
+            yield split([get(key, 0) for key in keys])
 
 
-def _split_solve(layers: Iterator[dict[Key4, int]]) -> tuple[int, ...]:
-    """The split of a generator g of the left ideal spanned by the f_K of
-    the map given by ``layers``: v kills the map exactly when g v = 0.
+def _split_solve(splits: Iterator[tuple[int, ...]]) -> tuple[int, ...]:
+    """The split of a generator g of the left ideal spanned by the f_K
+    whose ``splits`` are given: v kills every orbit exactly when g v = 0.
 
     The scalars of g are the first nonzero ones of an f_K, and rho(g) has
     the row space of all rho(f_K): zero, one row (x, y) over a zero row,
-    or the identity.  The scan stops once g is invertible, so a layer is
-    computed only when the orbits before it leave g singular."""
+    or the identity.  The fold stops once g is invertible, so an orbit is
+    computed only when those before it leave g singular."""
     eps = sgn = x = y = 0
     full = False
-    for layer in layers:
-        for e, s, r11, r12, r21, r22 in _orbit_splits(layer):
-            eps, sgn = eps or e, sgn or s
-            if not (x or y):
-                x, y = (r11, r12) if r11 or r12 else (r21, r22)
-            full = full or x * r12 != y * r11 or x * r22 != y * r21
-            if full and eps and sgn:
-                return eps, sgn, 1, 0, 0, 1
+    for e, s, r11, r12, r21, r22 in splits:
+        eps, sgn = eps or e, sgn or s
+        if not (x or y):
+            x, y = (r11, r12) if r11 or r12 else (r21, r22)
+        full = full or x * r12 != y * r11 or x * r22 != y * r21
+        if full and eps and sgn:
+            return eps, sgn, 1, 0, 0, 1
     return (eps, sgn, 1, 0, 0, 1) if full else (eps, sgn, x, y, 0, 0)
 
 
-def _orbit_probe(P: Mapping[tuple[int, int, int], int], left: int, right: int) -> Iterator[dict[Key4, int]]:
-    """The nonzero entries of left*(xy)z + right*x(yz) over the integer
-    table ``P`` at the six slot permutations p of the first three indices
-    that ``P`` uses, lazily, one orbit (one output l) per step; none when
-    ``P`` uses fewer than three.  These are the third layer's first orbits
-    with three distinct indices, so the first whose sign can be nonzero.
-    A term (p, w, a, b) adds w * P[(a, b, l)] at p = (i, j, k): w is read
-    with ``P.get`` from e_i e_j -> e_m for (xy)z or e_j e_k -> e_m for
-    x(yz), at every used m, and l runs over the outputs of e_a e_b."""
+def _orbit_probe(P: Mapping[tuple[int, int, int], int], left: int, right: int) -> Iterator[tuple[int, ...]]:
+    """The splits of the nonzero orbits of left*(xy)z + right*x(yz) over
+    the integer table ``P`` at the six slot permutations p (_SLOT_ORDERS)
+    of the first three indices that ``P`` uses, lazily, one orbit (one
+    output l) per step; none when ``P`` uses fewer than three.  These are
+    the third layer's first orbits with three distinct indices, so the
+    first whose sign can be nonzero.  A term (p, w, a, b) adds w * P[(a,
+    b, l)] at p = (i, j, k): w is read with ``P.get`` from e_i e_j -> e_m
+    for (xy)z or e_j e_k -> e_m for x(yz), at every used m, and l runs over
+    the outputs of e_a e_b."""
     used = sorted(set().union(*P))
     if len(used) < 3:
         return
     get, reached, terms = P.get, set(), []
-    keys = [(used[s1], used[s2], used[s3]) for s1, s2, s3 in _SLOT_ORDERS]
-    for p, (i, j, k) in enumerate(keys):
+    for p, (s1, s2, s3) in enumerate(_SLOT_ORDERS):
+        i, j, k = used[s1], used[s2], used[s3]
         for m in used:
             if left and (c := get((i, j, m))):
                 terms.append((p, left * c, m, k))
@@ -345,14 +347,14 @@ def _orbit_probe(P: Mapping[tuple[int, int, int], int], left: int, right: int) -
             for p, w, m, n in terms:
                 values[p] += w * get((m, n, l), 0)
             if any(values):
-                yield {(*keys[p], l): c for p, c in enumerate(values) if c}
+                yield split(values)
 
 
 def _solve(P: Mapping[tuple[int, int, int], int], left: int, right: int) -> tuple[int, ...]:
     """``_split_solve`` of left*(xy)z + right*x(yz), reading the probe's
     orbits, some of the layers' own, before the layers: the generator
     spans the same left ideal."""
-    return _split_solve(chain(_orbit_probe(P, left, right), _composite_layers(P, left, right)))
+    return _split_solve(chain(_orbit_probe(P, left, right), _orbit_splits(_composite_layers(P, left, right))))
 
 
 # u_i - |G_i| id, with u_i the sum of the members of G_i, for i = 2..6.
@@ -375,7 +377,7 @@ def _kills(w: tuple, layers: Iterator[dict[Key4, int]]) -> bool:
     """Whether slot permutation by the vector with split ``w`` kills the
     map given by ``layers``: f_K v = 0 on every orbit, up to the first
     orbit where it is not."""
-    return all(killed(f, w) for layer in layers for f in _orbit_splits(layer))
+    return all(killed(f, w) for f in _orbit_splits(layers))
 
 
 def _associator_kills(A: Algebra, w: tuple) -> bool:
@@ -496,8 +498,11 @@ def _classify(P: Mapping[tuple[int, int, int], int], has_unit: bool) -> Classifi
     """``classify`` of the algebra with the cleared table ``P``, as
     ``_integer_table`` returns it, and a unit when ``has_unit``."""
     g = _solve(P, 1, -1)
-    gi = {i: killed(g, f) for i, f in _GI_SPLITS.items()}
     bang = dict.fromkeys(_BANG_VECTORS, False)
+    if g[0] and g[1] and g[2] * g[5] != g[3] * g[4]:
+        # g is invertible, as on a generic table: it kills no nonzero vector.
+        return ClassificationReport(dict.fromkeys(_GI_SPLITS, False), bang, False, False, False, has_unit, 0, ())
+    gi = {i: killed(g, f) for i, f in _GI_SPLITS.items()}
     if gi[1]:
         sym = _solve(P, 1, 0)
         bang = {i: killed(sym, f) for i, f in _BANG_SPLITS.items()}

@@ -17,10 +17,11 @@ strict "p/q" text form.  Unknown fields are rejected and printing is
 canonical (entries sorted, rationals in lowest terms), so parse-then-print
 is the identity on canonical files.  In both kinds a structure-constant
 key is an entry's indices followed by an output term's, (left, right, k)
-and (in, i, j), so one reader and one printer serve both.  The reader
-works in two steps.  ``_scan`` checks each index, key and coefficient
-once, in document order, and parses each distinct coefficient text once,
-into a reduced int pair; from those few pairs it clears the table of
+and (in, i, j), so one printer serves both, and the reader's loop for
+each kind unpacks its own fields into the same keys.  The reader works
+in two steps.  ``_scan`` checks each index, key and coefficient once, in
+document order, and parses each distinct coefficient text once, into a
+reduced int pair; from those few pairs it clears the table of
 denominators, as ``algebras._integer_table`` does, zero terms dropped.
 ``_build`` makes one ``Fraction`` per distinct text, shared by every entry
 and (co)unit coordinate that holds it, and builds the structure through
@@ -86,6 +87,8 @@ def _load_object(text: str) -> dict:
 
 
 def _check_keys(doc: dict, expected: set[str]) -> None:
+    if doc.keys() == expected:
+        return
     unknown = set(doc) - expected
     if unknown:
         raise FormatError(f"unknown field(s): {', '.join(sorted(unknown))}")
@@ -118,7 +121,7 @@ def _read_index(obj: dict, fields: tuple, dim: int) -> None:
             raise FormatError(f"index out of range: '{field}' = {obj[field]}")
 
 
-def _read_coefficient(value, texts: dict, noun: str, head: tuple | None = None) -> None:
+def _read_coefficient(value, texts: dict, noun: str, head: int | tuple | None = None) -> None:
     """Check the rational string ``value`` and store its reduced int pair
     in ``texts`` under it; errors place it in ``noun``, followed by the
     entry ``head`` when there is one.  The place is only formatted for an
@@ -134,13 +137,8 @@ def _read_coefficient(value, texts: dict, noun: str, head: tuple | None = None) 
             raise FormatError(f"{exc} (in {_place(noun, head)})") from None
 
 
-def _place(noun: str, head: tuple | None) -> str:
-    return noun if head is None else f"{noun} {_label(head)}"
-
-
-def _label(head: tuple) -> str:
-    """An entry's indices as errors show them: ``2`` or ``(1, 2)``."""
-    return str(head[0] if len(head) == 1 else head)
+def _place(noun: str, head: int | tuple | None) -> str:
+    return noun if head is None else f"{noun} {head}"
 
 
 def parse_algebra(text: str) -> Algebra:
@@ -191,46 +189,65 @@ def _scan(doc: dict, kind: str) -> tuple:
         raise FormatError(f"'{field}' must be a list")
     noun = field[:-1]
     # A JSON value of the length of a field list that yields every field
-    # is a dict with exactly those keys.
-    entry_len, entry_get = len(entry_fields) + 1, itemgetter(*entry_fields, "out")
-    term_len, term_get = len(term_fields) + 1, itemgetter(*term_fields, "c")
+    # is a dict with exactly those keys; any other value raises, as does
+    # unpacking the () of a wrong length.  Each kind unpacks its own fields.
+    entry_get, term_get = itemgetter(*entry_fields, "out"), itemgetter(*term_fields, "c")
     table: dict[tuple[int, int, int], str] = {}
     texts: dict[str, tuple[int, int]] = {}
-    heads: set[tuple[int, ...]] = set()
-    for entry in entries:
-        try:
-            got = entry_get(entry) if len(entry) == entry_len else ()
-        except (TypeError, KeyError):
-            got = ()
-        if not got:
-            raise FormatError(f"each {noun} entry needs exactly {entry_keys}")
-        head, terms = got[:-1], got[-1]
-        for t in head:
-            if type(t) is not int or not 0 < t <= dim:
-                _read_index(entry, entry_fields, dim)
-        if head in heads:
-            raise FormatError(f"duplicate {noun} entry for {_label(head)}")
-        heads.add(head)
-        if not isinstance(terms, list):
-            raise FormatError("'out' must be a list")
-        for term in terms:
+    heads: set[int | tuple[int, int]] = set()
+    if cls is Algebra:
+        for entry in entries:
             try:
-                got = term_get(term) if len(term) == term_len else ()
-            except (TypeError, KeyError):
-                got = ()
-            if not got:
-                raise FormatError(f"each output term needs exactly {term_keys}")
-            tail = got[:-1]
-            for t in tail:
-                if type(t) is not int or not 0 < t <= dim:
+                left, right, terms = entry_get(entry) if len(entry) == 3 else ()
+            except (TypeError, KeyError, ValueError):
+                raise FormatError(f"each {noun} entry needs exactly {entry_keys}") from None
+            if not (type(left) is type(right) is int and 0 < left <= dim and 0 < right <= dim):
+                _read_index(entry, entry_fields, dim)
+            head = left, right
+            if head in heads:
+                raise FormatError(f"duplicate {noun} entry for {head}")
+            heads.add(head)
+            if not isinstance(terms, list):
+                raise FormatError("'out' must be a list")
+            for term in terms:
+                try:
+                    k, c = term_get(term) if len(term) == 2 else ()
+                except (TypeError, KeyError, ValueError):
+                    raise FormatError(f"each output term needs exactly {term_keys}") from None
+                if not (type(k) is int and 0 < k <= dim):
                     _read_index(term, term_fields, dim)
-            key = head + tail
-            if key in table:
-                raise FormatError(f"duplicate {constant} entry {key}")
-            c = got[-1]
-            if type(c) is not str or c not in texts:
-                _read_coefficient(c, texts, noun, head)
-            table[key] = c
+                key = left, right, k
+                if key in table:
+                    raise FormatError(f"duplicate {constant} entry {key}")
+                if type(c) is not str or c not in texts:
+                    _read_coefficient(c, texts, noun, head)
+                table[key] = c
+    else:
+        for entry in entries:
+            try:
+                h, terms = entry_get(entry) if len(entry) == 2 else ()
+            except (TypeError, KeyError, ValueError):
+                raise FormatError(f"each {noun} entry needs exactly {entry_keys}") from None
+            if not (type(h) is int and 0 < h <= dim):
+                _read_index(entry, entry_fields, dim)
+            if h in heads:
+                raise FormatError(f"duplicate {noun} entry for {h}")
+            heads.add(h)
+            if not isinstance(terms, list):
+                raise FormatError("'out' must be a list")
+            for term in terms:
+                try:
+                    i, j, c = term_get(term) if len(term) == 3 else ()
+                except (TypeError, KeyError, ValueError):
+                    raise FormatError(f"each output term needs exactly {term_keys}") from None
+                if not (type(i) is type(j) is int and 0 < i <= dim and 0 < j <= dim):
+                    _read_index(term, term_fields, dim)
+                key = h, i, j
+                if key in table:
+                    raise FormatError(f"duplicate {constant} entry {key}")
+                if type(c) is not str or c not in texts:
+                    _read_coefficient(c, texts, noun, h)
+                table[key] = c
     # Zero terms are dropped: every zero text reads (0, 1).  Then each
     # distinct text of the table, the (co)unit's not yet read, gets one int.
     if (0, 1) in texts.values():
@@ -294,6 +311,9 @@ _TERM_INDEX = {name: i for i, name in enumerate(PERM_NAMES)}
 def parse_ga_expr(text: str) -> GroupAlgElem:
     """Parse an expression like ``id - t12 + 3/2*c1`` into coordinates."""
     s = "".join(text.split())
+    # Errors give positions in ``text`` as given: where[pos] is the place
+    # there of s[pos], and the end of s is the end of text.
+    where = [at for at, ch in enumerate(text) if not ch.isspace()] + [len(text)]
     if not s:
         raise FormatError("empty expression")
     if s == "0":
@@ -307,17 +327,17 @@ def parse_ga_expr(text: str) -> GroupAlgElem:
             negate = s[pos] == "-"
             pos += 1
         elif not first:
-            raise FormatError(f"expected '+' or '-' at position {pos} in {text!r}")
+            raise FormatError(f"expected '+' or '-' at position {where[pos]} in {text!r}")
         m = _TERM_RE.match(s, pos)
         if m is None:
-            raise FormatError(f"malformed term at position {pos} in {text!r}")
+            raise FormatError(f"malformed term at position {where[pos]} in {text!r}")
         if m.group(1) is None:
             coef = Fraction(1)
         else:
             try:
                 coef = parse_rational(m.group(1))
             except ValueError as exc:
-                raise FormatError(f"{exc} (at position {pos} in {text!r})") from None
+                raise FormatError(f"{exc} (at position {where[pos]} in {text!r})") from None
         if negate:
             coef = -coef
         coords[_TERM_INDEX[m.group(2)]] += coef

@@ -13,7 +13,6 @@ anywhere.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
@@ -25,22 +24,21 @@ from ._record import Record
 Vec = tuple[Fraction, ...]
 _denominator = attrgetter("denominator")
 
-_RATIONAL_FORM = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
-
 
 def _rational_pair(text: str) -> tuple[int, int]:
     """The reduced pair ``(p, q)``, ``q`` positive, of the strict text form:
-    optional sign, integer, optional "/" and positive integer.  Anything
-    else (floats, exponents, whitespace) is rejected."""
-    m = _RATIONAL_FORM.match(text)
-    if m is None:
+    optional sign, ASCII digits, optional "/" and positive ASCII digits.
+    Anything else (floats, exponents, whitespace, underscores) is rejected."""
+    p, slash, q = text.partition("/")
+    digits = p[1:] if p[:1] in "+-" else p
+    if not (digits.isdigit() and digits.isascii() and (not slash or q.isdigit() and q.isascii())):
         raise ValueError(f"malformed rational: {text!r}")
-    if m.group(2) is None:
-        return int(m.group(1)), 1
-    q = int(m.group(2))
+    if not slash:
+        return int(p), 1
+    q = int(q)
     if q == 0:
         raise ValueError(f"malformed rational: {text!r} (denominator must be positive)")
-    p = int(m.group(1))
+    p = int(p)
     g = gcd(p, q)
     return p // g, q // g
 

@@ -21,9 +21,7 @@ from nalg.formats import (
     _KINDS,
     FormatError,
     _check_keys,
-    _label,
     _load_object,
-    _place,
     _read_basis,
     _read_dim,
     _read_index,
@@ -43,6 +41,15 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ValueError(f"malformed rational: {text!r} (denominator must be positive)")
     return Fraction(int(m.group(1)), den)
+
+
+def _place(noun: str, head: tuple | None) -> str:
+    return noun if head is None else f"{noun} {_label(head)}"
+
+
+def _label(head: tuple) -> str:
+    """An entry's indices as errors show them: ``2`` or ``(1, 2)``."""
+    return str(head[0] if len(head) == 1 else head)
 
 
 def read_document(text: str) -> tuple:

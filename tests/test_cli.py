@@ -405,6 +405,24 @@ class TestS3Commands:
         code, _, err = run(capsys, "s3", "orbit", "id ++ q")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # The bad term starts at 5, after the '+' at 3.
+            ("id + 2*", "malformed term at position 5 in 'id + 2*'"),
+            # 't12' starts at 4, after two spaces.
+            ("id  t12", "expected '+' or '-' at position 4 in 'id  t12'"),
+            ("id + 1/0*t12",
+             "malformed rational: '1/0' (denominator must be positive) (at position 5 in 'id + 1/0*t12')"),
+            # A term missing at the end is placed at the end of the text.
+            ("id + ", "malformed term at position 5 in 'id + '"),
+            ("id\tt12", "expected '+' or '-' at position 3 in 'id\\tt12'"),
+        ],
+    )
+    def test_error_positions_count_the_text_as_given(self, capsys, text, message):
+        code, out, err = run(capsys, "s3", "span", text)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestCatalogCommands:
     def test_list(self, capsys):

@@ -30,6 +30,7 @@ from nalg.algebras import (
     _integer_table,
     _kills,
     _orbit_probe,
+    _orbit_splits,
     _solve,
     _split_solve,
     annihilator,
@@ -134,13 +135,15 @@ REVERSAL8 = Algebra(
     },
 )
 
-# Cases random draws rarely reach: annihilators of dimension 5 and 2,
-# associative algebras whose (xy)z is fixed by {id, t12}, by {id, t23},
-# by the identity alone, by {id, c1, c2} and by {id, t13}, and a unital
-# one.
+# Cases random draws rarely reach: annihilators of dimension 5 and 2, one
+# that is a single standard copy (g has both scalars nonzero and rho of
+# rank 1), associative algebras whose (xy)z is fixed by {id, t12}, by
+# {id, t23}, by the identity alone, by {id, c1, c2} and by {id, t13}, and
+# a unital one.
 RARE = (
     Algebra(3, {(3, 3, 2): Fraction(-1, 2), (3, 2, 1): Fraction(1, 3)}),
     Algebra(3, {(3, 3, 3): Fraction(-1, 5), (2, 1, 3): Fraction(2, 3)}),
+    Algebra(4, {(2, 2, 1): 2, (1, 2, 3): 1, (2, 1, 3): -1, (4, 2, 4): -1, (2, 4, 4): 1, (3, 4, 3): 1, (4, 3, 3): -1}),
     Algebra(2, {(1, 1, 1): Fraction(1, 2), (1, 2, 2): Fraction(1, 2)}),
     Algebra(2, {(1, 1, 1): Fraction(-1, 3), (2, 1, 2): Fraction(-1, 3)}),
     Algebra(4, {(1, 1, 1): Fraction(-1, 5), (1, 3, 3): Fraction(-1, 5), (4, 1, 4): Fraction(-1, 5)}),
@@ -310,7 +313,7 @@ def _layers_pulled(A, left, right):
     solve each pull before they stop."""
     P = _integer_table(A.products)[0]
     by_split, by_rows = [], []
-    _split_solve(_counted(_composite_layers(P, left, right), by_split))
+    _split_solve(_orbit_splits(_counted(_composite_layers(P, left, right), by_split)))
     reference.slot_kernel(_counted(_composite_layers(P, left, right), by_rows))
     return len(by_split), len(by_rows)
 
@@ -330,7 +333,7 @@ def test_split_solve_matches_the_slot_row_solve(A, v):
     P = _integer_table(A.products)[0]
     solved = {}
     for composite, vectors in (((1, -1), ASSOCIATOR_VECTORS), ((1, 0), _BANG_VECTORS)):
-        g = _split_solve(_composite_layers(P, *composite))
+        g = _split_solve(_orbit_splits(_composite_layers(P, *composite)))
         ann = reference.slot_kernel(_composite_layers(P, *composite))
         assert right_annihilator(g) == ann
         by_split, by_rows = _layers_pulled(A, *composite)
@@ -365,32 +368,38 @@ LATE = Algebra(4, {(4, 4, 1): 1, (4, 4, 2): 1, (4, 4, 3): 1, (4, 1, 4): 1})
 
 
 def _at_probe_keys(A, left, right):
-    """The composite over all layers, restricted to the keys whose input
-    indices are the first three that the table uses, in some order."""
+    """The splits of the orbits of the composite over all layers at the
+    keys whose input indices are the first three that the table uses, in
+    some order: one orbit per output index whose values there are not all
+    zero, its six values read in the order of PERMS from the first three
+    indices in increasing order, sorted."""
     P = _integer_table(A.products)[0]
     first = _used(A)[:3]
-    return {
-        key: c
-        for layer in _composite_layers(P, left, right)
-        for key, c in layer.items()
-        if len(first) == 3 and sorted(key[:3]) == first
+    if len(first) < 3:
+        return []
+    at_keys = {
+        key: c for layer in _composite_layers(P, left, right) for key, c in layer.items() if sorted(key[:3]) == first
     }
+    orders = [tuple(first[s(t) - 1] for t in (1, 2, 3)) for s in PERMS]
+    return sorted(split([at_keys.get((*order, l), 0) for order in orders]) for l in {key[3] for key in at_keys})
 
 
 @example(TWO_INDICES)
 @example(SPREAD)
 @example(LATE)
+# Associative: the probe reaches outputs whose associator orbits are zero.
+@example(catalog.get("mat2"))
 @given(st.one_of(algebras(), dense_algebras()))
 @settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
 def test_probe_is_the_composite_at_its_keys(A):
     P = _integer_table(A.products)[0]
     for composite in ((1, -1), (1, 0)):
         steps = list(_orbit_probe(P, *composite))
-        # One output index per step, never one twice, and together the
-        # composite at the probe's keys.
-        assert all(len({key[3] for key in step}) == 1 for step in steps), composite
-        assert len({next(iter(step))[3] for step in steps}) == len(steps), composite
-        assert {key: c for step in steps for key, c in step.items()} == _at_probe_keys(A, *composite), composite
+        # One nonzero orbit, so one output index, per step, never one twice
+        # and none left out: the steps are the splits of the composite's
+        # orbits at the probe's keys.
+        assert all(any(step) for step in steps), composite
+        assert sorted(steps) == _at_probe_keys(A, *composite), composite
         ann = reference.slot_kernel(_composite_layers(P, *composite))
         assert right_annihilator(_solve(P, *composite)) == ann, composite
     ann = reference.slot_kernel(_composite_layers(P, 1, -1))
@@ -403,8 +412,10 @@ def test_probe_is_the_composite_at_its_keys(A):
 def test_probe_cases():
     for composite in ((1, -1), (1, 0)):
         assert list(_orbit_probe(_integer_table(TWO_INDICES.products)[0], *composite)) == []
+        # The orbits at the permutations of (2, 5, 9); those of (1, 2, 3)
+        # are zero.
         probe = list(_orbit_probe(_integer_table(SPREAD.products)[0], *composite))
-        assert probe and {tuple(sorted(key[:3])) for step in probe for key in step} == {(2, 5, 9)}
+        assert probe and sorted(probe) == _at_probe_keys(SPREAD, *composite)
         # A zero probe leaves the solve to the layers, which it reads to
         # the fourth, the first nonzero one.
         assert list(_orbit_probe(_integer_table(LATE.products)[0], *composite)) == []
