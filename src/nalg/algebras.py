@@ -17,20 +17,22 @@ layers of growing largest index: the associator for the identities, and
 permutation gives a group-algebra element f_K, and slot permutation by v
 kills the map on K exactly when f_K v = 0: three integer tests on the
 Wedderburn splits (:mod:`nalg.sym3`).  ``_split_solve`` folds the orbits
-into one generator g of the left ideal they span and stops once g is
-invertible, so the later layers are never computed; the answer is the
+into one generator g of the left ideal they span; the answer is the
 right annihilator of g, and every flag one ``killed`` read of g.
 ``_kills`` tests one vector and stops at the first orbit it fails on.
 
-``_solve`` folds ``_orbit_probe`` before the layers: the splits of the
-composite at the slot permutations of the first three indices the table
-uses, one output index (one orbit) at a time.  An orbit with a repeated
-index is fixed by a transposition, so its sign is zero; these are the
-first orbits with three distinct indices, and on a generic table the
-first of them alone makes g invertible, before any other is joined or a
-layer computed.  They are orbits of the third layer, and an orbit read
-twice adds nothing to the ideal, so the answer is unchanged; otherwise
-the layers follow.
+Both read the orbits of ``_orbit_probe`` before the layers and stop once
+the answer is certified, so the later layers are never computed.  The
+probe reads the orbits of the first three indices the table uses, one
+output index at a time; on a table of two indices a < b, those of
+(a, a, b) and (a, b, b).  On a generic table the first of them alone
+makes g invertible.  An orbit read twice adds nothing to the ideal, and
+fails a kill test both times or neither, so no answer changes.  When the
+probe leaves g singular, ``_solve`` bounds what g can reach by vectors the
+table's own shape puts in the annihilator, and the fold stops once g
+reaches that bound: on fewer than three indices every orbit is fixed by
+a transposition, and a commutative or anticommutative table has
+A(z, y, x) = -A(x, y, z).
 """
 
 from __future__ import annotations
@@ -298,63 +300,88 @@ def _orbit_splits(layers: Iterator[dict[Key4, int]]) -> Iterator[tuple[int, ...]
             yield split([get(key, 0) for key in keys])
 
 
-def _split_solve(splits: Iterator[tuple[int, ...]]) -> tuple[int, ...]:
+def _split_solve(splits: Iterator[tuple[int, ...]], cap: tuple = (True, True, 2)) -> tuple[int, ...]:
     """The split of a generator g of the left ideal spanned by the f_K
     whose ``splits`` are given: v kills every orbit exactly when g v = 0.
 
     The scalars of g are the first nonzero ones of an f_K, and rho(g) has
     the row space of all rho(f_K): zero, one row (x, y) over a zero row,
-    or the identity.  The fold stops once g is invertible, so an orbit is
-    computed only when those before it leave g singular."""
+    or the identity.  The fold stops once g reaches ``cap`` (see ``_solve``),
+    invertible by default, so an orbit is computed only when those before
+    it leave g short of it."""
     eps = sgn = x = y = 0
     full = False
+    eps_open, sgn_open, rank = cap
     for e, s, r11, r12, r21, r22 in splits:
         eps, sgn = eps or e, sgn or s
         if not (x or y):
             x, y = (r11, r12) if r11 or r12 else (r21, r22)
         full = full or x * r12 != y * r11 or x * r22 != y * r21
-        if full and eps and sgn:
-            return eps, sgn, 1, 0, 0, 1
+        if (full or rank < 2 and (x or y or not rank)) and (eps or not eps_open) and (sgn or not sgn_open):
+            break
     return (eps, sgn, 1, 0, 0, 1) if full else (eps, sgn, x, y, 0, 0)
 
 
-def _orbit_probe(P: Mapping[tuple[int, int, int], int], left: int, right: int) -> Iterator[tuple[int, ...]]:
+def _orbit_probe(P: Mapping[tuple[int, int, int], int], left: int, right: int, used=None) -> Iterator[tuple[int, ...]]:
     """The splits of the nonzero orbits of left*(xy)z + right*x(yz) over
-    the integer table ``P`` at the six slot permutations p (_SLOT_ORDERS)
-    of the first three indices that ``P`` uses, lazily, one orbit (one
-    output l) per step; none when ``P`` uses fewer than three.  These are
-    the third layer's first orbits with three distinct indices, so the
-    first whose sign can be nonzero.  A term (p, w, a, b) adds w * P[(a,
-    b, l)] at p = (i, j, k): w is read with ``P.get`` from e_i e_j -> e_m
-    for (xy)z or e_j e_k -> e_m for x(yz), at every used m, and l runs over
-    the outputs of e_a e_b."""
+    the integer table ``P`` at the six slot permutations (_SLOT_ORDERS) of
+    each start, lazily, one orbit (one output l) per step: the first three
+    of ``used``, the sorted indices of ``P``; on two, a < b, (a, a, b) and
+    (a, b, b).  A term (p, w, a, b) adds w * P[(a, b, l)] at p = (i, j,
+    k): w is read with ``P.get`` from e_i e_j -> e_m for (xy)z or e_j e_k
+    -> e_m for x(yz), at every used m, and l runs over the outputs of e_a
+    e_b.  A start with no term reads no output."""
+    used = used or sorted(set().union(*P))
+    starts = [used[:3]] if len(used) > 2 else [(used[0], *used), (*used, used[1])] if len(used) == 2 else []
+    get = P.get
+    for start in starts:
+        reached, terms = set(), []
+        for p, (s1, s2, s3) in enumerate(_SLOT_ORDERS):
+            i, j, k = start[s1], start[s2], start[s3]
+            for m in used:
+                if left and (c := get((i, j, m))):
+                    terms.append((p, left * c, m, k))
+                if right and (c := get((j, k, m))):
+                    terms.append((p, right * c, i, m))
+        if not terms:
+            continue
+        pairs = {(a, b) for _, _, a, b in terms}
+        for a, b, l in P:
+            if l not in reached and (a, b) in pairs:
+                reached.add(l)
+                values = [0] * 6
+                for p, w, m, n in terms:
+                    values[p] += w * get((m, n, l), 0)
+                if any(values):
+                    yield split(values)
+
+
+def _symmetric(table: Mapping[tuple[int, int, int], int], sign: int) -> bool:
+    """Whether e_j e_i = sign * e_i e_j in ``table``, up to the first mismatch."""
+    get = table.get
+    return all(get((j, i, k), 0) == (c if sign == 1 else -c) for (i, j, k), c in table.items())
+
+
+def _solve(P: Mapping[tuple[int, int, int], int], left: int, right: int, associative: bool = False) -> tuple[int, ...]:
+    """``_split_solve`` of left*(xy)z + right*x(yz): the probe, then, if
+    it leaves g singular, g itself and the layers up to the cap, the most
+    that g can reach.  On fewer than three indices sgn(g) = 0.  Commutative
+    or anticommutative, id + t13 kills the associator (eps(g) = 0, rank
+    rho(g) <= 1), and V does when commutative (sgn(g) = 0).  t12 fixes
+    (xy)z when commutative (sgn(g) = 0, rank <= 1), every permutation does
+    when also ``associative`` (rank 0), and t12 negates it when
+    anticommutative (eps(g) = 0, rank <= 1).  At the cap g spans the whole
+    left annihilator of those vectors, so no later orbit changes it."""
     used = sorted(set().union(*P))
-    if len(used) < 3:
-        return
-    get, reached, terms = P.get, set(), []
-    for p, (s1, s2, s3) in enumerate(_SLOT_ORDERS):
-        i, j, k = used[s1], used[s2], used[s3]
-        for m in used:
-            if left and (c := get((i, j, m))):
-                terms.append((p, left * c, m, k))
-            if right and (c := get((j, k, m))):
-                terms.append((p, right * c, i, m))
-    pairs = {(a, b) for _, _, a, b in terms}
-    for a, b, l in P:
-        if l not in reached and (a, b) in pairs:
-            reached.add(l)
-            values = [0] * 6
-            for p, w, m, n in terms:
-                values[p] += w * get((m, n, l), 0)
-            if any(values):
-                yield split(values)
-
-
-def _solve(P: Mapping[tuple[int, int, int], int], left: int, right: int) -> tuple[int, ...]:
-    """``_split_solve`` of left*(xy)z + right*x(yz), reading the probe's
-    orbits, some of the layers' own, before the layers: the generator
-    spans the same left ideal."""
-    return _split_solve(chain(_orbit_probe(P, left, right), _orbit_splits(_composite_layers(P, left, right))))
+    g = _split_solve(_orbit_probe(P, left, right, used))
+    if g[0] and g[1] and g[5]:
+        return g
+    cap = True, len(used) > 2, 2
+    if right in (-left, 0) and _symmetric(P, 1):
+        cap = (False, False, 1) if right else (True, False, 0 if associative else 1)
+    elif right in (-left, 0) and _symmetric(P, -1):
+        cap = False, cap[1], 1
+    return _split_solve(chain((g,), _orbit_splits(_composite_layers(P, left, right))), cap)
 
 
 # u_i - |G_i| id, with u_i the sum of the members of G_i, for i = 2..6.
@@ -373,20 +400,17 @@ _W_SPLIT = split(map(int, special_vector("W").coords))
 _BANG_SPLITS = {i: split(v) for i, v in _BANG_VECTORS.items()}
 
 
-def _kills(w: tuple, layers: Iterator[dict[Key4, int]]) -> bool:
-    """Whether slot permutation by the vector with split ``w`` kills the
-    map given by ``layers``: f_K v = 0 on every orbit, up to the first
-    orbit where it is not."""
-    return all(killed(f, w) for f in _orbit_splits(layers))
-
-
-def _associator_kills(A: Algebra, w: tuple) -> bool:
-    return _kills(w, _composite_layers(_integer_table(A.products)[0], 1, -1))
+def _kills(w: tuple, P: Mapping[tuple[int, int, int], int], left: int, right: int) -> bool:
+    """Whether slot permutation by the vector with split ``w`` kills
+    left*(xy)z + right*x(yz) over ``P``: f_K v = 0 on every orbit, the
+    probe's first, up to the first orbit where it is not."""
+    orbits = chain(_orbit_probe(P, left, right), _orbit_splits(_composite_layers(P, left, right)))
+    return all(killed(f, w) for f in orbits)
 
 
 def is_sigma3_assoc_for(A: Algebra, v: GroupAlgElem) -> bool:
     """True iff the associator vanishes after slot permutation by ``v``."""
-    return _associator_kills(A, split(_cleared(v.coords)[0]))
+    return _kills(split(_cleared(v.coords)[0]), _integer_table(A.products)[0], 1, -1)
 
 
 def _check_index(i: int, low: int = 1) -> None:
@@ -402,7 +426,7 @@ def gi_check(A: Algebra, i: int) -> bool:
     reversal identity.  5: generalized Jacobi.  6: Lie-admissible.
     """
     _check_index(i)
-    return _associator_kills(A, _GI_SPLITS[i])
+    return _kills(_GI_SPLITS[i], _integer_table(A.products)[0], 1, -1)
 
 
 def annihilator(A: Algebra) -> Subspace:
@@ -438,7 +462,7 @@ def power_assoc_check(A: Algebra) -> bool:
     """A(x, x, x) = 0 for all x; equivalent (characteristic zero) to the
     full symmetrization of the associator vanishing, which is what is
     evaluated here."""
-    return _associator_kills(A, _W_SPLIT)
+    return _kills(_W_SPLIT, _integer_table(A.products)[0], 1, -1)
 
 
 def gi_bang_check(A: Algebra, i: int) -> bool:
@@ -451,17 +475,15 @@ def gi_bang_check(A: Algebra, i: int) -> bool:
     """
     _check_index(i, low=2)
     P = _integer_table(A.products)[0]
-    return _kills(_GI_SPLITS[1], _composite_layers(P, 1, -1)) and _kills(
-        _BANG_SPLITS[i], _composite_layers(P, 1, 0)
-    )
+    return _kills(_GI_SPLITS[1], P, 1, -1) and _kills(_BANG_SPLITS[i], P, 1, 0)
 
 
 def is_commutative(A: Algebra) -> bool:
-    return all(A.products.get((j, i, k), 0) == c for (i, j, k), c in A.products.items())
+    return _symmetric(A.products, 1)
 
 
 def is_antisymmetric(A: Algebra) -> bool:
-    return all(A.products.get((j, i, k), 0) == -c for (i, j, k), c in A.products.items())
+    return _symmetric(A.products, -1)
 
 
 class ClassificationReport(Record):
@@ -504,7 +526,7 @@ def _classify(P: Mapping[tuple[int, int, int], int], has_unit: bool) -> Classifi
         return ClassificationReport(dict.fromkeys(_GI_SPLITS, False), bang, False, False, False, has_unit, 0, ())
     gi = {i: killed(g, f) for i, f in _GI_SPLITS.items()}
     if gi[1]:
-        sym = _solve(P, 1, 0)
+        sym = _solve(P, 1, 0, True)
         bang = {i: killed(sym, f) for i, f in _BANG_SPLITS.items()}
     ann = right_annihilator(g)
     # The fields in slot order: positional arguments build it fastest.

@@ -39,7 +39,6 @@ Example: ``id - t12 - t13 - t23 + c1 + c2``.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -279,33 +278,50 @@ def _build(cls, dim: int, basis: tuple, table: dict, texts: dict, unit: list | N
 
 
 def print_document(obj) -> str:
-    """The canonical text of an algebra or a cogebra."""
+    """The canonical text of an algebra or a cogebra: ``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"``
+    of its document, written out for its fixed shape.  Of its strings only
+    basis names can need escapes, which ``encode_basestring`` makes."""
     for kind, (cls, field, entry_fields, term_fields, unit_field, *_) in _KINDS.items():
         if isinstance(obj, cls):
             break
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     n = len(entry_fields)
-    by_head: dict[tuple[int, ...], list] = {}
+    # Format strings: an entry up to its terms, from its indices; a term, from its indices and coefficient.
+    head = "    {{\n" + "".join(f'      "{f}": {{}},\n' for f in entry_fields) + '      "out": [\n'
+    term = "        {{\n" + "".join(f'          "{f}": {{}},\n' for f in term_fields)
+    term += '          "c": "{}"\n        }}'
+    by_head: dict[tuple[int, ...], list[str]] = {}
     for key, c in sorted(getattr(obj, field).items()):
-        by_head.setdefault(key[:n], []).append(
-            {**dict(zip(term_fields, key[n:])), "c": format_rational(c)}
-        )
+        by_head.setdefault(key[:n], []).append(term.format(*key[n:], format_rational(c)))
+    entries = ",\n".join(head.format(*h) + ",\n".join(terms) + "\n      ]\n    }" for h, terms in by_head.items())
+    entries = f"[\n{entries}\n  ]" if entries else "[]"
+    basis = ",\n".join(f"    {json.encoder.encode_basestring(name)}" for name in obj.basis_names())
     unit = getattr(obj, unit_field)
-    doc = {
-        "kind": kind,
-        "dim": obj.dim,
-        "basis": list(obj.basis_names()),
-        field: [{**dict(zip(entry_fields, head)), "out": terms} for head, terms in by_head.items()],
-        unit_field: None if unit is None else [format_rational(c) for c in unit],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    unit = "null" if unit is None else "[\n" + ",\n".join(f'    "{format_rational(c)}"' for c in unit) + "\n  ]"
+    return (
+        f'{{\n  "kind": "{kind}",\n  "dim": {obj.dim},\n  "basis": [\n{basis}\n  ],\n'
+        f'  "{field}": {entries},\n  "{unit_field}": {unit}\n}}\n'
+    )
 
 
 # --- group-algebra expressions ----------------------------------------------
 
-_TERM_RE = re.compile(rf"(?:([+-]?[0-9]+(?:/[0-9]+)?)\*)?({'|'.join(PERM_NAMES)})")
-_TERM_INDEX = {name: i for i, name in enumerate(PERM_NAMES)}
+def _term_at(s: str, pos: int) -> tuple[str | None, int, int] | None:
+    """The term at ``pos`` in ``s`` as (coefficient text or None, permutation index, end), or None.  A
+    coefficient is an optional sign, ASCII digits and optionally "/" and ASCII digits, right before a "*"."""
+    star = s.find("*", pos)
+    coef = s[pos:star] if star > pos else ""
+    p, slash, q = coef.partition("/")
+    digits = p[1:] if p[:1] in "+-" else p
+    if digits.isdigit() and digits.isascii() and (not slash or q.isdigit() and q.isascii()):
+        pos = star + 1
+    else:
+        coef = None
+    for i, name in enumerate(PERM_NAMES):
+        if s.startswith(name, pos):
+            return coef, i, pos + len(name)
+    return None
 
 
 def parse_ga_expr(text: str) -> GroupAlgElem:
@@ -328,20 +344,21 @@ def parse_ga_expr(text: str) -> GroupAlgElem:
             pos += 1
         elif not first:
             raise FormatError(f"expected '+' or '-' at position {where[pos]} in {text!r}")
-        m = _TERM_RE.match(s, pos)
-        if m is None:
+        term = _term_at(s, pos)
+        if term is None:
             raise FormatError(f"malformed term at position {where[pos]} in {text!r}")
-        if m.group(1) is None:
+        coef_text, index, end = term
+        if coef_text is None:
             coef = Fraction(1)
         else:
             try:
-                coef = parse_rational(m.group(1))
+                coef = parse_rational(coef_text)
             except ValueError as exc:
                 raise FormatError(f"{exc} (at position {where[pos]} in {text!r})") from None
         if negate:
             coef = -coef
-        coords[_TERM_INDEX[m.group(2)]] += coef
-        pos = m.end()
+        coords[index] += coef
+        pos = end
         first = False
     return GroupAlgElem(tuple(coords))
 

@@ -39,6 +39,8 @@ from nalg.algebras import (
     commutator_algebra,
     gi_bang_check,
     gi_check,
+    is_antisymmetric,
+    is_commutative,
     is_sigma3_assoc_for,
     jacobi_check,
     phi_precompose,
@@ -340,7 +342,7 @@ def test_split_solve_matches_the_slot_row_solve(A, v):
         assert by_split == by_rows
         for w in (v, *vectors.values()):
             assert killed(g, split(w)) == ann.contains(w)
-            ours = _kills(split(w), _composite_layers(P, *composite))
+            ours = _kills(split(w), P, *composite)
             assert ours == reference.slot_kills(w, _composite_layers(P, *composite))
         solved[composite] = ann
     ann, sym = solved[(1, -1)], solved[(1, 0)]
@@ -356,7 +358,8 @@ def test_split_solve_matches_the_slot_row_solve(A, v):
     assert report.annihilator_basis == tuple(GroupAlgElem(row) for row in ann.basis)
 
 
-# Used indices 3 and 7 only: no orbit with three distinct indices.
+# Used indices 3 and 7 only: no orbit with three distinct indices, so
+# the probe reads the orbits of (3, 3, 7) and (3, 7, 7).
 TWO_INDICES = Algebra(9, {(3, 7, 3): 1, (7, 7, 3): Fraction(-1, 2), (7, 3, 7): 2})
 # Used indices 2, 5 and 9, so the probe reads the slot permutations of
 # (2, 5, 9), not of (1, 2, 3).
@@ -367,21 +370,31 @@ SPREAD = Algebra(9, {(2, 5, 9): 1, (9, 2, 5): 2, (5, 9, 2): -1, (9, 9, 9): Fract
 LATE = Algebra(4, {(4, 4, 1): 1, (4, 4, 2): 1, (4, 4, 3): 1, (4, 1, 4): 1})
 
 
+def _probe_starts(A):
+    """The probe's starts: the first three indices the table uses, in
+    increasing order; (a, a, b) and (a, b, b) when it uses exactly two,
+    a < b; none when it uses fewer."""
+    used = _used(A)
+    if len(used) == 2:
+        a, b = used
+        return [(a, a, b), (a, b, b)]
+    return [tuple(used[:3])] if len(used) > 2 else []
+
+
 def _at_probe_keys(A, left, right):
     """The splits of the orbits of the composite over all layers at the
-    keys whose input indices are the first three that the table uses, in
-    some order: one orbit per output index whose values there are not all
-    zero, its six values read in the order of PERMS from the first three
-    indices in increasing order, sorted."""
+    keys whose input indices are a start of the probe, in some order: for
+    each start, one orbit per output index whose values there are not all
+    zero, its six values read in the order of PERMS from the start, all
+    sorted."""
     P = _integer_table(A.products)[0]
-    first = _used(A)[:3]
-    if len(first) < 3:
-        return []
-    at_keys = {
-        key: c for layer in _composite_layers(P, left, right) for key, c in layer.items() if sorted(key[:3]) == first
-    }
-    orders = [tuple(first[s(t) - 1] for t in (1, 2, 3)) for s in PERMS]
-    return sorted(split([at_keys.get((*order, l), 0) for order in orders]) for l in {key[3] for key in at_keys})
+    composite = {key: c for layer in _composite_layers(P, left, right) for key, c in layer.items()}
+    out = []
+    for start in _probe_starts(A):
+        at_keys = {key: c for key, c in composite.items() if tuple(sorted(key[:3])) == start}
+        orders = [tuple(start[s(t) - 1] for t in (1, 2, 3)) for s in PERMS]
+        out += [split([at_keys.get((*order, l), 0) for order in orders]) for l in {key[3] for key in at_keys}]
+    return sorted(out)
 
 
 @example(TWO_INDICES)
@@ -410,8 +423,13 @@ def test_probe_is_the_composite_at_its_keys(A):
 
 
 def test_probe_cases():
+    assert _probe_starts(TWO_INDICES) == [(3, 3, 7), (3, 7, 7)]
     for composite in ((1, -1), (1, 0)):
-        assert list(_orbit_probe(_integer_table(TWO_INDICES.products)[0], *composite)) == []
+        # The orbits of (3, 3, 7) and (3, 7, 7): one per output index.
+        probe = list(_orbit_probe(_integer_table(TWO_INDICES.products)[0], *composite))
+        assert probe and sorted(probe) == _at_probe_keys(TWO_INDICES, *composite)
+        # Each is fixed by a transposition, so its sign is zero.
+        assert all(step[1] == 0 for step in probe)
         # The orbits at the permutations of (2, 5, 9); those of (1, 2, 3)
         # are zero.
         probe = list(_orbit_probe(_integer_table(SPREAD.products)[0], *composite))
@@ -431,17 +449,22 @@ def _pulled_by_classify(A, name="_composite_layers"):
     """How many layers (or, with ``name`` "_orbit_probe", probe steps) each
     call of the generator ``name`` made by ``classify(A)`` pulls; a call
     whose items are never read is absent."""
+    return _pulled_by(lambda: classify(A), name)
+
+
+def _pulled_by(call, name="_composite_layers"):
+    """``_pulled_by_classify`` for any ``call`` without arguments."""
     pulled = []
     generator = getattr(nalg.algebras, name)
 
-    def counting(P, left, right):
+    def counting(*args):
         items = []
         pulled.append(items)
-        yield from _counted(generator(P, left, right), items)
+        yield from _counted(generator(*args), items)
 
     setattr(nalg.algebras, name, counting)
     try:
-        classify(A)
+        call()
     finally:
         setattr(nalg.algebras, name, generator)
     return [len(items) for items in pulled]
@@ -493,3 +516,150 @@ def test_probe_reads_only_the_outputs_its_rows_reach():
             list(_orbit_probe(P, *composite))
             extra.add(P.gets - 6 * len(set().union(*P)) * sum(map(bool, composite)))
         assert len(extra) == 1, composite
+
+
+# --- the early exits: kill tests read the probe first, two-index probes, caps
+
+def _check_against_reference(A):
+    """The capped solves of both composites against the uncapped slot-row
+    oracle, and every kill test against the oracle's own (every slot row
+    orthogonal to the vector)."""
+    P = _integer_table(A.products)[0]
+    layers = {composite: list(_composite_layers(P, *composite)) for composite in ((1, -1), (1, 0))}
+
+    def kills(w, composite):
+        return reference.slot_kills(w, layers[composite])
+
+    gi = {i: kills(ASSOCIATOR_VECTORS[f"a{i}"], (1, -1)) for i in range(1, 7)}
+    for i in range(1, 7):
+        assert gi_check(A, i) == gi[i], i
+    assert power_assoc_check(A) == kills(ASSOCIATOR_VECTORS["W"], (1, -1))
+    for i, u in _BANG_VECTORS.items():
+        assert gi_bang_check(A, i) == (gi[1] and kills(u, (1, 0))), i
+    assert right_annihilator(_solve(P, 1, -1)) == reference.slot_kernel(layers[(1, -1)])
+    for associative in {False, gi[1]}:
+        assert right_annihilator(_solve(P, 1, 0, associative)) == reference.slot_kernel(layers[(1, 0)])
+
+
+def test_every_dim_2_table_against_the_reference():
+    # All 3**8 tables with constants in {-1, 0, 1}: each is on at most two
+    # indices, so its probe reads the orbits of (1, 1, 2) and (1, 2, 2),
+    # and the sign of its generator is certified zero.
+    tables = list(catalog._candidates(2, catalog._DIM2))
+    assert len(tables) == 6561
+    for A in tables:
+        _check_against_reference(A)
+    # With sgn(g) certified zero, the probe alone brings g to its cap, and
+    # the solve computes no layer, on all but 696 of them.
+    assert sum(_layers_pulled_by_solve(A, 1, -1)[0] == 0 for A in tables) == 5865
+
+
+def test_kill_tests_read_the_probe_first():
+    # The prelie2 search's 356 candidates: the kill tests read the probe's
+    # orbits of (1, 1, 2) and (1, 2, 2) first, and pull 20 layers in all,
+    # against 721 when they read the layers alone.
+    candidates = list(itertools.islice(catalog._candidates(2, catalog._DIM2), 356))
+    pulled = [_pulled_by(lambda: gi_check(A, 3) and not gi_check(A, 1)) for A in candidates]
+    assert sum(map(sum, pulled)) == 20
+    # A generic dense table fails every identity at the probe's first orbit,
+    # and its solve never checks the table's symmetry.
+    checked = []
+    symmetric = nalg.algebras._symmetric
+    nalg.algebras._symmetric = lambda *args: checked.append(args) or symmetric(*args)
+    try:
+        for dim in (5, 40):
+            A = parse_document(dense_table_text(dim))
+            assert _pulled_by(lambda: [gi_check(A, i) for i in range(1, 7)] + [power_assoc_check(A)]) == [], dim
+            assert _pulled_by(lambda: [gi_bang_check(A, i) for i in range(2, 7)]) == [], dim
+            assert _pulled_by_classify(A) == [] and checked == [], dim
+    finally:
+        nalg.algebras._symmetric = symmetric
+
+
+@st.composite
+def two_index_algebras(draw):
+    """Tables on exactly two indices a < b inside a larger dimension."""
+    n = draw(st.integers(3, 7))
+    a, b = sorted(draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)))
+    slots = list(itertools.product((a, b), repeat=3))
+    keys = draw(st.lists(st.sampled_from(slots), unique=True, min_size=1, max_size=8))
+    table = {key: Fraction(draw(st.sampled_from((1, -1, 2, -2))), draw(st.sampled_from((1, 2, 3)))) for key in keys}
+    return Algebra(n, table) if len({t for key in table for t in key}) == 2 else Algebra(n, {(a, b, b): 1})
+
+
+@example(Algebra(6, {(2, 5, 2): 1, (5, 5, 5): -1, (5, 2, 5): Fraction(1, 2)}))
+@given(two_index_algebras())
+@settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
+def test_tables_on_two_indices(A):
+    P = _integer_table(A.products)[0]
+    for composite in ((1, -1), (1, 0)):
+        probe = list(_orbit_probe(P, *composite))
+        assert sorted(probe) == _at_probe_keys(A, *composite), composite
+        assert all(step[1] == 0 for step in probe), composite
+        # sgn(g) = 0 is certified, so a probe that makes eps(g) nonzero
+        # and rho(g) invertible ends the solve before any layer.
+        g = _split_solve(probe)
+        if g[0] and g[5]:
+            assert _layers_pulled_by_solve(A, *composite)[0] == 0, composite
+    _check_against_reference(A)
+    assert classify(A) == reference.classify(A)
+
+
+def _symmetrized(A, sign):
+    """A + sign * A^op: commutative for 1, anticommutative for -1."""
+    out = {}
+    for (i, j, k), c in A.products.items():
+        out[(i, j, k)] = out.get((i, j, k), 0) + c
+        out[(j, i, k)] = out.get((j, i, k), 0) + sign * c
+    return Algebra(A.dim, out)
+
+
+# Commutative, not associative, and its probe reads zero: the first orbit
+# of (xy)z, that of (1, 1, 1), has rho zero, and that of (2, 2, 3) a row.
+@example(Algebra(3, {(1, 1, 1): 1, (2, 2, 3): 1, (3, 3, 1): 1}), 1)
+@given(algebras(), st.sampled_from((1, -1)))
+@settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
+def test_commutative_and_anticommutative_tables(A, sign):
+    A = _symmetrized(A, sign)
+    # The certified vectors bound g: id + t13 gives eps(g) = 0 and rank
+    # rho(g) <= 1, and V gives sgn(g) = 0 when the table is commutative.
+    eps, sgn, *rho = _solve(_integer_table(A.products)[0], 1, -1)
+    assert eps == 0 and rho[2:] == [0, 0] and (sign < 0 or sgn == 0)
+    _check_against_reference(A)
+    assert classify(A) == reference.classify(A)
+
+
+def _layers_pulled_by_solve(A, left, right, associative=False):
+    """How many layers ``_solve`` pulls, and how many there are."""
+    P = _integer_table(A.products)[0]
+    return sum(_pulled_by(lambda: _solve(P, left, right, associative))), len(_used(A))
+
+
+def _direct_sum(A, B):
+    """A and B side by side, every product between the two blocks zero."""
+    shifted = {(i + A.dim, j + A.dim, k + A.dim): c for (i, j, k), c in B.products.items()}
+    return Algebra(A.dim + B.dim, {**A.products, **shifted})
+
+
+def test_tables_whose_cap_is_never_reached():
+    # The annihilator is larger than the certified part.  A Lie algebra
+    # also has a5 in it, so sgn(g) = 0 short of its cap.  A commutative
+    # associative table, and the Heisenberg algebra ([e1, e2] = e3, every
+    # other bracket zero), have the whole group algebra, so rho(g) = 0.
+    # Zero blocks: sums whose cross products are zero.  The solve reads
+    # every layer, and still answers as the oracle does.
+    mat2, trunc, sl2 = catalog.get("mat2"), catalog.get("trunc_poly2"), catalog.get("sl2")
+    heisenberg = Algebra(3, {(1, 2, 3): 1, (2, 1, 3): -1})
+    lie = [sl2, commutator_algebra(mat2), commutator_algebra(tensor_algebras(mat2, trunc)), _direct_sum(sl2, heisenberg)]
+    commutative = [trunc, catalog.get("k1"), tensor_algebras(trunc, trunc), _direct_sum(trunc, trunc)]
+    for A in lie + commutative + [heisenberg]:
+        assert is_commutative(A) or is_antisymmetric(A), A
+        assert _layers_pulled_by_solve(A, 1, -1) == (len(_used(A)),) * 2, A
+        _check_against_reference(A)
+        assert classify(A) == reference.classify(A)
+    for A in lie:
+        assert killed(_solve(_integer_table(A.products)[0], 1, -1), split(ASSOCIATOR_VECTORS["a5"]))
+    # (xy)z of a commutative associative table is fully symmetric, so its
+    # cap leaves rho(g) zero and the solve stops at the first nonzero orbit.
+    for A in commutative:
+        assert _layers_pulled_by_solve(A, 1, 0, True)[0] <= 1, A

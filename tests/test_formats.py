@@ -1,9 +1,13 @@
 import json
+import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import lcm
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nalg import catalog
@@ -12,6 +16,7 @@ from nalg.cogebras import Cogebra
 from nalg.formats import (
     FormatError,
     _read_document,
+    _term_at,
     format_ga_expr,
     parse_algebra,
     parse_cogebra,
@@ -190,9 +195,9 @@ names = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
 
 
 @st.composite
-def documents(draw):
+def documents(draw, names=names):
     """A sparse algebra or cogebra table, with a unit or counit ``c e1``
-    half the time.  The unit's table has e1 e_j = e_j e1 = e_j / c and
+    half the time, and basis names drawn from ``names``.  The unit's table has e1 e_j = e_j e1 = e_j / c and
     draws the rest on e2..en; the counit's is the transpose."""
     n = draw(st.integers(1, 5))
     unital = draw(st.booleans())
@@ -217,6 +222,44 @@ def test_document_round_trip(X):
     text = print_document(X)
     assert parse_document(text) == X
     assert print_document(parse_document(text)) == text
+
+
+def _dumped(X):
+    """The document of ``X`` as a dict, through ``json.dumps``: the
+    printer's reference."""
+    algebra = isinstance(X, Algebra)
+    kind, field, unit_field, n = ("algebra", "products", "unit", 2) if algebra else ("cogebra", "coproducts", "counit", 1)
+    entry_fields, term_fields = (("left", "right"), ("k",)) if algebra else (("in",), ("i", "j"))
+    by_head = {}
+    for key, c in sorted(_constants(X).items()):
+        by_head.setdefault(key[:n], []).append({**dict(zip(term_fields, key[n:])), "c": format_rational(c)})
+    unit = X.unit if algebra else X.counit
+    doc = {
+        "kind": kind,
+        "dim": X.dim,
+        "basis": list(X.basis_names()),
+        field: [{**dict(zip(entry_fields, head)), "out": terms} for head, terms in by_head.items()],
+        unit_field: None if unit is None else [format_rational(c) for c in unit],
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+# Basis names of every kind of character: those json.dumps escapes (quotes,
+# backslashes, control characters), non-ASCII text, and lone surrogates.
+escaped_names = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\té€\ud800\udfff'), st.characters(exclude_categories=())),
+    max_size=4,
+)
+
+
+@example(Algebra(1, {}))
+@example(Cogebra(2, {}, basis=("\\", '"')))
+@example(Cogebra(1, {(1, 1, 1): F(1, 2)}, counit=(2,), basis=("\x1f",)))
+@example(Algebra(1, {(1, 1, 1): 1}, unit=(1,), basis=("\x00é\ud800",)))
+@given(documents(escaped_names))
+@settings(max_examples=150)
+def test_printer_matches_json_dumps(X):
+    assert print_document(X) == _dumped(X)
 
 
 # Coefficient texts that repeat within a document: zero in two spellings,
@@ -354,6 +397,25 @@ class TestExpressions:
     def test_expression_round_trip(self, coords):
         elem = GroupAlgElem(tuple(coords))
         assert parse_ga_expr(format_ga_expr(elem)) == elem
+
+    @given(st.lists(st.sampled_from(("id", "t12", "t1", "c2", "c3", "+", "-", "*", "/", "0", "7", "\u00b2", "\u0663")), max_size=12))
+    @settings(max_examples=300)
+    def test_terms_read_as_the_regular_expression_reads_them(self, pieces):
+        text = "".join(pieces)
+        # The grammar a term had as a regular expression, kept as the
+        # reference for the scan that replaced it, at every start.
+        term = re.compile(r"(?:([+-]?[0-9]+(?:/[0-9]+)?)\*)?(id|t12|t13|t23|c1|c2)")
+        for pos in range(len(text) + 1):
+            m = term.match(text, pos)
+            expected = m and (m.group(1), ("id", "t12", "t13", "t23", "c1", "c2").index(m.group(2)), m.end())
+            assert _term_at(text, pos) == expected, pos
+
+    def test_importing_the_cli_compiles_no_pattern(self):
+        # A compiled pattern costs every fresh process its compile time.
+        code = "import re, nalg.cli, nalg.formats as f; print(any(isinstance(v, re.Pattern) for v in vars(f).values()))"
+        src = str(Path(catalog.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True)
+        assert out.stdout == "False\n", out.stderr
 
 
 # --- every document error, pinned ------------------------------------------
