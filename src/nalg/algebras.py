@@ -521,8 +521,8 @@ def _classify(P: Mapping[tuple[int, int, int], int], has_unit: bool) -> Classifi
     ``_integer_table`` returns it, and a unit when ``has_unit``."""
     g = _solve(P, 1, -1)
     bang = dict.fromkeys(_BANG_VECTORS, False)
-    if g[0] and g[1] and g[2] * g[5] != g[3] * g[4]:
-        # g is invertible, as on a generic table: it kills no nonzero vector.
+    if g[0] and g[1] and g[5]:
+        # g is invertible (rho(g) = 1 in normal form), as on a generic table.
         return ClassificationReport(dict.fromkeys(_GI_SPLITS, False), bang, False, False, False, has_unit, 0, ())
     gi = {i: killed(g, f) for i, f in _GI_SPLITS.items()}
     if gi[1]:

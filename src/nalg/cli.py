@@ -15,8 +15,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import catalog
-from .algebras import Algebra, _classify, annihilator, classify
-from .cogebras import classify_cogebra, coannihilator, gi_bang_cocheck
+from .algebras import Algebra, _classify, classify
+from .cogebras import _mirrored, classify_cogebra, gi_bang_cocheck
 from .duality import dualize_algebra, dualize_cogebra
 from .formats import (
     _build,
@@ -90,21 +90,29 @@ def _json_report(kind: str, dim: int, report) -> str:
     )
 
 
-def _cmd_check(args) -> int:
-    parts, cleared = _scan_document(_read(args.file))
+def _report(path: str) -> tuple:
+    """The kind, dimension and report of the file at ``path``.  Either kind
+    is classified from the reader's cleared table, a cogebra as its dual,
+    whose product (i, j, k) is the coproduct (k, i, j); the structure is
+    built only to check a (co)unit."""
+    parts, cleared = _scan_document(_read(path))
     cls, dim, *_, unit = parts
-    # An algebra is classified from its cleared table, and built only to
-    # check a unit.  The two reports list the same eight fields in the same
-    # order, and the cogebra's names and labels differ only by "co".
+    if unit is not None:
+        _build(*parts)
     if cls is Algebra:
-        if unit is not None:
-            _build(*parts)
-        kind, co, report = "algebra", "", _classify(cleared, unit is not None)
-    else:
-        kind, co, report = "cogebra", "co", classify_cogebra(_build(*parts))
+        return "algebra", dim, _classify(cleared, unit is not None)
+    dual = {(i, j, k): c for (k, i, j), c in cleared.items()}
+    return "cogebra", dim, _mirrored(_classify(dual, unit is not None))
+
+
+def _cmd_check(args) -> int:
+    kind, dim, report = _report(args.file)
     if args.json:
         print(_json_report(kind, dim, report))
         return 0
+    # The two reports list the same eight fields in the same order, and the
+    # cogebra's names and labels differ only by "co".
+    co = "co" if kind == "cogebra" else ""
     gi, bang, _, _, power, unit, ann_dim, ann_basis = report._fields()
     print(f"kind: {kind}  dim: {dim}  {co}unit: {_yes(unit)}")
     lines = [((co and "co-") + _GI_LABELS[i], gi[i]) for i in range(1, 7)]
@@ -157,13 +165,12 @@ def _cmd_convolve(args) -> int:
 
 
 def _cmd_annihilator(args) -> int:
-    obj = parse_document(_read(args.file))
-    sub = annihilator(obj) if isinstance(obj, Algebra) else coannihilator(obj)
-    exprs = [format_ga_expr(GroupAlgElem(row)) for row in sub.basis]
+    dim, basis = _report(args.file)[2]._fields()[6:]
+    exprs = [format_ga_expr(e) for e in basis]
     if args.json:
-        print(json.dumps({"dim": sub.dim, "basis": exprs}, indent=2))
+        print(json.dumps({"dim": dim, "basis": exprs}, indent=2))
         return 0
-    print(f"dim {sub.dim}")
+    print(f"dim {dim}")
     for expr in exprs:
         print(f"  {expr}")
     return 0
@@ -271,26 +278,6 @@ def _build_parser():
     return parser
 
 
-def _readings(table) -> dict:
-    """What ``_parse`` reads off each leaf command under ``table``, by its
-    spec: the handler, the positional and option names, the option
-    spellings mapped to the option names, and the flag names."""
-    out = {}
-    for _, spec in table.values():
-        if isinstance(spec, dict):
-            out.update(_readings(spec))
-            continue
-        func, positionals, options = spec
-        options = options.split()
-        spelled = {s: name for name in options for s in _OPTIONS[name][0]}
-        flags = [name for name in options if "action" in _OPTIONS[name][1]]
-        out[spec] = func, positionals.split(), options, spelled, flags
-    return out
-
-
-_READINGS = _readings(_GRAMMAR)
-
-
 def _parse(argv) -> SimpleNamespace | None:
     """The namespace argparse gives for ``argv``, read off the grammar by
     exact spelling only, options anywhere; or None for any other argv, which
@@ -304,7 +291,9 @@ def _parse(argv) -> SimpleNamespace | None:
         if name not in spec:
             return None
         found[dest], spec, dest = name, spec[name][1], f"{name}_command"
-    func, positionals, options, spelled, flags = _READINGS[spec]
+    func, positionals, options = spec[0], spec[1].split(), spec[2].split()
+    spelled = {s: name for name in options for s in _OPTIONS[name][0]}
+    flags = [name for name in options if "action" in _OPTIONS[name][1]]
     found.update(dict.fromkeys(flags, False))
     values = []
     for word in words:

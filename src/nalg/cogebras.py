@@ -200,16 +200,12 @@ class CogebraReport(Record):
 
 
 def classify_cogebra(C: Cogebra) -> CogebraReport:
-    """The report of the dual algebra, with its annihilator moved by p -> p^-1."""
-    report = classify(dualize_cogebra(C))
+    """The report of the dual algebra, mirrored."""
+    return _mirrored(classify(dualize_cogebra(C)))
+
+
+def _mirrored(report) -> CogebraReport:
+    """The cogebra report read off the dual algebra's ``report``: the same
+    flags, and the annihilator moved by p -> p^-1."""
     co_ann = _inverted(e.coords for e in report.annihilator_basis)
-    return CogebraReport(
-        gi_coassoc=report.gi_assoc,
-        gi_bang_co=report.gi_bang,
-        is_coassociative=report.is_associative,
-        is_lie_coadmissible=report.is_lie_admissible,
-        is_3_power_coassociative=report.is_3_power_associative,
-        has_counit=report.has_unit,
-        coannihilator_dim=co_ann.dim,
-        coannihilator_basis=tuple(GroupAlgElem(row) for row in co_ann.basis),
-    )
+    return CogebraReport(*report._fields()[:6], co_ann.dim, tuple(map(GroupAlgElem, co_ann.basis)))

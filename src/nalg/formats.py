@@ -27,8 +27,9 @@ denominators, as ``algebras._integer_table`` does, zero terms dropped.
 and (co)unit coordinate that holds it, and builds the structure through
 the constructor's (co)unit and basis checks only.  A parsed table may so
 pickle to other bytes than an equal one built entry by entry (see
-``catalog._VALUES``).  ``nalg check`` classifies an algebra that has no
-unit from the cleared table alone, and builds no structure for it.
+``catalog._VALUES``).  ``nalg check`` and ``nalg annihilator`` classify
+either kind from the cleared table, and build the structure only to check
+a (co)unit.
 
 Group-algebra expressions are sums of terms ``id, t12, t13, t23, c1, c2``,
 each optionally prefixed by a rational and ``*``, joined by ``+``/``-``,
@@ -151,13 +152,6 @@ def parse_cogebra(text: str) -> Cogebra:
 def parse_document(text: str):
     """Parse either kind of document, keyed on the 'kind' field."""
     return _build(*_scan_document(text)[0])
-
-
-def _read_document(text: str) -> tuple:
-    """The structure of either kind that ``text`` holds, and its table
-    cleared of denominators (see ``_scan``)."""
-    parts, cleared = _scan_document(text)
-    return _build(*parts), cleared
 
 
 def _scan_document(text: str) -> tuple:

@@ -223,8 +223,6 @@ def right_annihilator(g: tuple) -> Subspace:
     augmentation of g is 0, V if its sign is, and for each k in the kernel
     of rho(g) the two elements with rho = k e_1^T and k e_2^T."""
     eps, sgn, r11, r12, r21, r22 = g
-    if eps and sgn and r11 * r22 != r12 * r21:
-        return Subspace(6, ())  # g is invertible, as on a generic table
     vectors = [w for w, scalar in ((_TRIVIAL, eps), (_SIGN, sgn)) if not scalar]
     null = [(1, 0), (0, 1)]
     if r11 or r12 or r21 or r22:

@@ -19,6 +19,7 @@ from nalg.duality import dualize_algebra
 from nalg.cogebras import Cogebra
 from nalg.formats import format_ga_expr, parse_algebra, parse_document, print_document
 from nalg.products import convolution_algebra, tensor_algebras
+from nalg.sym3 import GroupAlgElem
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,6 +34,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# A catalog file with a unit, one with a counit, and a cogebra without one.
+BUILT_FOR_A_UNIT = [("mat2", Algebra), ("dual_mat2", Cogebra), ("dual_vinberg2", Cogebra)]
+
+
+def has_unit(X):
+    return (X.unit if isinstance(X, Algebra) else X.counit) is not None
+
+
+def count_builds(monkeypatch):
+    """The list that each later ``_init`` of an Algebra or a Cogebra appends its class to."""
+    built = []
+    for cls in (Algebra, Cogebra):
+        def counted(self, *args, init=cls._init):
+            built.append(type(self))
+            return init(self, *args)
+
+        monkeypatch.setattr(cls, "_init", counted)
+    return built
 
 
 class TestCheck:
@@ -130,20 +151,19 @@ class TestCheck:
         for path, report in expected.items():
             assert run(capsys, "check", "--json", path) == (0, report, "")
 
-    @pytest.mark.parametrize("name, cls", [("mat2", Algebra), ("dual_vinberg2", Cogebra)])
-    def test_unit_or_cogebra_is_built(self, capsys, monkeypatch, name, cls):
-        # A unit needs the structure for its axiom check, and a cogebra is
-        # classified from the structure.
-        built = []
-        init = cls._init
-
-        def counted(self, *args):
-            built.append(type(self))
-            return init(self, *args)
-
-        monkeypatch.setattr(cls, "_init", counted)
-        assert run(capsys, "check", "--json", data_path(name)) == (0, (GOLDEN / f"check_{name}.json").read_text(), "")
-        assert built == [cls]
+    @pytest.mark.parametrize("name, cls", BUILT_FOR_A_UNIT)
+    def test_built_only_for_a_unit(self, capsys, monkeypatch, name, cls):
+        # Either kind is classified from the reader's cleared table; a
+        # (co)unit needs the structure for its axiom check.
+        golden = GOLDEN / f"check_{name}.json"
+        X = catalog.get(name)
+        kind, report = ("algebra", classify(X)) if cls is Algebra else ("cogebra", cogebras.classify_cogebra(X))
+        expected = json.dumps(report_doc(kind, X.dim, report), indent=2) + "\n"
+        if golden.exists():
+            assert expected == golden.read_text()
+        built = count_builds(monkeypatch)
+        assert run(capsys, "check", "--json", data_path(name)) == (0, expected, "")
+        assert built == [cls] * has_unit(X)
 
     def test_unit_failing_the_axiom_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad_unit.json"
@@ -373,6 +393,20 @@ class TestAnnihilatorCommand:
         code, out, _ = run(capsys, "annihilator", data_path("generic3"))
         assert code == 0
         assert out.splitlines()[0] == "dim 0"
+
+    @pytest.mark.parametrize("name, cls", BUILT_FOR_A_UNIT)
+    def test_built_only_for_a_unit(self, capsys, monkeypatch, name, cls):
+        X = catalog.get(name)
+        sub = annihilator(X) if cls is Algebra else cogebras.coannihilator(X)
+        exprs = [format_ga_expr(GroupAlgElem(row)) for row in sub.basis]
+        expected = {
+            (): "".join([f"dim {sub.dim}\n"] + [f"  {e}\n" for e in exprs]),
+            ("--json",): json.dumps({"dim": sub.dim, "basis": exprs}, indent=2) + "\n",
+        }
+        built = count_builds(monkeypatch)
+        for flags, out in expected.items():
+            assert run(capsys, "annihilator", data_path(name), *flags) == (0, out, "")
+        assert built == [cls] * 2 * has_unit(X)
 
 
 class TestS3Commands:

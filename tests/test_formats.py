@@ -15,7 +15,8 @@ from nalg.algebras import Algebra, _integer_table
 from nalg.cogebras import Cogebra
 from nalg.formats import (
     FormatError,
-    _read_document,
+    _build,
+    _scan_document,
     _term_at,
     format_ga_expr,
     parse_algebra,
@@ -338,7 +339,8 @@ def test_integer_table_clears_shared_and_unshared_values(case):
 def assert_hands_over_the_cleared_table(text):
     # The reader clears each distinct value once; the result is the table
     # _integer_table clears entry by entry, in the same order.
-    X, cleared = _read_document(text)
+    parts, cleared = _scan_document(text)
+    X = _build(*parts)
     assert list(cleared.items()) == list(_integer_table(_constants(X))[0].items())
     assert all(type(c) is int and c for c in cleared.values())
 
