@@ -27,8 +27,7 @@ class Record:
     __slots__ = ()
 
     def __init__(self, *values, **named):
-        if named:
-            values += tuple(named.pop(name) for name in self.__slots__[len(values) :] if name in named)
+        values += tuple(named.pop(name) for name in self.__slots__[len(values) :] if name in named)
         if named or len(values) != len(self.__slots__):
             fields = ", ".join(self.__slots__)
             raise TypeError(f"{type(self).__qualname__} takes the fields {fields}")

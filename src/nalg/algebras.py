@@ -212,12 +212,11 @@ def _composite_layers(
     inner_at, left_at, right_at = defaultdict(list), defaultdict(list), defaultdict(list)
     inner_by, left_by, right_by = defaultdict(list), defaultdict(list), defaultdict(list)
     for (a, b, m), c in P.items():
-        entry = (a, b, m, c)
-        inner_at[a if a > b else b].append(entry)
+        inner_at[a if a > b else b].append((a, b, m, c))
         if left:
-            left_at[b].append(entry if left == 1 else (a, b, m, left * c))
+            left_at[b].append((a, b, m, left * c))
         if right:
-            right_at[a].append(entry if right == 1 else (a, b, m, right * c))
+            right_at[a].append((a, b, m, right * c))
     for t in sorted(set().union(*P)):
         inner, outer_left, outer_right = inner_at[t], left_at[t], right_at[t]
         for entry in outer_left:
@@ -322,7 +321,7 @@ def _split_solve(splits: Iterator[tuple[int, ...]], cap: tuple = (True, True, 2)
     return (eps, sgn, 1, 0, 0, 1) if full else (eps, sgn, x, y, 0, 0)
 
 
-def _orbit_probe(P: Mapping[tuple[int, int, int], int], left: int, right: int, used=None) -> Iterator[tuple[int, ...]]:
+def _orbit_probe(P: Mapping[tuple[int, int, int], int], left: int, right: int) -> Iterator[tuple[int, ...]]:
     """The splits of the nonzero orbits of left*(xy)z + right*x(yz) over
     the integer table ``P`` at the six slot permutations (_SLOT_ORDERS) of
     each start, lazily, one orbit (one output l) per step: the first three
@@ -331,7 +330,7 @@ def _orbit_probe(P: Mapping[tuple[int, int, int], int], left: int, right: int, u
     k): w is read with ``P.get`` from e_i e_j -> e_m for (xy)z or e_j e_k
     -> e_m for x(yz), at every used m, and l runs over the outputs of e_a
     e_b.  A start with no term reads no output."""
-    used = used or sorted(set().union(*P))
+    used = sorted(set().union(*P))
     starts = [used[:3]] if len(used) > 2 else [(used[0], *used), (*used, used[1])] if len(used) == 2 else []
     get = P.get
     for start in starts:
@@ -372,11 +371,10 @@ def _solve(P: Mapping[tuple[int, int, int], int], left: int, right: int, associa
     when also ``associative`` (rank 0), and t12 negates it when
     anticommutative (eps(g) = 0, rank <= 1).  At the cap g spans the whole
     left annihilator of those vectors, so no later orbit changes it."""
-    used = sorted(set().union(*P))
-    g = _split_solve(_orbit_probe(P, left, right, used))
+    g = _split_solve(_orbit_probe(P, left, right))
     if g[0] and g[1] and g[5]:
         return g
-    cap = True, len(used) > 2, 2
+    cap = True, len(set().union(*P)) > 2, 2
     if right in (-left, 0) and _symmetric(P, 1):
         cap = (False, False, 1) if right else (True, False, 0 if associative else 1)
     elif right in (-left, 0) and _symmetric(P, -1):

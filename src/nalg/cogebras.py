@@ -151,7 +151,7 @@ def gi_bang_cocheck(C: Cogebra, i: int, *, literal: bool = False) -> bool:
     if not literal:
         return gi_bang_check(dualize_cogebra(C), i)
     _check_index(i, low=2)
-    return not any(_iterated(C, left, right).entries for left, right in ((1, 0), (0, 1)))
+    return not any(_composite(_dual_products(C), left, right) for left, right in ((1, 0), (0, 1)))
 
 
 def flip(C: Cogebra) -> Cogebra:

@@ -40,6 +40,7 @@ Example: ``id - t12 - t13 - t23 + c1 + c2``.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -87,8 +88,6 @@ def _load_object(text: str) -> dict:
 
 
 def _check_keys(doc: dict, expected: set[str]) -> None:
-    if doc.keys() == expected:
-        return
     unknown = set(doc) - expected
     if unknown:
         raise FormatError(f"unknown field(s): {', '.join(sorted(unknown))}")
@@ -301,23 +300,6 @@ def print_document(obj) -> str:
 
 # --- group-algebra expressions ----------------------------------------------
 
-def _term_at(s: str, pos: int) -> tuple[str | None, int, int] | None:
-    """The term at ``pos`` in ``s`` as (coefficient text or None, permutation index, end), or None.  A
-    coefficient is an optional sign, ASCII digits and optionally "/" and ASCII digits, right before a "*"."""
-    star = s.find("*", pos)
-    coef = s[pos:star] if star > pos else ""
-    p, slash, q = coef.partition("/")
-    digits = p[1:] if p[:1] in "+-" else p
-    if digits.isdigit() and digits.isascii() and (not slash or q.isdigit() and q.isascii()):
-        pos = star + 1
-    else:
-        coef = None
-    for i, name in enumerate(PERM_NAMES):
-        if s.startswith(name, pos):
-            return coef, i, pos + len(name)
-    return None
-
-
 def parse_ga_expr(text: str) -> GroupAlgElem:
     """Parse an expression like ``id - t12 + 3/2*c1`` into coordinates."""
     s = "".join(text.split())
@@ -328,6 +310,10 @@ def parse_ga_expr(text: str) -> GroupAlgElem:
         raise FormatError("empty expression")
     if s == "0":
         return GroupAlgElem.zero()
+    # A term is an optional coefficient (a sign, ASCII digits, optionally "/"
+    # and ASCII digits) and "*", then a permutation name.  Compiled here,
+    # through re's cache, so that importing this module compiles nothing.
+    term = re.compile(rf"(?:([+-]?[0-9]+(?:/[0-9]+)?)\*)?({'|'.join(PERM_NAMES)})")
     coords = [Fraction(0)] * 6
     pos = 0
     first = True
@@ -338,10 +324,10 @@ def parse_ga_expr(text: str) -> GroupAlgElem:
             pos += 1
         elif not first:
             raise FormatError(f"expected '+' or '-' at position {where[pos]} in {text!r}")
-        term = _term_at(s, pos)
-        if term is None:
+        m = term.match(s, pos)
+        if m is None:
             raise FormatError(f"malformed term at position {where[pos]} in {text!r}")
-        coef_text, index, end = term
+        coef_text, name = m.groups()
         if coef_text is None:
             coef = Fraction(1)
         else:
@@ -351,8 +337,8 @@ def parse_ga_expr(text: str) -> GroupAlgElem:
                 raise FormatError(f"{exc} (at position {where[pos]} in {text!r})") from None
         if negate:
             coef = -coef
-        coords[index] += coef
-        pos = end
+        coords[PERM_NAMES.index(name)] += coef
+        pos = m.end()
         first = False
     return GroupAlgElem(tuple(coords))
 

@@ -40,7 +40,8 @@ def argparse_namespace(argv):
             return None
 
 
-PLAIN = st.sampled_from(["a.json", "b", "id + c1", "x=y", " -o", "check", "orbit"])
+PLAIN_WORDS = ("a.json", "b", "id + c1", "x=y", " -o", "check", "orbit")
+PLAIN = st.sampled_from(PLAIN_WORDS)
 WORDS = st.one_of(PLAIN, st.sampled_from(["", "-", "-1", "--", "-x", "--json", "-o"]))
 NOISE = st.sampled_from(
     ["", "-", "--", "-h", "--help", "-x", "-1", "--js", "--out", "--lit", "-o", "--output",

@@ -17,7 +17,6 @@ from nalg.formats import (
     FormatError,
     _build,
     _scan_document,
-    _term_at,
     format_ga_expr,
     parse_algebra,
     parse_cogebra,
@@ -356,6 +355,45 @@ def test_reader_hands_over_the_cleared_table(case):
     assert_hands_over_the_cleared_table(case[0])
 
 
+# The grammar of a term as a regular expression: an optional coefficient
+# (a sign, ASCII digits, optionally "/" and ASCII digits) and "*", then a
+# permutation name.
+_TERM = re.compile(r"(?:([+-]?[0-9]+(?:/[0-9]+)?)\*)?(id|t12|t13|t23|c1|c2)")
+_PERM_NAMES = ("id", "t12", "t13", "t23", "c1", "c2")
+
+
+def _reference_parse(text):
+    """The coordinates of the expression ``text``, read term by term with
+    ``_TERM`` after dropping whitespace, or the text of the error
+    ``parse_ga_expr`` gives, with positions in ``text`` as given."""
+    kept = [(at, ch) for at, ch in enumerate(text) if not ch.isspace()]
+    s = "".join(ch for _, ch in kept)
+    place = [at for at, _ in kept] + [len(text)]
+    if not s:
+        return "empty expression"
+    if s == "0":
+        return (0,) * 6
+    coords = [F(0)] * 6
+    pos = 0
+    while pos < len(s):
+        sign = s[pos] if s[pos] in "+-" else ""
+        if pos and not sign:
+            return f"expected '+' or '-' at position {place[pos]} in {text!r}"
+        at = pos + len(sign)
+        m = _TERM.match(s, at)
+        if m is None:
+            return f"malformed term at position {place[at]} in {text!r}"
+        coef = F(1)
+        if m[1] is not None:
+            try:
+                coef = parse_rational(m[1])
+            except ValueError as exc:
+                return f"{exc} (at position {place[at]} in {text!r})"
+        coords[_PERM_NAMES.index(m[2])] += -coef if sign == "-" else coef
+        pos = m.end()
+    return tuple(coords)
+
+
 class TestExpressions:
     def test_alternating_vector(self):
         assert parse_ga_expr("id - t12 - t13 - t23 + c1 + c2") == special_vector("V")
@@ -400,17 +438,29 @@ class TestExpressions:
         elem = GroupAlgElem(tuple(coords))
         assert parse_ga_expr(format_ga_expr(elem)) == elem
 
-    @given(st.lists(st.sampled_from(("id", "t12", "t1", "c2", "c3", "+", "-", "*", "/", "0", "7", "\u00b2", "\u0663")), max_size=12))
+    @given(
+        st.lists(
+            st.sampled_from(
+                ("id", "t12", "t13", "t23", "c1", "c2", "t1", "c3", "+", "-", " - ", "*", "/", "0", "7",
+                 "3/2*", "2*", "-1/2*", "1/0*", " ", "\t", "\u00b2", "\u0663")
+            ),
+            max_size=12,
+        )
+    )
+    @example(["\u0663", "*", "id"])
+    @example(["id", "+", "7", "/", "\u00b2", "*", "c2"])
+    @example(["id ", "+", " 1/0", "*t12"])
+    @example(["- 7/", "07", " * t1", "3"])
+    @example(["7", "/", "*", "id"])
+    @example(["3/2*", "c1", " - ", "t12", "+", "7", "*", "t23"])
     @settings(max_examples=300)
     def test_terms_read_as_the_regular_expression_reads_them(self, pieces):
         text = "".join(pieces)
-        # The grammar a term had as a regular expression, kept as the
-        # reference for the scan that replaced it, at every start.
-        term = re.compile(r"(?:([+-]?[0-9]+(?:/[0-9]+)?)\*)?(id|t12|t13|t23|c1|c2)")
-        for pos in range(len(text) + 1):
-            m = term.match(text, pos)
-            expected = m and (m.group(1), ("id", "t12", "t13", "t23", "c1", "c2").index(m.group(2)), m.end())
-            assert _term_at(text, pos) == expected, pos
+        try:
+            got = parse_ga_expr(text).coords
+        except FormatError as exc:
+            got = str(exc)
+        assert got == _reference_parse(text)
 
     def test_importing_the_cli_compiles_no_pattern(self):
         # A compiled pattern costs every fresh process its compile time.
