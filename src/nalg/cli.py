@@ -61,7 +61,7 @@ def _read(path: str) -> str:
     finally:
         os.close(fd)
     text = b"".join(chunks).decode()
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _write(path: str, text: str) -> None:
