@@ -89,7 +89,8 @@ class _Structure(Record):
     __slots__ = ()
 
     def _init(self, dim, table, unit, basis, name):
-        """Self, once the basis and (co)unit check out; ``table`` is as ``_table`` returns it."""
+        """Self, once the table, basis and (co)unit check out."""
+        table = _table(dim, table, 3, self._entry)
         if basis is not None:
             basis = tuple(str(n) for n in basis)
             if len(basis) != dim:
@@ -141,7 +142,7 @@ class Algebra(_Structure):
         basis: tuple[str, ...] | None = None,
         name: str | None = None,
     ):
-        self._init(dim, _table(dim, products, 3, self._entry), unit, basis, name)
+        self._init(dim, products, unit, basis, name)
 
     def multiply(self, x: Sequence, y: Sequence) -> Vec:
         """Bilinear extension of the structure constants."""
@@ -151,11 +152,7 @@ class Algebra(_Structure):
             raise ValueError("vector length differs from algebra dimension")
         out = [Fraction(0)] * self.dim
         for (i, j, k), c in self.products.items():
-            xi = x[i - 1]
-            if xi:
-                yj = y[j - 1]
-                if yj:
-                    out[k - 1] += c * xi * yj
+            out[k - 1] += c * x[i - 1] * y[j - 1]
         return tuple(out)
 
 
@@ -275,8 +272,6 @@ def phi_precompose(T: TrilinearMap, v) -> TrilinearMap:
         v = GroupAlgElem.from_perm(v)
     out: dict[Key4, Fraction] = defaultdict(Fraction)
     for (s1, s2, s3), coeff in zip(_SLOT_ORDERS, v.coords):
-        if not coeff:
-            continue
         for m, c in T.entries.items():
             out[(m[s1], m[s2], m[s3], m[3])] += coeff * c
     return TrilinearMap(T.dim, out)

@@ -20,7 +20,8 @@ other slots are zero), on the basis e1..e<dim>.  A candidate is an
 integer table made without the constructor's checks, which it passes by
 construction (its keys are in-range index triples, its values ints), and
 the predicates take it as it is; only the hit goes through the checking
-constructor, which gives the instance Fractions of its own.
+constructor, which gives the instance Fractions of its own.  Candidates are
+the one kind of structure in the package made without those checks.
 
 * ``vinberg2`` / ``prelie2`` / ``g4_2`` / ``g5_only``: all 2-dimensional
   tables, the 8 slots ordered by (i, j, k), where the identity of index 2,
@@ -65,7 +66,7 @@ from .algebras import (
     is_commutative,
     jacobi_check,
 )
-from .duality import _stored, dualize_algebra
+from .duality import dualize_algebra
 from .products import tensor_algebras
 
 # Ints: the checks take an int-valued table as it is, and the constructor
@@ -76,9 +77,8 @@ _DATA = Path(__file__).parent / "data"
 
 
 def _named(obj, name: str):
-    """The algebra or cogebra ``obj`` labelled ``name``.  ``obj`` was checked
-    when it was made, so its fields are stored without checking them again."""
-    return _stored(type(obj), *obj._fields()[:-1], name)
+    """The algebra or cogebra ``obj`` labelled ``name``."""
+    return type(obj)(*obj._fields()[:-1], name)
 
 
 def _mat2(name: str) -> Algebra:
@@ -125,7 +125,7 @@ def _candidates(dim: int, slots):
     unit: int tables, zeros dropped, unchecked (see the module docstring)."""
     basis = tuple(f"e{i}" for i in range(1, dim + 1))
     for values in itertools.product(_VALUES, repeat=len(slots)):
-        yield _stored(Algebra, dim, {slot: v for slot, v in zip(slots, values) if v}, None, basis, None)
+        yield Algebra.__new__(Algebra)._assign(dim, {slot: v for slot, v in zip(slots, values) if v}, None, basis, None)
 
 
 def _first(candidates, predicate, name: str) -> Algebra:

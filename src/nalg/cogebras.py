@@ -70,7 +70,7 @@ class Cogebra(_Structure):
         basis: tuple[str, ...] | None = None,
         name: str | None = None,
     ):
-        self._init(dim, _table(dim, coproducts, 3, self._entry), counit, basis, name)
+        self._init(dim, coproducts, counit, basis, name)
 
     def comultiply(self, x: Sequence) -> dict[tuple[int, int], Fraction]:
         """Coordinates of the coproduct of ``x`` on the tensor square,
@@ -80,9 +80,7 @@ class Cogebra(_Structure):
             raise ValueError("vector length differs from cogebra dimension")
         out: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
         for (k, i, j), c in self.coproducts.items():
-            xk = x[k - 1]
-            if xk:
-                out[(i, j)] += c * xk
+            out[(i, j)] += c * x[k - 1]
         return {key: c for key, c in out.items() if c}
 
 

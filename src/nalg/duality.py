@@ -5,9 +5,8 @@ basis vector e_i), so dualizing transposes the structure constants:
 ``D[k][(i, j)] = C[(i, j)][k]``.  Units become counits by evaluation and
 vice versa.  Both round trips are the identity on the stored data.
 
-The argument was checked on construction, and the counit axiom is the
-unit axiom of the dual read on the same numbers, so the dual stores the
-transposed fields without checking them again.
+The dual is made by its constructor, so it is checked as any structure
+is: a table or (co)unit edited after the argument was made is rejected.
 """
 
 from __future__ import annotations
@@ -21,11 +20,6 @@ if TYPE_CHECKING:
     from .cogebras import Cogebra
 
 
-def _stored(cls, *fields):
-    """A ``cls`` holding ``fields`` as given, without the constructor's checks."""
-    return cls.__new__(cls)._assign(*fields)
-
-
 def dualize_algebra(A: Algebra) -> Cogebra:
     """The cogebra on the dual space; the counit, when the algebra has a
     unit, is evaluation at that unit."""
@@ -34,7 +28,7 @@ def dualize_algebra(A: Algebra) -> Cogebra:
     from .cogebras import Cogebra
 
     coproducts = {(k, i, j): c for (i, j, k), c in A.products.items()}
-    return _stored(Cogebra, A.dim, coproducts, A.unit, A.basis, A.name)
+    return Cogebra(A.dim, coproducts, A.unit, A.basis, A.name)
 
 
 def _dual_products(C: Cogebra) -> dict[tuple[int, int, int], Fraction]:
@@ -45,4 +39,4 @@ def _dual_products(C: Cogebra) -> dict[tuple[int, int, int], Fraction]:
 def dualize_cogebra(C: Cogebra) -> Algebra:
     """The algebra on the dual space; the unit, when the cogebra has a
     counit, has the counit's coordinates."""
-    return _stored(Algebra, C.dim, _dual_products(C), C.counit, C.basis, C.name)
+    return Algebra(C.dim, _dual_products(C), C.counit, C.basis, C.name)

@@ -25,11 +25,11 @@ reduced int pair; from those few pairs it clears the table of
 denominators, as ``algebras._integer_table`` does, zero terms dropped.
 ``_build`` makes one ``Fraction`` per distinct text, shared by every entry
 and (co)unit coordinate that holds it, and builds the structure through
-the constructor's (co)unit and basis checks only.  A parsed table may so
-pickle to other bytes than an equal one built entry by entry (see
-``catalog._VALUES``).  ``nalg check`` and ``nalg annihilator`` classify
-either kind from the cleared table, and build the structure only to check
-a (co)unit.
+its constructor and all its checks, as every structure but a catalog
+search candidate is built.  A parsed table may so pickle to other bytes
+than an equal one built entry by entry (see ``catalog._VALUES``).
+``nalg check`` and ``nalg annihilator`` classify either kind from the
+cleared table, and build the structure only to check a (co)unit.
 
 Group-algebra expressions are sums of terms ``id, t12, t13, t23, c1, c2``,
 each optionally prefixed by a rational and ``*``, joined by ``+``/``-``,
@@ -258,14 +258,14 @@ def _scan(doc: dict, kind: str) -> tuple:
 
 def _build(cls, dim: int, basis: tuple, table: dict, texts: dict, unit: list | None):
     """The structure of a document that ``_scan`` checked and returned as
-    these parts: one Fraction per distinct coefficient text, shared by the
-    table and the (co)unit, and the constructor's (co)unit and basis checks."""
+    these parts, through its constructor: one Fraction per distinct
+    coefficient text, shared by the table and the (co)unit."""
     values = {c: Fraction(p, q) for c, (p, q) in texts.items()}
     table = dict(zip(table, map(values.__getitem__, table.values())))
     if unit is not None:
         unit = tuple(map(values.__getitem__, unit))
     try:
-        return cls.__new__(cls)._init(dim, table, unit, basis, None)
+        return cls(dim, table, unit, basis)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

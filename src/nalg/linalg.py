@@ -92,9 +92,7 @@ def _cleared(values: Collection[Fraction]) -> tuple[list[int], int]:
 
 
 def _integers(row: Sequence) -> Sequence[int]:
-    """A row of ints as it is; any other row cleared of denominators."""
-    if all(type(x) is int for x in row):
-        return row
+    """The row cleared of denominators."""
     return _cleared(as_vec(row))[0]
 
 

@@ -128,11 +128,8 @@ def ga_multiply(u: GroupAlgElem, v: GroupAlgElem) -> GroupAlgElem:
     """Group-algebra product: the bilinear extension of ``compose``."""
     out = [Fraction(0)] * 6
     for i, a in enumerate(u.coords):
-        if not a:
-            continue
         for j, b in enumerate(v.coords):
-            if b:
-                out[_PERM_INDEX[compose(PERMS[i], PERMS[j])]] += a * b
+            out[_PERM_INDEX[compose(PERMS[i], PERMS[j])]] += a * b
     return GroupAlgElem(tuple(out))
 
 

@@ -129,6 +129,6 @@ def read(doc: dict, kind: str) -> tuple:
             raise FormatError(f"'{unit_field}' must be null or a list of {dim} rationals")
         unit = tuple([_coefficient(c, texts, f"'{unit_field}'") for c in value])
     try:
-        return cls.__new__(cls)._init(dim, table, unit, basis, None), cleared
+        return cls(dim, table, unit, basis), cleared
     except ValueError as exc:
         raise FormatError(str(exc)) from None

@@ -1,6 +1,7 @@
 """The convolution algebra, built as the tensor product of the dual
 algebra with the algebra, against the reference that routes coproducts
-through products directly; and the construction theorem on random inputs.
+through products directly; and the construction theorem on random inputs
+and on inputs drawn so that its premises hold.
 
 Tables are sparse with coefficients over denominators 1, 2, 3 and 5, of
 dimension 1 to 3.  Half of them only multiply upward (e_i e_j lands on
@@ -21,7 +22,7 @@ from nalg import catalog
 from nalg.algebras import Algebra, commutator_algebra, gi_check
 from nalg.cogebras import Cogebra, gi_bang_cocheck, gi_cocheck
 from nalg.duality import dualize_algebra
-from nalg.products import convolution_algebra
+from nalg.products import convolution_algebra, tensor_algebras
 
 
 @st.composite
@@ -112,3 +113,65 @@ def test_construction_theorem(C: Cogebra, A: Algebra):
     for i in range(1, 7):
         if gi_check(A, i) and (gi_cocheck(C, 1) if i == 1 else gi_bang_cocheck(C, i)):
             assert gi_check(conv, i), i
+
+
+def cyclic_group_algebra(n):
+    """Q[Z_n] on the basis g^0 .. g^(n-1): commutative and associative."""
+    products = {(a, b, (a + b - 2) % n + 1): 1 for a in range(1, n + 1) for b in range(1, n + 1)}
+    return Algebra(n, products, unit=(1,) + (0,) * (n - 1))
+
+
+# Commutative associative factors, and the catalog algebra of G_i for each i = 2..5.
+FACTORS = (catalog.get("trunc_poly2"), catalog.get("k1"), *map(cyclic_group_algebra, (1, 2, 3)))
+G_I_ALGEBRAS = {2: "vinberg2", 3: "prelie2", 4: "g4_2", 5: "g5_only"}
+
+
+@st.composite
+def towers(draw, max_dim):
+    """A tensor product of commutative associative factors, of dimension at most ``max_dim``."""
+    T = FACTORS[1]
+    for B in draw(st.lists(st.sampled_from(FACTORS), max_size=4)):
+        if T.dim * B.dim <= max_dim:
+            T = tensor_algebras(T, B)
+    return T
+
+
+@st.composite
+def premised_pairs(draw):
+    """An index i, a G_i! cogebra C and a G_i algebra A with dim C * dim A <= 32.
+
+    C is the dual of a commutative associative table: its iterated coproduct
+    is fully symmetric, so C is G_i! for every i."""
+    i = draw(st.integers(1, 6))
+    C = dualize_algebra(draw(towers(16)))
+    room = 32 // C.dim
+    if i == 1:
+        A = catalog.get("mat2") if room >= 4 and draw(st.booleans()) else draw(towers(room))
+    elif i == 6:
+        # Every algebra of dimension 2 is Lie-admissible.
+        values = st.lists(st.sampled_from((-1, 0, 1, Fraction(1, 2))), min_size=8, max_size=8)
+        A = Algebra(2, dict(zip(itertools.product((1, 2), repeat=3), draw(values))))
+    else:
+        A = tensor_algebras(catalog.get(G_I_ALGEBRAS[i]), draw(towers(room // 2)))
+    return i, C, A
+
+
+@given(premised_pairs())
+@settings(max_examples=100 * settings.default.max_examples // 100, deadline=None)
+def test_construction_theorem_with_its_premises(pair):
+    i, C, A = pair
+    assert C.dim * A.dim <= 32
+    assert gi_check(A, i)
+    assert gi_cocheck(C, 1) if i == 1 else gi_bang_cocheck(C, i)
+    assert gi_check(convolution_algebra(C, A), i)
+    assert_literal_reading_implies_normalized(C)
+
+
+def assert_literal_reading_implies_normalized(C):
+    for i in range(2, 7):
+        assert not gi_bang_cocheck(C, i, literal=True) or gi_bang_cocheck(C, i), i
+
+
+def test_literal_reading_implies_normalized_on_the_catalog():
+    for name in catalog.COGEBRA_NAMES:
+        assert_literal_reading_implies_normalized(catalog.get(name))

@@ -1,6 +1,9 @@
 from fractions import Fraction as F
 
-from nalg.algebras import Algebra, _Structure, gi_check
+import pytest
+
+from nalg import catalog
+from nalg.algebras import Algebra, gi_check
 from nalg.cogebras import Cogebra, gi_cocheck
 from nalg.duality import _dual_products, dualize_algebra, dualize_cogebra
 from nalg.formats import print_document
@@ -83,14 +86,28 @@ class TestStoredWithoutChecking:
         for C in (named_cogebra, *catalog_cogebras.values()):
             assert dualize_cogebra(C) == Algebra(C.dim, _dual_products(C), C.counit, C.basis, C.name)
 
-    def test_no_constructor_check_runs(self, monkeypatch, catalog_algebras, catalog_cogebras):
-        named_algebra, named_cogebra = _named_units()
 
-        def fail(*args):
-            raise AssertionError("_Structure._init ran")
+class TestEditedStructures:
+    """A structure whose table is edited after construction is dualized
+    through the dual's constructor, which rejects what it would reject on
+    construction."""
 
-        monkeypatch.setattr(_Structure, "_init", fail)
-        for A in (named_algebra, *catalog_algebras.values()):
-            assert dualize_algebra(A).counit == A.unit
-        for C in (named_cogebra, *catalog_cogebras.values()):
-            assert dualize_cogebra(C).unit == C.counit
+    def test_index_out_of_range(self):
+        A = catalog.get("mat2")
+        A.products[(5, 1, 1)] = F(1)
+        with pytest.raises(ValueError, match="index out of range in coproduct entry"):
+            dualize_algebra(A)
+        C = catalog.get("dual_mat2")
+        C.coproducts[(1, 5, 1)] = F(1)
+        with pytest.raises(ValueError, match="index out of range in product entry"):
+            dualize_cogebra(C)
+
+    def test_broken_unit_or_counit(self):
+        A = catalog.get("mat2")
+        A.products[(1, 1, 1)] = F(2)
+        with pytest.raises(ValueError, match="declared counit fails the counit axiom"):
+            dualize_algebra(A)
+        C = catalog.get("dual_mat2")
+        C.coproducts[(1, 1, 1)] = F(2)
+        with pytest.raises(ValueError, match="declared unit is not a two-sided unit"):
+            dualize_cogebra(C)

@@ -151,22 +151,6 @@ class TestRoundTrips:
             parse_document(catalog.data_text(name))
             assert len(calls) == 1, name
 
-    def test_reader_does_not_check_the_table_again(self, monkeypatch):
-        # The reader checks every entry itself, so the constructors' table
-        # check never runs on a parsed document.
-        import nalg.algebras
-        import nalg.cogebras
-
-        def unreachable(*args):
-            raise AssertionError("table checked twice")
-
-        texts = {name: catalog.data_text(name) for name in catalog.NAMES}
-        expected = {name: parse_document(text) for name, text in texts.items()}
-        monkeypatch.setattr(nalg.algebras, "_table", unreachable)
-        monkeypatch.setattr(nalg.cogebras, "_table", unreachable)
-        for name, text in texts.items():
-            assert parse_document(text) == expected[name], name
-
     def test_each_coefficient_text_is_parsed_once(self, monkeypatch):
         import nalg.formats
 

@@ -13,6 +13,8 @@ For the triple-symmetry flags, G_i! implies G_j! when G_j is a subgroup
 of G_i, and every one of them implies associativity.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,11 @@ from nalg.linalg import member
 from nalg.sym3 import SUBGROUPS, right_ideal, special_vector
 
 FLAGS = ("a1", "a2", "a3", "a4", "a5", "a6", "W")
+NAMES = dict(zip(FLAGS, (
+    "associative", "Vinberg", "pre-Lie", "reversal", "generalized Jacobi", "Lie-admissible", "3-power associative",
+)))
+README = Path(__file__).resolve().parent.parent / "README.md"
+BEGIN, END = "<!-- inclusions: begin -->\n", "<!-- inclusions: end -->\n"
 
 
 def _implications():
@@ -53,12 +60,17 @@ def assert_diagram_holds(report):
 
 
 @pytest.fixture(scope="module")
-def reports():
-    """Reports of every catalog algebra and of all 3**8 tables of dim 2 with
-    constants in {-1, 0, 1}."""
+def tables():
+    """Every catalog algebra, in catalog order, then all 3**8 tables of dim 2
+    with constants in {-1, 0, 1}, in the catalog's search order."""
     tables = [catalog.get(name) for name in catalog.ALGEBRA_NAMES]
     tables += catalog._candidates(2, catalog._DIM2)
     assert len(tables) == len(catalog.ALGEBRA_NAMES) + 6561
+    return tables
+
+
+@pytest.fixture(scope="module")
+def reports(tables):
     return [classify(A) for A in tables]
 
 
@@ -91,3 +103,21 @@ def test_every_unimplied_pair_has_a_witness(reports):
 @settings(max_examples=100 * settings.default.max_examples // 100, deadline=None)
 def test_every_implication_holds_on_drawn_tables(A):
     assert_diagram_holds(classify(A))
+
+
+def inclusion_table(tables, reports):
+    """The README's table of the implications, one row for each, in flag
+    order, with the first table where j holds and i fails: a catalog
+    instance by name, else a dim-2 table by its nonzero products."""
+    rows = ["| i | implies j | strict: j holds and i fails on |", "|---|---|---|"]
+    for i, j in sorted(IMPLIED, key=lambda pair: tuple(map(FLAGS.index, pair))):
+        A = next(A for A, f in zip(tables, map(flags, reports)) if f[j] and not f[i])
+        witness = f"`{A.name or dict(sorted(A.products.items()))}`"
+        rows.append(f"| {i} ({NAMES[i]}) | {j} ({NAMES[j]}) | {witness} |")
+    return "\n".join(rows) + "\n"
+
+
+def test_the_readme_shows_the_inclusion_table(tables, reports):
+    text = README.read_text("utf-8")
+    block = text[text.index(BEGIN) + len(BEGIN) : text.index(END)]
+    assert block == inclusion_table(tables, reports)
