@@ -77,16 +77,16 @@ class _Structure(Record):
     index triples, an optional unit or counit, optional basis names and a
     free label, in that field order, all checked on construction.
 
-    The counit axiom of a cogebra is the unit axiom of its dual algebra, so
-    one check serves both kinds: a key is rotated left by ``_shift`` places
-    to read it as (left, right, out), which reads a cogebra's (k, i, j) as
-    its dual's (i, j, k).  The identity test does not see that the two
-    one-sided maps it builds are then the transposes of the cogebra's.
-    Each subclass also sets ``_entry``, an entry's name in errors, and
-    ``_unit_error``, the text of a failed (co)unit check.
+    A (co)unit is checked as the two-sided unit of the table in product
+    order, keyed (left, right, out), that ``_in_product_order`` gives: an
+    algebra's table as it is, a cogebra's as its dual algebra's, so the
+    counit axiom is checked as the unit axiom of the dual.  Each subclass
+    also sets ``_entry``, an entry's name in errors, and ``_unit_error``,
+    the text of a failed (co)unit check.
     """
 
     __slots__ = ()
+    _in_product_order = staticmethod(lambda table: table)
 
     def _init(self, dim, table, unit, basis, name):
         """Self, once the table, basis and (co)unit check out."""
@@ -103,9 +103,7 @@ class _Structure(Record):
             # is the e_k coordinate of u e_j, right[(i, k)] that of e_i u.
             left: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
             right: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-            s = self._shift
-            for key, c in table.items():
-                i, j, k = key[s:] + key[:s]
+            for (i, j, k), c in self._in_product_order(table).items():
                 if u[i - 1]:
                     left[(j, k)] += c * u[i - 1]
                 if u[j - 1]:
@@ -132,7 +130,7 @@ class Algebra(_Structure):
     """
 
     __slots__ = ("dim", "products", "unit", "basis", "name")
-    _entry, _shift, _unit_error = "product", 0, "declared unit is not a two-sided unit"
+    _entry, _unit_error = "product", "declared unit is not a two-sided unit"
 
     def __init__(
         self,
@@ -377,20 +375,16 @@ def _solve(P: Mapping[tuple[int, int, int], int], left: int, right: int, associa
     return _split_solve(chain((g,), _orbit_splits(_composite_layers(P, left, right))), cap)
 
 
+# The splits of the vectors every check reads.
+_GI_SPLITS = {i: split(map(int, special_vector(f"a{i}").coords)) for i in range(1, 7)}
+_W_SPLIT = split(map(int, special_vector("W").coords))
 # u_i - |G_i| id, with u_i the sum of the members of G_i, for i = 2..6.
 # u_i / |G_i| averages over G_i, and averaging fixes a trilinear map
 # exactly when G_i does, so this vector kills (xy)z under slot
 # permutation exactly when (xy)z is G_i-invariant.
-_BANG_VECTORS = {
-    i: tuple(int(p in G) - len(G) * (p == PERMS[0]) for p in PERMS)
-    for i, G in SUBGROUPS.items()
-    if i > 1
+_BANG_SPLITS = {
+    i: split([int(p in G) - len(G) * (p == PERMS[0]) for p in PERMS]) for i, G in SUBGROUPS.items() if i > 1
 }
-
-# The splits of the vectors every check reads.
-_GI_SPLITS = {i: split(map(int, special_vector(f"a{i}").coords)) for i in range(1, 7)}
-_W_SPLIT = split(map(int, special_vector("W").coords))
-_BANG_SPLITS = {i: split(v) for i, v in _BANG_VECTORS.items()}
 
 
 def _kills(w: tuple, P: Mapping[tuple[int, int, int], int], left: int, right: int) -> bool:
@@ -513,7 +507,7 @@ def _classify(P: Mapping[tuple[int, int, int], int], has_unit: bool) -> Classifi
     """``classify`` of the algebra with the cleared table ``P``, as
     ``_integer_table`` returns it, and a unit when ``has_unit``."""
     g = _solve(P, 1, -1)
-    bang = dict.fromkeys(_BANG_VECTORS, False)
+    bang = dict.fromkeys(_BANG_SPLITS, False)
     if g[0] and g[1] and g[5]:
         # g is invertible (rho(g) = 1 in normal form), as on a generic table.
         return ClassificationReport(dict.fromkeys(_GI_SPLITS, False), bang, False, False, False, has_unit, 0, ())

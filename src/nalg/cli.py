@@ -17,7 +17,7 @@ from types import SimpleNamespace
 from . import catalog
 from .algebras import Algebra, _classify, classify
 from .cogebras import _mirrored, classify_cogebra, gi_bang_cocheck
-from .duality import dualize_algebra, dualize_cogebra
+from .duality import _dual_products, dualize_algebra, dualize_cogebra
 from .formats import (
     _build,
     _scan_document,
@@ -78,8 +78,8 @@ def _json_report(kind: str, dim: int, report) -> str:
     and expressions in ids, digits, "/", "*", "+", "-" and spaces."""
     b, names = ("false", "true"), report.__slots__
     gi, bang, assoc, lie, power, unit, ann_dim, ann_basis = report._fields()
-    gi = ",\n".join([f'    "{i}": {b[gi[i]]}' for i in range(1, 7)])
-    bang = ",\n".join([f'    "{i}": {b[bang[i]]}' for i in range(2, 7)])
+    gi = ",\n".join([f'    "{i}": {b[flag]}' for i, flag in gi.items()])
+    bang = ",\n".join([f'    "{i}": {b[flag]}' for i, flag in bang.items()])
     basis = ",\n".join([f'    "{format_ga_expr(e)}"' for e in ann_basis])
     basis = f"[\n{basis}\n  ]" if basis else "[]"
     return (
@@ -92,17 +92,15 @@ def _json_report(kind: str, dim: int, report) -> str:
 
 def _report(path: str) -> tuple:
     """The kind, dimension and report of the file at ``path``.  Either kind
-    is classified from the reader's cleared table, a cogebra as its dual,
-    whose product (i, j, k) is the coproduct (k, i, j); the structure is
-    built only to check a (co)unit."""
+    is classified from the reader's cleared table, a cogebra as its dual;
+    the structure is built only to check a (co)unit."""
     parts, cleared = _scan_document(_read(path))
     cls, dim, *_, unit = parts
     if unit is not None:
         _build(*parts)
     if cls is Algebra:
         return "algebra", dim, _classify(cleared, unit is not None)
-    dual = {(i, j, k): c for (k, i, j), c in cleared.items()}
-    return "cogebra", dim, _mirrored(_classify(dual, unit is not None))
+    return "cogebra", dim, _mirrored(_classify(_dual_products(cleared), unit is not None))
 
 
 def _cmd_check(args) -> int:
@@ -115,8 +113,8 @@ def _cmd_check(args) -> int:
     co = "co" if kind == "cogebra" else ""
     gi, bang, _, _, power, unit, ann_dim, ann_basis = report._fields()
     print(f"kind: {kind}  dim: {dim}  {co}unit: {_yes(unit)}")
-    lines = [((co and "co-") + _GI_LABELS[i], gi[i]) for i in range(1, 7)]
-    lines += [(f"G{i}! {co and 'co '}triple symmetry", bang[i]) for i in range(2, 7)]
+    lines = [((co and "co-") + _GI_LABELS[i], flag) for i, flag in gi.items()]
+    lines += [(f"G{i}! {co and 'co '}triple symmetry", flag) for i, flag in bang.items()]
     lines.append((f"3-power-{co}associative", power))
     for label, value in lines:
         print(f"  {label:<24} {_yes(value)}")
@@ -152,9 +150,7 @@ def _cmd_convolve(args) -> int:
     bang = co.gi_bang_co
     if args.literal_bang:
         bang = dict.fromkeys(bang, gi_bang_cocheck(C, 2, literal=True))
-    guaranteed = [
-        i for i in range(1, 7) if gi[i] and (co.is_coassociative if i == 1 else bang[i])
-    ]
+    guaranteed = [i for i, flag in gi.items() if flag and (co.is_coassociative if i == 1 else bang[i])]
     reading = "literal" if args.literal_bang else "normalized"
     if guaranteed:
         indices = ", ".join(str(i) for i in guaranteed)

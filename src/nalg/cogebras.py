@@ -60,7 +60,8 @@ class Cogebra(_Structure):
     """
 
     __slots__ = ("dim", "coproducts", "counit", "basis", "name")
-    _entry, _shift, _unit_error = "coproduct", 1, "declared counit fails the counit axiom"
+    _entry, _unit_error = "coproduct", "declared counit fails the counit axiom"
+    _in_product_order = staticmethod(_dual_products)
 
     def __init__(
         self,
@@ -107,7 +108,8 @@ class CubeMap(Record):
 
 def _iterated(C: Cogebra, left: int, right: int) -> CubeMap:
     """left*(xy)z + right*x(yz) on the dual, with the output index moved to the front."""
-    return CubeMap(C.dim, {key[3:] + key[:3]: c for key, c in _composite(_dual_products(C), left, right).items()})
+    composite = _composite(_dual_products(C.coproducts), left, right)
+    return CubeMap(C.dim, {key[3:] + key[:3]: c for key, c in composite.items()})
 
 
 def coassoc_left(C: Cogebra) -> CubeMap:
@@ -149,7 +151,7 @@ def gi_bang_cocheck(C: Cogebra, i: int, *, literal: bool = False) -> bool:
     if not literal:
         return gi_bang_check(dualize_cogebra(C), i)
     _check_index(i, low=2)
-    return not any(_composite(_dual_products(C), left, right) for left, right in ((1, 0), (0, 1)))
+    return not any(_composite(_dual_products(C.coproducts), left, right) for left, right in ((1, 0), (0, 1)))
 
 
 def flip(C: Cogebra) -> Cogebra:

@@ -68,4 +68,4 @@ def convolution_algebra(C: Cogebra, A: Algebra) -> Algebra:
     and counit (x) unit, when both exist, is its unit.  The table of C* is
     read straight off C, without building the dual algebra.
     """
-    return _tensor(C.dim, _dual_products(C), C.counit, C.basis_names(), A, ">")
+    return _tensor(C.dim, _dual_products(C.coproducts), C.counit, C.basis_names(), A, ">")

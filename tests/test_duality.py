@@ -77,14 +77,14 @@ def _named_units():
     return A, C
 
 
-class TestStoredWithoutChecking:
+class TestDualsAreCheckedConstructions:
     def test_duals_equal_the_checked_constructions(self, catalog_algebras, catalog_cogebras):
         named_algebra, named_cogebra = _named_units()
         for A in (named_algebra, *catalog_algebras.values()):
             transposed = {(k, i, j): c for (i, j, k), c in A.products.items()}
             assert dualize_algebra(A) == Cogebra(A.dim, transposed, A.unit, A.basis, A.name)
         for C in (named_cogebra, *catalog_cogebras.values()):
-            assert dualize_cogebra(C) == Algebra(C.dim, _dual_products(C), C.counit, C.basis, C.name)
+            assert dualize_cogebra(C) == Algebra(C.dim, _dual_products(C.coproducts), C.counit, C.basis, C.name)
 
 
 class TestEditedStructures:

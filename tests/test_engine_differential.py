@@ -23,7 +23,6 @@ from test_scaling import dense_table_text
 import nalg.algebras
 from nalg import catalog
 from nalg.algebras import (
-    _BANG_VECTORS,
     Algebra,
     ClassificationReport,
     _composite_layers,
@@ -53,6 +52,7 @@ from nalg.linalg import _echelon, span
 from nalg.products import tensor_algebras
 from nalg.sym3 import (
     PERMS,
+    SUBGROUPS,
     GroupAlgElem,
     ga_multiply,
     inverse,
@@ -325,6 +325,11 @@ def _layers_pulled(A, left, right):
 ASSOCIATOR_VECTORS = {
     name: tuple(map(int, special_vector(name).coords)) for name in ("a1", "a2", "a3", "a4", "a5", "a6", "W")
 }
+# u_i - |G_i| id for i = 2..6, with u_i the sum of the members of G_i: it
+# kills (xy)z under slot permutation exactly when (xy)z is G_i-invariant.
+BANG_VECTORS = {
+    i: tuple(int(p in G) - len(G) * (p == PERMS[0]) for p in PERMS) for i, G in SUBGROUPS.items() if i > 1
+}
 INVERSE_ORDER = [PERMS.index(inverse(p)) for p in PERMS]
 
 
@@ -334,7 +339,7 @@ INVERSE_ORDER = [PERMS.index(inverse(p)) for p in PERMS]
 def test_split_solve_matches_the_slot_row_solve(A, v):
     P = _integer_table(A.products)[0]
     solved = {}
-    for composite, vectors in (((1, -1), ASSOCIATOR_VECTORS), ((1, 0), _BANG_VECTORS)):
+    for composite, vectors in (((1, -1), ASSOCIATOR_VECTORS), ((1, 0), BANG_VECTORS)):
         g = _split_solve(_orbit_splits(_composite_layers(P, *composite)))
         ann = reference.slot_kernel(_composite_layers(P, *composite))
         assert right_annihilator(g) == ann
@@ -352,7 +357,7 @@ def test_split_solve_matches_the_slot_row_solve(A, v):
     report = classify(A)
     gi = {i: ann.contains(ASSOCIATOR_VECTORS[f"a{i}"]) for i in range(1, 7)}
     assert report.gi_assoc == gi
-    assert report.gi_bang == {i: gi[1] and sym.contains(u) for i, u in _BANG_VECTORS.items()}
+    assert report.gi_bang == {i: gi[1] and sym.contains(u) for i, u in BANG_VECTORS.items()}
     assert report.is_3_power_associative == ann.contains(ASSOCIATOR_VECTORS["W"])
     assert report.annihilator_dim == ann.dim
     assert report.annihilator_basis == tuple(GroupAlgElem(row) for row in ann.basis)
@@ -534,7 +539,7 @@ def _check_against_reference(A):
     for i in range(1, 7):
         assert gi_check(A, i) == gi[i], i
     assert power_assoc_check(A) == kills(ASSOCIATOR_VECTORS["W"], (1, -1))
-    for i, u in _BANG_VECTORS.items():
+    for i, u in BANG_VECTORS.items():
         assert gi_bang_check(A, i) == (gi[1] and kills(u, (1, 0))), i
     assert right_annihilator(_solve(P, 1, -1)) == reference.slot_kernel(layers[(1, -1)])
     for associative in {False, gi[1]}:

@@ -16,7 +16,9 @@ answer stays fixed or moves in a known way:
   dual of a cogebra rebased by M is its dual algebra rebased by (M^-1)^T,
   the change to the dual basis.
 * Every 2-dimensional table over {-1, 0, 1}, each answer tied to the answers
-  on its orbit under signed basis permutations and the opposite algebra.
+  on its orbit under signed basis permutations and the opposite algebra,
+  and each annihilator's type (trivial, sign, standard multiplicities) read
+  both off its basis and off the generator g it annihilates.
 """
 
 import itertools
@@ -30,11 +32,11 @@ from test_cogebra_differential import cogebras
 from test_engine_differential import algebras, dense_algebras
 
 from nalg import catalog
-from nalg.algebras import Algebra, ClassificationReport, annihilator, classify
+from nalg.algebras import Algebra, ClassificationReport, _integer_table, _solve, annihilator, classify
 from nalg.cogebras import Cogebra, classify_cogebra, coannihilator
 from nalg.duality import dualize_algebra, dualize_cogebra
 from nalg.linalg import span
-from nalg.sym3 import GroupAlgElem, ga_multiply
+from nalg.sym3 import GroupAlgElem, ga_multiply, split
 
 T13 = GroupAlgElem((0, 0, 1, 0, 0, 0))
 SWAP = {1: 1, 2: 3, 3: 2, 4: 4, 5: 5, 6: 6}
@@ -186,14 +188,35 @@ def test_cogebra_basis_change(case):
 SLOTS2 = tuple(itertools.product((1, 2), repeat=3))
 
 
+def annihilator_type(basis) -> tuple[int, int, int]:
+    """The trivial bit, the sign bit and the standard count of the right
+    ideal with ``basis``: on the split, a right ideal holds the matrices
+    whose columns lie in one subspace, the span of the columns of every rho."""
+    splits = [split(e.coords) for e in basis]
+    trivial, sign = (int(any(f[at] for f in splits)) for at in (0, 1))
+    columns = [column for f in splits for column in ((f[2], f[4]), (f[3], f[5]))]
+    return trivial, sign, span(columns, 2).dim
+
+
 def test_every_two_dimensional_table():
-    reports = {}
+    reports, types = {}, Counter()
     for values in itertools.product((-1, 0, 1), repeat=len(SLOTS2)):
-        reports[values] = classify(Algebra(2, dict(zip(SLOTS2, values))))
+        A = Algebra(2, dict(zip(SLOTS2, values)))
+        report = reports[values] = classify(A)
+        t, s, std = annihilator_type(report.annihilator_basis)
+        assert report.annihilator_dim == t + s + 2 * std
+        # The annihilator is the right annihilator of g: v with g v = 0.
+        g = _solve(_integer_table(A.products)[0], 1, -1)
+        assert (t, s, std) == (int(not g[0]), int(not g[1]), 2 - span([g[2:4], g[4:]], 2).dim)
+        types[t, s, std] += 1
     census = Counter(r.annihilator_dim for r in reports.values())
     assert census == {1: 5528, 2: 24, 3: 240, 4: 648, 5: 16, 6: 105}
     # The antisymmetrizer vanishes on a 2-dimensional space.
     assert all(r.is_lie_admissible for r in reports.values())
+    # So every type has the sign part, and each dimension comes in one type.
+    assert types == {
+        (0, 1, 0): 5528, (1, 1, 0): 24, (0, 1, 1): 240, (1, 1, 1): 648, (0, 1, 2): 16, (1, 1, 2): 105
+    }
     # Signed basis permutations f_a = s_a e_pi(a) give the same answer, and
     # the opposite algebra the swapped one: with the signs, a group of order
     # 16 acting on the tables.

@@ -2,14 +2,20 @@
 
 ``perfbench/spans.py`` replaces stage functions by name when a traced run
 starts; a deleted or renamed stage would only show there.  This loads the
-recorder by path, without running it, and looks every name up.
+recorder by path, without running it, and looks every name up.  The
+recorder patches only modules already loaded, so importing ``nalg.cli``
+must load the home module of every stage: a module made lazy would drop
+its stages from a traced run without an error.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -35,3 +41,13 @@ def test_patched_attributes_exist():
 
     assert callable(cogebras.CubeMap.phi)
     assert callable(catalog._first)
+
+
+def test_cli_import_loads_every_traced_module():
+    homes = sorted({home for home, _, _, _ in _load_spans().STAGES})
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import nalg.cli; print(*sorted(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src")], capture_output=True, text=True, check=True
+    )
+    loaded = set(done.stdout.split())
+    assert [home for home in homes if home not in loaded] == []
