@@ -77,12 +77,12 @@ class _Structure(Record):
     index triples, an optional unit or counit, optional basis names and a
     free label, in that field order, all checked on construction.
 
-    A (co)unit is checked as the two-sided unit of the table in product
-    order, keyed (left, right, out), that ``_in_product_order`` gives: an
-    algebra's table as it is, a cogebra's as its dual algebra's, so the
-    counit axiom is checked as the unit axiom of the dual.  Each subclass
-    also sets ``_entry``, an entry's name in errors, and ``_unit_error``,
-    the text of a failed (co)unit check.
+    ``_check_unit`` checks a (co)unit as the two-sided unit of the table in
+    product order, keyed (left, right, out), that ``_in_product_order``
+    gives: an algebra's table as it is, a cogebra's as its dual algebra's,
+    so the counit axiom is the unit axiom of the dual.  Each subclass also
+    sets ``_entry``, an entry's name in errors, and ``_unit_error``, the
+    text of a failed (co)unit check.
     """
 
     __slots__ = ()
@@ -96,23 +96,28 @@ class _Structure(Record):
             if len(basis) != dim:
                 raise ValueError("basis-name count differs from dimension")
         if unit is not None:
-            u = unit = as_vec(unit)
-            if len(u) != dim:
+            unit = as_vec(unit)
+            if len(unit) != dim:
                 raise ValueError(f"{self.__slots__[2]} length differs from dimension")
-            # u e_j and e_i u for every basis element at once: left[(j, k)]
-            # is the e_k coordinate of u e_j, right[(i, k)] that of e_i u.
-            left: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-            right: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-            for (i, j, k), c in self._in_product_order(table).items():
-                if u[i - 1]:
-                    left[(j, k)] += c * u[i - 1]
-                if u[j - 1]:
-                    right[(i, k)] += c * u[j - 1]
-            # Both must be the identity matrix, keyed by (row, column).
-            identity = {(j, j): 1 for j in range(1, dim + 1)}
-            if any({key: c for key, c in m.items() if c} != identity for m in (left, right)):
-                raise ValueError(self._unit_error)
+            self._check_unit(self._in_product_order(table), unit, 1)
         return self._assign(dim, table, unit, basis, name)
+
+    @classmethod
+    def _check_unit(cls, P: Mapping[tuple[int, int, int], Fraction | int], u: Sequence, one) -> None:
+        """Raise ``cls._unit_error`` unless u e_j = ``one`` e_j = e_j u for every
+        e_j on the table ``P`` in product order: ``one`` is 1 for a structure's
+        own table and unit, their scale for the reader's cleared ones."""
+        # left[(j, k)] is the e_k coordinate of u e_j, right[(i, k)] that of e_i u.
+        left, right = defaultdict(int), defaultdict(int)
+        for (i, j, k), c in P.items():
+            if u[i - 1]:
+                left[(j, k)] += c * u[i - 1]
+            if u[j - 1]:
+                right[(i, k)] += c * u[j - 1]
+        # Both must be ``one`` times the identity matrix, keyed by (row, column).
+        identity = {(j, j): one for j in range(1, len(u) + 1)}
+        if any({key: c for key, c in m.items() if c} != identity for m in (left, right)):
+            raise ValueError(cls._unit_error)
 
     def basis_names(self) -> tuple[str, ...]:
         if self.basis is not None:

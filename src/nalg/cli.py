@@ -11,15 +11,15 @@ from __future__ import annotations
 import json
 import os
 import sys
+from math import lcm
 from pathlib import Path
 from types import SimpleNamespace
 
 from . import catalog
-from .algebras import Algebra, _classify, classify
-from .cogebras import _mirrored, classify_cogebra, gi_bang_cocheck
-from .duality import _dual_products, dualize_algebra, dualize_cogebra
+from .algebras import Algebra, _classify, _solve, classify
+from .cogebras import _inverted, _mirrored, classify_cogebra, gi_bang_cocheck
+from .duality import dualize_algebra, dualize_cogebra
 from .formats import (
-    _build,
     _scan_document,
     format_ga_expr,
     parse_algebra,
@@ -29,7 +29,7 @@ from .formats import (
     print_document,
 )
 from .products import convolution_algebra, tensor_algebras
-from .sym3 import GroupAlgElem, maschke_multiplicities, orbit, orbit_span
+from .sym3 import GroupAlgElem, maschke_multiplicities, orbit, orbit_span, right_annihilator
 
 _GI_LABELS = {
     1: "associative",
@@ -90,21 +90,24 @@ def _json_report(kind: str, dim: int, report) -> str:
     )
 
 
-def _report(path: str) -> tuple:
-    """The kind, dimension and report of the file at ``path``.  Either kind
-    is classified from the reader's cleared table, a cogebra as its dual;
-    the structure is built only to check a (co)unit."""
-    parts, cleared = _scan_document(_read(path))
-    cls, dim, *_, unit = parts
+def _read_table(path: str) -> tuple:
+    """The class and dimension of the file at ``path``, the reader's cleared
+    table in product order, a cogebra's as its dual's, and whether it
+    declares a (co)unit, checked on that table in ints: nothing is built."""
+    (cls, dim, _, table, texts, unit), cleared = _scan_document(_read(path))
+    P = cls._in_product_order(cleared)
     if unit is not None:
-        _build(*parts)
-    if cls is Algebra:
-        return "algebra", dim, _classify(cleared, unit is not None)
-    return "cogebra", dim, _mirrored(_classify(_dual_products(cleared), unit is not None))
+        # P is d times the table, d clearing its distinct texts as the reader
+        # does; e clears u, and u e_j = e_j on the table iff (e u) e_j = d e e_j on P.
+        d, e = (lcm(*{texts[c][1] for c in cs}) for cs in (table.values(), unit))
+        cls._check_unit(P, [p * (e // q) for p, q in map(texts.__getitem__, unit)], d * e)
+    return cls, dim, P, unit is not None
 
 
 def _cmd_check(args) -> int:
-    kind, dim, report = _report(args.file)
+    cls, dim, P, has_unit = _read_table(args.file)
+    report = _classify(P, has_unit)
+    kind, report = ("algebra", report) if cls is Algebra else ("cogebra", _mirrored(report))
     if args.json:
         print(_json_report(kind, dim, report))
         return 0
@@ -161,12 +164,15 @@ def _cmd_convolve(args) -> int:
 
 
 def _cmd_annihilator(args) -> int:
-    dim, basis = _report(args.file)[2]._fields()[6:]
-    exprs = [format_ga_expr(e) for e in basis]
+    # One solve, as in _classify; a cogebra's is its dual's moved by p -> p^-1.
+    cls, _, P, _ = _read_table(args.file)
+    sub = right_annihilator(_solve(P, 1, -1))
+    sub = sub if cls is Algebra else _inverted(sub.basis)
+    exprs = [format_ga_expr(GroupAlgElem(row)) for row in sub.basis]
     if args.json:
-        print(json.dumps({"dim": dim, "basis": exprs}, indent=2))
+        print(json.dumps({"dim": sub.dim, "basis": exprs}, indent=2))
         return 0
-    print(f"dim {dim}")
+    print(f"dim {sub.dim}")
     for expr in exprs:
         print(f"  {expr}")
     return 0

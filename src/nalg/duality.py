@@ -3,8 +3,8 @@
 Dual bases are identified positionally (the functional f_i pairs with the
 basis vector e_i), so dualizing transposes the structure constants:
 ``D[k][(i, j)] = C[(i, j)][k]``.  ``_dual_products`` is the one place where
-a cogebra's table becomes its dual's: every cogebra check, convolution, the
-CLI report and the counit check on construction read the dual through it.
+a cogebra's table becomes its dual's, also as ``Cogebra._in_product_order``:
+every cogebra check, convolution, the CLI and the counit check read it.
 Units become counits by evaluation and vice versa.  Both round trips are
 the identity on the stored data.
 

@@ -28,8 +28,8 @@ and (co)unit coordinate that holds it, and builds the structure through
 its constructor and all its checks, as every structure but a catalog
 search candidate is built.  A parsed table may so pickle to other bytes
 than an equal one built entry by entry (see ``catalog._VALUES``).
-``nalg check`` and ``nalg annihilator`` classify either kind from the
-cleared table, and build the structure only to check a (co)unit.
+``nalg check`` and ``nalg annihilator`` build nothing: they read the
+cleared table and check a (co)unit on it as the constructor does.
 
 Group-algebra expressions are sums of terms ``id, t12, t13, t23, c1, c2``,
 each optionally prefixed by a rational and ``*``, joined by ``+``/``-``,
@@ -164,7 +164,7 @@ def _scan_document(text: str) -> tuple:
 
 def _scan(doc: dict, kind: str) -> tuple:
     """Check the decoded ``doc`` as a document of ``kind``, in one pass in
-    document order, short of the (co)unit axiom, which ``_build`` checks.
+    document order, short of the (co)unit axiom, which ``_check_unit`` checks.
     Returns the arguments of ``_build`` and the table cleared of
     denominators as ``algebras._integer_table`` clears it.  The table and
     the (co)unit hold coefficient texts, and ``texts`` maps each to its

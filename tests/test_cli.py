@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from test_engine_differential import algebras
 
 from nalg import catalog, cogebras
-from nalg.algebras import Algebra, annihilator, classify, gi_check
+from nalg.algebras import Algebra, _solve, annihilator, classify, gi_check
 from nalg.cli import _CHUNK, _build_parser, _json_report, main
 from nalg.duality import dualize_algebra
 from nalg.cogebras import Cogebra
@@ -38,10 +38,6 @@ def run(capsys, *argv):
 
 # A catalog file with a unit, one with a counit, and a cogebra without one.
 BUILT_FOR_A_UNIT = [("mat2", Algebra), ("dual_mat2", Cogebra), ("dual_vinberg2", Cogebra)]
-
-
-def has_unit(X):
-    return (X.unit if isinstance(X, Algebra) else X.counit) is not None
 
 
 def count_builds(monkeypatch):
@@ -153,8 +149,8 @@ class TestCheck:
 
     @pytest.mark.parametrize("name, cls", BUILT_FOR_A_UNIT)
     def test_built_only_for_a_unit(self, capsys, monkeypatch, name, cls):
-        # Either kind is classified from the reader's cleared table; a
-        # (co)unit needs the structure for its axiom check.
+        # Either kind is classified from the reader's cleared table, and a
+        # (co)unit is checked on that table: no structure is built.
         golden = GOLDEN / f"check_{name}.json"
         X = catalog.get(name)
         kind, report = ("algebra", classify(X)) if cls is Algebra else ("cogebra", cogebras.classify_cogebra(X))
@@ -163,7 +159,7 @@ class TestCheck:
             assert expected == golden.read_text()
         built = count_builds(monkeypatch)
         assert run(capsys, "check", "--json", data_path(name)) == (0, expected, "")
-        assert built == [cls] * has_unit(X)
+        assert built == []
 
     def test_unit_failing_the_axiom_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad_unit.json"
@@ -406,7 +402,35 @@ class TestAnnihilatorCommand:
         built = count_builds(monkeypatch)
         for flags, out in expected.items():
             assert run(capsys, "annihilator", data_path(name), *flags) == (0, out, "")
-        assert built == [cls] * 2 * has_unit(X)
+        assert built == []
+
+    @pytest.mark.parametrize("name", ["mat2", "dual_mat2", "m4", "generic3"])
+    def test_solves_once(self, capsys, monkeypatch, tmp_path, name):
+        # One solve for the associator's generator and no classification:
+        # an associative table (mat2, m4) solves no (xy)z generator and
+        # reads no flags, and a generic one stops at its probe all the same.
+        if name == "m4":
+            X = tensor_algebras(catalog.get("mat2"), catalog.get("mat2"))
+            path = tmp_path / "m4.json"
+            path.write_text(print_document(X))
+        else:
+            X, path = catalog.get(name), data_path(name)
+        sub = annihilator(X) if isinstance(X, Algebra) else cogebras.coannihilator(X)
+        expected = "".join([f"dim {sub.dim}\n"] + [f"  {format_ga_expr(GroupAlgElem(row))}\n" for row in sub.basis])
+        solves = []
+
+        def counted(*args, solve=_solve):
+            solves.append(args[1:])
+            return solve(*args)
+
+        def unreachable(*args):
+            raise AssertionError("classified")
+
+        for home in ("nalg.algebras", "nalg.cli"):
+            monkeypatch.setattr(f"{home}._solve", counted)
+            monkeypatch.setattr(f"{home}._classify", unreachable)
+        assert run(capsys, "annihilator", str(path)) == (0, expected, "")
+        assert solves == [(1, -1)]
 
 
 class TestS3Commands:

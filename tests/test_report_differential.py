@@ -1,27 +1,30 @@
 """``nalg check --json`` and ``nalg annihilator`` against the library.
 
 Both commands decide a file of either kind from the reader's cleared
-table, a cogebra as its dual, and build the structure only to check a
-(co)unit.  Each must print what the library prints for the structure
-that ``parse_document`` builds from the same file: the report of
-``classify`` or ``classify_cogebra``, and the subspace of ``annihilator``
-or ``coannihilator``.  A file that the parser rejects, a (co)unit that
-fails its axiom among them, makes every command exit 2 with the
-parser's error.
+table, a cogebra as its dual, and check a (co)unit on that table in ints,
+without building the structure.  Each must print what the library prints
+for the structure that ``parse_document`` builds from the same file: the
+report of ``classify`` or ``classify_cogebra``, and the subspace of
+``annihilator`` or ``coannihilator``.  A file that the parser rejects, a
+(co)unit that fails its axiom among them, makes every command exit 2 with
+the parser's error.
 
 The files are the catalog, the benchmark's towers (built here through
-the library), and drawn documents of both kinds, with and without a
-(co)unit, and with a (co)unit that fails its axiom.
+the library), and drawn documents of both kinds and towers on them, with
+and without a (co)unit: the true one, one that fails its axiom, one
+scaled by 2 or 1/2, and the true one of the table rescaled, whose
+denominators the table lacks.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cli import report_doc
 from test_engine_differential import algebras
@@ -33,6 +36,7 @@ from nalg.cli import main
 from nalg.cogebras import classify_cogebra, coannihilator
 from nalg.duality import dualize_algebra
 from nalg.formats import FormatError, format_ga_expr, parse_document, print_document
+from nalg.linalg import format_rational
 from nalg.products import convolution_algebra, tensor_algebras
 from nalg.sym3 import GroupAlgElem
 
@@ -92,15 +96,41 @@ def test_towers(name):
     assert_commands_agree(print_document(_towers()[name]))
 
 
-@given(raw_documents(), st.booleans())
+# The true unit of the catalog's trunc_poly2 and of the dual's counit, with
+# the table scaled by 1013/1009 and the (co)unit by 1009/1013: the reader
+# clears the table by d = 1009 and the (co)unit by e = 1013.
+@example((catalog.data_text("trunc_poly2"), None), None, False, "1", "1013/1009")
+@example((catalog.data_text("dual_trunc_poly2"), None), None, False, "1", "1013/1009")
+@given(
+    raw_documents(),
+    st.sampled_from((None, "k1", "trunc_poly2", "mat2")),
+    st.booleans(),
+    st.sampled_from(("1", "1/2", "2")),
+    st.sampled_from(("1013/1009", "1/3", "2", "1")),
+)
 @settings(max_examples=100, deadline=None)
-def test_drawn_documents(case, break_unit):
-    # A (co)unit c e1 fails its axiom once its first coordinate is 7 and
-    # its products by e_j stay 1/c e_j, as c is 1, 2 or -1/3.
-    doc = json.loads(case[0])
-    field = "unit" if doc["kind"] == "algebra" else "counit"
-    if break_unit and doc[field] is not None:
-        doc[field][0] = "7"
+def test_drawn_documents(case, factor, break_unit, unit_scale, table_scale):
+    # With a factor, the document is the tower of the drawn structure with
+    # it: a tensor product, or for a cogebra the dual of a convolution.
+    # The table is scaled by table_scale and the (co)unit by unit_scale /
+    # table_scale: a true (co)unit stays one exactly when unit_scale is 1,
+    # and its denominators may be ones the table lacks.  break_unit sets
+    # its first coordinate to 7, which breaks a drawn c e1 (c is 1, 2 or -1/3).
+    text = case[0]
+    if factor is not None:
+        X, F = case[1], catalog.get(factor)
+        T = tensor_algebras(X, F) if isinstance(X, Algebra) else dualize_algebra(convolution_algebra(X, F))
+        text = print_document(T)
+    doc = json.loads(text)
+    field, unit_field = ("products", "unit") if doc["kind"] == "algebra" else ("coproducts", "counit")
+    s = Fraction(table_scale)
+    for entry in doc[field]:
+        for term in entry["out"]:
+            term["c"] = format_rational(Fraction(term["c"]) * s)
+    if doc[unit_field] is not None:
+        doc[unit_field] = [format_rational(Fraction(c) * Fraction(unit_scale) / s) for c in doc[unit_field]]
+        if break_unit:
+            doc[unit_field][0] = "7"
     assert_commands_agree(json.dumps(doc))
 
 

@@ -22,6 +22,16 @@ layers one at a time and stops after four (0, 38, 275 and 755 entries,
 57 ms in-process).  Computing the whole composite (2,341,232 entries), in
 layers or in one join, took 21-24 s in-process on the same VM and fails
 the test.
+
+gl4, the commutator algebra of mat2 (x) mat2, is a Lie algebra, so it
+lies in the paper's classes 5 and 6.  On the basis f = e M, with M = L U
+for seeded unit triangular L and U over {-1, 1}, its table is dense:
+3,840 of the 4,096 products are set, with coefficients up to 174,611.
+The probe does not decide it and the cap is not reached, so ``classify``
+reads all 16 layers (61,440 entries): 0.55-0.66 s in-process, and the
+command 0.6-0.7 s, on a 2-core Xeon VM, where building the dense table
+through the rebasing takes 2 s.  Slot identities do not depend on the
+basis, so its report must be sparse gl4's.
 """
 
 import json
@@ -34,6 +44,10 @@ from pathlib import Path
 import pytest
 
 import nalg
+from nalg import catalog
+from nalg.algebras import commutator_algebra
+from nalg.formats import print_document
+from nalg.products import tensor_algebras
 
 DIM = 40
 VALUES = ("-2", "-1", "-1/2", "1/2", "1", "2")
@@ -103,3 +117,22 @@ def test_symmetric_table_is_fast(tmp_path, sign, annihilator_dim):
     report = check_json(path)
     assert report["dim"] == DIM
     assert report["annihilator_dim"] == annihilator_dim
+
+
+def test_dense_gl4_check_is_fast(tmp_path):
+    # Imported here: test_metamorphic imports this module, through
+    # test_engine_differential.
+    from test_metamorphic import inverse, rebased
+
+    gl4 = commutator_algebra(tensor_algebras(catalog.get("mat2"), catalog.get("mat2")))
+    rng, n = random.Random(gl4.dim), range(gl4.dim)
+    L = [[rng.choice((-1, 1)) if i > j else int(i == j) for j in n] for i in n]
+    U = [[rng.choice((-1, 1)) if i < j else int(i == j) for j in n] for i in n]
+    M = [[sum(L[i][k] * U[k][j] for k in n) for j in n] for i in n]
+    reports = []
+    for name, A in (("sparse", gl4), ("dense", rebased(gl4, M, inverse(M)))):
+        path = tmp_path / f"gl4_{name}.json"
+        path.write_text(print_document(A), encoding="utf-8")
+        reports.append(check_json(path))
+    assert reports[0] == reports[1]
+    assert reports[0]["is_lie_admissible"] and reports[0]["annihilator_dim"] == 4
