@@ -319,22 +319,45 @@ def _split_solve(splits: Iterator[tuple[int, ...]], cap: tuple = (True, True, 2)
     return (eps, sgn, 1, 0, 0, 1) if full else (eps, sgn, x, y, 0, 0)
 
 
+def _shape_orders(shape: tuple[int, int, int]) -> tuple[tuple, tuple]:
+    """The distinct images of a start of ``shape`` under the six slot
+    orders: each with its first place p in _SLOT_ORDERS, and (p, q) for
+    every later place p whose image is that of place q."""
+    first: dict[tuple[int, int, int], int] = {}
+    copies = []
+    for p, (s1, s2, s3) in enumerate(_SLOT_ORDERS):
+        image = shape[s1], shape[s2], shape[s3]
+        if image in first:
+            copies.append((p, first[image]))
+        else:
+            first[image] = p
+    return tuple((p, image) for image, p in first.items()), tuple(copies)
+
+
+# The probe's start shapes by the number of indices the table uses, as
+# places in its first indices: three distinct ones, or (a, a, b) and
+# (a, b, b).  A two-index start has three distinct images, each twice.
+_PROBE_SHAPES = {3: ((0, 1, 2),), 2: ((0, 0, 1), (0, 1, 1))}
+_PROBE_ORDERS = {n: tuple(map(_shape_orders, shapes)) for n, shapes in _PROBE_SHAPES.items()}
+
+
 def _orbit_probe(P: Mapping[tuple[int, int, int], int], left: int, right: int) -> Iterator[tuple[int, ...]]:
     """The splits of the nonzero orbits of left*(xy)z + right*x(yz) over
     the integer table ``P`` at the six slot permutations (_SLOT_ORDERS) of
     each start, lazily, one orbit (one output l) per step: the first three
     of ``used``, the sorted indices of ``P``; on two, a < b, (a, a, b) and
-    (a, b, b).  A term (p, w, a, b) adds w * P[(a, b, l)] at p = (i, j,
-    k): w is read with ``P.get`` from e_i e_j -> e_m for (xy)z or e_j e_k
-    -> e_m for x(yz), at every used m, and l runs over the outputs of e_a
-    e_b.  A start with no term reads no output."""
+    (a, b, b).  Each distinct permutation of a start is joined once, at its
+    first place (_PROBE_ORDERS), and its value copied to the others.  A
+    term (p, w, a, b) adds w * P[(a, b, l)] at p = (i, j, k): w is read
+    with ``P.get`` from e_i e_j -> e_m for (xy)z or e_j e_k -> e_m for
+    x(yz), at every used m, and l runs over the outputs of e_a e_b.  A
+    start with no term reads no output."""
     used = sorted(set().union(*P))
-    starts = [used[:3]] if len(used) > 2 else [(used[0], *used), (*used, used[1])] if len(used) == 2 else []
     get = P.get
-    for start in starts:
+    for orders, copies in _PROBE_ORDERS.get(min(len(used), 3), ()):
         reached, terms = set(), []
-        for p, (s1, s2, s3) in enumerate(_SLOT_ORDERS):
-            i, j, k = start[s1], start[s2], start[s3]
+        for p, (s1, s2, s3) in orders:
+            i, j, k = used[s1], used[s2], used[s3]
             for m in used:
                 if left and (c := get((i, j, m))):
                     terms.append((p, left * c, m, k))
@@ -350,6 +373,8 @@ def _orbit_probe(P: Mapping[tuple[int, int, int], int], left: int, right: int) -
                 for p, w, m, n in terms:
                     values[p] += w * get((m, n, l), 0)
                 if any(values):
+                    for p, q in copies:
+                        values[p] = values[q]
                     yield split(values)
 
 
@@ -431,13 +456,18 @@ def annihilator(A: Algebra) -> Subspace:
     return right_annihilator(_solve(_integer_table(A.products)[0], 1, -1))
 
 
-def commutator_algebra(A: Algebra) -> Algebra:
-    """The bracket algebra [x, y] = xy - yx (no unit)."""
-    out: dict[tuple[int, int, int], Fraction] = defaultdict(Fraction)
-    for (i, j, k), c in A.products.items():
+def _commutator(table: Mapping[tuple[int, int, int], Fraction | int]) -> dict:
+    """The nonzero entries of e_i e_j - e_j e_i over ``table``."""
+    out = defaultdict(int)
+    for (i, j, k), c in table.items():
         out[(i, j, k)] += c
         out[(j, i, k)] -= c
-    return Algebra(A.dim, out, unit=None, basis=A.basis)
+    return {key: c for key, c in out.items() if c}
+
+
+def commutator_algebra(A: Algebra) -> Algebra:
+    """The bracket algebra [x, y] = xy - yx (no unit)."""
+    return Algebra(A.dim, _commutator(A.products), unit=None, basis=A.basis)
 
 
 def jacobi_check(A: Algebra) -> bool:

@@ -14,14 +14,14 @@ once per process: it runs a row, or derives a ``dual_`` instance from its
 algebra.
 
 Search spaces, per instance, in the row order of ``_BUILDERS``.  Each is
-built by ``_candidates(dim, slots)``: every table whose constants on
-``slots`` range lexicographically over {-1, 0, 1} (in ``slots`` order;
-other slots are zero), on the basis e1..e<dim>.  A candidate is an
-integer table made without the constructor's checks, which it passes by
-construction (its keys are in-range index triples, its values ints), and
-the predicates take it as it is; only the hit goes through the checking
-constructor, which gives the instance Fractions of its own.  Candidates are
-the one kind of structure in the package made without those checks.
+built by ``_candidates(slots)``: every table whose constants on ``slots``
+range lexicographically over {-1, 0, 1} (in ``slots`` order; other slots
+are zero), and the instance has the basis e1..e<dim>.  A candidate is its
+integer table, a plain dict, and the predicates test it with the
+table-level forms of the checks (the kill tests, ``_symmetric`` and
+``_solve`` of :mod:`nalg.algebras`); only the hit becomes an ``Algebra``,
+through the checking constructor, which gives the instance Fractions of
+its own.
 
 * ``vinberg2`` / ``prelie2`` / ``g4_2`` / ``g5_only``: all 2-dimensional
   tables, the 8 slots ordered by (i, j, k), where the identity of index 2,
@@ -39,8 +39,8 @@ the one kind of structure in the package made without those checks.
   space (3**27 tables) is far beyond desk scale, so the restriction is
   part of the instance's definition.
 * ``nonjacobi3``: 3-dimensional antisymmetric tables that fail the Jacobi
-  identity: the commutator algebras of the tables on the 9 slots (i, j, k)
-  with i < j, ordered by (i, j, k).
+  identity: the commutators (``algebras._commutator``) of the tables on the
+  9 slots (i, j, k) with i < j, ordered by (i, j, k).
 * ``generic3``: 3-dimensional tables supported on the one-sided cyclic
   slots (1,2,3), (2,3,1), (3,1,2) plus the symmetry-breaking slot (2,1,1),
   with a trivial slot-permutation annihilator, which no 2-dimensional
@@ -56,22 +56,14 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import formats
-from .algebras import (
-    Algebra,
-    annihilator,
-    commutator_algebra,
-    gi_bang_check,
-    gi_check,
-    is_antisymmetric,
-    is_commutative,
-    jacobi_check,
-)
+from .algebras import _BANG_SPLITS, _GI_SPLITS, Algebra, _commutator, _kills, _solve, _symmetric, annihilator
 from .duality import dualize_algebra
-from .products import tensor_algebras
+from .products import _tensor_table
+from .sym3 import right_annihilator
 
 # Ints: the checks take an int-valued table as it is, and the constructor
-# that ``_first`` runs on a hit makes Fractions of its own (tables sharing
-# Fraction objects would pickle to other bytes).
+# that a searched builder runs on the hit makes Fractions of its own
+# (tables sharing Fraction objects would pickle to other bytes).
 _VALUES = (-1, 0, 1)
 _DATA = Path(__file__).parent / "data"
 
@@ -119,29 +111,33 @@ def _sl2(name: str) -> Algebra:
     return Algebra(3, products, basis=("h", "e", "f"), name=name)
 
 
-def _candidates(dim: int, slots):
-    """Every table with constants from ``_VALUES`` on ``slots`` (absent
-    slots are zero), lexicographically, on the basis e1..e<dim>, without a
-    unit: int tables, zeros dropped, unchecked (see the module docstring)."""
-    basis = tuple(f"e{i}" for i in range(1, dim + 1))
+def _candidates(slots):
+    """Every int table with constants from ``_VALUES`` on ``slots`` (absent
+    slots are zero), lexicographically, zeros dropped."""
     for values in itertools.product(_VALUES, repeat=len(slots)):
-        yield Algebra.__new__(Algebra)._assign(dim, {slot: v for slot, v in zip(slots, values) if v}, None, basis, None)
+        yield {slot: v for slot, v in zip(slots, values) if v}
 
 
-def _first(candidates, predicate, name: str) -> Algebra:
-    """The first of ``candidates`` that ``predicate`` accepts, rebuilt
-    through the constructor under ``name``: its table holds Fractions of
-    its own."""
-    for A in candidates:
-        if predicate(A):
-            return Algebra(A.dim, A.products, basis=A.basis, name=name)
+def _first(candidates, predicate, name: str) -> dict:
+    """The first of ``candidates`` that ``predicate`` accepts; ``name``
+    names the search in the error when there is none."""
+    for P in candidates:
+        if predicate(P):
+            return P
     raise LookupError(f"search space for {name!r} contains no matching instance")
 
 
-def _searched(candidates, predicate):
-    """The builder of a searched instance: the first hit of ``predicate`` in
-    a fresh ``candidates()``."""
-    return lambda name: _first(candidates(), predicate, name)
+def _searched(dim: int, candidates, predicate):
+    """The builder of a searched instance on the basis e1..e<dim>: the first
+    hit of ``predicate`` in a fresh ``candidates()``, through the
+    constructor, so its table holds Fractions of its own."""
+    basis = tuple(f"e{i}" for i in range(1, dim + 1))
+    return lambda name: Algebra(dim, _first(candidates(), predicate, name), basis=basis, name=name)
+
+
+def _holds(P, i: int) -> bool:
+    """``gi_check`` on the int table ``P``: a_i kills its associator."""
+    return _kills(_GI_SPLITS[i], P, 1, -1)
 
 
 _DIM2 = tuple(itertools.product((1, 2), repeat=3))
@@ -155,21 +151,29 @@ _BUILDERS = {
     "mat2": _mat2,
     "trunc_poly2": _trunc_poly2,
     "k1": _k1,
-    "vinberg2": _searched(lambda: _candidates(2, _DIM2), lambda A: gi_check(A, 2) and not gi_check(A, 1)),
+    "vinberg2": _searched(2, lambda: _candidates(_DIM2), lambda P: _holds(P, 2) and not _holds(P, 1)),
     "prelie2": _searched(
-        lambda: _candidates(2, _DIM2),
-        lambda A: gi_check(A, 3) and not gi_check(A, 1)
-        and annihilator(tensor_algebras(build("vinberg2"), A)).dim == 0,
+        2,
+        lambda: _candidates(_DIM2),
+        lambda P: _holds(P, 3) and not _holds(P, 1)
+        and annihilator(Algebra(4, _tensor_table(build("vinberg2").products, P, 2))).dim == 0,
     ),
-    "g4_2": _searched(lambda: _candidates(2, _DIM2), lambda A: gi_check(A, 4) and not gi_check(A, 1)),
+    "g4_2": _searched(2, lambda: _candidates(_DIM2), lambda P: _holds(P, 4) and not _holds(P, 1)),
     "sl2": _sl2,
     "g5_only": _searched(
-        lambda: _candidates(2, _DIM2),
-        lambda A: gi_check(A, 5) and not gi_check(A, 1) and not is_antisymmetric(A),
+        2,
+        lambda: _candidates(_DIM2),
+        lambda P: _holds(P, 5) and not _holds(P, 1) and not _symmetric(P, -1),
     ),
-    "g2bang3": _searched(lambda: _candidates(3, _GRADED3), lambda A: gi_bang_check(A, 2) and not is_commutative(A)),
-    "nonjacobi3": _searched(lambda: map(commutator_algebra, _candidates(3, _PAIRS3)), lambda A: not jacobi_check(A)),
-    "generic3": _searched(lambda: _candidates(3, _GENERIC3), lambda A: annihilator(A).dim == 0),
+    "g2bang3": _searched(
+        3,
+        lambda: _candidates(_GRADED3),
+        lambda P: _holds(P, 1) and _kills(_BANG_SPLITS[2], P, 1, 0) and not _symmetric(P, 1),
+    ),
+    "nonjacobi3": _searched(
+        3, lambda: map(_commutator, _candidates(_PAIRS3)), lambda P: not (_symmetric(P, -1) and _holds(P, 5))
+    ),
+    "generic3": _searched(3, lambda: _candidates(_GENERIC3), lambda P: right_annihilator(_solve(P, 1, -1)).dim == 0),
 }
 
 ALGEBRA_NAMES: tuple[str, ...] = tuple(_BUILDERS)

@@ -13,6 +13,7 @@ dual is built.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping
 
 from .algebras import Algebra
 from .cogebras import Cogebra
@@ -23,19 +24,25 @@ def pair_index(a: int, b: int, right_dim: int) -> int:
     return (a - 1) * right_dim + b
 
 
+def _tensor_table(P: Mapping, Q: Mapping, n: int) -> dict[tuple[int, int, int], Fraction]:
+    """The product tables ``P`` and ``Q`` multiplied factorwise, on the
+    pairs labeled with ``Q``'s dimension ``n``."""
+    out = {}
+    for (i1, j1, k1), ca in P.items():
+        for (i2, j2, k2), cb in Q.items():
+            out[pair_index(i1, i2, n), pair_index(j1, j2, n), pair_index(k1, k2, n)] = ca * cb
+    return out
+
+
 def _tensor(A: Algebra | Cogebra, B: Algebra, sep: str) -> Algebra:
     """The tensor product with B of the algebra whose table is ``A``'s in
     product order, a cogebra's its dual's, and whose unit is ``A``'s
     (co)unit; basis names are joined by ``sep``."""
     dim, table, unit = A._fields()[:3]
-    n = B.dim
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for (i1, j1, k1), ca in A._in_product_order(table).items():
-        for (i2, j2, k2), cb in B.products.items():
-            out[pair_index(i1, i2, n), pair_index(j1, j2, n), pair_index(k1, k2, n)] = ca * cb
+    out = _tensor_table(A._in_product_order(table), B.products, B.dim)
     unit = None if unit is None or B.unit is None else tuple(ua * ub for ua in unit for ub in B.unit)
     basis = tuple(f"{na}{sep}{nb}" for na in A.basis_names() for nb in B.basis_names())
-    return Algebra(dim * n, out, unit=unit, basis=basis)
+    return Algebra(dim * B.dim, out, unit=unit, basis=basis)
 
 
 def tensor_algebras(A: Algebra, B: Algebra) -> Algebra:

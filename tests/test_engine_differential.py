@@ -25,6 +25,9 @@ from nalg import catalog
 from nalg.algebras import (
     Algebra,
     ClassificationReport,
+    _PROBE_ORDERS,
+    _PROBE_SHAPES,
+    _SLOT_ORDERS,
     _composite_layers,
     _integer_table,
     _kills,
@@ -550,7 +553,7 @@ def test_every_dim_2_table_against_the_reference():
     # All 3**8 tables with constants in {-1, 0, 1}: each is on at most two
     # indices, so its probe reads the orbits of (1, 1, 2) and (1, 2, 2),
     # and the sign of its generator is certified zero.
-    tables = list(catalog._candidates(2, catalog._DIM2))
+    tables = [Algebra(2, P) for P in catalog._candidates(catalog._DIM2)]
     assert len(tables) == 6561
     for A in tables:
         _check_against_reference(A)
@@ -563,8 +566,8 @@ def test_kill_tests_read_the_probe_first():
     # The prelie2 search's 356 candidates: the kill tests read the probe's
     # orbits of (1, 1, 2) and (1, 2, 2) first, and pull 20 layers in all,
     # against 721 when they read the layers alone.
-    candidates = list(itertools.islice(catalog._candidates(2, catalog._DIM2), 356))
-    pulled = [_pulled_by(lambda: gi_check(A, 3) and not gi_check(A, 1)) for A in candidates]
+    candidates = list(itertools.islice(catalog._candidates(catalog._DIM2), 356))
+    pulled = [_pulled_by(lambda: catalog._holds(P, 3) and not catalog._holds(P, 1)) for P in candidates]
     assert sum(map(sum, pulled)) == 20
     # A generic dense table fails every identity at the probe's first orbit,
     # and its solve never checks the table's symmetry.
@@ -608,6 +611,63 @@ def test_tables_on_two_indices(A):
             assert _layers_pulled_by_solve(A, *composite)[0] == 0, composite
     _check_against_reference(A)
     assert classify(A) == reference.classify(A)
+
+
+def test_the_probe_joins_each_distinct_slot_order_once():
+    # For each start shape, the table is the grouping of the six images of
+    # a concrete start under _SLOT_ORDERS: each distinct image at its first
+    # place, and every later place copying that one.  A two-index start has
+    # three distinct images, each twice; a three-index start six.
+    indices = (3, 7, 9)
+    for n, shapes in _PROBE_SHAPES.items():
+        assert [len(set(shape)) for shape in shapes] == [n] * len(shapes)
+        for shape, (orders, copies) in zip(shapes, _PROBE_ORDERS[n], strict=True):
+            start = tuple(indices[t] for t in shape)
+            groups = {}
+            for p, (s1, s2, s3) in enumerate(_SLOT_ORDERS):
+                groups.setdefault((start[s1], start[s2], start[s3]), []).append(p)
+            assert [(p, tuple(indices[t] for t in image)) for p, image in orders] == [
+                (places[0], image) for image, places in groups.items()
+            ]
+            assert sorted(copies) == sorted((p, places[0]) for places in groups.values() for p in places[1:])
+            assert sorted(map(len, groups.values())) == ([1] * 6 if n == 3 else [2] * 3)
+
+
+def _probe_outputs(A, start, left, right):
+    """The outputs l in the order the probe meets them at ``start``: that
+    of the first key (a, b, l) of the table whose e_a e_b a term of the
+    start reads, e_m e_k after e_i e_j -> e_m for (xy)z and e_i e_m after
+    e_j e_k -> e_m for x(yz), at each slot permutation (i, j, k) of it."""
+    pairs = set()
+    for i, j, k in {(start[s1], start[s2], start[s3]) for s1, s2, s3 in _SLOT_ORDERS}:
+        for a, b, m in A.products:
+            if left and (a, b) == (i, j):
+                pairs.add((m, k))
+            if right and (a, b) == (j, k):
+                pairs.add((i, m))
+    return list(dict.fromkeys(l for a, b, l in A.products if (a, b) in pairs))
+
+
+@example(TWO_INDICES)
+@example(SPREAD)
+@given(st.one_of(two_index_algebras(), algebras(), dense_algebras()))
+@settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
+def test_probe_splits_in_order_against_the_reference(A):
+    # Each split the probe yields is that of the reference composite at the
+    # same start and output, scaled by d^2 as the probe reads the cleared
+    # table, in the same order: on two indices, with its copied places,
+    # and on three or more.
+    P, d = _integer_table(A.products)
+    for composite, reference_map in (((1, -1), reference.associator), ((1, 0), reference.left_assoc_map)):
+        T = {key: c * d * d for key, c in reference_map(A).entries.items()}
+        expected = []
+        for start in _probe_starts(A):
+            keys = [(start[s1], start[s2], start[s3]) for s1, s2, s3 in _SLOT_ORDERS]
+            for l in _probe_outputs(A, start, *composite):
+                values = [T.get((*key, l), 0) for key in keys]
+                if any(values):
+                    expected.append(split(values))
+        assert list(_orbit_probe(P, *composite)) == expected, composite
 
 
 def _symmetrized(A, sign):

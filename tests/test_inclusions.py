@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from test_engine_differential import algebras, dense_algebras
 
 from nalg import catalog
-from nalg.algebras import classify
+from nalg.algebras import Algebra, classify
 from nalg.linalg import member
 from nalg.sym3 import SUBGROUPS, right_ideal, special_vector
 
@@ -64,7 +64,7 @@ def tables():
     """Every catalog algebra, in catalog order, then all 3**8 tables of dim 2
     with constants in {-1, 0, 1}, in the catalog's search order."""
     tables = [catalog.get(name) for name in catalog.ALGEBRA_NAMES]
-    tables += catalog._candidates(2, catalog._DIM2)
+    tables += [Algebra(2, P) for P in catalog._candidates(catalog._DIM2)]
     assert len(tables) == len(catalog.ALGEBRA_NAMES) + 6561
     return tables
 

@@ -165,6 +165,18 @@ def test_reports_take_their_fields_by_position_or_name():
                 cls(*args, **kwargs)
 
 
+def test_no_structure_skips_its_constructor():
+    # Every value is made through its class's checks: the catalog's search
+    # candidates are int tables, not structures stored without them.
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted((SRC / "nalg").glob("*.py"))
+        for number, line in enumerate(path.read_text("utf-8").splitlines(), 1)
+        if "__new__(" in line
+    ]
+    assert found == []
+
+
 def test_catalog_instances_carry_their_names():
     for name in catalog.NAMES:
         assert catalog.get(name).name == name
