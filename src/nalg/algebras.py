@@ -1,6 +1,9 @@
-"""Finite-dimensional algebras over the rationals given by structure
-constants, together with the slot-permutation invariance checks on their
-associators.
+"""Finite-dimensional algebras and cogebras over the rationals given by
+(co)structure constants, and the slot-permutation invariance checks on the
+associator of an algebra.  A cogebra is read through its dual algebra:
+``_dual_products`` is the one place where a cogebra's table becomes its
+dual's, also as ``Cogebra._in_product_order``, which every cogebra check,
+convolution, the CLI and the counit check read.
 
 The checks are indexed by the six subgroups of the symmetric group on
 three letters: index 1 is plain associativity, 2 is the Vinberg
@@ -157,6 +160,48 @@ class Algebra(_Structure):
         for (i, j, k), c in self.products.items():
             out[k - 1] += c * x[i - 1] * y[j - 1]
         return tuple(out)
+
+
+def _dual_products(coproducts: Mapping[tuple[int, int, int], Fraction | int]) -> dict:
+    """The structure constants of the dual algebra: the coproduct (k, i, j)
+    as the product (i, j, k), with the values (Fractions or ints) as given."""
+    return {(i, j, k): c for (k, i, j), c in coproducts.items()}
+
+
+class Cogebra(_Structure):
+    """A cogebra by costructure constants.
+
+    ``coproducts[(k, i, j)]`` is the coefficient of ``e_i (x) e_j`` in the
+    coproduct of ``e_k``; absent entries are zero.  ``counit``, when given,
+    holds the functional's coordinates and must satisfy the counit axiom
+    on every basis element (checked on construction, as the unit axiom of
+    the dual algebra).
+    """
+
+    __slots__ = ("dim", "coproducts", "counit", "basis", "name")
+    _entry, _unit_error = "coproduct", "declared counit fails the counit axiom"
+    _in_product_order = staticmethod(_dual_products)
+
+    def __init__(
+        self,
+        dim: int,
+        coproducts: Mapping[tuple[int, int, int], Fraction],
+        counit: Vec | None = None,
+        basis: tuple[str, ...] | None = None,
+        name: str | None = None,
+    ):
+        self._init(dim, coproducts, counit, basis, name)
+
+    def comultiply(self, x: Sequence) -> dict[tuple[int, int], Fraction]:
+        """Coordinates of the coproduct of ``x`` on the tensor square,
+        indexed by ordered pairs; zero entries omitted."""
+        x = as_vec(x)
+        if len(x) != self.dim:
+            raise ValueError("vector length differs from cogebra dimension")
+        out: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+        for (k, i, j), c in self.coproducts.items():
+            out[(i, j)] += c * x[k - 1]
+        return {key: c for key, c in out.items() if c}
 
 
 class TrilinearMap(Record):

@@ -1,6 +1,7 @@
-"""Finite-dimensional cogebras over the rationals given by costructure
-constants, with the arrow-reversed versions of the slot-permutation
-invariance checks, counits, the flip, and derived Lie cogebras.
+"""The arrow-reversed versions of the slot-permutation invariance checks
+for cogebras, the iterated coproducts, the flip, and derived Lie cogebras.
+The ``Cogebra`` class itself, a cogebra by costructure constants, is
+defined beside ``Algebra`` in :mod:`nalg.algebras` and imported here.
 
 Slot permutations act on output tensor cubes with the same convention as
 in :mod:`nalg.algebras`: the permutation operator of ``s`` places the
@@ -20,7 +21,6 @@ p -> p^-1.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -28,8 +28,9 @@ from ._record import Record
 from .algebras import (
     _check_index,
     _composite,
-    _Structure,
+    _dual_products,
     _table,
+    Cogebra,
     TrilinearMap,
     annihilator,
     classify,
@@ -39,50 +40,14 @@ from .algebras import (
     jacobi_check,
     phi_precompose,
 )
-from .duality import _dual_products, dualize_algebra, dualize_cogebra
-from .linalg import Subspace, Vec, as_vec, span
+from .duality import dualize_algebra, dualize_cogebra
+from .linalg import Subspace, span
 from .sym3 import GroupAlgElem, Perm3, PERMS, inverse
 
 
 # Coordinate k of the image of v under p -> p^-1 is coordinate
 # _INVERSE_ORDER[k] of v: the two 3-cycles swap, the rest stay.
 _INVERSE_ORDER = tuple(PERMS.index(inverse(p)) for p in PERMS)
-
-
-class Cogebra(_Structure):
-    """A cogebra by costructure constants.
-
-    ``coproducts[(k, i, j)]`` is the coefficient of ``e_i (x) e_j`` in the
-    coproduct of ``e_k``; absent entries are zero.  ``counit``, when given,
-    holds the functional's coordinates and must satisfy the counit axiom
-    on every basis element (checked on construction, as the unit axiom of
-    the dual algebra).
-    """
-
-    __slots__ = ("dim", "coproducts", "counit", "basis", "name")
-    _entry, _unit_error = "coproduct", "declared counit fails the counit axiom"
-    _in_product_order = staticmethod(_dual_products)
-
-    def __init__(
-        self,
-        dim: int,
-        coproducts: Mapping[tuple[int, int, int], Fraction],
-        counit: Vec | None = None,
-        basis: tuple[str, ...] | None = None,
-        name: str | None = None,
-    ):
-        self._init(dim, coproducts, counit, basis, name)
-
-    def comultiply(self, x: Sequence) -> dict[tuple[int, int], Fraction]:
-        """Coordinates of the coproduct of ``x`` on the tensor square,
-        indexed by ordered pairs; zero entries omitted."""
-        x = as_vec(x)
-        if len(x) != self.dim:
-            raise ValueError("vector length differs from cogebra dimension")
-        out: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-        for (k, i, j), c in self.coproducts.items():
-            out[(i, j)] += c * x[k - 1]
-        return {key: c for key, c in out.items() if c}
 
 
 class CubeMap(Record):

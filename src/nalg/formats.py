@@ -45,8 +45,7 @@ from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 
-from .algebras import Algebra
-from .cogebras import Cogebra
+from .algebras import Algebra, Cogebra
 from .linalg import _rational_pair, format_rational, parse_rational
 from .sym3 import PERM_NAMES, GroupAlgElem
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .algebras import Algebra
-from .cogebras import Cogebra
+from .algebras import Algebra, Cogebra
 
 
 def pair_index(a: int, b: int, right_dim: int) -> int:
