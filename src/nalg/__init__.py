@@ -18,17 +18,13 @@ from .algebras import (
     is_commutative,
     is_sigma3_assoc_for,
     jacobi_check,
-    phi_precompose,
     power_assoc_check,
 )
 from .cogebras import (
     Cogebra,
     CogebraReport,
-    CubeMap,
     classify_cogebra,
     coannihilator,
-    coassoc_left,
-    coassoc_right,
     flip,
     gi_bang_cocheck,
     gi_cocheck,

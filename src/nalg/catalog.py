@@ -56,7 +56,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import formats
-from .algebras import _BANG_SPLITS, _GI_SPLITS, Algebra, _commutator, _kills, _solve, _symmetric, annihilator
+from .algebras import _BANG_SPLITS, _GI_SPLITS, Algebra, _commutator, _integer_table, _kills, _solve, _symmetric
 from .duality import dualize_algebra
 from .products import _tensor_table
 from .sym3 import right_annihilator
@@ -156,7 +156,8 @@ _BUILDERS = {
         2,
         lambda: _candidates(_DIM2),
         lambda P: _holds(P, 3) and not _holds(P, 1)
-        and annihilator(Algebra(4, _tensor_table(build("vinberg2").products, P, 2))).dim == 0,
+        and right_annihilator(_solve(_tensor_table(_integer_table(build("vinberg2").products)[0], P, 2), 1, -1)).dim
+        == 0,
     ),
     "g4_2": _searched(2, lambda: _candidates(_DIM2), lambda P: _holds(P, 4) and not _holds(P, 1)),
     "sl2": _sl2,

@@ -10,13 +10,14 @@ factor with index s^{-1}(k) into slot k.
 Every check, and every map built here, comes from :mod:`nalg.algebras`
 on the dual algebra.  The iterated coproducts of a cogebra are the
 composites (xy)z and x(yz) of its dual with the output index moved to the
-front, so the coassociativity defect is the dual's associator moved the
-same way; slot permutation by p on the cogebra side is slot permutation
-by p^-1 on the dual, which is how ``CubeMap.phi`` applies it.  Every
-subgroup is closed under inverses and p^-1 has the sign of p, so each
-signed subgroup sum, the symmetrizer and each stabilizer condition
-carries over unchanged; only the coannihilator is moved, by the map
-p -> p^-1.
+front: the coassociativity defect is the dual's associator, and the
+literal ``gi_bang_cocheck`` is two kill tests of the identity on the
+dual's integer table, which stop at the first nonzero orbit.  Slot
+permutation by p on the cogebra side is slot permutation by p^-1 on the
+dual, which is how ``CubeMap.phi`` applies it.  Every subgroup is closed
+under inverses and p^-1 has the sign of p, so each signed subgroup sum,
+the symmetrizer and each stabilizer condition carries over unchanged;
+only the coannihilator is moved, by the map p -> p^-1.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ from typing import Iterable, Mapping, Sequence
 
 from ._record import Record
 from .algebras import (
+    _GI_SPLITS,
     _check_index,
     _composite,
     _dual_products,
+    _integer_table,
+    _kills,
     _table,
     Cogebra,
     TrilinearMap,
@@ -95,28 +99,26 @@ def gi_cocheck(C: Cogebra, i: int) -> bool:
 
 def gi_bang_cocheck(C: Cogebra, i: int, *, literal: bool = False) -> bool:
     """Coassociativity plus the mirror slot symmetry of the iterated
-    coproduct for index i (2..6).
+    coproduct R for index i (2..6).
 
-    The defining display sums the inverse slot permutations over the
-    subgroup and equates the sum with the iterated coproduct itself; read
-    literally that forces |G|*x == x already for a grouplike element, so
-    by default the check uses the normalized (averaged) reading, which is
-    equivalent to invariance of the iterated coproduct under every slot
-    permutation in the subgroup: the dual's triple-symmetry check, which
-    asks whether u_i - |G_i| id, with u_i the sum of the members of the
-    subgroup, kills the dual's (xy)z under slot permutation.  Pass
-    ``literal=True`` for the unnormalized displayed equality S R = R, with
-    S that sum and R the iterated coproduct.  S*S = |G|*S, so S R = R gives
-    (|G| - 1) S R = 0, hence S R = 0 and R = 0: for every index the literal
-    reading holds exactly when the dual is associative and all its triple
-    products x(yz) vanish.  The associator is (xy)z - x(yz), so that is
-    both composites (xy)z and x(yz) vanishing: both iterated coproducts
-    are zero.
+    The defining display equates S R with R, S the sum of the inverse slot
+    permutations over the subgroup; read literally that forces |G|*x == x
+    already for a grouplike element, so by default the check uses the
+    normalized (averaged) reading, invariance of R under the subgroup: the
+    dual's triple-symmetry check, whether u_i - |G_i| id, with u_i the sum
+    of the members of the subgroup, kills the dual's (xy)z.  Pass
+    ``literal=True`` for S R = R.  S*S = |G|*S, so S R = R gives
+    (|G| - 1) S R = 0, hence S R = 0 and R = 0: for every index the dual is
+    associative and x(yz) = 0, so both iterated coproducts, the dual's
+    (xy)z and x(yz), are zero.  The identity a1 kills a map exactly when it
+    is zero, so that is two kill tests of a1 on the dual's integer table,
+    which stop at the first nonzero orbit; no map is built.
     """
     if not literal:
         return gi_bang_check(dualize_cogebra(C), i)
     _check_index(i, low=2)
-    return not any(_composite(_dual_products(C.coproducts), left, right) for left, right in ((1, 0), (0, 1)))
+    P = _integer_table(_dual_products(C.coproducts))[0]
+    return _kills(_GI_SPLITS[1], P, 1, 0) and _kills(_GI_SPLITS[1], P, 0, 1)
 
 
 def flip(C: Cogebra) -> Cogebra:

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nalg import catalog
+from nalg import algebras, catalog, cogebras
 from nalg.algebras import gi_bang_check, gi_check
 from nalg.cogebras import (
     Cogebra,
@@ -92,6 +92,31 @@ class TestBangCocheck:
             assert gi_bang_cocheck(C, i)
             # the unnormalized displayed sum forces |G|*x == x, which fails
             assert not gi_bang_cocheck(C, i, literal=True)
+
+    def test_literal_reading_builds_no_map(self, monkeypatch):
+        # The identity kills a composite exactly when it is zero, so the
+        # literal reading is two kill tests on the dual's integer table.
+        # dual_mat2's (xy)z is nonzero on the probe's first orbit, which
+        # decides every index before any layer is computed.
+        def no_composite(*args):
+            raise AssertionError("the literal reading built a composite map")
+
+        layers, composite_layers = [], algebras._composite_layers
+
+        def counted(*args):
+            for layer in composite_layers(*args):
+                layers.append(layer)
+                yield layer
+
+        monkeypatch.setattr(cogebras, "_composite", no_composite)
+        monkeypatch.setattr(algebras, "_composite_layers", counted)
+        C = catalog.get("dual_mat2")
+        for i in range(2, 7):
+            assert not gi_bang_cocheck(C, i, literal=True)
+        assert layers == []
+        # A passing reading reads every layer, still without a map.
+        assert gi_bang_cocheck(catalog.get("dual_g2bang3"), 2, literal=True)
+        assert layers
 
     def test_zero_coproduct_passes_both_readings(self):
         C = zero_coproduct()
