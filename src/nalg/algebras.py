@@ -109,7 +109,8 @@ class _Structure(Record):
     def _check_unit(cls, P: Mapping[tuple[int, int, int], Fraction | int], u: Sequence, one) -> None:
         """Raise ``cls._unit_error`` unless u e_j = ``one`` e_j = e_j u for every
         e_j on the table ``P`` in product order: ``one`` is 1 for a structure's
-        own table and unit, their scale for the reader's cleared ones."""
+        own table and (co)unit, ``d * e`` for the reader's table and (co)unit
+        cleared by ``d`` and ``e`` (see ``formats._scan``)."""
         # left[(j, k)] is the e_k coordinate of u e_j, right[(i, k)] that of e_i u.
         left, right = defaultdict(int), defaultdict(int)
         for (i, j, k), c in P.items():

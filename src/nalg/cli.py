@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from math import lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +19,7 @@ from .algebras import Algebra, _classify, _solve, classify
 from .cogebras import _inverted, _mirrored, classify_cogebra, gi_bang_cocheck
 from .duality import dualize_algebra, dualize_cogebra
 from .formats import (
-    _scan_document,
+    _scan,
     format_ga_expr,
     parse_algebra,
     parse_cogebra,
@@ -93,14 +92,12 @@ def _json_report(kind: str, dim: int, report) -> str:
 def _read_table(path: str) -> tuple:
     """The class and dimension of the file at ``path``, the reader's cleared
     table in product order, a cogebra's as its dual's, and whether it
-    declares a (co)unit, checked on that table in ints: nothing is built."""
-    (cls, dim, _, table, texts, unit), cleared = _scan_document(_read(path))
+    declares a (co)unit, checked on that table with the cleared (co)unit
+    and scale the reader hands over: nothing is built."""
+    (cls, dim, *_), cleared, unit = _scan(_read(path))
     P = cls._in_product_order(cleared)
     if unit is not None:
-        # P is d times the table, d clearing its distinct texts as the reader
-        # does; e clears u, and u e_j = e_j on the table iff (e u) e_j = d e e_j on P.
-        d, e = (lcm(*{texts[c][1] for c in cs}) for cs in (table.values(), unit))
-        cls._check_unit(P, [p * (e // q) for p, q in map(texts.__getitem__, unit)], d * e)
+        cls._check_unit(P, *unit)
     return cls, dim, P, unit is not None
 
 

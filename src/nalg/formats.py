@@ -19,17 +19,19 @@ is the identity on canonical files.  In both kinds a structure-constant
 key is an entry's indices followed by an output term's, (left, right, k)
 and (in, i, j), so one printer serves both, and the reader's loop for
 each kind unpacks its own fields into the same keys.  The reader works
-in two steps.  ``_scan`` checks each index, key and coefficient once, in
-document order, and parses each distinct coefficient text once, into a
-reduced int pair; from those few pairs it clears the table of
-denominators, as ``algebras._integer_table`` does, zero terms dropped.
-``_build`` makes one ``Fraction`` per distinct text, shared by every entry
-and (co)unit coordinate that holds it, and builds the structure through
-its constructor and all its checks, as every structure but a catalog
-search candidate is built.  A parsed table may so pickle to other bytes
+in two steps.  ``_scan`` loads a document's text, checks each index, key
+and coefficient once, in document order, and parses each distinct
+coefficient text once, into a reduced int pair; from those few pairs it
+clears the table of denominators, as ``algebras._integer_table`` does,
+zero terms dropped, and a declared (co)unit of its own, with the scale
+that the (co)unit axiom must meet on the cleared table.  ``_build`` makes
+one ``Fraction`` per distinct text, shared by every entry and (co)unit
+coordinate that holds it, and builds the structure through its
+constructor and all its checks, as every structure but a catalog search
+candidate is built.  A parsed table may so pickle to other bytes
 than an equal one built entry by entry (see ``catalog._VALUES``).
-``nalg check`` and ``nalg annihilator`` build nothing: they read the
-cleared table and check a (co)unit on it as the constructor does.
+``nalg check`` and ``nalg annihilator`` build nothing: they check the
+cleared (co)unit on the cleared table as the constructor checks its own.
 
 Group-algebra expressions are sums of terms ``id, t12, t13, t23, c1, c2``,
 each optionally prefixed by a rational and ``*``, joined by ``+``/``-``,
@@ -140,34 +142,32 @@ def _place(noun: str, head: int | tuple | None) -> str:
 
 
 def parse_algebra(text: str) -> Algebra:
-    return _build(*_scan(_load_object(text), "algebra")[0])
+    return _build(*_scan(text, "algebra")[0])
 
 
 def parse_cogebra(text: str) -> Cogebra:
-    return _build(*_scan(_load_object(text), "cogebra")[0])
+    return _build(*_scan(text, "cogebra")[0])
 
 
 def parse_document(text: str):
     """Parse either kind of document, keyed on the 'kind' field."""
-    return _build(*_scan_document(text)[0])
+    return _build(*_scan(text)[0])
 
 
-def _scan_document(text: str) -> tuple:
-    """``_scan`` of either kind of document, keyed on the 'kind' field."""
+def _scan(text: str, kind: str | None = None) -> tuple:
+    """Check the document ``text``, of ``kind`` or, when that is None, of
+    the kind its 'kind' field names, in one pass in document order, short of
+    the (co)unit axiom.  Returns the arguments of ``_build``, whose table and
+    (co)unit hold coefficient texts that ``texts`` maps to reduced int pairs;
+    the table cleared by the LCM ``d`` of its denominators, as
+    ``algebras._integer_table`` clears it; and None or, for a (co)unit, the
+    arguments of ``_check_unit`` after the table: the (co)unit cleared by the
+    LCM ``e`` of its own denominators, and ``d * e``."""
     doc = _load_object(text)
-    kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise FormatError("'kind' must be 'algebra' or 'cogebra'")
-    return _scan(doc, kind)
-
-
-def _scan(doc: dict, kind: str) -> tuple:
-    """Check the decoded ``doc`` as a document of ``kind``, in one pass in
-    document order, short of the (co)unit axiom, which ``_check_unit`` checks.
-    Returns the arguments of ``_build`` and the table cleared of
-    denominators as ``algebras._integer_table`` clears it.  The table and
-    the (co)unit hold coefficient texts, and ``texts`` maps each to its
-    reduced int pair."""
+    if kind is None:
+        kind = doc.get("kind")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise FormatError("'kind' must be 'algebra' or 'cogebra'")
     (cls, field, entry_fields, term_fields, unit_field,
      article, entry_keys, term_keys, constant) = _KINDS[kind]
     if doc.get("kind") != kind:
@@ -246,13 +246,15 @@ def _scan(doc: dict, kind: str) -> tuple:
     d = lcm(*[q for _, q in texts.values()])
     ints = {c: p * (d // q) for c, (p, q) in texts.items()}
     cleared = dict(zip(table, map(ints.__getitem__, table.values())))
-    unit = doc[unit_field]
+    unit, cleared_unit = doc[unit_field], None
     if unit is not None:
         if not isinstance(unit, list) or len(unit) != dim:
             raise FormatError(f"'{unit_field}' must be null or a list of {dim} rationals")
         for c in unit:
             _read_coefficient(c, texts, f"'{unit_field}'")
-    return (cls, dim, basis, table, texts, unit), cleared
+        e = lcm(*[texts[c][1] for c in unit])
+        cleared_unit = [p * (e // q) for p, q in map(texts.__getitem__, unit)], d * e
+    return (cls, dim, basis, table, texts, unit), cleared, cleared_unit
 
 
 def _build(cls, dim: int, basis: tuple, table: dict, texts: dict, unit: list | None):

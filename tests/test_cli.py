@@ -250,6 +250,25 @@ class TestReading:
         text = catalog.data_text("mat2").replace("\n", "\n" + " " * (2 * _CHUNK), 1)
         assert self.check(capsys, tmp_path, text.encode()) == (0, (GOLDEN / "check_mat2.json").read_text(), "")
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count descriptors")
+    def test_reads_leak_no_descriptor(self, capsys, tmp_path):
+        # The reader's raw descriptors raise no ResourceWarning if left
+        # open, so count the process's open descriptors instead.
+        text = catalog.data_text("mat2")
+        files = {
+            "good.json": (text.encode(), 0),
+            "long.json": (text.replace("\n", "\n" + " " * (2 * _CHUNK), 1).encode(), 0),
+            "not_utf8.json": (b"\xff" + text.encode(), 2),
+        }
+        for name, (data, _) in files.items():
+            (tmp_path / name).write_bytes(data)
+        cases = [(str(tmp_path / name), code) for name, (_, code) in files.items()]
+        cases += [(str(tmp_path), 2), (str(tmp_path / "missing.json"), 2)]
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            assert [run(capsys, "check", path)[0] for path, _ in cases] == [code for _, code in cases]
+        assert len(os.listdir("/proc/self/fd")) == before
+
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])

@@ -16,7 +16,7 @@ from nalg.cogebras import Cogebra
 from nalg.formats import (
     FormatError,
     _build,
-    _scan_document,
+    _scan,
     format_ga_expr,
     parse_algebra,
     parse_cogebra,
@@ -321,11 +321,20 @@ def test_integer_table_clears_shared_and_unshared_values(case):
 
 def assert_hands_over_the_cleared_table(text):
     # The reader clears each distinct value once; the result is the table
-    # _integer_table clears entry by entry, in the same order.
-    parts, cleared = _scan_document(text)
+    # _integer_table clears entry by entry, in the same order.  A declared
+    # (co)unit comes cleared by the LCM e of its own denominators, with the
+    # scale d * e that the (co)unit axiom meets on the cleared table.
+    parts, cleared, unit = _scan(text)
     X = _build(*parts)
-    assert list(cleared.items()) == list(_integer_table(_constants(X))[0].items())
+    ints, d = _integer_table(_constants(X))
+    assert list(cleared.items()) == list(ints.items())
     assert all(type(c) is int and c for c in cleared.values())
+    u = X.unit if isinstance(X, Algebra) else X.counit
+    assert (unit is None) == (u is None)
+    if u is not None:
+        e = lcm(*(c.denominator for c in u))
+        assert unit == ([int(c * e) for c in u], d * e)
+        assert all(type(c) is int for c in unit[0])
 
 
 def test_reader_hands_over_the_cleared_table_of_the_catalog():

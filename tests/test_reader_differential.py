@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from test_formats import raw_documents
 
 from nalg import catalog
-from nalg.formats import FormatError, _build, _load_object, _scan_document, parse_algebra, parse_cogebra
+from nalg.formats import FormatError, _build, _load_object, _scan, parse_algebra, parse_cogebra
 
 _BAD_INDICES = (0, -1, 5, True, False, 1.0, "1", None, [1])
 _BAD_VALUES = ([], [1, 2], "ab", "abc", 2, None, 1.5)
@@ -124,7 +124,7 @@ def _outcome(read, *args):
 
 def _read_document(text):
     """The structure that ``text`` holds, built from its scan, and the cleared table."""
-    parts, cleared = _scan_document(text)
+    parts, cleared, _ = _scan(text)
     return _build(*parts), cleared
 
 

@@ -51,3 +51,14 @@ def test_the_command_block_lists_every_leaf_command():
     block = block[block.index("```sh\n") : block.index("\n```\n")]
     listed = [_leaf(line.split()[1:]) for line in block.splitlines() if line.startswith("nalg ")]
     assert listed == _leaves(cli._GRAMMAR)
+
+
+_NUMBERS = "zero one two three four five six seven eight nine ten eleven twelve thirteen".split()
+
+
+def test_the_startup_notes_count_the_leaf_commands():
+    # "grammar is one table in `nalg/cli.py`: eleven leaf commands", the
+    # words possibly broken across lines.
+    text = " ".join(README.split())
+    (word,) = re.findall(r"grammar is one table in `nalg/cli\.py`: (\w+) leaf commands", text)
+    assert _NUMBERS.index(word) == len(_leaves(cli._GRAMMAR))
