@@ -55,10 +55,8 @@ import itertools
 from functools import lru_cache
 from pathlib import Path
 
-from . import formats
+from . import duality, formats, products
 from .algebras import _BANG_SPLITS, _GI_SPLITS, Algebra, _commutator, _integer_table, _kills, _solve, _symmetric
-from .duality import dualize_algebra
-from .products import _tensor_table
 from .sym3 import right_annihilator
 
 # Ints: the checks take an int-valued table as it is, and the constructor
@@ -155,8 +153,11 @@ _BUILDERS = {
     "prelie2": _searched(
         2,
         lambda: _candidates(_DIM2),
-        lambda P: _holds(P, 3) and not _holds(P, 1)
-        and right_annihilator(_solve(_tensor_table(_integer_table(build("vinberg2").products)[0], P, 2), 1, -1)).dim
+        lambda P: _holds(P, 3)
+        and not _holds(P, 1)
+        and right_annihilator(
+            _solve(products._tensor_table(_integer_table(build("vinberg2").products)[0], P, 2), 1, -1)
+        ).dim
         == 0,
     ),
     "g4_2": _searched(2, lambda: _candidates(_DIM2), lambda P: _holds(P, 4) and not _holds(P, 1)),
@@ -191,7 +192,7 @@ def build(name: str):
         raise ValueError(f"unknown catalog instance {name!r}")
     if name in _BUILDERS:
         return _BUILDERS[name](name)
-    return _named(dualize_algebra(build(name[len("dual_"):])), name)
+    return _named(duality.dualize_algebra(build(name[len("dual_"):])), name)
 
 
 def data_text(name: str) -> str:

@@ -4,6 +4,11 @@ Exit codes: 0 on success, and when the reader closes stdout early; 2 on
 input errors (bad files, bad expressions, unknown names) and on running out
 of memory.  Exit code 1 is reserved for future use by check-style
 commands with expectation flags.
+
+``catalog``, ``cogebras``, ``duality`` and ``products`` are lazy (see
+``nalg/__init__.py``): they are imported here as modules and their
+functions read when a command calls them, so a command runs only the
+modules it uses.
 """
 
 from __future__ import annotations
@@ -14,10 +19,8 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import catalog
+from . import catalog, cogebras, duality, products
 from .algebras import Algebra, _classify, _solve, classify
-from .cogebras import _inverted, _mirrored, classify_cogebra, gi_bang_cocheck
-from .duality import dualize_algebra, dualize_cogebra
 from .formats import (
     _scan,
     format_ga_expr,
@@ -27,7 +30,6 @@ from .formats import (
     parse_ga_expr,
     print_document,
 )
-from .products import convolution_algebra, tensor_algebras
 from .sym3 import GroupAlgElem, maschke_multiplicities, orbit, orbit_span, right_annihilator
 
 _GI_LABELS = {
@@ -104,7 +106,7 @@ def _read_table(path: str) -> tuple:
 def _cmd_check(args) -> int:
     cls, dim, P, has_unit = _read_table(args.file)
     report = _classify(P, has_unit)
-    kind, report = ("algebra", report) if cls is Algebra else ("cogebra", _mirrored(report))
+    kind, report = ("algebra", report) if cls is Algebra else ("cogebra", cogebras._mirrored(report))
     if args.json:
         print(_json_report(kind, dim, report))
         return 0
@@ -126,7 +128,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_dualize(args) -> int:
     obj = parse_document(_read(args.file))
-    dual = dualize_algebra(obj) if isinstance(obj, Algebra) else dualize_cogebra(obj)
+    dual = duality.dualize_algebra(obj) if isinstance(obj, Algebra) else duality.dualize_cogebra(obj)
     _write(args.output, print_document(dual))
     return 0
 
@@ -134,22 +136,22 @@ def _cmd_dualize(args) -> int:
 def _cmd_tensor(args) -> int:
     A = parse_algebra(_read(args.file_a))
     B = parse_algebra(_read(args.file_b))
-    _write(args.output, print_document(tensor_algebras(A, B)))
+    _write(args.output, print_document(products.tensor_algebras(A, B)))
     return 0
 
 
 def _cmd_convolve(args) -> int:
     C = parse_cogebra(_read(args.cogebra_file))
     A = parse_algebra(_read(args.algebra_file))
-    conv = convolution_algebra(C, A)
+    conv = products.convolution_algebra(C, A)
     _write(args.output, print_document(conv))
     # G_i on A, and coassociativity (i = 1) or the G_i! symmetry on C.
     # The literal reading of G_i! does not depend on i.
     gi = classify(A).gi_assoc
-    co = classify_cogebra(C)
+    co = cogebras.classify_cogebra(C)
     bang = co.gi_bang_co
     if args.literal_bang:
-        bang = dict.fromkeys(bang, gi_bang_cocheck(C, 2, literal=True))
+        bang = dict.fromkeys(bang, cogebras.gi_bang_cocheck(C, 2, literal=True))
     guaranteed = [i for i, flag in gi.items() if flag and (co.is_coassociative if i == 1 else bang[i])]
     reading = "literal" if args.literal_bang else "normalized"
     if guaranteed:
@@ -164,7 +166,7 @@ def _cmd_annihilator(args) -> int:
     # One solve, as in _classify; a cogebra's is its dual's moved by p -> p^-1.
     cls, _, P, _ = _read_table(args.file)
     sub = right_annihilator(_solve(P, 1, -1))
-    sub = sub if cls is Algebra else _inverted(sub.basis)
+    sub = sub if cls is Algebra else cogebras._inverted(sub.basis)
     exprs = [format_ga_expr(GroupAlgElem(row)) for row in sub.basis]
     if args.json:
         print(json.dumps({"dim": sub.dim, "basis": exprs}, indent=2))

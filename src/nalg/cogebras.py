@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import duality
 from ._record import Record
 from .algebras import (
     _GI_SPLITS,
@@ -44,7 +45,6 @@ from .algebras import (
     jacobi_check,
     phi_precompose,
 )
-from .duality import dualize_algebra, dualize_cogebra
 from .linalg import Subspace, span
 from .sym3 import GroupAlgElem, Perm3, PERMS, inverse
 
@@ -94,7 +94,7 @@ def coassoc_right(C: Cogebra) -> CubeMap:
 def gi_cocheck(C: Cogebra, i: int) -> bool:
     """Arrow-reversed invariance check: the signed sum over the subgroup of
     slot-permuted coassociativity defects vanishes on every basis element."""
-    return gi_check(dualize_cogebra(C), i)
+    return gi_check(duality.dualize_cogebra(C), i)
 
 
 def gi_bang_cocheck(C: Cogebra, i: int, *, literal: bool = False) -> bool:
@@ -115,7 +115,7 @@ def gi_bang_cocheck(C: Cogebra, i: int, *, literal: bool = False) -> bool:
     which stop at the first nonzero orbit; no map is built.
     """
     if not literal:
-        return gi_bang_check(dualize_cogebra(C), i)
+        return gi_bang_check(duality.dualize_cogebra(C), i)
     _check_index(i, low=2)
     P = _integer_table(_dual_products(C.coproducts))[0]
     return _kills(_GI_SPLITS[1], P, 1, 0) and _kills(_GI_SPLITS[1], P, 0, 1)
@@ -130,13 +130,13 @@ def flip(C: Cogebra) -> Cogebra:
 def lie_cogebra_from(C: Cogebra) -> Cogebra:
     """Antisymmetrized coproduct (the coproduct minus its flip, no counit):
     the dual of the commutator algebra of the dual."""
-    return dualize_algebra(commutator_algebra(dualize_cogebra(C)))
+    return duality.dualize_algebra(commutator_algebra(duality.dualize_cogebra(C)))
 
 
 def is_lie_cogebra(C: Cogebra) -> bool:
     """Co-anticommutativity plus the co-Jacobi identity: the iterated
     coproduct summed over the three even slot rotations vanishes."""
-    return jacobi_check(dualize_cogebra(C))
+    return jacobi_check(duality.dualize_cogebra(C))
 
 
 def _inverted(rows: Iterable[Sequence[Fraction]]) -> Subspace:
@@ -147,7 +147,7 @@ def _inverted(rows: Iterable[Sequence[Fraction]]) -> Subspace:
 def coannihilator(C: Cogebra) -> Subspace:
     """All group-algebra vectors whose slot permutation kills the
     coassociativity defect; the mirror of the algebra annihilator."""
-    return _inverted(annihilator(dualize_cogebra(C)).basis)
+    return _inverted(annihilator(duality.dualize_cogebra(C)).basis)
 
 
 class CogebraReport(Record):
@@ -168,7 +168,7 @@ class CogebraReport(Record):
 
 def classify_cogebra(C: Cogebra) -> CogebraReport:
     """The report of the dual algebra, mirrored."""
-    return _mirrored(classify(dualize_cogebra(C)))
+    return _mirrored(classify(duality.dualize_cogebra(C)))
 
 
 def _mirrored(report) -> CogebraReport:
