@@ -17,7 +17,7 @@ from nalg.algebras import Algebra, _solve, annihilator, classify, gi_check
 from nalg.cli import _CHUNK, _build_parser, _json_report, main
 from nalg.duality import dualize_algebra
 from nalg.cogebras import Cogebra
-from nalg.formats import format_ga_expr, parse_algebra, parse_document, print_document
+from nalg.formats import format_ga_expr, parse_document, print_document
 from nalg.products import convolution_algebra, tensor_algebras
 from nalg.sym3 import GroupAlgElem
 
@@ -172,6 +172,37 @@ class TestCheck:
         assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "bad_counit.json"],
+        ["annihilator", "bad_counit.json"],
+        ["dualize", "bad_counit.json", "-o", "x.json"],
+        ["convolve", "bad_counit.json", "mat2.json", "-o", "x.json"],
+        ["annihilator", "bad_unit.json"],
+        ["dualize", "bad_unit.json", "-o", "x.json"],
+        ["tensor", "bad_unit.json", "mat2.json", "-o", "x.json"],
+        ["convolve", "dual_mat2.json", "bad_unit.json", "-o", "x.json"],
+    ],
+    ids=" ".join,
+)
+def test_failing_unit_or_counit_exits_2(capsys, tmp_path, monkeypatch, argv):
+    # Every command that reads a file rejects a (co)unit that fails its
+    # axiom, on either side of a product, and writes no output file.
+    for name, field in (("mat2", "unit"), ("dual_mat2", "counit")):
+        doc = json.loads(catalog.data_text(name))
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        doc[field][0] = "2"
+        (tmp_path / f"bad_{field}.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    if "bad_counit.json" in argv:
+        err = "error: declared counit fails the counit axiom\n"
+    else:
+        err = "error: declared unit is not a two-sided unit\n"
+    assert run(capsys, *argv) == (2, "", err)
+    assert not (tmp_path / "x.json").exists()
+
+
 def report_doc(kind, dim, report):
     """The ``check --json`` report of ``report`` as a dict, keys in printed order."""
     names, fields = report.__slots__, report._fields()
@@ -296,15 +327,40 @@ def test_closed_stdout_exits_0_quietly(argv, unbuffered):
 class TestTransforms:
     def test_dualize_matches_committed_dual(self, capsys, tmp_path):
         out_file = tmp_path / "dual.json"
-        code, _, _ = run(capsys, "dualize", data_path("mat2"), "-o", str(out_file))
-        assert code == 0
-        assert out_file.read_text() == catalog.data_text("dual_mat2")
+        for name in catalog.ALGEBRA_NAMES:
+            assert run(capsys, "dualize", data_path(name), "-o", str(out_file)) == (0, "", ""), name
+            assert out_file.read_text() == catalog.data_text(f"dual_{name}"), name
 
     def test_dualize_cogebra_back(self, capsys, tmp_path):
+        # Byte for byte, through either spelling of the output option.
         out_file = tmp_path / "alg.json"
-        code, _, _ = run(capsys, "dualize", data_path("dual_mat2"), "-o", str(out_file))
-        assert code == 0
-        assert parse_algebra(out_file.read_text()).products == catalog.get("mat2").products
+        for option in (["-o", str(out_file)], [f"--output={out_file}"]):
+            out_file.unlink(missing_ok=True)
+            assert run(capsys, "dualize", data_path("dual_mat2"), *option) == (0, "", "")
+            assert out_file.read_text() == catalog.data_text("mat2")
+
+    def test_tensor_towers(self, capsys, tmp_path):
+        # mat2 (x) mat2 is M_4: associative, so its annihilator is all of
+        # Q[S3]; and M_4 (x) mat2, dualized twice, gives back its own bytes.
+        m4, m8, dual, back = (str(tmp_path / f"{name}.json") for name in ("m4", "m8", "dual", "back"))
+        assert run(capsys, "tensor", data_path("mat2"), data_path("mat2"), "-o", m4) == (0, "", "")
+        code, out, _ = run(capsys, "check", "--json", m4)
+        assert code == 0 and json.loads(out)["annihilator_dim"] == 6
+        assert run(capsys, "tensor", m4, data_path("mat2"), "-o", m8) == (0, "", "")
+        assert run(capsys, "dualize", m8, "-o", dual) == (0, "", "")
+        assert run(capsys, "dualize", dual, "-o", back) == (0, "", "")
+        assert Path(back).read_bytes() == Path(m8).read_bytes()
+
+    def test_dualize_twice_keeps_every_basis_name(self, capsys, tmp_path):
+        # A name holding a quote, a backslash and a non-ASCII letter is
+        # written back as it was read.
+        doc = {"kind": "algebra", "dim": 1, "basis": ['q"b\\\u00e9'],
+               "products": [{"left": 1, "right": 1, "out": [{"k": 1, "c": "1"}]}], "unit": None}
+        odd, dual, back = (tmp_path / f"{name}.json" for name in ("odd", "dual", "back"))
+        odd.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert run(capsys, "dualize", str(odd), "-o", str(dual)) == (0, "", "")
+        assert run(capsys, "dualize", str(dual), "-o", str(back)) == (0, "", "")
+        assert back.read_bytes() == odd.read_bytes()
 
     def test_tensor(self, capsys, tmp_path):
         out_file = tmp_path / "tensor.json"
@@ -459,6 +515,12 @@ class TestS3Commands:
         lines = out.splitlines()
         assert lines.count("id + c1 + c2") == 3
         assert lines.count("t12 + t13 + t23") == 3
+        # One image per permutation, rational coefficients kept.
+        code, out, _ = run(capsys, "s3", "orbit", "3/2*c1 - t12")
+        assert code == 0
+        assert out.splitlines() == [
+            "-t12 + 3/2*c1", "-id + 3/2*t23", "3/2*t12 - c1", "3/2*t13 - c2", "3/2*id - t23", "-t13 + 3/2*c2",
+        ]
 
     def test_span(self, capsys):
         code, out, _ = run(capsys, "s3", "span", "id - t12 - t13 - t23 + c1 + c2")
@@ -474,9 +536,14 @@ class TestS3Commands:
         assert code == 0 and out == "dim 0\n"
 
     def test_decompose(self, capsys):
-        code, out, _ = run(capsys, "s3", "decompose", "id + t12 + t13 + t23 + c1 + c2")
-        assert code == 0
-        assert out.strip() == "trivial=1 sign=0 standard=0"
+        lines = {
+            "id + t12 + t13 + t23 + c1 + c2": "trivial=1 sign=0 standard=0",
+            "id - t12": "trivial=0 sign=1 standard=1",
+            "id + t12": "trivial=1 sign=0 standard=1",
+            "id": "trivial=1 sign=1 standard=2",
+        }
+        for expr, line in lines.items():
+            assert run(capsys, "s3", "decompose", expr) == (0, line + "\n", ""), expr
 
     def test_bad_expression(self, capsys):
         code, _, err = run(capsys, "s3", "orbit", "id ++ q")
@@ -494,6 +561,8 @@ class TestS3Commands:
             # A term missing at the end is placed at the end of the text.
             ("id + ", "malformed term at position 5 in 'id + '"),
             ("id\tt12", "expected '+' or '-' at position 3 in 'id\\tt12'"),
+            # A digit outside ASCII is no coefficient.
+            ("\u0663*id", "malformed term at position 0 in '\u0663*id'"),
         ],
     )
     def test_error_positions_count_the_text_as_given(self, capsys, text, message):
@@ -506,6 +575,7 @@ class TestCatalogCommands:
         code, out, _ = run(capsys, "catalog", "list")
         assert code == 0
         assert out.split() == list(catalog.NAMES)
+        assert (len(catalog.NAMES), catalog.NAMES[0], catalog.NAMES[-1]) == (22, "mat2", "dual_generic3")
 
     def test_emit(self, capsys, tmp_path):
         out_file = tmp_path / "sl2.json"

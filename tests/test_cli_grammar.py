@@ -122,9 +122,11 @@ def test_table_parser_reads_the_grammar(argv):
     assert vars(fast) == argparse_namespace(argv)
 
 
-# Each "--" and ``--output=X`` form, with its exact spelling.
+# Each "--", ``--output=X`` and option-prefix form, with its exact spelling.
 SPELLINGS = [
     (["check", "--", "a.json"], ["check", "a.json"]),
+    (["check", "--json", "--", "a.json"], ["check", "--json", "a.json"]),
+    (["check", "a.json", "--js"], ["check", "a.json", "--json"]),
     (["dualize", "a.json", "--output=b.json"], ["dualize", "a.json", "--output", "b.json"]),
     (["tensor", "a.json", "-o", "c.json", "--", "b.json"], ["tensor", "a.json", "-o", "c.json", "b.json"]),
     (["s3", "decompose", "--", "id"], ["s3", "decompose", "id"]),
@@ -134,7 +136,6 @@ HANDED_OVER = [form for form, _ in SPELLINGS] + [
     [],
     ["-h"],
     ["check", "a.json", "-h"],
-    ["check", "a.json", "--js"],
     ["convolve", "c.json", "a.json", "-ox.json"],
     ["dualize", "a.json", "-o=x.json"],
     ["dualize", "a.json", "--output="],

@@ -19,7 +19,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import nalg
+
+# The path entry that holds the ``nalg`` under test: ``src`` in a checkout,
+# site-packages once installed.
+SRC = Path(nalg.__file__).resolve().parent.parent
 DATA = SRC / "nalg" / "data"
 LAZY = ("catalog", "cogebras", "duality", "products")
 
@@ -54,7 +58,7 @@ def ran():
 
 def run(code: str, *args) -> list[str]:
     """The stdout lines of ``code`` run after ``PRELUDE`` in a fresh
-    interpreter, with ``src`` first on the path and ``args`` after it."""
+    interpreter, with ``SRC`` first on the path and ``args`` after it."""
     script = PRELUDE.format(lazy=LAZY) + textwrap.dedent(code)
     done = subprocess.run(
         [sys.executable, "-S", "-c", script, str(SRC), *map(str, args)], capture_output=True, text=True

@@ -19,7 +19,7 @@ from pathlib import Path
 import nalg
 from nalg import algebras, cogebras, duality
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nalg"
+PACKAGE = Path(nalg.__file__).resolve().parent
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 
 

@@ -22,13 +22,16 @@ from pathlib import Path
 
 import pytest
 
+import nalg
 from nalg import catalog
 from nalg.algebras import Algebra, ClassificationReport, TrilinearMap, classify
 from nalg.cogebras import Cogebra, CogebraReport, CubeMap, classify_cogebra
 from nalg.linalg import Subspace, as_vec, span
 from nalg.sym3 import GroupAlgElem, Perm3
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# The path entry that holds the ``nalg`` under test: ``src`` in a checkout,
+# site-packages once installed.
+SRC = Path(nalg.__file__).resolve().parent.parent
 
 
 def test_cli_import_loads_no_code_generation_modules():

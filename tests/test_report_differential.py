@@ -75,6 +75,12 @@ def assert_commands_agree(text):
         path.write_text(text, encoding="utf-8")
         got = {command: run(command, str(path)) for command in COMMANDS}
     assert got == expected(text)
+    # The two commands print one basis: the report's and the annihilator's.
+    code, report, _ = got[COMMANDS[0]]
+    if code == 0:
+        report = json.loads(report)
+        basis = report["annihilator_basis" if report["kind"] == "algebra" else "coannihilator_basis"]
+        assert json.loads(got[COMMANDS[2]][1])["basis"] == basis
 
 
 @pytest.mark.parametrize("name", catalog.NAMES)
