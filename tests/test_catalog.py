@@ -1,13 +1,11 @@
 import itertools
 import json
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 import reference_algebras as reference
+from shared import SRC, run_fresh
 
 from nalg import catalog
 from nalg.algebras import Algebra, classify, commutator_algebra, gi_check, is_antisymmetric, is_commutative
@@ -221,17 +219,6 @@ SPACES = {
 }
 
 
-def _run(script):
-    src = Path(catalog.__file__).resolve().parents[1]
-    return subprocess.run(
-        [sys.executable, "-c", script],
-        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-
-
 def _symmetric(A, sign):
     """Whether e_i e_j = sign * e_j e_i for every pair of basis vectors."""
     es = [reference.basis_vec(A.dim, i) for i in range(1, A.dim + 1)]
@@ -296,7 +283,7 @@ class TestDeterminism:
             assert first.products == second.products
 
     def test_each_search_scans_a_pinned_number_of_candidates(self):
-        assert json.loads(_run(_COUNT_SCANS)) == SCANS
+        assert json.loads(run_fresh(_COUNT_SCANS, SRC).stdout) == SCANS
         assert sum(SCANS.values()) == 600
 
     def test_a_regen_checks_a_pinned_number_of_constructions(self):
@@ -304,7 +291,7 @@ class TestDeterminism:
         # build no structure: the 2 commutators scanned for nonjacobi3 and
         # the 3 tensor products with vinberg2 scanned for prelie2 are int
         # tables too.
-        assert int(_run(_COUNT_CONSTRUCTIONS)) == 11
+        assert int(run_fresh(_COUNT_CONSTRUCTIONS, SRC).stdout) == 11
 
     def test_committed_files_match_builders(self):
         # byte-for-byte regeneration, within the documented time budget

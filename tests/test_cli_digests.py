@@ -13,20 +13,17 @@ To record the file again (only when an output change is intended):
     PYTHONPATH=src python tests/test_cli_digests.py
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import sys
 import tempfile
 from pathlib import Path
 
-import nalg
+from shared import DATA, run_cli
+
 from nalg import catalog
-from nalg.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
-DATA = Path(nalg.__file__).parent / "data"
 
 
 def invocations():
@@ -49,12 +46,10 @@ def digest(argv, out_path: Path) -> str:
     if out_path.exists():
         out_path.unlink()
     argv = [str(out_path) if arg == "OUT" else arg for arg in argv]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
+    code, stdout, stderr = run_cli(*argv)
     written = out_path.read_bytes() if out_path.exists() else b""
     h = hashlib.sha256()
-    for part in (str(code).encode(), stdout.getvalue().encode(), stderr.getvalue().encode(), written):
+    for part in (str(code).encode(), stdout.encode(), stderr.encode(), written):
         h.update(len(part).to_bytes(8, "big"))
         h.update(part)
     return h.hexdigest()

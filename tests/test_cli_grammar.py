@@ -4,8 +4,8 @@
 argparse's parser from the same table only for an argv that ``_parse``
 hands over.  So for every argv, ``_parse`` must either give the namespace
 that argparse gives, or give None.  The differential test draws argv from
-the grammar plus noise: option prefixes, ``=`` forms, reordered options,
-"--", stray "-" words and empty strings.
+the grammar plus noise (``shared.argvs``): option prefixes, ``=`` forms,
+reordered options, "--", stray "-" words and empty strings.
 """
 
 import contextlib
@@ -13,22 +13,10 @@ import io
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
+from shared import argvs, run_cli
 
 from nalg import catalog
-from nalg.cli import _GRAMMAR, _OPTIONS, _build_parser, _parse, main
-
-
-def leaves(table=_GRAMMAR, path=()):
-    """The command path and the leaf spec of every leaf command."""
-    for name, (_, spec) in table.items():
-        if isinstance(spec, dict):
-            yield from leaves(spec, path + (name,))
-        else:
-            yield path + (name,), spec
-
-
-LEAVES = list(leaves())
+from nalg.cli import _build_parser, _parse
 
 
 def argparse_namespace(argv):
@@ -38,52 +26,6 @@ def argparse_namespace(argv):
             return vars(_build_parser().parse_args(argv))
         except SystemExit:
             return None
-
-
-PLAIN_WORDS = ("a.json", "b", "id + c1", "x=y", " -o", "check", "orbit")
-PLAIN = st.sampled_from(PLAIN_WORDS)
-WORDS = st.one_of(PLAIN, st.sampled_from(["", "-", "-1", "--", "-x", "--json", "-o"]))
-NOISE = st.sampled_from(
-    ["", "-", "--", "-h", "--help", "-x", "-1", "--js", "--out", "--lit", "-o", "--output",
-     "--json", "--json=1", "-oX", "-o=X", "--output=", "--output=-x", "--=", "extra", "s3",
-     "--literal-bang"]
-)
-
-
-@st.composite
-def argvs(draw, noise):
-    """An argv for a leaf command: its words and options in exact
-    spellings, in any order.  With ``noise``, also ``--output=X``, at times
-    "--" before the last positionals, odd words, option prefixes and odd
-    ``=`` forms, and words inserted or deleted anywhere."""
-    path, (_, positionals, options) = draw(st.sampled_from(LEAVES))
-    words = WORDS if noise else PLAIN
-    groups = []
-    for name in options.split():
-        spellings, keywords = _OPTIONS[name]
-        spelling, long = draw(st.sampled_from(spellings)), spellings[-1]
-        prefix = long[: draw(st.integers(3, len(long) - 1))]
-        if "action" in keywords:
-            clean, odd = [[], [spelling]], [[prefix], [f"{spelling}=1"]]
-        else:
-            value = draw(words)
-            clean = [[spelling, value]]
-            odd = [[], [f"{long}={value}"], [prefix, value], [f"{prefix}={value}"]]
-            odd += [[f"-o{value}"], [f"-o={value}"]]
-        forms = st.sampled_from(clean)
-        groups.append(draw(st.one_of(forms, st.sampled_from(odd)) if noise else forms))
-    values = [[draw(words)] for _ in positionals.split()]
-    cut = draw(st.integers(0, len(values))) if noise else len(values)
-    tail = [word for group in values[cut:] for word in group]
-    groups = draw(st.permutations(groups + values[:cut]))
-    argv = [*path, *(word for group in groups for word in group)] + (["--", *tail] if tail else [])
-    for _ in range(draw(st.integers(0, 2)) if noise else 0):
-        at = draw(st.integers(0, len(argv)))
-        if draw(st.booleans()):
-            argv.insert(at, draw(NOISE))
-        elif at < len(argv):
-            del argv[at]
-    return argv
 
 
 @given(argvs(noise=True))
@@ -160,7 +102,7 @@ def test_table_parser_hands_over(argv):
     assert _parse(argv) is None
 
 
-def run_main(argv, workdir, monkeypatch, capsys):
+def run_main(argv, workdir, monkeypatch):
     """stdout, stderr, the exit code and every file's bytes after ``main``
     runs ``argv`` in ``workdir``, which holds the algebra files a.json and
     b.json."""
@@ -168,13 +110,12 @@ def run_main(argv, workdir, monkeypatch, capsys):
     (workdir / "a.json").write_text(catalog.data_text("vinberg2"), encoding="utf-8")
     (workdir / "b.json").write_text(catalog.data_text("trunc_poly2"), encoding="utf-8")
     monkeypatch.chdir(workdir)
-    code = main(argv)
-    out, err = capsys.readouterr()
+    code, out, err = run_cli(*argv)
     return out, err, code, {path.name: path.read_bytes() for path in workdir.iterdir()}
 
 
 @pytest.mark.parametrize("form, exact", SPELLINGS, ids=[" ".join(form) for form, _ in SPELLINGS])
-def test_handed_over_form_runs_as_its_exact_spelling(form, exact, tmp_path, monkeypatch, capsys):
+def test_handed_over_form_runs_as_its_exact_spelling(form, exact, tmp_path, monkeypatch):
     assert _parse(exact) is not None
-    runs = [run_main(argv, tmp_path / name, monkeypatch, capsys) for argv, name in ((form, "form"), (exact, "exact"))]
+    runs = [run_main(argv, tmp_path / name, monkeypatch) for argv, name in ((form, "form"), (exact, "exact"))]
     assert runs[0] == runs[1]

@@ -9,12 +9,12 @@ antisymmetrizations (``lie_cogebra_from``) bring co-Jacobi cases, and
 duals of unital algebras bring counits.
 """
 
-import itertools
 from fractions import Fraction
 
 import reference_cogebras as reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from shared import cogebras, sparse_tables
 
 from nalg import catalog
 from nalg.algebras import Algebra
@@ -28,54 +28,9 @@ from nalg.cogebras import (
     gi_bang_cocheck,
     gi_cocheck,
     is_lie_cogebra,
-    lie_cogebra_from,
 )
 from nalg.duality import dualize_algebra
 from nalg.sym3 import PERMS, GroupAlgElem
-
-
-@st.composite
-def sparse_tables(draw, n):
-    downward = draw(st.booleans())
-    slots = [
-        (k, i, j)
-        for k, i, j in itertools.product(range(1, n + 1), repeat=3)
-        if not downward or k >= max(i, j)
-    ]
-    keys = draw(st.lists(st.sampled_from(slots), unique=True, max_size=8))
-    shared = draw(st.sampled_from((1, 2, 3, 5, 30)))
-    return {
-        key: Fraction(
-            draw(st.sampled_from((1, -1, 2, -2))),
-            shared * draw(st.sampled_from((1, 1, 1, 2, 3, 5))),
-        )
-        for key in keys
-    }
-
-
-@st.composite
-def unital_duals(draw):
-    """The dual of a sparse algebra with a unit adjoined: e_1 times anything
-    is c times it, so the unit, and the dual's counit, is e_1 / c."""
-    n = draw(st.integers(1, 3))
-    c = draw(st.sampled_from((1, 2, Fraction(-1, 3), Fraction(5, 2))))
-    shifted = {(k + 1, i + 1, j + 1): v for (k, i, j), v in draw(sparse_tables(n)).items()}
-    products = {(i, j, k): v for (k, i, j), v in shifted.items()}
-    for j in range(1, n + 2):
-        products[(1, j, j)] = c
-        products[(j, 1, j)] = c
-    unit = (1 / Fraction(c),) + (0,) * n
-    return dualize_algebra(Algebra(n + 1, products, unit=unit))
-
-
-@st.composite
-def cogebras(draw):
-    kind = draw(st.sampled_from(("table", "lie", "unital")))
-    if kind == "unital":
-        return draw(unital_duals())
-    n = draw(st.integers(1, 4))
-    C = Cogebra(n, draw(sparse_tables(n)))
-    return lie_cogebra_from(C) if kind == "lie" else C
 
 
 # The grouplike cogebra passes every normalized triple-symmetry check and

@@ -18,7 +18,7 @@ from fractions import Fraction
 import reference_algebras as reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_scaling import dense_table_text
+from shared import algebras, dense_algebras, dense_table_text
 
 import nalg.algebras
 from nalg import catalog
@@ -64,43 +64,6 @@ from nalg.sym3 import (
     special_vector,
     split,
 )
-
-
-@st.composite
-def algebras(draw):
-    n = draw(st.integers(1, 6))
-    upward = draw(st.booleans())
-    slots = [
-        (i, j, k)
-        for i, j, k in itertools.product(range(1, n + 1), repeat=3)
-        if not upward or k >= max(i, j)
-    ]
-    keys = draw(st.lists(st.sampled_from(slots), unique=True, max_size=8))
-    # A denominator shared by the table keeps the coincidences between
-    # coefficients that the identities need; one drawn per entry mixes
-    # denominators within the table.
-    shared = draw(st.sampled_from((1, 2, 3, 5, 30)))
-    table = {}
-    for key in keys:
-        numerator = draw(st.sampled_from((1, -1, 2, -2)))
-        table[key] = Fraction(numerator, shared * draw(st.sampled_from((1, 1, 1, 2, 3, 5))))
-    A = Algebra(n, table)
-    return commutator_algebra(A) if draw(st.booleans()) else A
-
-
-DENSE_VALUES = tuple(Fraction(c) for c in ("-2", "-1", "-1/2", "1/2", "1", "2"))
-
-
-@st.composite
-def dense_algebras(draw):
-    """Tables of dimension 3 to 6 with about half of all slots set, to the
-    values of the benchmark's dense tables: generic enough that the orbit
-    probe usually decides them alone, which ``algebras()`` with its eight
-    keys rarely is."""
-    n = draw(st.integers(3, 6))
-    slots = list(itertools.product(range(1, n + 1), repeat=3))
-    values = draw(st.lists(st.sampled_from((None,) * 6 + DENSE_VALUES), min_size=len(slots), max_size=len(slots)))
-    return Algebra(n, {slot: c for slot, c in zip(slots, values) if c is not None})
 
 
 # The exterior algebra on two generators, with its unit: (xy)z has the
@@ -549,12 +512,13 @@ def _check_against_reference(A):
         assert right_annihilator(_solve(P, 1, 0, associative)) == reference.slot_kernel(layers[(1, 0)])
 
 
-def test_every_dim_2_table_against_the_reference():
-    # All 3**8 tables with constants in {-1, 0, 1}: each is on at most two
-    # indices, so its probe reads the orbits of (1, 1, 2) and (1, 2, 2),
-    # and the sign of its generator is certified zero.
-    tables = [Algebra(2, P) for P in catalog._candidates(catalog._DIM2)]
+def test_every_dim_2_table_against_the_reference(dim2_tables):
+    # All 3**8 tables with constants in {-1, 0, 1}, the catalog's dim-2
+    # candidates: each is on at most two indices, so its probe reads the
+    # orbits of (1, 1, 2) and (1, 2, 2), and sgn(g) is certified zero.
+    tables = list(dim2_tables.values())
     assert len(tables) == 6561
+    assert [A.products for A in tables] == list(catalog._candidates(catalog._DIM2))
     for A in tables:
         _check_against_reference(A)
     # With sgn(g) certified zero, the probe alone brings g to its cap, and

@@ -9,9 +9,7 @@ and deep nesting; and the ``s3`` commands on bad expressions.  Every run
 must keep the contract within ``TIME_BOUND_S``.
 """
 
-import contextlib
 import copy
-import io
 import json
 import os
 import tempfile
@@ -19,10 +17,9 @@ import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_cli_grammar import PLAIN_WORDS, argvs
+from shared import PLAIN_WORDS, argvs, run_cli
 
 from nalg import catalog
-from nalg.cli import main
 
 # Seconds one command may take.  The largest input here is a catalog
 # document of dim 4; in 12,000 runs on a 2-core VM the slowest took 0.7 s.
@@ -137,14 +134,12 @@ def run(argv, files):
                 f.write(text)
         here = os.getcwd()
         os.chdir(workdir)
-        out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
+            code, out, err = run_cli(*argv)
         finally:
             os.chdir(here)
-        return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+        return code, out, err, time.perf_counter() - start
 
 
 @given(argvs(noise=False), st.fixed_dictionaries({name: mutated_documents() for name in PLAIN_WORDS}), EXPRESSIONS)

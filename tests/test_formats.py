@@ -1,14 +1,12 @@
 import json
 import re
-import subprocess
-import sys
 from fractions import Fraction as F
 from math import lcm
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from shared import SRC, raw_documents, run_fresh
 
 from nalg import catalog
 from nalg.algebras import Algebra, _integer_table
@@ -246,50 +244,6 @@ def test_printer_matches_json_dumps(X):
     assert print_document(X) == _dumped(X)
 
 
-# Coefficient texts that repeat within a document: zero in two spellings,
-# and forms that are not canonical.
-_TEXTS = ("0", "0/3", "1", "-1", "2/4", "-3/2", "5")
-
-
-@st.composite
-def raw_documents(draw):
-    """The text of an algebra or cogebra document that repeats its
-    coefficient texts and has zero terms, with a unit or counit ``c e1``
-    (its other coordinates zero in either spelling) half the time, and the
-    structure the checking constructor builds from the same numbers."""
-    n = draw(st.integers(1, 4))
-    unital = draw(st.booleans())
-    low = 2 if unital else 1
-    keys = st.tuples(st.integers(low, n), st.integers(low, n), st.integers(1, n))
-    texts = draw(st.dictionaries(keys, st.sampled_from(_TEXTS), max_size=10)) if n >= low else {}
-    unit = None
-    if unital:
-        c = draw(st.sampled_from(("1", "2", "-1/3")))
-        unit = [c] + [draw(st.sampled_from(("0", "0/3"))) for _ in range(n - 1)]
-        inverse = format_rational(1 / parse_rational(c))
-        texts.update({key: inverse for j in range(1, n + 1) for key in ((1, j, j), (j, 1, j))})
-    basis = [f"b{i}" for i in range(1, n + 1)]
-    if draw(st.booleans()):
-        kind, cls, field, unit_field, n_head = "algebra", Algebra, "products", "unit", 2
-        entry_fields, term_fields = ("left", "right"), ("k",)
-    else:
-        kind, cls, field, unit_field, n_head = "cogebra", Cogebra, "coproducts", "counit", 1
-        entry_fields, term_fields = ("in",), ("i", "j")
-        texts = {(k, i, j): t for (i, j, k), t in texts.items()}
-    by_head = {}
-    for key, t in texts.items():
-        by_head.setdefault(key[:n_head], []).append({**dict(zip(term_fields, key[n_head:])), "c": t})
-    doc = {
-        "kind": kind,
-        "dim": n,
-        "basis": basis,
-        field: [{**dict(zip(entry_fields, head)), "out": terms} for head, terms in by_head.items()],
-        unit_field: unit,
-    }
-    values = {key: parse_rational(t) for key, t in texts.items()}
-    return json.dumps(doc), cls(n, values, unit and tuple(map(parse_rational, unit)), tuple(basis))
-
-
 def _constants(X):
     return X.products if isinstance(X, Algebra) else X.coproducts
 
@@ -458,9 +412,7 @@ class TestExpressions:
     def test_importing_the_cli_compiles_no_pattern(self):
         # A compiled pattern costs every fresh process its compile time.
         code = "import re, nalg.cli, nalg.formats as f; print(any(isinstance(v, re.Pattern) for v in vars(f).values()))"
-        src = str(Path(catalog.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True)
-        assert out.stdout == "False\n", out.stderr
+        assert run_fresh(code, SRC).stdout == "False\n"
 
 
 # --- every document error, pinned ------------------------------------------

@@ -18,10 +18,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_engine_differential import algebras, dense_algebras
+from shared import algebras, dense_algebras
 
 from nalg import catalog
-from nalg.algebras import Algebra, classify
+from nalg.algebras import classify
 from nalg.linalg import member
 from nalg.sym3 import SUBGROUPS, right_ideal, special_vector
 
@@ -60,18 +60,17 @@ def assert_diagram_holds(report):
 
 
 @pytest.fixture(scope="module")
-def tables():
+def tables(dim2_tables):
     """Every catalog algebra, in catalog order, then all 3**8 tables of dim 2
     with constants in {-1, 0, 1}, in the catalog's search order."""
-    tables = [catalog.get(name) for name in catalog.ALGEBRA_NAMES]
-    tables += [Algebra(2, P) for P in catalog._candidates(catalog._DIM2)]
+    tables = [catalog.get(name) for name in catalog.ALGEBRA_NAMES] + list(dim2_tables.values())
     assert len(tables) == len(catalog.ALGEBRA_NAMES) + 6561
     return tables
 
 
 @pytest.fixture(scope="module")
-def reports(tables):
-    return [classify(A) for A in tables]
+def reports(dim2_reports):
+    return [classify(catalog.get(name)) for name in catalog.ALGEBRA_NAMES] + list(dim2_reports.values())
 
 
 def test_the_implication_matrix():

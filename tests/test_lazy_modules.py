@@ -12,19 +12,11 @@ the very object of its home module.
 """
 
 import json
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import pytest
+from shared import DATA, SRC, run_fresh
 
-import nalg
-
-# The path entry that holds the ``nalg`` under test: ``src`` in a checkout,
-# site-packages once installed.
-SRC = Path(nalg.__file__).resolve().parent.parent
-DATA = SRC / "nalg" / "data"
 LAZY = ("catalog", "cogebras", "duality", "products")
 
 # ``nalg``'s public namespace before the modules became lazy, by home module.
@@ -46,8 +38,7 @@ EXPORTS = {
 }
 
 PRELUDE = """\
-import sys, types
-sys.path.insert(0, sys.argv[1])
+import types
 LAZY = {lazy!r}
 
 
@@ -59,12 +50,7 @@ def ran():
 def run(code: str, *args) -> list[str]:
     """The stdout lines of ``code`` run after ``PRELUDE`` in a fresh
     interpreter, with ``SRC`` first on the path and ``args`` after it."""
-    script = PRELUDE.format(lazy=LAZY) + textwrap.dedent(code)
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", script, str(SRC), *map(str, args)], capture_output=True, text=True
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
+    return run_fresh(PRELUDE.format(lazy=LAZY) + textwrap.dedent(code), SRC, *args).stdout.splitlines()
 
 
 # A public name of each lazy module, read through the module.

@@ -28,8 +28,7 @@ from functools import cache
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_cogebra_differential import cogebras
-from test_engine_differential import algebras, dense_algebras
+from shared import SLOTS2, algebras, cogebras, dense_algebras, inverse, rebased
 
 from nalg import catalog
 from nalg.algebras import Algebra, ClassificationReport, _integer_table, _solve, annihilator, classify
@@ -78,32 +77,6 @@ def check_opposite(A: Algebra) -> None:
     assert annihilator(op) == moved(annihilator(A).basis, left=T13)
     co = coannihilator(dualize_algebra(A)).basis
     assert coannihilator(dualize_algebra(op)) == moved(co, right=T13)
-
-
-def inverse(M):
-    """The inverse of the square matrix ``M``, or None: the reduced form of
-    [M | I] is [I | M^-1] exactly when M is invertible."""
-    n = len(M)
-    rows = span([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]).basis
-    return [row[n:] for row in rows] if all(row[i] for i, row in enumerate(rows)) else None
-
-
-def rebased(A: Algebra, M, Minv) -> Algebra:
-    """A on the basis f_a = sum_i M[i][a] e_i, with its unit rewritten."""
-    n = range(A.dim)
-    products: dict = {}
-    for (i, j, k), c in A.products.items():
-        for a in n:
-            for b in n:
-                ab = c * M[i - 1][a] * M[j - 1][b]
-                if ab:
-                    for out in n:
-                        key = (a + 1, b + 1, out + 1)
-                        products[key] = products.get(key, 0) + ab * Minv[out][k - 1]
-    unit = None
-    if A.unit is not None:
-        unit = [sum(Minv[a][i] * A.unit[i] for i in n) for a in n]
-    return Algebra(A.dim, products, unit=unit)
 
 
 def rebased_cogebra(C: Cogebra, M, Minv) -> Cogebra:
@@ -185,9 +158,6 @@ def test_cogebra_basis_change(case):
 
 # --- every 2-dimensional table over {-1, 0, 1} ------------------------------
 
-SLOTS2 = tuple(itertools.product((1, 2), repeat=3))
-
-
 def annihilator_type(basis) -> tuple[int, int, int]:
     """The trivial bit, the sign bit and the standard count of the right
     ideal with ``basis``: on the split, a right ideal holds the matrices
@@ -198,11 +168,10 @@ def annihilator_type(basis) -> tuple[int, int, int]:
     return trivial, sign, span(columns, 2).dim
 
 
-def test_every_two_dimensional_table():
-    reports, types = {}, Counter()
-    for values in itertools.product((-1, 0, 1), repeat=len(SLOTS2)):
-        A = Algebra(2, dict(zip(SLOTS2, values)))
-        report = reports[values] = classify(A)
+def test_every_two_dimensional_table(dim2_tables, dim2_reports):
+    reports, types = dim2_reports, Counter()
+    for values, A in dim2_tables.items():
+        report = reports[values]
         t, s, std = annihilator_type(report.annihilator_basis)
         assert report.annihilator_dim == t + s + 2 * std
         # The annihilator is the right annihilator of g: v with g v = 0.

@@ -9,6 +9,10 @@ loads for help and usage errors alone (see ``tests/test_records.py``).
 The class is still importable from ``nalg`` and ``nalg.cogebras``, and a
 pickle made while it lived in ``nalg.cogebras`` still loads.  ``nalg``
 exports one 4-index map type, ``TrilinearMap``.
+
+No test module imports another, so one that fails to import loses only
+its own tests; ``tests/shared.py`` and ``tests/conftest.py``, which any
+test may load, import no private ``nalg`` name.
 """
 
 import ast
@@ -21,6 +25,7 @@ from nalg import algebras, cogebras, duality
 
 PACKAGE = Path(nalg.__file__).resolve().parent
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+TESTS = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in Path(__file__).parent.glob("*.py")}
 
 
 def _imported(node) -> list[str]:
@@ -63,6 +68,41 @@ def _module_imports(name: str) -> set[str]:
 def test_no_function_imports_but_argparse():
     found = [(name, *entry) for name, tree in MODULES.items() for entry in _function_imports(tree)]
     assert [(name, scope, modules) for name, scope, _, modules in found] == [("cli", "_build_parser", ["argparse"])], found
+
+
+def _private_names(tree) -> list[tuple[int, str]]:
+    """Each private name that ``tree`` imports from ``nalg``, or reads as an
+    attribute of anything, where it runs when its module is imported: all
+    but function bodies, whose decorators and defaults do run.  The line
+    and the name, in line order."""
+    found, nodes = [], [tree]
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            nodes += [*getattr(node, "decorator_list", ()), *node.args.defaults, *filter(None, node.args.kw_defaults)]
+            continue
+        nodes += ast.iter_child_nodes(node)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nalg":
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.split(".")[0] == "nalg"]
+        else:
+            names = [node.attr] if isinstance(node, ast.Attribute) and not node.attr.startswith("__") else []
+        found += [(node.lineno, name) for name in names if any(part.startswith("_") for part in name.split("."))]
+    return sorted(found)
+
+
+def test_no_test_module_imports_another():
+    # At module level or inside a function.
+    found = [(name, node.lineno) for name, tree in TESTS.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and any(m.startswith("test_") for m in _imported(node))]
+    assert found == []
+
+
+def test_shared_test_modules_import_no_private_name():
+    assert [_private_names(TESTS[name]) for name in ("shared.py", "conftest.py")] == [[], []]
+    # Function bodies run later; their decorators and defaults run now.
+    tree = ast.parse("import nalg._r\nfrom nalg.cli import _p, main\nx = cli._G\n@given(cli._O)\ndef f(t=cli._X):\n    return cli._z\n")
+    assert [name for _, name in _private_names(tree)] == ["nalg._r", "nalg.cli._p", "_G", "_O", "_X"]
 
 
 def test_function_imports_are_found_in_methods_and_nested_functions():

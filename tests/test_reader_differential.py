@@ -17,7 +17,7 @@ import pickle
 import reference_formats as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_formats import raw_documents
+from shared import raw_documents
 
 from nalg import catalog
 from nalg.formats import FormatError, _build, _load_object, _scan, parse_algebra, parse_cogebra

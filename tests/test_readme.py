@@ -6,6 +6,8 @@ import re
 import shlex
 from pathlib import Path
 
+from shared import leaves, run_cli
+
 from nalg import cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
@@ -26,10 +28,9 @@ def _leaf(words):
     return " ".join(leaf)
 
 
-def _leaves(spec, prefix=()):
-    if not isinstance(spec, dict):
-        return [" ".join(prefix)]
-    return [leaf for name, (_, inner) in spec.items() for leaf in _leaves(inner, prefix + (name,))]
+def _leaves():
+    """Every leaf command of the grammar, its words joined by spaces."""
+    return [" ".join(path) for path, _ in leaves(cli._GRAMMAR)]
 
 
 def test_python_blocks_run():
@@ -38,19 +39,19 @@ def test_python_blocks_run():
         exec(compile(block, "README.md", "exec"), {})
 
 
-def test_commands_print_what_the_readme_says(capsys):
+def test_commands_print_what_the_readme_says():
     examples = re.findall(r"^nalg (.*?)\s+# -> (.*)$", "".join(_blocks("sh")), re.M)
     assert examples
     for argv, expected in examples:
-        assert cli.main(shlex.split(argv)) == 0, argv
-        assert capsys.readouterr().out.splitlines()[0] == expected, argv
+        code, out, _ = run_cli(*shlex.split(argv))
+        assert (code, out.splitlines()[0]) == (0, expected), argv
 
 
 def test_the_command_block_lists_every_leaf_command():
     block = README[README.index("## Command line") :]
     block = block[block.index("```sh\n") : block.index("\n```\n")]
     listed = [_leaf(line.split()[1:]) for line in block.splitlines() if line.startswith("nalg ")]
-    assert listed == _leaves(cli._GRAMMAR)
+    assert listed == _leaves()
 
 
 _NUMBERS = "zero one two three four five six seven eight nine ten eleven twelve thirteen".split()
@@ -61,4 +62,4 @@ def test_the_startup_notes_count_the_leaf_commands():
     # words possibly broken across lines.
     text = " ".join(README.split())
     (word,) = re.findall(r"grammar is one table in `nalg/cli\.py`: (\w+) leaf commands", text)
-    assert _NUMBERS.index(word) == len(_leaves(cli._GRAMMAR))
+    assert _NUMBERS.index(word) == len(_leaves())

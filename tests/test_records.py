@@ -15,49 +15,32 @@ usage errors.
 import copy
 import pickle
 import re
-import subprocess
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
+from shared import DATA, SRC, run_fresh
 
-import nalg
 from nalg import catalog
 from nalg.algebras import Algebra, ClassificationReport, TrilinearMap, classify
 from nalg.cogebras import Cogebra, CogebraReport, CubeMap, classify_cogebra
 from nalg.linalg import Subspace, as_vec, span
 from nalg.sym3 import GroupAlgElem, Perm3
 
-# The path entry that holds the ``nalg`` under test: ``src`` in a checkout,
-# site-packages once installed.
-SRC = Path(nalg.__file__).resolve().parent.parent
-
 
 def test_cli_import_loads_no_code_generation_modules():
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import nalg.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(SRC)], capture_output=True, text=True, check=True
-    )
-    assert done.stdout.split() == []
+    code = "import nalg.cli; print(' '.join(m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules))"
+    assert run_fresh(code, SRC).stdout.split() == []
 
 
 def test_check_loads_argparse_only_for_a_usage_error():
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); from nalg.cli import main; "
+        "from nalg.cli import main; "
         "main(['check', sys.argv[2], '--json']); "
         "print('loaded:' + ' '.join(m for m in ('argparse', 'gettext') if m in sys.modules)); "
         "main(['check'])"
     )
-    mat2 = SRC / "nalg" / "data" / "mat2.json"
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(SRC), str(mat2)], capture_output=True, text=True
-    )
+    done = run_fresh(code, SRC, DATA / "mat2.json", returncode=2)
     assert done.stdout.splitlines()[-1] == "loaded:"
-    assert done.returncode == 2
     assert done.stderr.startswith("usage: nalg check [-h] [--json] file\n")
     assert done.stderr.endswith("error: the following arguments are required: file\n")
 

@@ -16,8 +16,6 @@ scaled by 2 or 1/2, and the true one of the table rescaled, whose
 denominators the table lacks.
 """
 
-import contextlib
-import io
 import json
 import tempfile
 from fractions import Fraction
@@ -26,13 +24,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_cli import report_doc
-from test_engine_differential import algebras
-from test_formats import raw_documents
+from shared import algebras, raw_documents, report_doc, run_cli
 
 from nalg import catalog
 from nalg.algebras import Algebra, annihilator, classify
-from nalg.cli import main
 from nalg.cogebras import classify_cogebra, coannihilator
 from nalg.duality import dualize_algebra
 from nalg.formats import FormatError, format_ga_expr, parse_document, print_document
@@ -62,18 +57,11 @@ def expected(text):
     }
 
 
-def run(command, path):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command[0], path, *command[1:]])
-    return code, out.getvalue(), err.getvalue()
-
-
 def assert_commands_agree(text):
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "doc.json"
         path.write_text(text, encoding="utf-8")
-        got = {command: run(command, str(path)) for command in COMMANDS}
+        got = {command: run_cli(command[0], str(path), *command[1:]) for command in COMMANDS}
     assert got == expected(text)
     # The two commands print one basis: the report's and the annihilator's.
     code, report, _ = got[COMMANDS[0]]

@@ -42,45 +42,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from shared import SRC, dense_table_text, inverse, rebased
 
-import nalg
 from nalg import catalog
 from nalg.algebras import commutator_algebra
 from nalg.formats import print_document
 from nalg.products import tensor_algebras
 
 DIM = 40
-VALUES = ("-2", "-1", "-1/2", "1/2", "1", "2")
-
-
-def dense_table_text(dim: int, sign: int = 0) -> str:
-    """A seeded random table with about half of all slots set.  With
-    ``sign`` 1 or -1 it has e_j e_i = sign * e_i e_j: the products with
-    i <= j are drawn (i < j for -1) and mirrored."""
-    rng = random.Random(dim)
-    products = {}
-    for i in range(1, dim + 1):
-        for j in range(i + (sign < 0) if sign else 1, dim + 1):
-            for k in range(1, dim + 1):
-                if rng.random() < 0.5:
-                    c = rng.choice(VALUES)
-                    products.setdefault((i, j), []).append({"k": k, "c": c})
-                    if sign and i != j:
-                        c = c if sign > 0 else c[1:] if c[0] == "-" else f"-{c}"
-                        products.setdefault((j, i), []).append({"k": k, "c": c})
-    doc = {
-        "kind": "algebra",
-        "dim": dim,
-        "basis": [f"e{i}" for i in range(1, dim + 1)],
-        "products": [{"left": i, "right": j, "out": out} for (i, j), out in products.items()],
-        "unit": None,
-    }
-    return json.dumps(doc)
 
 
 def check_json(path: Path) -> dict:
-    src = str(Path(nalg.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     result = subprocess.run(
         [sys.executable, "-m", "nalg.cli", "check", "--json", str(path)],
         capture_output=True,
@@ -120,10 +93,6 @@ def test_symmetric_table_is_fast(tmp_path, sign, annihilator_dim):
 
 
 def test_dense_gl4_check_is_fast(tmp_path):
-    # Imported here: test_metamorphic imports this module, through
-    # test_engine_differential.
-    from test_metamorphic import inverse, rebased
-
     gl4 = commutator_algebra(tensor_algebras(catalog.get("mat2"), catalog.get("mat2")))
     rng, n = random.Random(gl4.dim), range(gl4.dim)
     L = [[rng.choice((-1, 1)) if i > j else int(i == j) for j in n] for i in n]

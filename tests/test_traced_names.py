@@ -12,10 +12,10 @@ are wrapped as an eager module's are.
 
 import importlib
 import importlib.util
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
+
+from shared import run_fresh
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -48,11 +48,7 @@ def test_patched_attributes_exist():
 
 def test_cli_import_loads_every_traced_module():
     homes = sorted({home for home, _, _, _ in _load_spans().STAGES})
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import nalg.cli; print(*sorted(sys.modules))"
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(ROOT / "src")], capture_output=True, text=True, check=True
-    )
-    loaded = set(done.stdout.split())
+    loaded = set(run_fresh("import nalg.cli; print(*sorted(sys.modules))", ROOT / "src").stdout.split())
     assert [home for home in homes if home not in loaded] == []
 
 
@@ -62,8 +58,7 @@ def test_the_tracer_wraps_the_stages_of_lazy_modules():
     # recorder's module, in place of the one its home defined.
     code = textwrap.dedent(
         """
-        import importlib.util, sys, types
-        sys.path.insert(0, sys.argv[1])
+        import importlib.util, types
         import nalg.cli
         lazy = ("catalog", "cogebras", "duality", "products")
         print(sorted(m for m in lazy if type(sys.modules["nalg." + m]) is types.ModuleType))
@@ -76,7 +71,4 @@ def test_the_tracer_wraps_the_stages_of_lazy_modules():
         print(sorted({fn.__module__ for fn in wrapped}))
         """
     )
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(ROOT / "src"), str(SPANS)], capture_output=True, text=True, check=True
-    )
-    assert done.stdout.splitlines() == ["[]", "['perfbench_spans']"]
+    assert run_fresh(code, ROOT / "src", SPANS).stdout.splitlines() == ["[]", "['perfbench_spans']"]
