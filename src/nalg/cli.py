@@ -145,14 +145,15 @@ def _cmd_convolve(args) -> int:
     A = parse_algebra(_read(args.algebra_file))
     conv = products.convolution_algebra(C, A)
     _write(args.output, print_document(conv))
-    # G_i on A, and coassociativity (i = 1) or the G_i! symmetry on C.
-    # The literal reading of G_i! does not depend on i.
+    # G_i on A, and coassociativity (i = 1) or the G_i! symmetry on C, the
+    # same flags as associativity and G_i! on its dual algebra.  The literal
+    # reading of G_i! does not depend on i.
     gi = classify(A).gi_assoc
-    co = cogebras.classify_cogebra(C)
-    bang = co.gi_bang_co
+    dual = classify(duality.dualize_cogebra(C))
+    bang = dual.gi_bang
     if args.literal_bang:
         bang = dict.fromkeys(bang, cogebras.gi_bang_cocheck(C, 2, literal=True))
-    guaranteed = [i for i, flag in gi.items() if flag and (co.is_coassociative if i == 1 else bang[i])]
+    guaranteed = [i for i, flag in gi.items() if flag and (dual.is_associative if i == 1 else bang[i])]
     reading = "literal" if args.literal_bang else "normalized"
     if guaranteed:
         indices = ", ".join(str(i) for i in guaranteed)
@@ -326,7 +327,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader closed stdout.  Point it at devnull so that the flush
         # at exit finds it writable, as the signal module's SIGPIPE note does.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,8 +26,9 @@ from collections import defaultdict
 from fractions import Fraction
 from operator import itemgetter
 
-from nalg.algebras import _SLOT_ORDERS, Algebra, ClassificationReport, TrilinearMap
-from nalg.linalg import Subspace, Vec, _echelon, as_vec, kernel
+from nalg import linalg
+from nalg.algebras import Algebra, ClassificationReport, TrilinearMap
+from nalg.linalg import Subspace, Vec, as_vec, kernel
 from nalg.sym3 import PERMS, SUBGROUPS, GroupAlgElem, Perm3, inverse, special_vector
 
 
@@ -182,13 +183,14 @@ def jacobi_check(A: Algebra) -> bool:
 # The permuted map at a key K reads the original at (K[q1], K[q2], K[q3], l)
 # with (q1, q2, q3) = _LOOKUP_ORDERS[p], the 0-based images of PERMS[p]^-1.
 # The orbit of a key m is the six keys (m[s1], m[s2], m[s3], l) over
-# _SLOT_ORDERS, and the row at any of them reads only values at those six:
-# _ROW_READS[p] picks, from the six values in that order, the row at the
-# p-th orbit key.
+# SLOT_ORDERS, the 0-based images of each PERMS[p], and the row at any of
+# them reads only values at those six: _ROW_READS[p] picks, from the six
+# values in that order, the row at the p-th orbit key.
+SLOT_ORDERS = tuple((s(1) - 1, s(2) - 1, s(3) - 1) for s in PERMS)
 _LOOKUP_ORDERS = tuple((t(1) - 1, t(2) - 1, t(3) - 1) for t in map(inverse, PERMS))
 _ROW_READS = tuple(
-    itemgetter(*(_SLOT_ORDERS.index((s[q1], s[q2], s[q3])) for q1, q2, q3 in _LOOKUP_ORDERS))
-    for s in _SLOT_ORDERS
+    itemgetter(*(SLOT_ORDERS.index((s[q1], s[q2], s[q3])) for q1, q2, q3 in _LOOKUP_ORDERS))
+    for s in SLOT_ORDERS
 )
 
 
@@ -202,7 +204,7 @@ def slot_rows(T):
     for m in T:
         if m in seen:
             continue
-        keys = [(m[s1], m[s2], m[s3], m[3]) for s1, s2, s3 in _SLOT_ORDERS]
+        keys = [(m[s1], m[s2], m[s3], m[3]) for s1, s2, s3 in SLOT_ORDERS]
         values = [get(key, 0) for key in keys]
         rows = set()
         for key, reads in zip(keys, _ROW_READS):
@@ -218,7 +220,7 @@ def slot_kernel(layers) -> Subspace:
     """The kernel of the slot rows of ``layers``, eliminated only until
     their rank is 6, so a layer is pulled only when the rows before it are
     used up."""
-    return kernel(_echelon(row for layer in layers for row in slot_rows(layer))[1], 6)
+    return kernel(linalg._echelon(row for layer in layers for row in slot_rows(layer))[1], 6)
 
 
 def slot_kills(v, layers) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-from nalg.algebras import _check_index
+from nalg import algebras as alg
 from nalg.cogebras import Cogebra, CogebraReport, CubeMap
 from nalg.linalg import Subspace, kernel
 from nalg.sym3 import PERMS, SUBGROUPS, GroupAlgElem, Perm3, inverse, sign
@@ -80,13 +80,13 @@ def defect(C: Cogebra) -> CubeMap:
 
 
 def gi_cocheck(C: Cogebra, i: int) -> bool:
-    _check_index(i)
+    alg._check_index(i)
     d = defect(C)
     return not _combine(C.dim, ((sign(p), phi(d, p)) for p in SUBGROUPS[i])).entries
 
 
 def gi_bang_cocheck(C: Cogebra, i: int, *, literal: bool = False) -> bool:
-    _check_index(i, low=2)
+    alg._check_index(i, low=2)
     if not gi_cocheck(C, 1):
         return False
     iterated = coassoc_right(C)

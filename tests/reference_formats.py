@@ -17,15 +17,8 @@ from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 
-from nalg.formats import (
-    _KINDS,
-    FormatError,
-    _check_keys,
-    _load_object,
-    _read_basis,
-    _read_dim,
-    _read_index,
-)
+from nalg import formats
+from nalg.formats import FormatError
 
 _RATIONAL_FORM = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
@@ -54,9 +47,9 @@ def _label(head: tuple) -> str:
 
 def read_document(text: str) -> tuple:
     """The structure of either kind that ``text`` holds, and its cleared table."""
-    doc = _load_object(text)
+    doc = formats._load_object(text)
     kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in formats._KINDS:
         raise FormatError("'kind' must be 'algebra' or 'cogebra'")
     return read(doc, kind)
 
@@ -78,12 +71,12 @@ def read(doc: dict, kind: str) -> tuple:
     """The algebra or cogebra of ``kind`` that the decoded ``doc`` holds, and
     its table cleared of denominators."""
     (cls, field, entry_fields, term_fields, unit_field,
-     article, entry_keys, term_keys, constant) = _KINDS[kind]
+     article, entry_keys, term_keys, constant) = formats._KINDS[kind]
     if doc.get("kind") != kind:
         raise FormatError(f"expected {article} document ('kind': '{kind}')")
-    _check_keys(doc, {"kind", "dim", "basis", field, unit_field})
-    dim = _read_dim(doc)
-    basis = _read_basis(doc, dim)
+    formats._check_keys(doc, {"kind", "dim", "basis", field, unit_field})
+    dim = formats._read_dim(doc)
+    basis = formats._read_basis(doc, dim)
     entries = doc[field]
     if not isinstance(entries, list):
         raise FormatError(f"'{field}' must be a list")
@@ -100,7 +93,7 @@ def read(doc: dict, kind: str) -> tuple:
         head, terms = got[:-1], got[-1]
         for t in head:
             if type(t) is not int or not 0 < t <= dim:
-                _read_index(entry, entry_fields, dim)
+                formats._read_index(entry, entry_fields, dim)
         if head in heads:
             raise FormatError(f"duplicate {noun} entry for {_label(head)}")
         heads.add(head)
@@ -112,7 +105,7 @@ def read(doc: dict, kind: str) -> tuple:
             got = term_get(term)
             for t in got[:-1]:
                 if type(t) is not int or not 0 < t <= dim:
-                    _read_index(term, term_fields, dim)
+                    formats._read_index(term, term_fields, dim)
             key = head + got[:-1]
             if key in table:
                 raise FormatError(f"duplicate {constant} entry {key}")

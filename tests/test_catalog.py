@@ -207,16 +207,17 @@ catalog.regenerate()
 print(calls[0])
 """
 
-# The candidate space of each search: its dimension and slots.
-SPACES = {
-    "vinberg2": (2, catalog._DIM2),
-    "prelie2": (2, catalog._DIM2),
-    "g4_2": (2, catalog._DIM2),
-    "g5_only": (2, catalog._DIM2),
-    "g2bang3": (3, catalog._GRADED3),
-    "nonjacobi3": (3, catalog._PAIRS3),
-    "generic3": (3, catalog._GENERIC3),
-}
+def _spaces():
+    """The candidate space of each search: its dimension and slots."""
+    return {
+        "vinberg2": (2, catalog._DIM2),
+        "prelie2": (2, catalog._DIM2),
+        "g4_2": (2, catalog._DIM2),
+        "g5_only": (2, catalog._DIM2),
+        "g2bang3": (3, catalog._GRADED3),
+        "nonjacobi3": (3, catalog._PAIRS3),
+        "generic3": (3, catalog._GENERIC3),
+    }
 
 
 def _symmetric(A, sign):
@@ -244,14 +245,14 @@ def _reference_predicates():
 
 class TestSearchesAgainstReference:
     def test_every_scanned_candidate_answers_as_the_reference(self):
-        first, scanned = catalog._first, []
+        first, scanned, spaces = catalog._first, [], _spaces()
 
         def recording(candidates, predicate, name):
             def tested(P):
                 answer = predicate(P)
                 # The candidate is an int table; the reference reads it as
                 # an algebra on its search space's basis.
-                scanned.append((name, Algebra(SPACES[name][0], P), answer))
+                scanned.append((name, Algebra(spaces[name][0], P), answer))
                 return answer
 
             return first(candidates, tested, name)
@@ -312,8 +313,9 @@ class TestCandidates:
         # Each candidate is the int table of the checked algebra with the
         # same constants, and the commutators scanned for nonjacobi3 are
         # those of ``commutator_algebra``.
+        spaces = _spaces()
         for name, count in SCANS.items():
-            dim, slots = SPACES[name]
+            dim, slots = spaces[name]
             values = itertools.product(catalog._VALUES, repeat=len(slots))
             checked = [Algebra(dim, dict(zip(slots, v))) for v in itertools.islice(values, count)]
             tables = list(itertools.islice(catalog._candidates(slots), count))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -12,9 +14,10 @@ import reference_cogebras as reference
 from hypothesis import assume, given, settings
 from shared import DATA, SRC, algebras, report_doc, run_cli
 
-from nalg import catalog, cogebras
-from nalg.algebras import Algebra, _solve, annihilator, classify, gi_check
-from nalg.cli import _CHUNK, _build_parser, _json_report, main
+from nalg import algebras as alg
+from nalg import catalog, cli, cogebras
+from nalg.algebras import Algebra, annihilator, classify, gi_check
+from nalg.cli import main
 from nalg.duality import dualize_algebra
 from nalg.cogebras import Cogebra
 from nalg.formats import format_ga_expr, parse_document, print_document
@@ -212,7 +215,7 @@ def test_json_report_is_json_dumps(A):
     assume(report.annihilator_dim)
     co_report = cogebras.classify_cogebra(dualize_algebra(A))
     for kind, r in (("algebra", report), ("cogebra", co_report)):
-        assert _json_report(kind, A.dim, r) == json.dumps(report_doc(kind, A.dim, r), indent=2)
+        assert cli._json_report(kind, A.dim, r) == json.dumps(report_doc(kind, A.dim, r), indent=2)
 
 
 class TestReading:
@@ -254,7 +257,7 @@ class TestReading:
     def test_file_longer_than_one_read_parses(self, tmp_path):
         # Spaces after the first line break, so that the document is whole
         # only when every read is joined.
-        text = catalog.data_text("mat2").replace("\n", "\n" + " " * (2 * _CHUNK), 1)
+        text = catalog.data_text("mat2").replace("\n", "\n" + " " * (2 * cli._CHUNK), 1)
         assert self.check(tmp_path, text.encode()) == (0, (GOLDEN / "check_mat2.json").read_text(), "")
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count descriptors")
@@ -264,7 +267,7 @@ class TestReading:
         text = catalog.data_text("mat2")
         files = {
             "good.json": (text.encode(), 0),
-            "long.json": (text.replace("\n", "\n" + " " * (2 * _CHUNK), 1).encode(), 0),
+            "long.json": (text.replace("\n", "\n" + " " * (2 * cli._CHUNK), 1).encode(), 0),
             "not_utf8.json": (b"\xff" + text.encode(), 2),
         }
         for name, (data, _) in files.items():
@@ -276,6 +279,22 @@ class TestReading:
             assert [run_cli("check", path)[0] for path, _ in cases] == [code for _, code in cases]
         assert len(os.listdir("/proc/self/fd")) == before
 
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count descriptors")
+def test_closed_stdout_leaks_no_descriptor():
+    # In one process: main points a stdout whose reader has closed at
+    # devnull, and closes the descriptor it opened for that.
+    def run_on_closed_stdout():
+        r, w = os.pipe()
+        os.close(r)
+        err = io.StringIO()
+        with open(w, "w") as out, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["s3", "orbit", "id"])
+        return code, err.getvalue()
+
+    before = len(os.listdir("/proc/self/fd"))
+    assert [run_on_closed_stdout() for _ in range(50)] == [(0, "")] * 50
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
@@ -445,7 +464,7 @@ class TestAnnihilatorCommand:
         expected = "".join([f"dim {sub.dim}\n"] + [f"  {format_ga_expr(GroupAlgElem(row))}\n" for row in sub.basis])
         solves = []
 
-        def counted(*args, solve=_solve):
+        def counted(*args, solve=alg._solve):
             solves.append(args[1:])
             return solve(*args)
 
@@ -573,7 +592,7 @@ def test_help_and_usage_errors_match_argparse(capsys, argv):
     # Help exits 0 with the usage on stdout; a usage error exits 2 with it
     # on stderr.  Both are argparse's own output for the same argv.
     code, out, err = outcome(capsys, lambda: main(argv))
-    assert (code, out, err) == outcome(capsys, lambda: _build_parser().parse_args(argv))
+    assert (code, out, err) == outcome(capsys, lambda: cli._build_parser().parse_args(argv))
     asks_help = "-h" in argv
     assert code == (0 if asks_help else 2)
     assert (out if asks_help else err).startswith("usage: nalg")

@@ -15,29 +15,28 @@ import pytest
 from hypothesis import given
 from shared import argvs, run_cli
 
-from nalg import catalog
-from nalg.cli import _build_parser, _parse
+from nalg import catalog, cli
 
 
 def argparse_namespace(argv):
     """argparse's namespace for ``argv`` as a dict, or None where it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(_build_parser().parse_args(argv))
+            return vars(cli._build_parser().parse_args(argv))
         except SystemExit:
             return None
 
 
 @given(argvs(noise=True))
 def test_table_parser_agrees_with_argparse_or_hands_over(argv):
-    fast = _parse(argv)
+    fast = cli._parse(argv)
     if fast is not None:
         assert vars(fast) == argparse_namespace(argv)
 
 
 @given(argvs(noise=False))
 def test_table_parser_reads_every_argv_of_the_grammar(argv):
-    fast = _parse(argv)
+    fast = cli._parse(argv)
     assert fast is not None
     assert vars(fast) == argparse_namespace(argv)
 
@@ -59,7 +58,7 @@ ACCEPTED = [
 
 @pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
 def test_table_parser_reads_the_grammar(argv):
-    fast = _parse(argv)
+    fast = cli._parse(argv)
     assert fast is not None
     assert vars(fast) == argparse_namespace(argv)
 
@@ -99,7 +98,7 @@ HANDED_OVER = [form for form, _ in SPELLINGS] + [
 
 @pytest.mark.parametrize("argv", HANDED_OVER, ids=" ".join)
 def test_table_parser_hands_over(argv):
-    assert _parse(argv) is None
+    assert cli._parse(argv) is None
 
 
 def run_main(argv, workdir, monkeypatch):
@@ -116,6 +115,6 @@ def run_main(argv, workdir, monkeypatch):
 
 @pytest.mark.parametrize("form, exact", SPELLINGS, ids=[" ".join(form) for form, _ in SPELLINGS])
 def test_handed_over_form_runs_as_its_exact_spelling(form, exact, tmp_path, monkeypatch):
-    assert _parse(exact) is not None
+    assert cli._parse(exact) is not None
     runs = [run_main(argv, tmp_path / name, monkeypatch) for argv, name in ((form, "form"), (exact, "exact"))]
     assert runs[0] == runs[1]

@@ -2,10 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from nalg import catalog
+from nalg import catalog, duality
 from nalg.algebras import Algebra, gi_check
 from nalg.cogebras import Cogebra, gi_cocheck
-from nalg.duality import _dual_products, dualize_algebra, dualize_cogebra
+from nalg.duality import dualize_algebra, dualize_cogebra
 from nalg.formats import print_document
 
 
@@ -84,7 +84,7 @@ class TestDualsAreCheckedConstructions:
             transposed = {(k, i, j): c for (i, j, k), c in A.products.items()}
             assert dualize_algebra(A) == Cogebra(A.dim, transposed, A.unit, A.basis, A.name)
         for C in (named_cogebra, *catalog_cogebras.values()):
-            assert dualize_cogebra(C) == Algebra(C.dim, _dual_products(C.coproducts), C.counit, C.basis, C.name)
+            assert dualize_cogebra(C) == Algebra(C.dim, duality._dual_products(C.coproducts), C.counit, C.basis, C.name)
 
 
 class TestEditedStructures:

@@ -20,21 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from shared import algebras, dense_algebras, dense_table_text
 
-import nalg.algebras
-from nalg import catalog
+from nalg import algebras as alg
+from nalg import catalog, linalg
 from nalg.algebras import (
     Algebra,
     ClassificationReport,
-    _PROBE_ORDERS,
-    _PROBE_SHAPES,
-    _SLOT_ORDERS,
-    _composite_layers,
-    _integer_table,
-    _kills,
-    _orbit_probe,
-    _orbit_splits,
-    _solve,
-    _split_solve,
     annihilator,
     associator,
     classify,
@@ -51,7 +41,7 @@ from nalg.algebras import (
 from nalg.cogebras import coannihilator
 from nalg.duality import dualize_algebra
 from nalg.formats import parse_document
-from nalg.linalg import _echelon, span
+from nalg.linalg import span
 from nalg.products import tensor_algebras
 from nalg.sym3 import (
     PERMS,
@@ -194,15 +184,15 @@ def _used(A):
 
 
 def _layers(A, left=1, right=-1):
-    P, d = _integer_table(A.products)
-    return list(_composite_layers(P, left, right)), d * d
+    P, d = alg._integer_table(A.products)
+    return list(alg._composite_layers(P, left, right)), d * d
 
 
 def _rank_after_each_layer(A):
     rows, ranks = [], []
     for layer in _layers(A)[0]:
         rows.extend(reference.slot_rows(layer))
-        ranks.append(len(_echelon(rows)[1]))
+        ranks.append(len(linalg._echelon(rows)[1]))
     return ranks
 
 
@@ -279,10 +269,10 @@ def _counted(layers, pulled):
 def _layers_pulled(A, left, right):
     """How many layers of the composite the split solve and the slot-row
     solve each pull before they stop."""
-    P = _integer_table(A.products)[0]
+    P = alg._integer_table(A.products)[0]
     by_split, by_rows = [], []
-    _split_solve(_orbit_splits(_counted(_composite_layers(P, left, right), by_split)))
-    reference.slot_kernel(_counted(_composite_layers(P, left, right), by_rows))
+    alg._split_solve(alg._orbit_splits(_counted(alg._composite_layers(P, left, right), by_split)))
+    reference.slot_kernel(_counted(alg._composite_layers(P, left, right), by_rows))
     return len(by_split), len(by_rows)
 
 
@@ -303,18 +293,18 @@ INVERSE_ORDER = [PERMS.index(inverse(p)) for p in PERMS]
 @given(algebras(), st.tuples(*[st.integers(-2, 2)] * 6))
 @settings(max_examples=80 * settings.default.max_examples // 100, deadline=None)
 def test_split_solve_matches_the_slot_row_solve(A, v):
-    P = _integer_table(A.products)[0]
+    P = alg._integer_table(A.products)[0]
     solved = {}
     for composite, vectors in (((1, -1), ASSOCIATOR_VECTORS), ((1, 0), BANG_VECTORS)):
-        g = _split_solve(_orbit_splits(_composite_layers(P, *composite)))
-        ann = reference.slot_kernel(_composite_layers(P, *composite))
+        g = alg._split_solve(alg._orbit_splits(alg._composite_layers(P, *composite)))
+        ann = reference.slot_kernel(alg._composite_layers(P, *composite))
         assert right_annihilator(g) == ann
         by_split, by_rows = _layers_pulled(A, *composite)
         assert by_split == by_rows
         for w in (v, *vectors.values()):
             assert killed(g, split(w)) == ann.contains(w)
-            ours = _kills(split(w), P, *composite)
-            assert ours == reference.slot_kills(w, _composite_layers(P, *composite))
+            ours = alg._kills(split(w), P, *composite)
+            assert ours == reference.slot_kills(w, alg._composite_layers(P, *composite))
         solved[composite] = ann
     ann, sym = solved[(1, -1)], solved[(1, 0)]
     assert annihilator(A) == ann
@@ -358,8 +348,8 @@ def _at_probe_keys(A, left, right):
     each start, one orbit per output index whose values there are not all
     zero, its six values read in the order of PERMS from the start, all
     sorted."""
-    P = _integer_table(A.products)[0]
-    composite = {key: c for layer in _composite_layers(P, left, right) for key, c in layer.items()}
+    P = alg._integer_table(A.products)[0]
+    composite = {key: c for layer in alg._composite_layers(P, left, right) for key, c in layer.items()}
     out = []
     for start in _probe_starts(A):
         at_keys = {key: c for key, c in composite.items() if tuple(sorted(key[:3])) == start}
@@ -376,17 +366,17 @@ def _at_probe_keys(A, left, right):
 @given(st.one_of(algebras(), dense_algebras()))
 @settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
 def test_probe_is_the_composite_at_its_keys(A):
-    P = _integer_table(A.products)[0]
+    P = alg._integer_table(A.products)[0]
     for composite in ((1, -1), (1, 0)):
-        steps = list(_orbit_probe(P, *composite))
+        steps = list(alg._orbit_probe(P, *composite))
         # One nonzero orbit, so one output index, per step, never one twice
         # and none left out: the steps are the splits of the composite's
         # orbits at the probe's keys.
         assert all(any(step) for step in steps), composite
         assert sorted(steps) == _at_probe_keys(A, *composite), composite
-        ann = reference.slot_kernel(_composite_layers(P, *composite))
-        assert right_annihilator(_solve(P, *composite)) == ann, composite
-    ann = reference.slot_kernel(_composite_layers(P, 1, -1))
+        ann = reference.slot_kernel(alg._composite_layers(P, *composite))
+        assert right_annihilator(alg._solve(P, *composite)) == ann, composite
+    ann = reference.slot_kernel(alg._composite_layers(P, 1, -1))
     assert annihilator(A) == ann
     report = classify(A)
     assert report.annihilator_basis == tuple(GroupAlgElem(row) for row in ann.basis)
@@ -397,17 +387,17 @@ def test_probe_cases():
     assert _probe_starts(TWO_INDICES) == [(3, 3, 7), (3, 7, 7)]
     for composite in ((1, -1), (1, 0)):
         # The orbits of (3, 3, 7) and (3, 7, 7): one per output index.
-        probe = list(_orbit_probe(_integer_table(TWO_INDICES.products)[0], *composite))
+        probe = list(alg._orbit_probe(alg._integer_table(TWO_INDICES.products)[0], *composite))
         assert probe and sorted(probe) == _at_probe_keys(TWO_INDICES, *composite)
         # Each is fixed by a transposition, so its sign is zero.
         assert all(step[1] == 0 for step in probe)
         # The orbits at the permutations of (2, 5, 9); those of (1, 2, 3)
         # are zero.
-        probe = list(_orbit_probe(_integer_table(SPREAD.products)[0], *composite))
+        probe = list(alg._orbit_probe(alg._integer_table(SPREAD.products)[0], *composite))
         assert probe and sorted(probe) == _at_probe_keys(SPREAD, *composite)
         # A zero probe leaves the solve to the layers, which it reads to
         # the fourth, the first nonzero one.
-        assert list(_orbit_probe(_integer_table(LATE.products)[0], *composite)) == []
+        assert list(alg._orbit_probe(alg._integer_table(LATE.products)[0], *composite)) == []
         layers = _layers(LATE, *composite)[0]
         assert layers[:3] == [{}] * 3 and layers[3]
     assert _layers_pulled(LATE, 1, -1) == (4, 4)
@@ -426,18 +416,18 @@ def _pulled_by_classify(A, name="_composite_layers"):
 def _pulled_by(call, name="_composite_layers"):
     """``_pulled_by_classify`` for any ``call`` without arguments."""
     pulled = []
-    generator = getattr(nalg.algebras, name)
+    generator = getattr(alg, name)
 
     def counting(*args):
         items = []
         pulled.append(items)
         yield from _counted(generator(*args), items)
 
-    setattr(nalg.algebras, name, counting)
+    setattr(alg, name, counting)
     try:
         call()
     finally:
-        setattr(nalg.algebras, name, generator)
+        setattr(alg, name, generator)
     return [len(items) for items in pulled]
 
 
@@ -463,8 +453,8 @@ def test_generic_tables_are_decided_by_the_probe():
         # The probe itself stops after its first output index, and joins
         # the later ones only when they are pulled.
         assert _pulled_by_classify(A, "_orbit_probe") == [1], dim
-        P = _CountingGets(_integer_table(A.products)[0])
-        steps = _orbit_probe(P, 1, -1)
+        P = _CountingGets(alg._integer_table(A.products)[0])
+        steps = alg._orbit_probe(P, 1, -1)
         next(steps)
         first = P.gets
         assert list(steps) and P.gets > first, dim
@@ -483,8 +473,8 @@ def test_probe_reads_only_the_outputs_its_rows_reach():
     for composite in ((1, -1), (1, 0)):
         extra = set()
         for A in (mat2, m4, tensor_algebras(m4, mat2)):
-            P = _CountingGets(_integer_table(A.products)[0])
-            list(_orbit_probe(P, *composite))
+            P = _CountingGets(alg._integer_table(A.products)[0])
+            list(alg._orbit_probe(P, *composite))
             extra.add(P.gets - 6 * len(set().union(*P)) * sum(map(bool, composite)))
         assert len(extra) == 1, composite
 
@@ -495,8 +485,8 @@ def _check_against_reference(A):
     """The capped solves of both composites against the uncapped slot-row
     oracle, and every kill test against the oracle's own (every slot row
     orthogonal to the vector)."""
-    P = _integer_table(A.products)[0]
-    layers = {composite: list(_composite_layers(P, *composite)) for composite in ((1, -1), (1, 0))}
+    P = alg._integer_table(A.products)[0]
+    layers = {composite: list(alg._composite_layers(P, *composite)) for composite in ((1, -1), (1, 0))}
 
     def kills(w, composite):
         return reference.slot_kills(w, layers[composite])
@@ -507,9 +497,9 @@ def _check_against_reference(A):
     assert power_assoc_check(A) == kills(ASSOCIATOR_VECTORS["W"], (1, -1))
     for i, u in BANG_VECTORS.items():
         assert gi_bang_check(A, i) == (gi[1] and kills(u, (1, 0))), i
-    assert right_annihilator(_solve(P, 1, -1)) == reference.slot_kernel(layers[(1, -1)])
+    assert right_annihilator(alg._solve(P, 1, -1)) == reference.slot_kernel(layers[(1, -1)])
     for associative in {False, gi[1]}:
-        assert right_annihilator(_solve(P, 1, 0, associative)) == reference.slot_kernel(layers[(1, 0)])
+        assert right_annihilator(alg._solve(P, 1, 0, associative)) == reference.slot_kernel(layers[(1, 0)])
 
 
 def test_every_dim_2_table_against_the_reference(dim2_tables):
@@ -536,8 +526,8 @@ def test_kill_tests_read_the_probe_first():
     # A generic dense table fails every identity at the probe's first orbit,
     # and its solve never checks the table's symmetry.
     checked = []
-    symmetric = nalg.algebras._symmetric
-    nalg.algebras._symmetric = lambda *args: checked.append(args) or symmetric(*args)
+    symmetric = alg._symmetric
+    alg._symmetric = lambda *args: checked.append(args) or symmetric(*args)
     try:
         for dim in (5, 40):
             A = parse_document(dense_table_text(dim))
@@ -545,7 +535,7 @@ def test_kill_tests_read_the_probe_first():
             assert _pulled_by(lambda: [gi_bang_check(A, i) for i in range(2, 7)]) == [], dim
             assert _pulled_by_classify(A) == [] and checked == [], dim
     finally:
-        nalg.algebras._symmetric = symmetric
+        alg._symmetric = symmetric
 
 
 @st.composite
@@ -563,32 +553,36 @@ def two_index_algebras(draw):
 @given(two_index_algebras())
 @settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
 def test_tables_on_two_indices(A):
-    P = _integer_table(A.products)[0]
+    P = alg._integer_table(A.products)[0]
     for composite in ((1, -1), (1, 0)):
-        probe = list(_orbit_probe(P, *composite))
+        probe = list(alg._orbit_probe(P, *composite))
         assert sorted(probe) == _at_probe_keys(A, *composite), composite
         assert all(step[1] == 0 for step in probe), composite
         # sgn(g) = 0 is certified, so a probe that makes eps(g) nonzero
         # and rho(g) invertible ends the solve before any layer.
-        g = _split_solve(probe)
+        g = alg._split_solve(probe)
         if g[0] and g[5]:
             assert _layers_pulled_by_solve(A, *composite)[0] == 0, composite
     _check_against_reference(A)
     assert classify(A) == reference.classify(A)
 
 
+def test_the_reference_slot_orders_are_the_engines():
+    assert reference.SLOT_ORDERS == alg._SLOT_ORDERS
+
+
 def test_the_probe_joins_each_distinct_slot_order_once():
     # For each start shape, the table is the grouping of the six images of
-    # a concrete start under _SLOT_ORDERS: each distinct image at its first
+    # a concrete start under SLOT_ORDERS: each distinct image at its first
     # place, and every later place copying that one.  A two-index start has
     # three distinct images, each twice; a three-index start six.
     indices = (3, 7, 9)
-    for n, shapes in _PROBE_SHAPES.items():
+    for n, shapes in alg._PROBE_SHAPES.items():
         assert [len(set(shape)) for shape in shapes] == [n] * len(shapes)
-        for shape, (orders, copies) in zip(shapes, _PROBE_ORDERS[n], strict=True):
+        for shape, (orders, copies) in zip(shapes, alg._PROBE_ORDERS[n], strict=True):
             start = tuple(indices[t] for t in shape)
             groups = {}
-            for p, (s1, s2, s3) in enumerate(_SLOT_ORDERS):
+            for p, (s1, s2, s3) in enumerate(reference.SLOT_ORDERS):
                 groups.setdefault((start[s1], start[s2], start[s3]), []).append(p)
             assert [(p, tuple(indices[t] for t in image)) for p, image in orders] == [
                 (places[0], image) for image, places in groups.items()
@@ -603,7 +597,7 @@ def _probe_outputs(A, start, left, right):
     start reads, e_m e_k after e_i e_j -> e_m for (xy)z and e_i e_m after
     e_j e_k -> e_m for x(yz), at each slot permutation (i, j, k) of it."""
     pairs = set()
-    for i, j, k in {(start[s1], start[s2], start[s3]) for s1, s2, s3 in _SLOT_ORDERS}:
+    for i, j, k in {(start[s1], start[s2], start[s3]) for s1, s2, s3 in reference.SLOT_ORDERS}:
         for a, b, m in A.products:
             if left and (a, b) == (i, j):
                 pairs.add((m, k))
@@ -621,17 +615,17 @@ def test_probe_splits_in_order_against_the_reference(A):
     # same start and output, scaled by d^2 as the probe reads the cleared
     # table, in the same order: on two indices, with its copied places,
     # and on three or more.
-    P, d = _integer_table(A.products)
+    P, d = alg._integer_table(A.products)
     for composite, reference_map in (((1, -1), reference.associator), ((1, 0), reference.left_assoc_map)):
         T = {key: c * d * d for key, c in reference_map(A).entries.items()}
         expected = []
         for start in _probe_starts(A):
-            keys = [(start[s1], start[s2], start[s3]) for s1, s2, s3 in _SLOT_ORDERS]
+            keys = [(start[s1], start[s2], start[s3]) for s1, s2, s3 in reference.SLOT_ORDERS]
             for l in _probe_outputs(A, start, *composite):
                 values = [T.get((*key, l), 0) for key in keys]
                 if any(values):
                     expected.append(split(values))
-        assert list(_orbit_probe(P, *composite)) == expected, composite
+        assert list(alg._orbit_probe(P, *composite)) == expected, composite
 
 
 def _symmetrized(A, sign):
@@ -652,7 +646,7 @@ def test_commutative_and_anticommutative_tables(A, sign):
     A = _symmetrized(A, sign)
     # The certified vectors bound g: id + t13 gives eps(g) = 0 and rank
     # rho(g) <= 1, and V gives sgn(g) = 0 when the table is commutative.
-    eps, sgn, *rho = _solve(_integer_table(A.products)[0], 1, -1)
+    eps, sgn, *rho = alg._solve(alg._integer_table(A.products)[0], 1, -1)
     assert eps == 0 and rho[2:] == [0, 0] and (sign < 0 or sgn == 0)
     _check_against_reference(A)
     assert classify(A) == reference.classify(A)
@@ -660,8 +654,8 @@ def test_commutative_and_anticommutative_tables(A, sign):
 
 def _layers_pulled_by_solve(A, left, right, associative=False):
     """How many layers ``_solve`` pulls, and how many there are."""
-    P = _integer_table(A.products)[0]
-    return sum(_pulled_by(lambda: _solve(P, left, right, associative))), len(_used(A))
+    P = alg._integer_table(A.products)[0]
+    return sum(_pulled_by(lambda: alg._solve(P, left, right, associative))), len(_used(A))
 
 
 def _direct_sum(A, B):
@@ -687,7 +681,7 @@ def test_tables_whose_cap_is_never_reached():
         _check_against_reference(A)
         assert classify(A) == reference.classify(A)
     for A in lie:
-        assert killed(_solve(_integer_table(A.products)[0], 1, -1), split(ASSOCIATOR_VECTORS["a5"]))
+        assert killed(alg._solve(alg._integer_table(A.products)[0], 1, -1), split(ASSOCIATOR_VECTORS["a5"]))
     # (xy)z of a commutative associative table is fully symmetric, so its
     # cap leaves rho(g) zero and the solve stops at the first nonzero orbit.
     for A in commutative:

@@ -8,13 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from shared import SRC, raw_documents, run_fresh
 
-from nalg import catalog
-from nalg.algebras import Algebra, _integer_table
+from nalg import algebras as alg
+from nalg import catalog, formats, linalg
+from nalg.algebras import Algebra
 from nalg.cogebras import Cogebra
 from nalg.formats import (
     FormatError,
-    _build,
-    _scan,
     format_ga_expr,
     parse_algebra,
     parse_cogebra,
@@ -22,7 +21,7 @@ from nalg.formats import (
     parse_ga_expr,
     print_document,
 )
-from nalg.linalg import _cleared, format_rational, parse_rational
+from nalg.linalg import format_rational, parse_rational
 from nalg.sym3 import GroupAlgElem, special_vector
 
 
@@ -134,8 +133,6 @@ class TestRoundTrips:
             assert again.basis == A.basis
 
     def test_document_is_decoded_once(self, monkeypatch):
-        import nalg.formats
-
         calls = []
         loads = json.loads
 
@@ -143,23 +140,21 @@ class TestRoundTrips:
             calls.append(text)
             return loads(text, *args, **kwargs)
 
-        monkeypatch.setattr(nalg.formats.json, "loads", counting_loads)
+        monkeypatch.setattr(formats.json, "loads", counting_loads)
         for name in ("mat2", "dual_mat2"):
             calls.clear()
             parse_document(catalog.data_text(name))
             assert len(calls) == 1, name
 
     def test_each_coefficient_text_is_parsed_once(self, monkeypatch):
-        import nalg.formats
-
         calls = []
-        parse = nalg.formats._rational_pair
+        parse = formats._rational_pair
 
         def counting_parse(text):
             calls.append(text)
             return parse(text)
 
-        monkeypatch.setattr(nalg.formats, "_rational_pair", counting_parse)
+        monkeypatch.setattr(formats, "_rational_pair", counting_parse)
         for name in ("mat2", "dual_mat2", "trunc_poly2"):
             doc = json.loads(catalog.data_text(name))
             field, unit_field = ("products", "unit") if doc["kind"] == "algebra" else ("coproducts", "counit")
@@ -267,10 +262,10 @@ def test_integer_table_clears_shared_and_unshared_values(case):
     # holds a Fraction object of its own at every key.
     table = _constants(parse_document(case[0]))
     for T in (table, {key: F(c.numerator, c.denominator) for key, c in table.items()}):
-        ints, d = _cleared(list(T.values()))
-        assert _integer_table(T) == (dict(zip(T, ints)), d)
+        ints, d = linalg._cleared(list(T.values()))
+        assert alg._integer_table(T) == (dict(zip(T, ints)), d)
         assert d == lcm(1, *(c.denominator for c in T.values()))
-        assert all(F(n, d) == T[key] for key, n in _integer_table(T)[0].items())
+        assert all(F(n, d) == T[key] for key, n in alg._integer_table(T)[0].items())
 
 
 def assert_hands_over_the_cleared_table(text):
@@ -278,9 +273,9 @@ def assert_hands_over_the_cleared_table(text):
     # _integer_table clears entry by entry, in the same order.  A declared
     # (co)unit comes cleared by the LCM e of its own denominators, with the
     # scale d * e that the (co)unit axiom meets on the cleared table.
-    parts, cleared, unit = _scan(text)
-    X = _build(*parts)
-    ints, d = _integer_table(_constants(X))
+    parts, cleared, unit = formats._scan(text)
+    X = formats._build(*parts)
+    ints, d = alg._integer_table(_constants(X))
     assert list(cleared.items()) == list(ints.items())
     assert all(type(c) is int and c for c in cleared.values())
     u = X.unit if isinstance(X, Algebra) else X.counit

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nalg import linalg
 from nalg.linalg import (
     Subspace,
-    _echelon,
     format_rational,
     kernel,
     member,
@@ -209,6 +209,6 @@ def test_echelon_stops_at_full_rank():
             yield [3 * (j >= i) + (j == i) for j in range(6)]
         raise AssertionError("row read after the rank reached the column count")
 
-    pivots, basis = _echelon(rows())
+    pivots, basis = linalg._echelon(rows())
     assert pivots == list(range(6))
     assert basis == [[int(i == j) for j in range(6)] for i in range(6)]

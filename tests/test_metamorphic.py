@@ -30,8 +30,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from shared import SLOTS2, algebras, cogebras, dense_algebras, inverse, rebased
 
+from nalg import algebras as alg
 from nalg import catalog
-from nalg.algebras import Algebra, ClassificationReport, _integer_table, _solve, annihilator, classify
+from nalg.algebras import Algebra, ClassificationReport, annihilator, classify
 from nalg.cogebras import Cogebra, classify_cogebra, coannihilator
 from nalg.duality import dualize_algebra, dualize_cogebra
 from nalg.linalg import span
@@ -175,7 +176,7 @@ def test_every_two_dimensional_table(dim2_tables, dim2_reports):
         t, s, std = annihilator_type(report.annihilator_basis)
         assert report.annihilator_dim == t + s + 2 * std
         # The annihilator is the right annihilator of g: v with g v = 0.
-        g = _solve(_integer_table(A.products)[0], 1, -1)
+        g = alg._solve(alg._integer_table(A.products)[0], 1, -1)
         assert (t, s, std) == (int(not g[0]), int(not g[1]), 2 - span([g[2:4], g[4:]], 2).dim)
         types[t, s, std] += 1
     census = Counter(r.annihilator_dim for r in reports.values())

@@ -11,8 +11,9 @@ pickle made while it lived in ``nalg.cogebras`` still loads.  ``nalg``
 exports one 4-index map type, ``TrilinearMap``.
 
 No test module imports another, so one that fails to import loses only
-its own tests; ``tests/shared.py`` and ``tests/conftest.py``, which any
-test may load, import no private ``nalg`` name.
+its own tests, and no test module reads a private ``nalg`` name when it is
+imported, only inside the function that uses it, so renaming one fails
+only the tests that use it.
 """
 
 import ast
@@ -98,11 +99,16 @@ def test_no_test_module_imports_another():
     assert found == []
 
 
-def test_shared_test_modules_import_no_private_name():
-    assert [_private_names(TESTS[name]) for name in ("shared.py", "conftest.py")] == [[], []]
-    # Function bodies run later; their decorators and defaults run now.
-    tree = ast.parse("import nalg._r\nfrom nalg.cli import _p, main\nx = cli._G\n@given(cli._O)\ndef f(t=cli._X):\n    return cli._z\n")
-    assert [name for _, name in _private_names(tree)] == ["nalg._r", "nalg.cli._p", "_G", "_O", "_X"]
+def test_no_test_module_reads_a_private_name_on_import():
+    assert {name: found for name, tree in TESTS.items() if (found := _private_names(tree))} == {}
+    # Function bodies run later; their decorators and defaults, and class
+    # bodies, run now.
+    tree = ast.parse(
+        "import nalg._r\nfrom nalg.cli import _p, main\nx = cli._G\nK = (2, alg._k)\n@example(alg._e)\n"
+        "@given(cli._O)\ndef f(t=cli._X):\n    return cli._z\nclass T:\n    c = alg._c\n    def m(self):\n"
+        "        return alg._m\n"
+    )
+    assert [name for _, name in _private_names(tree)] == ["nalg._r", "nalg.cli._p", "_G", "_k", "_e", "_O", "_X", "_c"]
 
 
 def test_function_imports_are_found_in_methods_and_nested_functions():

@@ -14,7 +14,8 @@ from math import gcd
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nalg.linalg import _rational_pair, parse_rational
+from nalg import linalg
+from nalg.linalg import parse_rational
 
 _RATIONAL_FORM = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
@@ -69,7 +70,7 @@ texts = st.one_of(
 @given(texts)
 @settings(max_examples=400)
 def test_rational_pair_matches_the_regular_expression(text):
-    ours = outcome(_rational_pair, text)
+    ours = outcome(linalg._rational_pair, text)
     assert ours == outcome(regex_pair, text)
     if type(ours) is tuple:
         assert parse_rational(text) == Fraction(*ours)

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from shared import raw_documents
 
-from nalg import catalog
-from nalg.formats import FormatError, _build, _load_object, _scan, parse_algebra, parse_cogebra
+from nalg import catalog, formats
+from nalg.formats import FormatError, parse_algebra, parse_cogebra
 
 _BAD_INDICES = (0, -1, 5, True, False, 1.0, "1", None, [1])
 _BAD_VALUES = ([], [1, 2], "ab", "abc", 2, None, 1.5)
@@ -124,8 +124,8 @@ def _outcome(read, *args):
 
 def _read_document(text):
     """The structure that ``text`` holds, built from its scan, and the cleared table."""
-    parts, cleared, _ = _scan(text)
-    return _build(*parts), cleared
+    parts, cleared, _ = formats._scan(text)
+    return formats._build(*parts), cleared
 
 
 def assert_readers_agree(text):
@@ -136,7 +136,7 @@ def assert_readers_agree(text):
         except FormatError as exc:
             got = str(exc)
         try:
-            expected = pickle.dumps(reference.read(_load_object(text), kind)[0])
+            expected = pickle.dumps(reference.read(formats._load_object(text), kind)[0])
         except FormatError as exc:
             expected = str(exc)
         assert got == expected, kind
