@@ -47,8 +47,7 @@ from typing import Iterator, Mapping, Sequence
 
 from ._record import Record
 from .linalg import Subspace, Vec, _cleared, _exact, as_vec
-from .sym3 import SUBGROUPS, GroupAlgElem, Perm3, PERMS, killed, special_vector, split
-from .sym3 import right_annihilator
+from .sym3 import SUBGROUPS, GroupAlgElem, Perm3, PERMS, killed, right_annihilator, special_vector, split
 
 
 def _table(dim: int, entries: Mapping[tuple, Fraction], size: int, what: str) -> dict:
@@ -365,6 +364,11 @@ def _split_solve(splits: Iterator[tuple[int, ...]], cap: tuple = (True, True, 2)
     return (eps, sgn, 1, 0, 0, 1) if full else (eps, sgn, x, y, 0, 0)
 
 
+def _is_unit(g: tuple[int, ...]) -> bool:
+    """Whether the normal-form split ``g`` is a unit: eps(g), sgn(g) nonzero and rho(g) = 1, right annihilator 0."""
+    return bool(g[0] and g[1] and g[5])
+
+
 def _shape_orders(shape: tuple[int, int, int]) -> tuple[tuple, tuple]:
     """The distinct images of a start of ``shape`` under the six slot
     orders: each with its first place p in _SLOT_ORDERS, and (p, q) for
@@ -441,7 +445,7 @@ def _solve(P: Mapping[tuple[int, int, int], int], left: int, right: int, associa
     anticommutative (eps(g) = 0, rank <= 1).  At the cap g spans the whole
     left annihilator of those vectors, so no later orbit changes it."""
     g = _split_solve(_orbit_probe(P, left, right))
-    if g[0] and g[1] and g[5]:
+    if _is_unit(g):
         return g
     cap = True, len(set().union(*P)) > 2, 2
     if right in (-left, 0) and _symmetric(P, 1):
@@ -589,8 +593,7 @@ def _classify(P: Mapping[tuple[int, int, int], int], has_unit: bool) -> Classifi
     ``_integer_table`` returns it, and a unit when ``has_unit``."""
     g = _solve(P, 1, -1)
     bang = dict.fromkeys(_BANG_SPLITS, False)
-    if g[0] and g[1] and g[5]:
-        # g is invertible (rho(g) = 1 in normal form), as on a generic table.
+    if _is_unit(g):
         return ClassificationReport(dict.fromkeys(_GI_SPLITS, False), bang, False, False, False, has_unit, 0, ())
     gi = {i: killed(g, f) for i, f in _GI_SPLITS.items()}
     if gi[1]:

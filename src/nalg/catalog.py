@@ -18,10 +18,10 @@ built by ``_candidates(slots)``: every table whose constants on ``slots``
 range lexicographically over {-1, 0, 1} (in ``slots`` order; other slots
 are zero), and the instance has the basis e1..e<dim>.  A candidate is its
 integer table, a plain dict, and the predicates test it with the
-table-level forms of the checks (the kill tests, ``_symmetric`` and
-``_solve`` of :mod:`nalg.algebras`); only the hit becomes an ``Algebra``,
-through the checking constructor, which gives the instance Fractions of
-its own.
+table-level checks of :mod:`nalg.algebras`: ``_symmetric``, O(nnz), first,
+then the kill tests, and ``_is_unit`` of ``_solve``.  Only the hit becomes
+an ``Algebra``, through the checking constructor, which gives the instance
+Fractions of its own.
 
 * ``vinberg2`` / ``prelie2`` / ``g4_2`` / ``g5_only``: all 2-dimensional
   tables, the 8 slots ordered by (i, j, k), where the identity of index 2,
@@ -56,8 +56,8 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import duality, formats, products
-from .algebras import _BANG_SPLITS, _GI_SPLITS, Algebra, _commutator, _integer_table, _kills, _solve, _symmetric
-from .sym3 import right_annihilator
+from .algebras import _BANG_SPLITS, _GI_SPLITS, Algebra, _commutator, _integer_table, _is_unit, _kills
+from .algebras import _solve, _symmetric
 
 # Ints: the checks take an int-valued table as it is, and the constructor
 # that a searched builder runs on the hit makes Fractions of its own
@@ -155,27 +155,24 @@ _BUILDERS = {
         lambda: _candidates(_DIM2),
         lambda P: _holds(P, 3)
         and not _holds(P, 1)
-        and right_annihilator(
-            _solve(products._tensor_table(_integer_table(build("vinberg2").products)[0], P, 2), 1, -1)
-        ).dim
-        == 0,
+        and _is_unit(_solve(products._tensor_table(_integer_table(build("vinberg2").products)[0], P, 2), 1, -1)),
     ),
     "g4_2": _searched(2, lambda: _candidates(_DIM2), lambda P: _holds(P, 4) and not _holds(P, 1)),
     "sl2": _sl2,
     "g5_only": _searched(
         2,
         lambda: _candidates(_DIM2),
-        lambda P: _holds(P, 5) and not _holds(P, 1) and not _symmetric(P, -1),
+        lambda P: not _symmetric(P, -1) and _holds(P, 5) and not _holds(P, 1),
     ),
     "g2bang3": _searched(
         3,
         lambda: _candidates(_GRADED3),
-        lambda P: _holds(P, 1) and _kills(_BANG_SPLITS[2], P, 1, 0) and not _symmetric(P, 1),
+        lambda P: not _symmetric(P, 1) and _holds(P, 1) and _kills(_BANG_SPLITS[2], P, 1, 0),
     ),
     "nonjacobi3": _searched(
         3, lambda: map(_commutator, _candidates(_PAIRS3)), lambda P: not (_symmetric(P, -1) and _holds(P, 5))
     ),
-    "generic3": _searched(3, lambda: _candidates(_GENERIC3), lambda P: right_annihilator(_solve(P, 1, -1)).dim == 0),
+    "generic3": _searched(3, lambda: _candidates(_GENERIC3), lambda P: _is_unit(_solve(P, 1, -1))),
 }
 
 ALGEBRA_NAMES: tuple[str, ...] = tuple(_BUILDERS)

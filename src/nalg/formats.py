@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -83,6 +84,14 @@ def _load_object(text: str) -> dict:
         ) from None
     except RecursionError:
         raise FormatError("document is nested too deeply") from None
+    except ValueError:
+        # json raises no other ValueError than for an int literal past
+        # Python's digit limit: the first one outside a string, a fraction
+        # and an exponent.
+        limit = sys.get_int_max_str_digits()
+        number = re.compile(rf'"(?:[^"\\]|\\.)*"|(?<![0-9.eE+-])-?[1-9][0-9]{{{limit},}}(?![0-9]|\.[0-9]|[eE])')
+        at = json.JSONDecodeError("", text, next(m for m in number.finditer(text) if m[0][0] != '"').start())
+        raise FormatError(f"integer at line {at.lineno}, column {at.colno} has more than {limit} digits") from None
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object")
     return doc
@@ -275,7 +284,7 @@ def print_document(obj) -> str:
     """The canonical text of an algebra or a cogebra: ``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"``
     of its document, written out for its fixed shape.  Of its strings only
     basis names can need escapes, which ``encode_basestring`` makes."""
-    for kind, (cls, field, entry_fields, term_fields, unit_field, *_) in _KINDS.items():
+    for kind, (cls, field, entry_fields, term_fields, unit_field, *_, constant) in _KINDS.items():
         if isinstance(obj, cls):
             break
     else:
@@ -286,8 +295,11 @@ def print_document(obj) -> str:
     term = "        {{\n" + "".join(f'          "{f}": {{}},\n' for f in term_fields)
     term += '          "c": "{}"\n        }}'
     by_head: dict[tuple[int, ...], list[str]] = {}
-    for key, c in sorted(getattr(obj, field).items()):
-        by_head.setdefault(key[:n], []).append(term.format(*key[n:], format_rational(c)))
+    try:
+        for key, c in sorted(getattr(obj, field).items()):
+            by_head.setdefault(key[:n], []).append(term.format(*key[n:], format_rational(c)))
+    except ValueError as exc:
+        raise ValueError(f"{exc} (in {constant} entry {key})") from None
     entries = ",\n".join(head.format(*h) + ",\n".join(terms) + "\n      ]\n    }" for h, terms in by_head.items())
     entries = f"[\n{entries}\n  ]" if entries else "[]"
     basis = ",\n".join(f"    {json.encoder.encode_basestring(name)}" for name in obj.basis_names())

@@ -13,6 +13,7 @@ anywhere.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
@@ -25,6 +26,12 @@ Vec = tuple[Fraction, ...]
 _denominator = attrgetter("denominator")
 
 
+def _too_long() -> ValueError:
+    """The error for a numerator or denominator past Python's limit on the
+    digits of an int read from or written as text, in place of Python's."""
+    return ValueError(f"a numerator or denominator has more than {sys.get_int_max_str_digits()} digits")
+
+
 def _rational_pair(text: str) -> tuple[int, int]:
     """The reduced pair ``(p, q)``, ``q`` positive, of the strict text form:
     optional sign, ASCII digits, optional "/" and positive ASCII digits.
@@ -33,12 +40,15 @@ def _rational_pair(text: str) -> tuple[int, int]:
     digits = p[1:] if p[:1] in "+-" else p
     if not (digits.isdigit() and digits.isascii() and (not slash or q.isdigit() and q.isascii())):
         raise ValueError(f"malformed rational: {text!r}")
-    if not slash:
-        return int(p), 1
-    q = int(q)
+    try:
+        if not slash:
+            return int(p), 1
+        q = int(q)
+        p = int(p) if q else 0
+    except ValueError:
+        raise _too_long() from None
     if q == 0:
         raise ValueError(f"malformed rational: {text!r} (denominator must be positive)")
-    p = int(p)
     g = gcd(p, q)
     return p // g, q // g
 
@@ -50,9 +60,12 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical "p/q" text (plain "p" for integers); parse_rational round-trips it."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise _too_long() from None
 
 
 def _exact(value) -> Fraction:

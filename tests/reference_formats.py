@@ -7,20 +7,90 @@ parsed straight from the text, and then clears that table of
 denominators.  ``nalg.formats``, which checks a
 document into reduced int pairs and makes ``Fraction``s only when a
 structure is asked for, must give the same error text, the same structure
-and the same cleared table on every input.
+and the same cleared table on every input, short of an int literal past
+Python's digit limit, which the differential tests do not draw.  It
+shares no code with ``nalg.formats`` but the ``FormatError`` class: the
+kinds table, the key, dim, basis and index checks, the JSON errors and
+every error text are spelled out here.
 """
 
 from __future__ import annotations
 
+import json
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 
-from nalg import formats
+from nalg.algebras import Algebra, Cogebra
 from nalg.formats import FormatError
 
 _RATIONAL_FORM = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
+
+# Per kind: the class, its table field, the index fields of an entry and of
+# an output term, its (co)unit field, and the texts of its errors: the
+# document, an entry's fields, a term's fields and a repeated key.
+KINDS = {
+    "algebra": (
+        Algebra, "products", ("left", "right"), ("k",), "unit",
+        "an algebra", "'left', 'right', 'out'", "'k' and 'c'", "structure-constant",
+    ),
+    "cogebra": (
+        Cogebra, "coproducts", ("in",), ("i", "j"), "counit",
+        "a cogebra", "'in' and 'out'", "'i', 'j' and 'c'", "costructure-constant",
+    ),
+}
+
+
+def load_object(text: str) -> dict:
+    """The JSON object ``text`` holds."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise FormatError("document is nested too deeply") from None
+    if type(doc) is not dict:
+        raise FormatError("document must be a JSON object")
+    return doc
+
+
+def check_keys(doc: dict, expected: set[str]) -> None:
+    if doc.keys() - expected:
+        raise FormatError("unknown field(s): " + ", ".join(sorted(doc.keys() - expected)))
+    if expected - doc.keys():
+        raise FormatError("missing field(s): " + ", ".join(sorted(expected - doc.keys())))
+
+
+def read_dim(doc: dict) -> int:
+    dim = doc["dim"]
+    if type(dim) is not int or dim <= 0:
+        raise FormatError("'dim' must be a positive integer")
+    return dim
+
+
+def read_basis(doc: dict, dim: int) -> tuple[str, ...]:
+    basis = doc["basis"]
+    if type(basis) is not list or len(basis) != dim or any(type(n) is not str for n in basis):
+        raise FormatError("'basis' must list one name per basis element")
+    return tuple(basis)
+
+
+def check_index(obj: dict, fields: tuple, dim: int) -> None:
+    """The error of the first field of ``obj`` that is not an index in 1..dim."""
+    for field in fields:
+        value = obj[field]
+        if type(value) is not int:
+            raise FormatError(f"'{field}' must be an integer")
+        if value < 1 or value > dim:
+            raise FormatError(f"index out of range: '{field}' = {value}")
+
+
+def _past_limit(digits: str) -> bool:
+    """Whether ``digits`` are more than Python's limit on the digits of an int read from text, if it has one."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    return 0 < limit < len(digits)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -28,12 +98,16 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_FORM.match(text)
     if m is None:
         raise ValueError(f"malformed rational: {text!r}")
-    if m.group(2) is None:
-        return Fraction(int(m.group(1)))
-    den = int(m.group(2))
-    if den == 0:
-        raise ValueError(f"malformed rational: {text!r} (denominator must be positive)")
-    return Fraction(int(m.group(1)), den)
+    numerator, denominator = m.groups()
+    too_long = "a numerator or denominator has more than {} digits"
+    if denominator is not None:
+        if _past_limit(denominator):
+            raise ValueError(too_long.format(sys.get_int_max_str_digits()))
+        if int(denominator) == 0:
+            raise ValueError(f"malformed rational: {text!r} (denominator must be positive)")
+    if _past_limit(numerator.lstrip("+-")):
+        raise ValueError(too_long.format(sys.get_int_max_str_digits()))
+    return Fraction(int(numerator), int(denominator or 1))
 
 
 def _place(noun: str, head: tuple | None) -> str:
@@ -47,9 +121,9 @@ def _label(head: tuple) -> str:
 
 def read_document(text: str) -> tuple:
     """The structure of either kind that ``text`` holds, and its cleared table."""
-    doc = formats._load_object(text)
+    doc = load_object(text)
     kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in formats._KINDS:
+    if type(kind) is not str or kind not in KINDS:
         raise FormatError("'kind' must be 'algebra' or 'cogebra'")
     return read(doc, kind)
 
@@ -71,12 +145,12 @@ def read(doc: dict, kind: str) -> tuple:
     """The algebra or cogebra of ``kind`` that the decoded ``doc`` holds, and
     its table cleared of denominators."""
     (cls, field, entry_fields, term_fields, unit_field,
-     article, entry_keys, term_keys, constant) = formats._KINDS[kind]
+     article, entry_keys, term_keys, constant) = KINDS[kind]
     if doc.get("kind") != kind:
         raise FormatError(f"expected {article} document ('kind': '{kind}')")
-    formats._check_keys(doc, {"kind", "dim", "basis", field, unit_field})
-    dim = formats._read_dim(doc)
-    basis = formats._read_basis(doc, dim)
+    check_keys(doc, {"kind", "dim", "basis", field, unit_field})
+    dim = read_dim(doc)
+    basis = read_basis(doc, dim)
     entries = doc[field]
     if not isinstance(entries, list):
         raise FormatError(f"'{field}' must be a list")
@@ -93,7 +167,7 @@ def read(doc: dict, kind: str) -> tuple:
         head, terms = got[:-1], got[-1]
         for t in head:
             if type(t) is not int or not 0 < t <= dim:
-                formats._read_index(entry, entry_fields, dim)
+                check_index(entry, entry_fields, dim)
         if head in heads:
             raise FormatError(f"duplicate {noun} entry for {_label(head)}")
         heads.add(head)
@@ -105,7 +179,7 @@ def read(doc: dict, kind: str) -> tuple:
             got = term_get(term)
             for t in got[:-1]:
                 if type(t) is not int or not 0 < t <= dim:
-                    formats._read_index(term, term_fields, dim)
+                    check_index(term, term_fields, dim)
             key = head + got[:-1]
             if key in table:
                 raise FormatError(f"duplicate {constant} entry {key}")

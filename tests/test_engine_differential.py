@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from shared import algebras, dense_algebras, dense_table_text
 
 from nalg import algebras as alg
-from nalg import catalog, linalg
+from nalg import catalog, linalg, products
 from nalg.algebras import (
     Algebra,
     ClassificationReport,
@@ -317,6 +317,37 @@ def test_split_solve_matches_the_slot_row_solve(A, v):
     assert report.is_3_power_associative == ann.contains(ASSOCIATOR_VECTORS["W"])
     assert report.annihilator_dim == ann.dim
     assert report.annihilator_basis == tuple(GroupAlgElem(row) for row in ann.basis)
+
+
+def _assert_a_unit_has_zero_annihilator(P):
+    """``_is_unit`` of the associator's generator over ``P`` says exactly
+    whether its right annihilator is zero, as a bool."""
+    g = alg._solve(P, 1, -1)
+    assert alg._is_unit(g) is (right_annihilator(g).dim == 0), g
+
+
+@given(st.one_of(algebras(), dense_algebras()))
+@settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
+def test_a_unit_is_a_generator_with_zero_annihilator(A):
+    _assert_a_unit_has_zero_annihilator(alg._integer_table(A.products)[0])
+
+
+def test_a_unit_on_the_catalog_and_the_prelie2_tensors():
+    for name in catalog.ALGEBRA_NAMES:
+        _assert_a_unit_has_zero_annihilator(alg._integer_table(catalog.build(name).products)[0])
+    # The prelie2 search tests the tensor product with vinberg2 of each of
+    # its 356 candidates that is pre-Lie and not associative: three, the
+    # last its hit.
+    vinberg2 = alg._integer_table(catalog.build("vinberg2").products)[0]
+    scanned = itertools.islice(catalog._candidates(catalog._DIM2), 356)
+    tested = [P for P in scanned if catalog._holds(P, 3) and not catalog._holds(P, 1)]
+    assert len(tested) == 3
+    units = []
+    for P in tested:
+        T = products._tensor_table(vinberg2, P, 2)
+        _assert_a_unit_has_zero_annihilator(T)
+        units.append(alg._is_unit(alg._solve(T, 1, -1)))
+    assert units == [False, False, True]
 
 
 # Used indices 3 and 7 only: no orbit with three distinct indices, so

@@ -6,15 +6,19 @@ command of the grammar runs in-process through ``cli.main`` on files made
 by structural mutation of catalog documents: keys dropped or repeated,
 values of the wrong type, indices out of range, huge ints, the wrong kind
 and deep nesting; and the ``s3`` commands on bad expressions.  Every run
-must keep the contract within ``TIME_BOUND_S``.
+must keep the contract within ``TIME_BOUND_S``.  Ints past Python's digit
+limit, in a coefficient, a field, an expression or a computed product,
+fail with nalg's own message, which names the place and the limit.
 """
 
 import copy
 import json
 import os
+import sys
 import tempfile
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from shared import PLAIN_WORDS, argvs, run_cli
@@ -156,3 +160,55 @@ def test_every_command_keeps_the_exit_code_contract(argv, files, expr):
         assert err == ""
     assert "Traceback" not in err
     assert seconds < TIME_BOUND_S, (argv, seconds)
+
+
+# Ints past Python's digit limit for int <-> str conversion (4,300 by
+# default, so 5,000 and 2,500 digits): nalg names the place and the limit
+# in its own words, and writes no file.
+LIMIT = sys.get_int_max_str_digits()
+BIG, HALF = "9" * (LIMIT + 700), "9" * ((LIMIT + 701) // 2)
+
+
+def one_dim(kind, c):
+    """A 1-dim document of ``kind`` whose one constant has the text ``c``."""
+    if kind == "algebra":
+        entry = f'{{"left": 1, "right": 1, "out": [{{"k": 1, "c": "{c}"}}]}}'
+        return f'{{"kind": "algebra", "dim": 1, "basis": ["e1"], "products": [{entry}], "unit": null}}'
+    entry = f'{{"in": 1, "out": [{{"i": 1, "j": 1, "c": "{c}"}}]}}'
+    return f'{{"kind": "cogebra", "dim": 1, "basis": ["e1"], "coproducts": [{entry}], "counit": null}}'
+
+
+TOO_LONG = f"a numerator or denominator has more than {LIMIT} digits"
+OVERSIZED = {
+    "check of a long coefficient": (
+        ["check", "a.json"], {"a.json": one_dim("algebra", BIG)}, f"{TOO_LONG} (in product (1, 1))"
+    ),
+    "a long dim": (
+        ["check", "a.json"],
+        {"a.json": '{"kind": "algebra", "dim": ' + BIG + ', "basis": [], "products": [], "unit": null}'},
+        f"integer at line 1, column 28 has more than {LIMIT} digits",
+    ),
+    "s3 span of a long coefficient": (
+        ["s3", "span", BIG + "*id"], {}, f"{TOO_LONG} (at position 0 in {BIG + '*id'!r})"
+    ),
+    "tensor of two half-long coefficients": (
+        ["tensor", "a.json", "a.json", "-o", "out.json"],
+        {"a.json": one_dim("algebra", HALF)},
+        f"{TOO_LONG} (in structure-constant entry (1, 1, 1))",
+    ),
+    "convolve of two half-long coefficients": (
+        ["convolve", "c.json", "a.json", "-o", "out.json"],
+        {"a.json": one_dim("algebra", HALF), "c.json": one_dim("cogebra", HALF)},
+        f"{TOO_LONG} (in structure-constant entry (1, 1, 1))",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OVERSIZED)
+def test_oversized_ints_fail_with_nalgs_own_message(case, tmp_path, monkeypatch):
+    argv, files, message = OVERSIZED[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == (2, "", f"error: {message}\n")
+    assert sorted(os.listdir()) == sorted(files)

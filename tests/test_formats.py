@@ -1,12 +1,13 @@
 import json
 import re
+import sys
 from fractions import Fraction as F
 from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from shared import SRC, raw_documents, run_fresh
+from shared import raw_documents
 
 from nalg import algebras as alg
 from nalg import catalog, formats, linalg
@@ -111,6 +112,22 @@ class TestAlgebraFiles:
     def test_syntax_error_carries_position(self):
         with pytest.raises(FormatError, match="line 1"):
             parse_algebra("{not json")
+
+    def test_an_int_past_the_digit_limit_carries_its_position(self):
+        # Past a string, a fraction and an exponent with as many digits,
+        # which int() never reads.
+        long = "9" * (sys.get_int_max_str_digits() + 1)
+        text = f'{{"basis": ["{long}", "\\"{long}"], "x": [1.{long}, 1e-{long}, 0],\n "dim": -{long}}}'
+        message = f"integer at line 2, column 9 has more than {len(long) - 1} digits"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_document(text)
+
+    def test_a_printed_constant_past_the_digit_limit_names_its_entry(self):
+        long = F(10 ** (sys.get_int_max_str_digits() // 2 + 1))
+        C = Cogebra(2, {(2, 1, 2): long * long})
+        message = f"a numerator or denominator has more than {sys.get_int_max_str_digits()} digits"
+        with pytest.raises(ValueError, match=re.escape(f"{message} (in costructure-constant entry (2, 1, 2))")):
+            print_document(C)
 
     def test_kind_mismatch(self):
         with pytest.raises(FormatError):
@@ -403,11 +420,6 @@ class TestExpressions:
         except FormatError as exc:
             got = str(exc)
         assert got == _reference_parse(text)
-
-    def test_importing_the_cli_compiles_no_pattern(self):
-        # A compiled pattern costs every fresh process its compile time.
-        code = "import re, nalg.cli, nalg.formats as f; print(any(isinstance(v, re.Pattern) for v in vars(f).values()))"
-        assert run_fresh(code, SRC).stdout == "False\n"
 
 
 # --- every document error, pinned ------------------------------------------

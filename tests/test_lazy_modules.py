@@ -8,7 +8,9 @@ module counts as not run while ``type(sys.modules[name])`` is not
 turns the lazy module into a plain one.  Importing a lazy module by name,
 before or after ``nalg.cli``, gives the one module object, run once; and
 every name ``nalg`` exported before the modules became lazy is still there,
-the very object of its home module.
+the very object of its home module.  The same interpreters check that
+``import nalg.cli`` loads none of ``UNUSED`` and leaves no compiled
+pattern in ``nalg.formats``, and that no command loads argparse.
 """
 
 import json
@@ -18,6 +20,10 @@ import pytest
 from shared import DATA, SRC, run_fresh
 
 LAZY = ("catalog", "cogebras", "duality", "products")
+# Modules that ``import nalg.cli`` never loads: the code generation of
+# dataclasses, and argparse, with its gettext, which only help and usage
+# errors need, so no command that parses loads these two either.
+UNUSED = ("dataclasses", "inspect", "ast", "argparse", "gettext")
 
 # ``nalg``'s public namespace before the modules became lazy, by home module.
 EXPORTS = {
@@ -145,7 +151,16 @@ COMMANDS = {
 
 
 def test_importing_the_cli_runs_no_lazy_module():
-    assert run("import nalg.cli\nprint(ran())") == ["[]"]
+    # Nor does it load an unused module, or compile a pattern, which would
+    # cost every fresh process its compile time.
+    code = f"""
+        import re
+        import nalg.cli
+        print(ran())
+        print([m for m in {UNUSED!r} if m in sys.modules])
+        print(any(isinstance(v, re.Pattern) for v in vars(nalg.formats).values()))
+    """
+    assert run(code) == ["[]", "[]", "False"]
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -157,7 +172,8 @@ def test_a_command_runs_only_the_modules_it_uses(command, tmp_path):
         print(ran())
         code = main(sys.argv[2:])
         print(code, ran())
+        print([m for m in ("argparse", "gettext") if m in sys.modules])
     """
     lines = run(code, *argv)
     assert lines[0] == "[]"
-    assert lines[-1] == f"0 {expected}"
+    assert lines[-2:] == [f"0 {expected}", "[]"]

@@ -4,10 +4,12 @@
 ``isdigit() and isascii()`` on each digit run.  The expression below is
 the one it replaced, kept as the oracle: both must accept the same texts,
 give the same pairs, and fail with the same error texts, also where
-``int`` itself fails on a text past Python's int-digit limit.
+``int`` itself fails on a text past Python's int-digit limit: there nalg
+names the limit in its own words, in place of Python's text.
 """
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -20,16 +22,24 @@ from nalg.linalg import parse_rational
 _RATIONAL_FORM = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
 
+def to_int(digits):
+    """``int(digits)``, failing past Python's int-digit limit with nalg's text."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"a numerator or denominator has more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def regex_pair(text):
     m = _RATIONAL_FORM.match(text)
     if m is None:
         raise ValueError(f"malformed rational: {text!r}")
     if m.group(2) is None:
-        return int(m.group(1)), 1
-    q = int(m.group(2))
+        return to_int(m.group(1)), 1
+    q = to_int(m.group(2))
     if q == 0:
         raise ValueError(f"malformed rational: {text!r} (denominator must be positive)")
-    p = int(m.group(1))
+    p = to_int(m.group(1))
     g = gcd(p, q)
     return p // g, q // g
 

@@ -1,15 +1,13 @@
-"""The contract of the value classes, and the start-up guard.
+"""The contract of the value classes, and argparse's usage errors.
 
 The nine value classes are plain ``__slots__`` classes on
 ``nalg._record.Record``.  They keep the behaviour of the frozen
 dataclasses they replace: field-wise equality within one class, the hash
 of the tuple of fields (unhashable when a field is a dict), the
 ``Name(field=value, ...)`` repr, and ``AttributeError`` on assignment.
-Importing ``nalg.cli`` must not load the code-generation machinery of
-``dataclasses`` (``inspect``, ``ast``), which once took a quarter of the
-import time of every command, and a command that parses needs neither
-``argparse`` nor the ``gettext`` it imports: those load only for help and
-usage errors.
+``tests/test_lazy_modules.py`` checks that importing ``nalg.cli`` loads
+none of ``dataclasses``, ``inspect`` and ``ast``, and that a command that
+parses loads neither ``argparse`` nor ``gettext``.
 """
 
 import copy
@@ -18,7 +16,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from shared import DATA, SRC, run_fresh
+from shared import SRC, run_fresh
 
 from nalg import catalog
 from nalg.algebras import Algebra, ClassificationReport, TrilinearMap, classify
@@ -27,20 +25,10 @@ from nalg.linalg import Subspace, as_vec, span
 from nalg.sym3 import GroupAlgElem, Perm3
 
 
-def test_cli_import_loads_no_code_generation_modules():
-    code = "import nalg.cli; print(' '.join(m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules))"
-    assert run_fresh(code, SRC).stdout.split() == []
-
-
 def test_check_loads_argparse_only_for_a_usage_error():
-    code = (
-        "from nalg.cli import main; "
-        "main(['check', sys.argv[2], '--json']); "
-        "print('loaded:' + ' '.join(m for m in ('argparse', 'gettext') if m in sys.modules)); "
-        "main(['check'])"
-    )
-    done = run_fresh(code, SRC, DATA / "mat2.json", returncode=2)
-    assert done.stdout.splitlines()[-1] == "loaded:"
+    # A command that parses loads neither argparse nor gettext
+    # (tests/test_lazy_modules.py); a usage error gets argparse's text.
+    done = run_fresh("from nalg.cli import main; main(['check'])", SRC, returncode=2)
     assert done.stderr.startswith("usage: nalg check [-h] [--json] file\n")
     assert done.stderr.endswith("error: the following arguments are required: file\n")
 
