@@ -41,9 +41,9 @@ A(z, y, x) = -A(x, y, z).
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Mapping, Sequence
 
 from ._record import Record
 from .linalg import Subspace, Vec, _cleared, _exact, as_vec

@@ -52,8 +52,8 @@ Fractions of its own.
 from __future__ import annotations
 
 import itertools
+import os
 from functools import lru_cache
-from pathlib import Path
 
 from . import duality, formats, products
 from .algebras import _BANG_SPLITS, _GI_SPLITS, Algebra, _commutator, _integer_table, _is_unit, _kills
@@ -63,7 +63,7 @@ from .algebras import _solve, _symmetric
 # that a searched builder runs on the hit makes Fractions of its own
 # (tables sharing Fraction objects would pickle to other bytes).
 _VALUES = (-1, 0, 1)
-_DATA = Path(__file__).parent / "data"
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _named(obj, name: str):
@@ -196,7 +196,7 @@ def data_text(name: str) -> str:
     """The committed file contents for an instance."""
     if name not in NAMES:
         raise ValueError(f"unknown catalog instance {name!r}")
-    return (_DATA / f"{name}.json").read_text("utf-8")
+    return formats._read(os.path.join(_DATA, f"{name}.json"))
 
 
 def get(name: str):

@@ -8,7 +8,8 @@ commands with expectation flags.
 ``catalog``, ``cogebras``, ``duality`` and ``products`` are lazy (see
 ``nalg/__init__.py``): they are imported here as modules and their
 functions read when a command calls them, so a command runs only the
-modules it uses.
+modules it uses.  Every file a command reads or writes goes through
+``nalg.formats``.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from __future__ import annotations
 import json
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import catalog, cogebras, duality, products
 from .algebras import Algebra, _classify, _solve, classify
 from .formats import (
-    _scan,
+    _read,
+    _read_table,
+    _write,
     format_ga_expr,
     parse_algebra,
     parse_cogebra,
@@ -40,33 +42,6 @@ _GI_LABELS = {
     5: "G5-generalized-Jacobi",
     6: "Lie-admissible",
 }
-
-
-# Bytes asked of each ``os.read``: a document of this size or less is read
-# whole by the first call, and the next finds the end of the file.
-_CHUNK = 1 << 16
-
-
-def _read(path: str) -> str:
-    """The UTF-8 text of the file at ``path``, with "\r\n" and a lone "\r"
-    read as "\n", as text mode reads them.  Read with plain system calls,
-    as it is read whole; an error of a read names ``path``, as an error of
-    the open does."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        chunks = []
-        while chunk := os.read(fd, _CHUNK):
-            chunks.append(chunk)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    finally:
-        os.close(fd)
-    text = b"".join(chunks).decode()
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-
-
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
 
 
 def _yes(flag: bool) -> str:
@@ -89,18 +64,6 @@ def _json_report(kind: str, dim: int, report) -> str:
         f'  "{names[2]}": {b[assoc]},\n  "{names[3]}": {b[lie]},\n  "{names[4]}": {b[power]},\n'
         f'  "{names[6]}": {ann_dim},\n  "{names[7]}": {basis}\n}}'
     )
-
-
-def _read_table(path: str) -> tuple:
-    """The class and dimension of the file at ``path``, the reader's cleared
-    table in product order, a cogebra's as its dual's, and whether it
-    declares a (co)unit, checked on that table with the cleared (co)unit
-    and scale the reader hands over: nothing is built."""
-    (cls, dim, *_), cleared, unit = _scan(_read(path))
-    P = cls._in_product_order(cleared)
-    if unit is not None:
-        cls._check_unit(P, *unit)
-    return cls, dim, P, unit is not None
 
 
 def _cmd_check(args) -> int:

@@ -22,8 +22,8 @@ only the coannihilator is moved, by the map p -> p^-1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from . import duality
 from ._record import Record

@@ -30,8 +30,10 @@ coordinate that holds it, and builds the structure through its
 constructor and all its checks, as every structure but a catalog search
 candidate is built.  A parsed table may so pickle to other bytes
 than an equal one built entry by entry (see ``catalog._VALUES``).
-``nalg check`` and ``nalg annihilator`` build nothing: they check the
-cleared (co)unit on the cleared table as the constructor checks its own.
+``nalg check`` and ``nalg annihilator`` build nothing: ``_read_table``
+checks the cleared (co)unit on the cleared table as the constructor
+checks its own.  Every file ``nalg`` reads goes through ``_read`` and
+every file it writes through ``_write``.
 
 Group-algebra expressions are sums of terms ``id, t12, t13, t23, c1, c2``,
 each optionally prefixed by a rational and ``*``, joined by ``+``/``-``,
@@ -42,6 +44,7 @@ Example: ``id - t12 - t13 - t23 + c1 + c2``.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -49,7 +52,7 @@ from math import lcm
 from operator import itemgetter
 
 from .algebras import Algebra, Cogebra
-from .linalg import _rational_pair, format_rational, parse_rational
+from .linalg import _quoted, _rational_pair, format_rational, parse_rational
 from .sym3 import PERM_NAMES, GroupAlgElem
 
 
@@ -100,7 +103,7 @@ def _load_object(text: str) -> dict:
 def _check_keys(doc: dict, expected: set[str]) -> None:
     unknown = set(doc) - expected
     if unknown:
-        raise FormatError(f"unknown field(s): {', '.join(sorted(unknown))}")
+        raise FormatError(f"unknown field(s): {_quoted(', '.join(sorted(unknown)), show=str)}")
     missing = expected - set(doc)
     if missing:
         raise FormatError(f"missing field(s): {', '.join(sorted(missing))}")
@@ -161,6 +164,50 @@ def parse_cogebra(text: str) -> Cogebra:
 def parse_document(text: str):
     """Parse either kind of document, keyed on the 'kind' field."""
     return _build(*_scan(text)[0])
+
+
+# Bytes asked of each ``os.read``: a document of this size or less is read
+# whole by the first call, and the next finds the end of the file.
+_CHUNK = 1 << 16
+
+
+def _read(path: str) -> str:
+    """The UTF-8 text of the file at ``path``, with "\r\n" and a lone "\r"
+    read as "\n", as text mode reads them.  Read with plain system calls,
+    as it is read whole; an error of a read names ``path``, as an error of
+    the open does."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _CHUNK):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode()
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _read_table(path: str) -> tuple:
+    """The class and dimension of the file at ``path``, the reader's cleared
+    table in product order, a cogebra's as its dual's, and whether it
+    declares a (co)unit, checked on that table with the cleared (co)unit
+    and scale the reader hands over: nothing is built."""
+    (cls, dim, *_), cleared, unit = _scan(_read(path))
+    P = cls._in_product_order(cleared)
+    if unit is not None:
+        cls._check_unit(P, *unit)
+    return cls, dim, P, unit is not None
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to the file at ``path`` in UTF-8.  The whole text is
+    encoded before the file is opened, so a text that cannot be encoded (a
+    basis name that is a lone surrogate) leaves the file as it was."""
+    data = text.encode()
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 def _scan(text: str, kind: str | None = None) -> tuple:
@@ -336,10 +383,10 @@ def parse_ga_expr(text: str) -> GroupAlgElem:
             negate = s[pos] == "-"
             pos += 1
         elif not first:
-            raise FormatError(f"expected '+' or '-' at position {where[pos]} in {text!r}")
+            raise FormatError(f"expected '+' or '-' at position {where[pos]} in {_quoted(text, where[pos])}")
         m = term.match(s, pos)
         if m is None:
-            raise FormatError(f"malformed term at position {where[pos]} in {text!r}")
+            raise FormatError(f"malformed term at position {where[pos]} in {_quoted(text, where[pos])}")
         coef_text, name = m.groups()
         if coef_text is None:
             coef = Fraction(1)
@@ -347,7 +394,7 @@ def parse_ga_expr(text: str) -> GroupAlgElem:
             try:
                 coef = parse_rational(coef_text)
             except ValueError as exc:
-                raise FormatError(f"{exc} (at position {where[pos]} in {text!r})") from None
+                raise FormatError(f"{exc} (at position {where[pos]} in {_quoted(text, where[pos])})") from None
         if negate:
             coef = -coef
         coords[PERM_NAMES.index(name)] += coef

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
+from collections.abc import Collection, Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Collection, Iterable, Sequence
 
 from ._record import Record
 
@@ -32,6 +32,24 @@ def _too_long() -> ValueError:
     return ValueError(f"a numerator or denominator has more than {sys.get_int_max_str_digits()} digits")
 
 
+# The most characters of an input that an error message quotes: a longer
+# input is quoted by an excerpt of this many, from a little before the
+# place that the message names.
+_QUOTED = 80
+
+
+def _quoted(text: str, at: int = 0, show=repr) -> str:
+    """``show(text)`` or, for a text of more than ``_QUOTED`` characters,
+    ``show`` of the ``_QUOTED`` of them that start a quarter of that before
+    index ``at``, or as near to it as the text allows, with "..." for each
+    end cut off."""
+    if len(text) <= _QUOTED:
+        return show(text)
+    start = min(max(at - _QUOTED // 4, 0), len(text) - _QUOTED)
+    end = start + _QUOTED
+    return "..." * (start > 0) + show(text[start:end]) + "..." * (end < len(text))
+
+
 def _rational_pair(text: str) -> tuple[int, int]:
     """The reduced pair ``(p, q)``, ``q`` positive, of the strict text form:
     optional sign, ASCII digits, optional "/" and positive ASCII digits.
@@ -39,7 +57,9 @@ def _rational_pair(text: str) -> tuple[int, int]:
     p, slash, q = text.partition("/")
     digits = p[1:] if p[:1] in "+-" else p
     if not (digits.isdigit() and digits.isascii() and (not slash or q.isdigit() and q.isascii())):
-        raise ValueError(f"malformed rational: {text!r}")
+        # Quoted from its first character that no rational holds, if any.
+        at = next((at for at, ch in enumerate(text) if ch not in "+-/0123456789"), 0)
+        raise ValueError(f"malformed rational: {_quoted(text, at)}")
     try:
         if not slash:
             return int(p), 1
@@ -48,7 +68,7 @@ def _rational_pair(text: str) -> tuple[int, int]:
     except ValueError:
         raise _too_long() from None
     if q == 0:
-        raise ValueError(f"malformed rational: {text!r} (denominator must be positive)")
+        raise ValueError(f"malformed rational: {_quoted(text, text.index('/') + 1)} (denominator must be positive)")
     g = gcd(p, q)
     return p // g, q // g
 

@@ -12,8 +12,8 @@ dual is built.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .algebras import Algebra, Cogebra
 

@@ -21,8 +21,8 @@ and isotypic multiplicities are read off the Wedderburn split, ``split``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from ._record import Record
 from .linalg import Subspace, _exact, as_vec, span

@@ -56,9 +56,21 @@ def load_object(text: str) -> dict:
     return doc
 
 
+def quoted(text: str, at: int = 0, show=repr) -> str:
+    """How an error message quotes the input ``text`` at its place ``at``:
+    ``show`` of all of it up to 80 characters; of a longer one, ``show`` of
+    the 80 from 20 before ``at``, moved back to end where ``text`` ends,
+    after "..." if it starts later than ``text`` and before "..." if it
+    ends sooner."""
+    if len(text) <= 80:
+        return show(text)
+    start = len(text) - 80 if at + 60 > len(text) else max(at - 20, 0)
+    return ("..." if start else "") + show(text[start:start + 80]) + ("..." if start + 80 < len(text) else "")
+
+
 def check_keys(doc: dict, expected: set[str]) -> None:
     if doc.keys() - expected:
-        raise FormatError("unknown field(s): " + ", ".join(sorted(doc.keys() - expected)))
+        raise FormatError("unknown field(s): " + quoted(", ".join(sorted(doc.keys() - expected)), show=str))
     if expected - doc.keys():
         raise FormatError("missing field(s): " + ", ".join(sorted(expected - doc.keys())))
 
@@ -97,14 +109,15 @@ def parse_rational(text: str) -> Fraction:
     """The strict text form, parsed straight into a Fraction."""
     m = _RATIONAL_FORM.match(text)
     if m is None:
-        raise ValueError(f"malformed rational: {text!r}")
+        bad = re.search(r"[^0-9/+-]", text)
+        raise ValueError(f"malformed rational: {quoted(text, bad.start() if bad else 0)}")
     numerator, denominator = m.groups()
     too_long = "a numerator or denominator has more than {} digits"
     if denominator is not None:
         if _past_limit(denominator):
             raise ValueError(too_long.format(sys.get_int_max_str_digits()))
         if int(denominator) == 0:
-            raise ValueError(f"malformed rational: {text!r} (denominator must be positive)")
+            raise ValueError(f"malformed rational: {quoted(text, m.start(2))} (denominator must be positive)")
     if _past_limit(numerator.lstrip("+-")):
         raise ValueError(too_long.format(sys.get_int_max_str_digits()))
     return Fraction(int(numerator), int(denominator or 1))

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from shared import DATA, SRC, algebras, report_doc, run_cli
 
 from nalg import algebras as alg
-from nalg import catalog, cli, cogebras
+from nalg import catalog, cli, cogebras, formats
 from nalg.algebras import Algebra, annihilator, classify, gi_check
 from nalg.cli import main
 from nalg.duality import dualize_algebra
@@ -257,7 +257,7 @@ class TestReading:
     def test_file_longer_than_one_read_parses(self, tmp_path):
         # Spaces after the first line break, so that the document is whole
         # only when every read is joined.
-        text = catalog.data_text("mat2").replace("\n", "\n" + " " * (2 * cli._CHUNK), 1)
+        text = catalog.data_text("mat2").replace("\n", "\n" + " " * (2 * formats._CHUNK), 1)
         assert self.check(tmp_path, text.encode()) == (0, (GOLDEN / "check_mat2.json").read_text(), "")
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count descriptors")
@@ -267,7 +267,7 @@ class TestReading:
         text = catalog.data_text("mat2")
         files = {
             "good.json": (text.encode(), 0),
-            "long.json": (text.replace("\n", "\n" + " " * (2 * cli._CHUNK), 1).encode(), 0),
+            "long.json": (text.replace("\n", "\n" + " " * (2 * formats._CHUNK), 1).encode(), 0),
             "not_utf8.json": (b"\xff" + text.encode(), 2),
         }
         for name, (data, _) in files.items():

@@ -189,7 +189,7 @@ OVERSIZED = {
         f"integer at line 1, column 28 has more than {LIMIT} digits",
     ),
     "s3 span of a long coefficient": (
-        ["s3", "span", BIG + "*id"], {}, f"{TOO_LONG} (at position 0 in {BIG + '*id'!r})"
+        ["s3", "span", BIG + "*id"], {}, f"{TOO_LONG} (at position 0 in {BIG[:80]!r}...)"
     ),
     "tensor of two half-long coefficients": (
         ["tensor", "a.json", "a.json", "-o", "out.json"],
@@ -212,3 +212,67 @@ def test_oversized_ints_fail_with_nalgs_own_message(case, tmp_path, monkeypatch)
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == (2, "", f"error: {message}\n")
     assert sorted(os.listdir()) == sorted(files)
+
+
+# A basis name that is a lone surrogate: valid JSON, which check reads, but
+# no UTF-8 text can hold it, so each command that writes it fails.  The
+# target keeps its bytes, or is not made.
+SURROGATE = {kind: one_dim(kind, "1").replace('"e1"', json.dumps("\ud800")) for kind in ("algebra", "cogebra")}
+UNWRITABLE = {
+    "dualize": ["dualize", "a.json", "-o", "out.json"],
+    "tensor": ["tensor", "a.json", "a.json", "-o", "out.json"],
+    "convolve": ["convolve", "c.json", "a.json", "-o", "out.json"],
+}
+
+
+@pytest.mark.parametrize("target", [b"kept\n", None], ids=["existing", "absent"])
+@pytest.mark.parametrize("command", UNWRITABLE)
+def test_a_write_that_fails_leaves_its_target_as_it_was(command, target, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text(SURROGATE["algebra"], encoding="utf-8")
+    (tmp_path / "c.json").write_text(SURROGATE["cogebra"], encoding="utf-8")
+    if target is not None:
+        (tmp_path / "out.json").write_bytes(target)
+    assert [run_cli("check", name)[0] for name in ("a.json", "c.json")] == [0, 0]
+    code, out, err = run_cli(*UNWRITABLE[command])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't encode character '\\ud800'") and err.count("\n") == 1, err
+    if target is None:
+        assert not (tmp_path / "out.json").exists()
+    else:
+        assert (tmp_path / "out.json").read_bytes() == target
+
+
+# An error line that quotes an input of any length stays short: the
+# input is quoted by an excerpt around the place the message names, which
+# keeps its position.
+ERROR_BYTES = 200
+LONG_INPUTS = {
+    "s3 span of a 5,000-digit term": (
+        ["s3", "span", "9" * 5000 + "*id"], {},
+        f"{TOO_LONG} (at position 0 in {'9' * 80!r}...)",
+    ),
+    "s3 span with a bad term far in": (
+        ["s3", "span", "id + " * 20_000 + "x"], {},
+        f"malformed term at position 100000 in ...{('id + ' * 20_000 + 'x')[-80:]!r}",
+    ),
+    "check of a 100,000-character coefficient": (
+        ["check", "a.json"], {"a.json": one_dim("algebra", "1" * 50_000 + "x" + "1" * 49_999)},
+        f"malformed rational: ...{'1' * 20 + 'x' + '1' * 59!r}... (in product (1, 1))",
+    ),
+    "check of a 100,000-character field name": (
+        ["check", "a.json"], {"a.json": one_dim("algebra", "1")[:-1] + f', "{"f" * 100_000}": 0}}'},
+        f"unknown field(s): {'f' * 80}...",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LONG_INPUTS)
+def test_an_error_quotes_a_long_input_by_an_excerpt(case, tmp_path, monkeypatch):
+    argv, files, message = LONG_INPUTS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(*argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err.encode()) <= ERROR_BYTES

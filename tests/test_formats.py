@@ -7,6 +7,7 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_formats import quoted
 from shared import raw_documents
 
 from nalg import algebras as alg
@@ -337,17 +338,17 @@ def _reference_parse(text):
     while pos < len(s):
         sign = s[pos] if s[pos] in "+-" else ""
         if pos and not sign:
-            return f"expected '+' or '-' at position {place[pos]} in {text!r}"
+            return f"expected '+' or '-' at position {place[pos]} in {quoted(text, place[pos])}"
         at = pos + len(sign)
         m = _TERM.match(s, at)
         if m is None:
-            return f"malformed term at position {place[at]} in {text!r}"
+            return f"malformed term at position {place[at]} in {quoted(text, place[at])}"
         coef = F(1)
         if m[1] is not None:
             try:
                 coef = parse_rational(m[1])
             except ValueError as exc:
-                return f"{exc} (at position {place[at]} in {text!r})"
+                return f"{exc} (at position {place[at]} in {quoted(text, place[at])})"
         coords[_PERM_NAMES.index(m[2])] += -coef if sign == "-" else coef
         pos = m.end()
     return tuple(coords)

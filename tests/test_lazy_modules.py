@@ -20,10 +20,11 @@ import pytest
 from shared import DATA, SRC, run_fresh
 
 LAZY = ("catalog", "cogebras", "duality", "products")
-# Modules that ``import nalg.cli`` never loads: the code generation of
-# dataclasses, and argparse, with its gettext, which only help and usage
-# errors need, so no command that parses loads these two either.
-UNUSED = ("dataclasses", "inspect", "ast", "argparse", "gettext")
+# Modules that ``import nalg.cli`` never loads, nor does any command that
+# parses: the code generation of dataclasses; argparse, with its gettext,
+# which only help and usage errors need; and pathlib and typing, which no
+# ``nalg`` module imports.
+UNUSED = ("dataclasses", "inspect", "ast", "argparse", "gettext", "pathlib", "typing")
 
 # ``nalg``'s public namespace before the modules became lazy, by home module.
 EXPORTS = {
@@ -167,12 +168,12 @@ def test_importing_the_cli_runs_no_lazy_module():
 def test_a_command_runs_only_the_modules_it_uses(command, tmp_path):
     argv, expected = COMMANDS[command]
     argv = [str(tmp_path / "out.json") if word == "OUT" else str(word) for word in argv]
-    code = """
+    code = f"""
         from nalg.cli import main
         print(ran())
         code = main(sys.argv[2:])
         print(code, ran())
-        print([m for m in ("argparse", "gettext") if m in sys.modules])
+        print([m for m in {UNUSED!r} if m in sys.modules])
     """
     lines = run(code, *argv)
     assert lines[0] == "[]"

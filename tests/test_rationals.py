@@ -5,7 +5,9 @@
 the one it replaced, kept as the oracle: both must accept the same texts,
 give the same pairs, and fail with the same error texts, also where
 ``int`` itself fails on a text past Python's int-digit limit: there nalg
-names the limit in its own words, in place of Python's text.
+names the limit in its own words, in place of Python's text.  An error
+quotes a long text by an excerpt (``reference_formats.quoted``) from its
+first character outside the form's alphabet, or from its denominator.
 """
 
 import re
@@ -15,6 +17,7 @@ from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_formats import quoted
 
 from nalg import linalg
 from nalg.linalg import parse_rational
@@ -33,12 +36,13 @@ def to_int(digits):
 def regex_pair(text):
     m = _RATIONAL_FORM.match(text)
     if m is None:
-        raise ValueError(f"malformed rational: {text!r}")
+        bad = re.search(r"[^0-9/+-]", text)
+        raise ValueError(f"malformed rational: {quoted(text, bad.start() if bad else 0)}")
     if m.group(2) is None:
         return to_int(m.group(1)), 1
     q = to_int(m.group(2))
     if q == 0:
-        raise ValueError(f"malformed rational: {text!r} (denominator must be positive)")
+        raise ValueError(f"malformed rational: {quoted(text, m.start(2))} (denominator must be positive)")
     p = to_int(m.group(1))
     g = gcd(p, q)
     return p // g, q // g
