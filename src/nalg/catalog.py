@@ -58,6 +58,7 @@ from functools import lru_cache
 from . import duality, formats, products
 from .algebras import _BANG_SPLITS, _GI_SPLITS, Algebra, _commutator, _integer_table, _is_unit, _kills
 from .algebras import _solve, _symmetric
+from .linalg import _quoted
 
 # Ints: the checks take an int-valued table as it is, and the constructor
 # that a searched builder runs on the hit makes Fractions of its own
@@ -180,23 +181,26 @@ COGEBRA_NAMES: tuple[str, ...] = tuple(f"dual_{n}" for n in ALGEBRA_NAMES)
 NAMES: tuple[str, ...] = ALGEBRA_NAMES + COGEBRA_NAMES
 
 
+def _known(name: str) -> str:
+    """``name``, which must name an instance."""
+    if name not in NAMES:
+        raise ValueError(f"unknown catalog instance {_quoted(name)}")
+    return name
+
+
 # Cached: ``prelie2`` is searched against ``vinberg2``, and each dual is
 # derived from its algebra, so a regen would build those twice.
 @lru_cache(maxsize=None)
 def build(name: str):
     """Build an instance from scratch, once per process (running its search if it has one)."""
-    if name not in NAMES:
-        raise ValueError(f"unknown catalog instance {name!r}")
     if name in _BUILDERS:
         return _BUILDERS[name](name)
-    return _named(duality.dualize_algebra(build(name[len("dual_"):])), name)
+    return _named(duality.dualize_algebra(build(_known(name)[len("dual_"):])), name)
 
 
 def data_text(name: str) -> str:
     """The committed file contents for an instance."""
-    if name not in NAMES:
-        raise ValueError(f"unknown catalog instance {name!r}")
-    return formats._read(os.path.join(_DATA, f"{name}.json"))
+    return formats._read(os.path.join(_DATA, f"{_known(name)}.json"))
 
 
 def get(name: str):

@@ -130,7 +130,7 @@ def _read_index(obj: dict, fields: tuple, dim: int) -> None:
         if type(obj[field]) is not int:
             raise FormatError(f"'{field}' must be an integer")
         if not 1 <= obj[field] <= dim:
-            raise FormatError(f"index out of range: '{field}' = {obj[field]}")
+            raise FormatError(f"index out of range: '{field}' = {_quoted(str(obj[field]), show=str)}")
 
 
 def _read_coefficient(value, texts: dict, noun: str, head: int | tuple | None = None) -> None:

@@ -14,9 +14,10 @@ anywhere.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Collection, Iterable, Sequence
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import attrgetter
 
@@ -32,22 +33,35 @@ def _too_long() -> ValueError:
     return ValueError(f"a numerator or denominator has more than {sys.get_int_max_str_digits()} digits")
 
 
-# The most characters of an input that an error message quotes: a longer
-# input is quoted by an excerpt of this many, from a little before the
-# place that the message names.
+# The most characters of an input that an error message shows, each
+# non-printable one counted as the characters of its escape: a longer
+# input is quoted by an excerpt, from a little before the place that the
+# message names.
 _QUOTED = 80
 
 
+def _shown(ch: str) -> str:
+    """The character ``ch`` as an error line shows it: as it is if it is
+    printable, else escaped as ``repr`` escapes it, so one line stays one."""
+    return ch if ch.isprintable() else repr(ch)[1:-1]
+
+
 def _quoted(text: str, at: int = 0, show=repr) -> str:
-    """``show(text)`` or, for a text of more than ``_QUOTED`` characters,
-    ``show`` of the ``_QUOTED`` of them that start a quarter of that before
-    index ``at``, or as near to it as the text allows, with "..." for each
+    """How an error line shows the input ``text`` at its place, index ``at``:
+    ``show`` of an excerpt, each character as ``_shown`` shows it.  The
+    excerpt is all of a text that shows in ``_QUOTED`` characters;
+    otherwise it shows in at most ``_QUOTED``, from at most a quarter of
+    that before ``at``, moved back where the text ends, with "..." for each
     end cut off."""
-    if len(text) <= _QUOTED:
-        return show(text)
-    start = min(max(at - _QUOTED // 4, 0), len(text) - _QUOTED)
-    end = start + _QUOTED
-    return "..." * (start > 0) + show(text[start:end]) + "..." * (end < len(text))
+    # Only the _QUOTED characters on each side of ``at`` can show; cum[i]
+    # is the width of the first i of them, and width grows with i.
+    lo = max(at - _QUOTED, 0)
+    cum = list(accumulate((len(_shown(ch)) for ch in text[lo:at + _QUOTED]), initial=0))
+    start = bisect_left(cum, cum[at - lo] - _QUOTED // 4)
+    end = bisect_right(cum, cum[start] + _QUOTED) - 1
+    start, end = lo + bisect_left(cum, cum[end] - _QUOTED), lo + end
+    excerpt = "".join(map(_shown, show(text[start:end])))
+    return "..." * (start > 0) + excerpt + "..." * (end < len(text))
 
 
 def _rational_pair(text: str) -> tuple[int, int]:

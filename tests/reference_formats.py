@@ -56,16 +56,34 @@ def load_object(text: str) -> dict:
     return doc
 
 
+def shown(c: str) -> str:
+    """One character as an error line shows it: a printable one as it is,
+    any other one as ``repr`` escapes it."""
+    return c if c.isprintable() else repr(c)[1:-1]
+
+
 def quoted(text: str, at: int = 0, show=repr) -> str:
-    """How an error message quotes the input ``text`` at its place ``at``:
-    ``show`` of all of it up to 80 characters; of a longer one, ``show`` of
-    the 80 from 20 before ``at``, moved back to end where ``text`` ends,
-    after "..." if it starts later than ``text`` and before "..." if it
+    """How an error message quotes the input ``text`` at its place ``at``.
+    Walking back from ``at`` over characters as wide as ``shown`` shows
+    them, up to 20 wide; then forward from there, up to 80 wide; then back
+    again as far as the 80 not yet used allow (all of it at the end of
+    ``text``).  ``show`` of the excerpt, each character as ``shown`` shows
+    it, after "..." if it starts later than ``text`` and before "..." if it
     ends sooner."""
-    if len(text) <= 80:
-        return show(text)
-    start = len(text) - 80 if at + 60 > len(text) else max(at - 20, 0)
-    return ("..." if start else "") + show(text[start:start + 80]) + ("..." if start + 80 < len(text) else "")
+    width = [len(shown(c)) for c in text]
+    start, room = at, 20
+    while start and width[start - 1] <= room:
+        start -= 1
+        room -= width[start]
+    end, room = start, 80
+    while end < len(text) and width[end] <= room:
+        room -= width[end]
+        end += 1
+    while start and width[start - 1] <= room:
+        start -= 1
+        room -= width[start]
+    excerpt = "".join(map(shown, show(text[start:end])))
+    return ("..." if start else "") + excerpt + ("..." if end < len(text) else "")
 
 
 def check_keys(doc: dict, expected: set[str]) -> None:
@@ -96,7 +114,7 @@ def check_index(obj: dict, fields: tuple, dim: int) -> None:
         if type(value) is not int:
             raise FormatError(f"'{field}' must be an integer")
         if value < 1 or value > dim:
-            raise FormatError(f"index out of range: '{field}' = {value}")
+            raise FormatError(f"index out of range: '{field}' = {quoted(str(value), show=str)}")
 
 
 def _past_limit(digits: str) -> bool:

@@ -33,7 +33,7 @@ from nalg.algebras import (
     phi_precompose,
     power_assoc_check,
 )
-from nalg.cogebras import gi_bang_cocheck, gi_cocheck
+from nalg.cogebras import Cogebra, gi_bang_cocheck, gi_cocheck
 from nalg.linalg import member
 from nalg.sym3 import (
     PERMS,
@@ -87,6 +87,20 @@ class TestAlgebraConstruction:
             with pytest.raises(ValueError, match="two-sided unit"):
                 Algebra(2, table, unit=(1, 0))
         Algebra(2, {(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1}, unit=(1, 0))  # valid
+
+    def test_basis_and_unit_lengths_must_be_the_dimension(self):
+        with pytest.raises(ValueError, match="^basis-name count differs from dimension$"):
+            Algebra(2, {}, basis=("e1",))
+        with pytest.raises(ValueError, match="^unit length differs from dimension$"):
+            Algebra(2, {}, unit=(1,))
+        with pytest.raises(ValueError, match="^counit length differs from dimension$"):
+            Cogebra(2, {}, counit=(1, 0, 0))
+
+    def test_vectors_must_have_the_dimension(self):
+        with pytest.raises(ValueError, match="^vector length differs from algebra dimension$"):
+            Algebra(2, {(1, 1, 1): 1}).multiply((1, 0), (1,))
+        with pytest.raises(ValueError, match="^vector length differs from cogebra dimension$"):
+            Cogebra(2, {(1, 1, 1): 1}).comultiply((1, 0, 0))
 
     def test_multiply_reads_table(self):
         A = witness2()

@@ -156,6 +156,10 @@ class TestInstances:
         loaded.products.clear()
         assert catalog.get("mat2").products
 
+    def test_a_search_with_no_hit_names_its_instance(self):
+        with pytest.raises(LookupError, match="^search space for 'nope' contains no matching instance$"):
+            catalog._first(iter([{}, {(1, 1, 1): 1}]), lambda P: False, "nope")
+
     def test_get_unknown_name(self):
         with pytest.raises(ValueError):
             catalog.get("nope")

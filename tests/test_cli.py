@@ -246,6 +246,9 @@ class TestReading:
         assert (code, out) == (2, "")
         assert err.startswith("error: syntax error at line 1, column 1: Unexpected UTF-8 BOM")
 
+    def test_a_json_array_exits_2(self, tmp_path):
+        assert self.check(tmp_path, b"[]") == (2, "", "error: document must be a JSON object\n")
+
     def test_directory_exits_2(self, tmp_path):
         path = str(tmp_path)
         assert run_cli("check", path) == (2, "", f"error: [Errno 21] Is a directory: {path!r}\n")

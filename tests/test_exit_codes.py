@@ -6,9 +6,10 @@ command of the grammar runs in-process through ``cli.main`` on files made
 by structural mutation of catalog documents: keys dropped or repeated,
 values of the wrong type, indices out of range, huge ints, the wrong kind
 and deep nesting; and the ``s3`` commands on bad expressions.  Every run
-must keep the contract within ``TIME_BOUND_S``.  Ints past Python's digit
-limit, in a coefficient, a field, an expression or a computed product,
-fail with nalg's own message, which names the place and the limit.
+must keep the contract within ``TIME_BOUND_S``, in an ``error:`` line of
+at most ``ERROR_BYTES``.  Ints past Python's digit limit, in a
+coefficient, a field, an expression or a computed product, fail with
+nalg's own message, which names the place and the limit.
 """
 
 import copy
@@ -28,6 +29,11 @@ from nalg import catalog
 # Seconds one command may take.  The largest input here is a catalog
 # document of dim 4; in 12,000 runs on a 2-core VM the slowest took 0.7 s.
 TIME_BOUND_S = 10
+# Bytes an error line may take, its newline included.  An error quotes at
+# most 80 characters of an input, each non-printable one escaped, so a
+# field name or an index of any length, or with line breaks, shows in a
+# short line.
+ERROR_BYTES = 200
 
 
 class Pairs(list):
@@ -78,6 +84,12 @@ def lookup(obj, path):
 WRONG_TYPES = (None, True, False, 1.5, -1, 0, 2, "1", "x", "1/0", "0.5", "", [], {}, [1], {"k": 1})
 # A fresh copy each time: a later mutation may change the value in place.
 wrong_types = st.sampled_from(WRONG_TYPES).map(copy.deepcopy)
+# Field names that no document has: ASCII letters with control and other
+# non-printable characters (a line break, NUL, ESC, DEL, U+2028 and a lone
+# surrogate), of any length up to past the 80 characters an error quotes.
+field_names = st.text(st.sampled_from("fx\n\r\t\x00\x1b\x7f\u2028\ud800"), min_size=1, max_size=120)
+# Out-of-range indices of 81 to 4,300 digits, past what an error quotes.
+long_indices = st.integers(81, 4300).flatmap(lambda n: st.sampled_from((10 ** (n - 1), -(10 ** (n - 1)))))
 
 
 def huge(draw):
@@ -93,7 +105,7 @@ def mutated_documents(draw):
         paths = list(nodes(doc))
         path = draw(st.sampled_from(paths))
         target = lookup(doc, path)
-        kind = draw(st.sampled_from(("drop", "repeat", "type", "range", "huge", "kind", "nest")))
+        kind = draw(st.sampled_from(("drop", "repeat", "field", "type", "range", "huge", "kind", "nest")))
         if kind in ("drop", "repeat") and isinstance(target, dict) and target:
             key = draw(st.sampled_from(sorted(target)))
             pairs = Pairs((k, v) for k, v in target.items() if k != key)
@@ -102,10 +114,12 @@ def mutated_documents(draw):
                 value = draw(st.one_of(wrong_types, st.just(target[key])))
                 pairs.insert(draw(st.integers(0, len(pairs))), (key, value))
             doc = replace(doc, path, pairs)
+        elif kind == "field" and isinstance(target, dict):
+            doc = replace(doc, path, Pairs([*target.items(), (draw(field_names), 0)]))
         elif kind == "type":
             doc = replace(doc, path, draw(wrong_types))
         elif kind == "range" and type(target) is int:
-            doc = replace(doc, path, draw(st.sampled_from((0, -1, target + 1, 5, 2**63))))
+            doc = replace(doc, path, draw(st.one_of(st.sampled_from((0, -1, target + 1, 5, 2**63)), long_indices)))
         elif kind == "huge":
             doc = replace(doc, path, huge(draw))
         elif kind == "kind" and isinstance(doc, dict):
@@ -156,6 +170,7 @@ def test_every_command_keeps_the_exit_code_contract(argv, files, expr):
     assert code in (0, 2), (argv, err)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert len(err.encode()) <= ERROR_BYTES, err
     else:
         assert err == ""
     assert "Traceback" not in err
@@ -243,10 +258,10 @@ def test_a_write_that_fails_leaves_its_target_as_it_was(command, target, tmp_pat
         assert (tmp_path / "out.json").read_bytes() == target
 
 
-# An error line that quotes an input of any length stays short: the
-# input is quoted by an excerpt around the place the message names, which
-# keeps its position.
-ERROR_BYTES = 200
+# An error line that quotes an input of any length stays short and on one
+# line: the input is quoted by an excerpt around the place the message
+# names, which keeps its position, with each non-printable character
+# escaped as repr escapes it.
 LONG_INPUTS = {
     "s3 span of a 5,000-digit term": (
         ["s3", "span", "9" * 5000 + "*id"], {},
@@ -264,6 +279,22 @@ LONG_INPUTS = {
         ["check", "a.json"], {"a.json": one_dim("algebra", "1")[:-1] + f', "{"f" * 100_000}": 0}}'},
         f"unknown field(s): {'f' * 80}...",
     ),
+    "check of a field named x, a line break and y": (
+        ["check", "a.json"], {"a.json": one_dim("algebra", "1")[:-1] + ', "x\\ny": 0}'},
+        "unknown field(s): x\\ny",
+    ),
+    "check of a field named by 100 line breaks": (
+        ["check", "a.json"], {"a.json": one_dim("algebra", "1")[:-1] + ', "' + "\\n" * 100 + '": 0}'},
+        "unknown field(s): " + "\\n" * 40 + "...",
+    ),
+    "catalog emit of a 100,000-character name": (
+        ["catalog", "emit", "n" * 100_000, "-o", "out.json"], {},
+        f"unknown catalog instance {'n' * 80!r}...",
+    ),
+    "check of a 4,300-digit left": (
+        ["check", "a.json"], {"a.json": one_dim("algebra", "1").replace('"left": 1', '"left": ' + "9" * 4300)},
+        f"index out of range: 'left' = {'9' * 80}...",
+    ),
 }
 
 
@@ -276,3 +307,4 @@ def test_an_error_quotes_a_long_input_by_an_excerpt(case, tmp_path, monkeypatch)
     code, out, err = run_cli(*argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert len(err.encode()) <= ERROR_BYTES
+    assert sorted(os.listdir()) == sorted(files)

@@ -137,6 +137,11 @@ class TestAlgebraFiles:
             parse_document(json.dumps({"kind": "widget"}))
 
 
+def test_print_document_serializes_only_a_structure():
+    with pytest.raises(TypeError, match="^cannot serialize int$"):
+        print_document(1)
+
+
 class TestRoundTrips:
     def test_canonical_files_round_trip(self):
         for name in catalog.NAMES:
@@ -352,6 +357,16 @@ def _reference_parse(text):
         coords[_PERM_NAMES.index(m[2])] += -coef if sign == "-" else coef
         pos = m.end()
     return tuple(coords)
+
+
+# Texts with the characters an error line shows as they are (printable
+# ones, of one or two UTF-8 bytes, and the quotes and backslash that repr
+# escapes) and as escapes of 2, 4, 6 and 10 characters.
+@given(st.text(st.sampled_from("ab'\"\\\u00e9 \n\x00\t\x7f\u2028\ud800\U0010ffff"), max_size=300), st.data())
+def test_an_error_quotes_its_input_as_the_reference_does(text, data):
+    at = data.draw(st.integers(0, len(text)))
+    for show in (repr, str):
+        assert linalg._quoted(text, at, show) == quoted(text, at, show)
 
 
 class TestExpressions:

@@ -98,6 +98,10 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel([])
 
+    def test_ragged_rows(self):
+        with pytest.raises(ValueError, match="^matrix rows must all have the same length$"):
+            kernel([(1, 0), (1,)])
+
     def test_rows_of_ints_fractions_and_strings_agree(self):
         ints = [(2, -4, 0, 6), (1, 1, 1, 1)]
         halves = [tuple(F(x, 2) for x in r) for r in ints]

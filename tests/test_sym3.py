@@ -48,6 +48,10 @@ class TestPerms:
             assert compose(IDENTITY, p) == p
             assert compose(p, IDENTITY) == p
 
+    def test_product_is_compose(self):
+        for p, q in itertools.product(PERMS, repeat=2):
+            assert p * q == compose(p, q)
+
     def test_involutions(self):
         for t in (T12, T13, T23):
             assert compose(t, t) == IDENTITY
@@ -96,6 +100,14 @@ class TestPerms:
 
 
 class TestGroupAlgebra:
+    def test_six_coordinates(self):
+        with pytest.raises(ValueError, match="^group-algebra elements have exactly six coordinates$"):
+            GroupAlgElem((1, 2, 3))
+
+    @given(ga_elems)
+    def test_negation(self, v):
+        assert -v == GroupAlgElem.zero() - v == v * -1
+
     def test_identity_element(self):
         one = GroupAlgElem.from_perm(IDENTITY)
         for p in PERMS:
