@@ -20,7 +20,7 @@ import sys
 from types import SimpleNamespace
 
 from . import catalog, cogebras, duality, products
-from .algebras import Algebra, _classify, _solve, classify
+from .algebras import Algebra, _classify, classify
 from .formats import (
     _read,
     _read_table,
@@ -32,7 +32,8 @@ from .formats import (
     parse_ga_expr,
     print_document,
 )
-from .sym3 import GroupAlgElem, maschke_multiplicities, orbit, orbit_span, right_annihilator
+from .linalg import _quoted
+from .sym3 import GroupAlgElem, maschke_multiplicities, orbit, orbit_span
 
 _GI_LABELS = {
     1: "associative",
@@ -66,10 +67,16 @@ def _json_report(kind: str, dim: int, report) -> str:
     )
 
 
-def _cmd_check(args) -> int:
-    cls, dim, P, has_unit = _read_table(args.file)
+def _report(path: str) -> tuple:
+    """The kind, dimension and report of the file at ``path``, a cogebra's
+    mirrored from its dual's: ``check`` and ``annihilator`` print from it."""
+    cls, dim, P, has_unit = _read_table(path)
     report = _classify(P, has_unit)
-    kind, report = ("algebra", report) if cls is Algebra else ("cogebra", cogebras._mirrored(report))
+    return ("algebra", dim, report) if cls is Algebra else ("cogebra", dim, cogebras._mirrored(report))
+
+
+def _cmd_check(args) -> int:
+    kind, dim, report = _report(args.file)
     if args.json:
         print(_json_report(kind, dim, report))
         return 0
@@ -108,15 +115,14 @@ def _cmd_convolve(args) -> int:
     A = parse_algebra(_read(args.algebra_file))
     conv = products.convolution_algebra(C, A)
     _write(args.output, print_document(conv))
-    # G_i on A, and coassociativity (i = 1) or the G_i! symmetry on C, the
-    # same flags as associativity and G_i! on its dual algebra.  The literal
-    # reading of G_i! does not depend on i.
+    # G_i on A, and coassociativity (i = 1) or the G_i! symmetry on C.  The
+    # literal reading of G_i! does not depend on i.
     gi = classify(A).gi_assoc
-    dual = classify(duality.dualize_cogebra(C))
-    bang = dual.gi_bang
+    co = cogebras.classify_cogebra(C)
+    bang = co.gi_bang_co
     if args.literal_bang:
         bang = dict.fromkeys(bang, cogebras.gi_bang_cocheck(C, 2, literal=True))
-    guaranteed = [i for i, flag in gi.items() if flag and (dual.is_associative if i == 1 else bang[i])]
+    guaranteed = [i for i, flag in gi.items() if flag and (co.is_coassociative if i == 1 else bang[i])]
     reading = "literal" if args.literal_bang else "normalized"
     if guaranteed:
         indices = ", ".join(str(i) for i in guaranteed)
@@ -127,17 +133,12 @@ def _cmd_convolve(args) -> int:
 
 
 def _cmd_annihilator(args) -> int:
-    # One solve, as in _classify; a cogebra's is its dual's moved by p -> p^-1.
-    cls, _, P, _ = _read_table(args.file)
-    sub = right_annihilator(_solve(P, 1, -1))
-    sub = sub if cls is Algebra else cogebras._inverted(sub.basis)
-    exprs = [format_ga_expr(GroupAlgElem(row)) for row in sub.basis]
+    ann_dim, ann_basis = _report(args.file)[2]._fields()[6:]
+    exprs = [format_ga_expr(e) for e in ann_basis]
     if args.json:
-        print(json.dumps({"dim": sub.dim, "basis": exprs}, indent=2))
-        return 0
-    print(f"dim {sub.dim}")
-    for expr in exprs:
-        print(f"  {expr}")
+        print(json.dumps({"dim": ann_dim, "basis": exprs}, indent=2))
+    else:
+        print("\n".join([f"dim {ann_dim}"] + [f"  {e}" for e in exprs]))
     return 0
 
 
@@ -295,6 +296,9 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 0
     except (ValueError, OSError) as exc:
+        if isinstance(exc, OSError) and isinstance(exc.filename, str):
+            # Python's own line, with the path quoted up to its end.
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {_quoted(exc.filename, len(exc.filename))}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

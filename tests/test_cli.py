@@ -6,15 +6,17 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 import reference_cogebras as reference
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from shared import DATA, SRC, algebras, report_doc, run_cli
+from shared import cogebras as shared_cogebras
 
-from nalg import algebras as alg
 from nalg import catalog, cli, cogebras, formats
 from nalg.algebras import Algebra, annihilator, classify, gi_check
 from nalg.cli import main
@@ -249,13 +251,16 @@ class TestReading:
     def test_a_json_array_exits_2(self, tmp_path):
         assert self.check(tmp_path, b"[]") == (2, "", "error: document must be a JSON object\n")
 
-    def test_directory_exits_2(self, tmp_path):
-        path = str(tmp_path)
+    # Relative paths: a path of more than 80 characters is quoted by an excerpt.
+    def test_directory_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path.parent)
+        path = tmp_path.name
         assert run_cli("check", path) == (2, "", f"error: [Errno 21] Is a directory: {path!r}\n")
 
-    def test_missing_path_exits_2(self, tmp_path):
-        path = str(tmp_path / "missing.json")
-        assert run_cli("check", path) == (2, "", f"error: [Errno 2] No such file or directory: {path!r}\n")
+    def test_missing_path_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        err = "error: [Errno 2] No such file or directory: 'missing.json'\n"
+        assert run_cli("check", "missing.json") == (2, "", err)
 
     def test_file_longer_than_one_read_parses(self, tmp_path):
         # Spaces after the first line break, so that the document is whole
@@ -452,33 +457,39 @@ class TestAnnihilatorCommand:
             assert run_cli("annihilator", data_path(name), *flags) == (0, out, "")
         assert built == []
 
-    @pytest.mark.parametrize("name", ["mat2", "dual_mat2", "m4", "generic3"])
-    def test_solves_once(self, monkeypatch, tmp_path, name):
-        # One solve for the associator's generator and no classification:
-        # an associative table (mat2, m4) solves no (xy)z generator and
-        # reads no flags, and a generic one stops at its probe all the same.
-        if name == "m4":
-            X = tensor_algebras(catalog.get("mat2"), catalog.get("mat2"))
-            path = tmp_path / "m4.json"
-            path.write_text(print_document(X))
-        else:
-            X, path = catalog.get(name), data_path(name)
-        sub = annihilator(X) if isinstance(X, Algebra) else cogebras.coannihilator(X)
-        expected = "".join([f"dim {sub.dim}\n"] + [f"  {format_ga_expr(GroupAlgElem(row))}\n" for row in sub.basis])
-        solves = []
+    @staticmethod
+    def assert_reads_the_check_report(path):
+        # The dim and basis that annihilator prints, as text and as --json,
+        # are the (co)annihilator fields of check --json on the same file.
+        code, out, err = run_cli("check", "--json", path)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        co = "co" if doc["kind"] == "cogebra" else ""
+        ann_dim, basis = doc[f"{co}annihilator_dim"], doc[f"{co}annihilator_basis"]
+        expected = {
+            (): "".join([f"dim {ann_dim}\n"] + [f"  {e}\n" for e in basis]),
+            ("--json",): json.dumps({"dim": ann_dim, "basis": basis}, indent=2) + "\n",
+        }
+        for flags, out in expected.items():
+            assert run_cli("annihilator", path, *flags) == (0, out, "")
 
-        def counted(*args, solve=alg._solve):
-            solves.append(args[1:])
-            return solve(*args)
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    def test_reads_the_check_report_on_the_catalog(self, name):
+        self.assert_reads_the_check_report(data_path(name))
 
-        def unreachable(*args):
-            raise AssertionError("classified")
+    def test_reads_the_check_report_on_the_m4_tower(self, tmp_path):
+        path = tmp_path / "m4.json"
+        path.write_text(print_document(tensor_algebras(catalog.get("mat2"), catalog.get("mat2"))))
+        self.assert_reads_the_check_report(str(path))
 
-        for home in ("nalg.algebras", "nalg.cli"):
-            monkeypatch.setattr(f"{home}._solve", counted)
-            monkeypatch.setattr(f"{home}._classify", unreachable)
-        assert run_cli("annihilator", str(path)) == (0, expected, "")
-        assert solves == [(1, -1)]
+    @given(st.one_of(algebras(), shared_cogebras()))
+    @settings(max_examples=60, deadline=None)
+    def test_reads_the_check_report_on_printed_documents(self, X):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "x.json")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(print_document(X))
+            self.assert_reads_the_check_report(path)
 
 
 class TestS3Commands:

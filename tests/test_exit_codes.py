@@ -13,6 +13,7 @@ nalg's own message, which names the place and the limit.
 """
 
 import copy
+import errno
 import json
 import os
 import sys
@@ -295,6 +296,10 @@ LONG_INPUTS = {
         ["check", "a.json"], {"a.json": one_dim("algebra", "1").replace('"left": 1', '"left": ' + "9" * 4300)},
         f"index out of range: 'left' = {'9' * 80}...",
     ),
+    "check of a 5,000-character path": (
+        ["check", "p" * 5000], {},
+        f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: ...{'p' * 80!r}",
+    ),
 }
 
 
@@ -308,3 +313,21 @@ def test_an_error_quotes_a_long_input_by_an_excerpt(case, tmp_path, monkeypatch)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert len(err.encode()) <= ERROR_BYTES
     assert sorted(os.listdir()) == sorted(files)
+
+
+# A path that shows in at most 80 characters is quoted whole, as Python
+# quotes it; a longer one by its last 80, where the file name is.
+@pytest.mark.parametrize("path", ["m" * 80, "\u00e9" * 80, "a\nb", "\udcff"])
+def test_an_error_quotes_a_short_path_as_python_does(path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OSError) as exc:
+        os.open(path, os.O_RDONLY)
+    assert run_cli("check", path) == (2, "", f"error: {exc.value}\n")
+
+
+def test_an_os_error_without_a_path_is_printed_as_it_is(monkeypatch):
+    def failing(path):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr("nalg.cli._read_table", failing)
+    assert run_cli("check", "a.json") == (2, "", "error: [Errno 5] Input/output error\n")

@@ -140,7 +140,9 @@ COMMANDS = {
     "annihilator of a cogebra": (["annihilator", DATA / "dual_vinberg2.json"], ["cogebras"]),
     "tensor": (["tensor", DATA / "mat2.json", DATA / "vinberg2.json", "-o", "OUT"], ["products"]),
     "dualize": (["dualize", DATA / "mat2.json", "-o", "OUT"], ["duality"]),
-    "convolve": (["convolve", DATA / "dual_mat2.json", DATA / "mat2.json", "-o", "OUT"], ["duality", "products"]),
+    "convolve": (
+        ["convolve", DATA / "dual_mat2.json", DATA / "mat2.json", "-o", "OUT"], ["cogebras", "duality", "products"]
+    ),
     "convolve --literal-bang": (
         ["convolve", "--literal-bang", DATA / "dual_mat2.json", DATA / "mat2.json", "-o", "OUT"],
         ["cogebras", "duality", "products"],
