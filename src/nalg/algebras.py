@@ -225,7 +225,7 @@ def _integer_table(
     that cleared them.  Every identity below is homogeneous in the
     constants, so it holds for the scaled table exactly when it holds for
     the original one."""
-    ints, d = _cleared(products.values())
+    ints, d = _cleared([c.as_integer_ratio() for c in products.values()])
     return dict(zip(products, ints)), d
 
 
@@ -477,7 +477,7 @@ def _kills(w: tuple, P: Mapping[tuple[int, int, int], int], left: int, right: in
 
 def is_sigma3_assoc_for(A: Algebra, v: GroupAlgElem) -> bool:
     """True iff the associator vanishes after slot permutation by ``v``."""
-    return _kills(split(_cleared(v.coords)[0]), _integer_table(A.products)[0], 1, -1)
+    return _kills(split(_cleared([c.as_integer_ratio() for c in v.coords])[0]), _integer_table(A.products)[0], 1, -1)
 
 
 def _check_index(i: int, low: int = 1) -> None:

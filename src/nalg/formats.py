@@ -21,15 +21,15 @@ and (in, i, j), so one printer serves both, and the reader's loop for
 each kind unpacks its own fields into the same keys.  The reader works
 in two steps.  ``_scan`` loads a document's text, checks each index, key
 and coefficient once, in document order, and parses each distinct
-coefficient text once, into a reduced int pair; from those few pairs it
-clears the table of denominators, as ``algebras._integer_table`` does,
-zero terms dropped, and a declared (co)unit of its own, with the scale
-that the (co)unit axiom must meet on the cleared table.  ``_build`` makes
-one ``Fraction`` per distinct text, shared by every entry and (co)unit
-coordinate that holds it, and builds the structure through its
-constructor and all its checks, as every structure but a catalog search
-candidate is built.  A parsed table may so pickle to other bytes
-than an equal one built entry by entry (see ``catalog._VALUES``).
+coefficient text once, into a reduced int pair; from those few pairs
+``linalg._cleared``, the rule of ``algebras._integer_table``, clears the
+table of denominators, zero terms dropped, and a declared (co)unit of its
+own, with the scale that the (co)unit axiom must meet on the cleared
+table.  ``_build`` makes one ``Fraction`` per distinct text, shared by
+every entry and (co)unit coordinate that holds it, and builds the
+structure through its constructor and all its checks, as every structure
+but a catalog search candidate is built.  A parsed table may so pickle to
+other bytes than an equal one built entry by entry (see ``catalog._VALUES``).
 ``nalg check`` and ``nalg annihilator`` build nothing: ``_read_table``
 checks the cleared (co)unit on the cleared table as the constructor
 checks its own.  Every file ``nalg`` reads goes through ``_read`` and
@@ -48,11 +48,10 @@ import os
 import re
 import sys
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 
 from .algebras import Algebra, Cogebra
-from .linalg import _quoted, _rational_pair, format_rational, parse_rational
+from .linalg import _cleared, _quoted, _rational_pair, format_rational, parse_rational
 from .sym3 import PERM_NAMES, GroupAlgElem
 
 
@@ -215,10 +214,10 @@ def _scan(text: str, kind: str | None = None) -> tuple:
     the kind its 'kind' field names, in one pass in document order, short of
     the (co)unit axiom.  Returns the arguments of ``_build``, whose table and
     (co)unit hold coefficient texts that ``texts`` maps to reduced int pairs;
-    the table cleared by the LCM ``d`` of its denominators, as
-    ``algebras._integer_table`` clears it; and None or, for a (co)unit, the
-    arguments of ``_check_unit`` after the table: the (co)unit cleared by the
-    LCM ``e`` of its own denominators, and ``d * e``."""
+    the table cleared by ``linalg._cleared``, by the LCM ``d`` of its
+    denominators; and None or, for a (co)unit, the arguments of
+    ``_check_unit`` after the table: the (co)unit cleared by the LCM ``e`` of
+    its own denominators, and ``d * e``."""
     doc = _load_object(text)
     if kind is None:
         kind = doc.get("kind")
@@ -299,8 +298,8 @@ def _scan(text: str, kind: str | None = None) -> tuple:
     # distinct text of the table, the (co)unit's not yet read, gets one int.
     if (0, 1) in texts.values():
         table = {key: c for key, c in table.items() if texts[c][0]}
-    d = lcm(*[q for _, q in texts.values()])
-    ints = {c: p * (d // q) for c, (p, q) in texts.items()}
+    values, d = _cleared(texts.values())
+    ints = dict(zip(texts, values))
     cleared = dict(zip(table, map(ints.__getitem__, table.values())))
     unit, cleared_unit = doc[unit_field], None
     if unit is not None:
@@ -308,8 +307,8 @@ def _scan(text: str, kind: str | None = None) -> tuple:
             raise FormatError(f"'{unit_field}' must be null or a list of {dim} rationals")
         for c in unit:
             _read_coefficient(c, texts, f"'{unit_field}'")
-        e = lcm(*[texts[c][1] for c in unit])
-        cleared_unit = [p * (e // q) for p, q in map(texts.__getitem__, unit)], d * e
+        u, e = _cleared([texts[c] for c in unit])
+        cleared_unit = u, d * e
     return (cls, dim, basis, table, texts, unit), cleared, cleared_unit
 
 

@@ -19,12 +19,10 @@ from collections.abc import Collection, Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from operator import attrgetter
 
 from ._record import Record
 
 Vec = tuple[Fraction, ...]
-_denominator = attrgetter("denominator")
 
 
 def _too_long() -> ValueError:
@@ -132,15 +130,16 @@ class Subspace(Record):
         return member(vector, self)
 
 
-def _cleared(values: Collection[Fraction]) -> tuple[list[int], int]:
-    """The values times the LCM ``d`` of their denominators, as ints, and ``d``."""
-    d = lcm(*map(_denominator, values))
-    return [c.numerator * (d // c.denominator) for c in values], d
+def _cleared(pairs: Collection[tuple[int, int]]) -> tuple[list[int], int]:
+    """The values of the reduced pairs ``(p, q)``, ``q`` positive, times the LCM
+    ``d`` of the ``q``, as ints, and ``d``: the one rule that clears values."""
+    d = lcm(*[q for _, q in pairs])
+    return [p * (d // q) for p, q in pairs], d
 
 
 def _integers(row: Sequence) -> Sequence[int]:
     """The row cleared of denominators."""
-    return _cleared(as_vec(row))[0]
+    return _cleared([c.as_integer_ratio() for c in as_vec(row)])[0]
 
 
 def _primitive(row: list[int]) -> list[int]:

@@ -1,11 +1,12 @@
 import itertools
 import json
+import shutil
 import time
 from fractions import Fraction
 
 import pytest
 import reference_algebras as reference
-from shared import SRC, run_fresh
+from shared import SRC, run_cli, run_fresh
 
 from nalg import catalog
 from nalg.algebras import Algebra, classify, commutator_algebra, gi_check, is_antisymmetric, is_commutative
@@ -306,6 +307,23 @@ class TestDeterminism:
         assert set(report.values()) == {"ok"}
         assert set(report) == set(catalog.NAMES)
         assert elapsed < 60
+
+    def test_a_changed_data_file_fails_the_regen(self, tmp_path, monkeypatch):
+        # One coefficient of mat2's committed file changed in a copy of the
+        # data: the regen names mat2 alone, and the command prints only that
+        # one error line.
+        data = tmp_path / "data"
+        shutil.copytree(catalog._DATA, data)
+        path = data / "mat2.json"
+        text = path.read_text()
+        assert text.count('"c": "1"') > 1
+        path.write_text(text.replace('"c": "1"', '"c": "2"', 1))
+        monkeypatch.setattr(catalog, "_DATA", str(data))
+        message = "regenerated instances diverge from committed data: mat2"
+        with pytest.raises(ValueError) as exc:
+            catalog.regenerate()
+        assert str(exc.value) == message
+        assert run_cli("catalog", "regen") == (2, "", f"error: {message}\n")
 
     def test_get_parses_committed_bytes(self, catalog_algebras):
         for name, A in catalog_algebras.items():

@@ -285,7 +285,7 @@ def test_integer_table_clears_shared_and_unshared_values(case):
     # holds a Fraction object of its own at every key.
     table = _constants(parse_document(case[0]))
     for T in (table, {key: F(c.numerator, c.denominator) for key, c in table.items()}):
-        ints, d = linalg._cleared(list(T.values()))
+        ints, d = linalg._cleared([c.as_integer_ratio() for c in T.values()])
         assert alg._integer_table(T) == (dict(zip(T, ints)), d)
         assert d == lcm(1, *(c.denominator for c in T.values()))
         assert all(F(n, d) == T[key] for key, n in alg._integer_table(T)[0].items())
