@@ -11,7 +11,9 @@ convention changes.
 Every algebra instance is one row of ``_BUILDERS``, whose order is the
 catalog's order.  ``build`` is the one way to build an instance, cached
 once per process: it runs a row, or derives a ``dual_`` instance from its
-algebra.
+algebra.  The handlers of the ``nalg catalog`` commands are here too, and
+the lazy modules a build needs are read at call time, so ``nalg catalog
+list`` and ``nalg catalog emit`` run this module alone.
 
 Search spaces, per instance, in the row order of ``_BUILDERS``.  Each is
 built by ``_candidates(slots)``: every table whose constants on ``slots``
@@ -39,7 +41,7 @@ Fractions of its own.
   space (3**27 tables) is far beyond desk scale, so the restriction is
   part of the instance's definition.
 * ``nonjacobi3``: 3-dimensional antisymmetric tables that fail the Jacobi
-  identity: the commutators (``algebras._commutator``) of the tables on the
+  identity: the commutators (``structures._commutator``) of the tables on the
   9 slots (i, j, k) with i < j, ordered by (i, j, k).
 * ``generic3``: 3-dimensional tables supported on the one-sided cyclic
   slots (1,2,3), (2,3,1), (3,1,2) plus the symmetry-breaking slot (2,1,1),
@@ -55,10 +57,8 @@ import itertools
 import os
 from functools import lru_cache
 
-from . import duality, formats, products
-from .algebras import _BANG_SPLITS, _GI_SPLITS, Algebra, _commutator, _integer_table, _is_unit, _kills
-from .algebras import _solve, _symmetric
-from .linalg import _quoted
+from . import documents, duality, errors, formats, products, structures
+from .algebras import _BANG_SPLITS, _GI_SPLITS, _is_unit, _kills, _solve, _symmetric
 
 # Ints: the checks take an int-valued table as it is, and the constructor
 # that a searched builder runs on the hit makes Fractions of its own
@@ -72,7 +72,7 @@ def _named(obj, name: str):
     return type(obj)(*obj._fields()[:-1], name)
 
 
-def _mat2(name: str) -> Algebra:
+def _mat2(name: str) -> structures.Algebra:
     # Basis E11, E12, E21, E22 with E_ab * E_cd = [b == c] * E_ad.
     products = {
         (1, 1, 1): 1,
@@ -84,20 +84,20 @@ def _mat2(name: str) -> Algebra:
         (4, 3, 3): 1,
         (4, 4, 4): 1,
     }
-    return Algebra(4, products, unit=(1, 0, 0, 1), basis=("E11", "E12", "E21", "E22"), name=name)
+    return structures.Algebra(4, products, unit=(1, 0, 0, 1), basis=("E11", "E12", "E21", "E22"), name=name)
 
 
-def _trunc_poly2(name: str) -> Algebra:
+def _trunc_poly2(name: str) -> structures.Algebra:
     # Polynomials modulo x**2: basis 1, x.
     products = {(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1}
-    return Algebra(2, products, unit=(1, 0), basis=("1", "x"), name=name)
+    return structures.Algebra(2, products, unit=(1, 0), basis=("1", "x"), name=name)
 
 
-def _k1(name: str) -> Algebra:
-    return Algebra(1, {(1, 1, 1): 1}, unit=(1,), basis=("1",), name=name)
+def _k1(name: str) -> structures.Algebra:
+    return structures.Algebra(1, {(1, 1, 1): 1}, unit=(1,), basis=("1",), name=name)
 
 
-def _sl2(name: str) -> Algebra:
+def _sl2(name: str) -> structures.Algebra:
     # Bracket basis h, e, f: [h,e] = 2e, [h,f] = -2f, [e,f] = h.
     products = {
         (1, 2, 2): 2,
@@ -107,7 +107,7 @@ def _sl2(name: str) -> Algebra:
         (2, 3, 1): 1,
         (3, 2, 1): -1,
     }
-    return Algebra(3, products, basis=("h", "e", "f"), name=name)
+    return structures.Algebra(3, products, basis=("h", "e", "f"), name=name)
 
 
 def _candidates(slots):
@@ -131,7 +131,7 @@ def _searched(dim: int, candidates, predicate):
     hit of ``predicate`` in a fresh ``candidates()``, through the
     constructor, so its table holds Fractions of its own."""
     basis = tuple(f"e{i}" for i in range(1, dim + 1))
-    return lambda name: Algebra(dim, _first(candidates(), predicate, name), basis=basis, name=name)
+    return lambda name: structures.Algebra(dim, _first(candidates(), predicate, name), basis=basis, name=name)
 
 
 def _holds(P, i: int) -> bool:
@@ -156,7 +156,9 @@ _BUILDERS = {
         lambda: _candidates(_DIM2),
         lambda P: _holds(P, 3)
         and not _holds(P, 1)
-        and _is_unit(_solve(products._tensor_table(_integer_table(build("vinberg2").products)[0], P, 2), 1, -1)),
+        and _is_unit(
+            _solve(products._tensor_table(structures._integer_table(build("vinberg2").products)[0], P, 2), 1, -1)
+        ),
     ),
     "g4_2": _searched(2, lambda: _candidates(_DIM2), lambda P: _holds(P, 4) and not _holds(P, 1)),
     "sl2": _sl2,
@@ -171,7 +173,7 @@ _BUILDERS = {
         lambda P: not _symmetric(P, 1) and _holds(P, 1) and _kills(_BANG_SPLITS[2], P, 1, 0),
     ),
     "nonjacobi3": _searched(
-        3, lambda: map(_commutator, _candidates(_PAIRS3)), lambda P: not (_symmetric(P, -1) and _holds(P, 5))
+        3, lambda: map(structures._commutator, _candidates(_PAIRS3)), lambda P: not (_symmetric(P, -1) and _holds(P, 5))
     ),
     "generic3": _searched(3, lambda: _candidates(_GENERIC3), lambda P: _is_unit(_solve(P, 1, -1))),
 }
@@ -184,7 +186,7 @@ NAMES: tuple[str, ...] = ALGEBRA_NAMES + COGEBRA_NAMES
 def _known(name: str) -> str:
     """``name``, which must name an instance."""
     if name not in NAMES:
-        raise ValueError(f"unknown catalog instance {_quoted(name)}")
+        raise ValueError(f"unknown catalog instance {errors._quoted(name)}")
     return name
 
 
@@ -205,13 +207,33 @@ def data_text(name: str) -> str:
 
 def get(name: str):
     """Load an instance from its committed data file, a new object on each call."""
-    return _named(formats.parse_document(data_text(name)), name)
+    return _named(documents.parse_document(data_text(name)), name)
 
 
 def regenerate() -> dict[str, str]:
     """Rebuild every instance and compare it, serialized, against its
     committed data file.  Raises on any divergence."""
-    divergent = [name for name in NAMES if formats.print_document(build(name)) != data_text(name)]
+    divergent = [name for name in NAMES if documents.print_document(build(name)) != data_text(name)]
     if divergent:
         raise ValueError("regenerated instances diverge from committed data: " + ", ".join(divergent))
     return dict.fromkeys(NAMES, "ok")
+
+
+# The handlers of ``nalg catalog list``, ``emit`` and ``regen`` (see ``nalg.cli``).
+def _cmd_catalog_list(args) -> int:
+    for name in NAMES:
+        print(name)
+    return 0
+
+
+def _cmd_catalog_emit(args) -> int:
+    formats._write(args.output, data_text(args.name))
+    return 0
+
+
+def _cmd_catalog_regen(args) -> int:
+    report = regenerate()
+    for name, status in report.items():
+        print(f"{name}: {status}")
+    print("all instances reproduced")
+    return 0

@@ -5,11 +5,15 @@ input errors (bad files, bad expressions, unknown names) and on running out
 of memory.  Exit code 1 is reserved for future use by check-style
 commands with expectation flags.
 
-``catalog``, ``cogebras``, ``duality`` and ``products`` are lazy (see
-``nalg/__init__.py``): they are imported here as modules and their
-functions read when a command calls them, so a command runs only the
-modules it uses.  Every file a command reads or writes goes through
-``nalg.formats``.
+This module holds what ``nalg check`` and ``nalg annihilator`` run: their
+handlers, the grammar and its table parser, and ``main``.  The handlers
+of the other commands live in lazy modules (see ``nalg/__init__.py``),
+the catalog's in :mod:`nalg.catalog` and the rest in
+:mod:`nalg.commands`, with ``_build_parser``, which argparse's rules and
+messages need; a module runs when its first handler is looked up, so a
+command runs only the modules it uses.  Names that lived here before
+are read through the module ``__getattr__`` (PEP 562).  Every file a
+command reads or writes goes through ``nalg.formats``.
 """
 
 from __future__ import annotations
@@ -19,21 +23,9 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import catalog, cogebras, duality, products
-from .algebras import Algebra, _classify, classify
-from .formats import (
-    _read,
-    _read_table,
-    _write,
-    format_ga_expr,
-    parse_algebra,
-    parse_cogebra,
-    parse_document,
-    parse_ga_expr,
-    print_document,
-)
-from .linalg import _quoted
-from .sym3 import GroupAlgElem, maschke_multiplicities, orbit, orbit_span
+from . import _forward, catalog, commands, errors
+from .algebras import _classify, _mirrored
+from .formats import _read_table, format_ga_expr
 
 _GI_LABELS = {
     1: "associative",
@@ -70,9 +62,9 @@ def _json_report(kind: str, dim: int, report) -> str:
 def _report(path: str) -> tuple:
     """The kind, dimension and report of the file at ``path``, a cogebra's
     mirrored from its dual's: ``check`` and ``annihilator`` print from it."""
-    cls, dim, P, has_unit = _read_table(path)
+    kind, dim, P, has_unit = _read_table(path)
     report = _classify(P, has_unit)
-    return ("algebra", dim, report) if cls is Algebra else ("cogebra", dim, cogebras._mirrored(report))
+    return kind, dim, report if kind == "algebra" else _mirrored(report)
 
 
 def _cmd_check(args) -> int:
@@ -96,42 +88,6 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_dualize(args) -> int:
-    obj = parse_document(_read(args.file))
-    dual = duality.dualize_algebra(obj) if isinstance(obj, Algebra) else duality.dualize_cogebra(obj)
-    _write(args.output, print_document(dual))
-    return 0
-
-
-def _cmd_tensor(args) -> int:
-    A = parse_algebra(_read(args.file_a))
-    B = parse_algebra(_read(args.file_b))
-    _write(args.output, print_document(products.tensor_algebras(A, B)))
-    return 0
-
-
-def _cmd_convolve(args) -> int:
-    C = parse_cogebra(_read(args.cogebra_file))
-    A = parse_algebra(_read(args.algebra_file))
-    conv = products.convolution_algebra(C, A)
-    _write(args.output, print_document(conv))
-    # G_i on A, and coassociativity (i = 1) or the G_i! symmetry on C.  The
-    # literal reading of G_i! does not depend on i.
-    gi = classify(A).gi_assoc
-    co = cogebras.classify_cogebra(C)
-    bang = co.gi_bang_co
-    if args.literal_bang:
-        bang = dict.fromkeys(bang, cogebras.gi_bang_cocheck(C, 2, literal=True))
-    guaranteed = [i for i, flag in gi.items() if flag and (co.is_coassociative if i == 1 else bang[i])]
-    reading = "literal" if args.literal_bang else "normalized"
-    if guaranteed:
-        indices = ", ".join(str(i) for i in guaranteed)
-        print(f"construction theorem ({reading} reading) guarantees G_i for i = {indices}")
-    else:
-        print(f"construction theorem ({reading} reading) guarantees no G_i here")
-    return 0
-
-
 def _cmd_annihilator(args) -> int:
     ann_dim, ann_basis = _report(args.file)[2]._fields()[6:]
     exprs = [format_ga_expr(e) for e in ann_basis]
@@ -142,51 +98,13 @@ def _cmd_annihilator(args) -> int:
     return 0
 
 
-def _cmd_s3_orbit(args) -> int:
-    elem = parse_ga_expr(args.expr)
-    for translate in orbit(elem):
-        print(format_ga_expr(translate))
-    return 0
-
-
-def _cmd_s3_span(args) -> int:
-    sub = orbit_span(parse_ga_expr(args.expr))
-    print(f"dim {sub.dim}")
-    for row in sub.basis:
-        print(f"  {format_ga_expr(GroupAlgElem(row))}")
-    return 0
-
-
-def _cmd_s3_decompose(args) -> int:
-    m = maschke_multiplicities(orbit_span(parse_ga_expr(args.expr)))
-    print(f"trivial={m[0]} sign={m[1]} standard={m[2]}")
-    return 0
-
-
-def _cmd_catalog_list(args) -> int:
-    for name in catalog.NAMES:
-        print(name)
-    return 0
-
-
-def _cmd_catalog_emit(args) -> int:
-    _write(args.output, catalog.data_text(args.name))
-    return 0
-
-
-def _cmd_catalog_regen(args) -> int:
-    report = catalog.regenerate()
-    for name, status in report.items():
-        print(f"{name}: {status}")
-    print("all instances reproduced")
-    return 0
-
-
-# The grammar, read by ``_parse`` and by ``_build_parser``.  A command
-# maps to its help and either its subcommands or a leaf: the handler, then
-# the names of its positionals and of its options.  An option maps to its
-# spellings and its argparse keywords; a flag is stored as True, an option
-# with a value is required.
+# The grammar, read by ``_parse`` and by ``commands._build_parser``.  A
+# command maps to its help and either its subcommands or a leaf: the
+# module that holds its handler (see ``_handler``), then the names of its
+# positionals and of its options.  An option maps to its spellings and its
+# argparse keywords; a flag is stored as True, an option with a value is
+# required.
+_HERE = sys.modules[__name__]
 _LITERAL_HELP = "use the literal (unnormalized) reading of the cogebra triple symmetry"
 _OPTIONS = {
     "json": (("--json",), {"action": "store_true"}),
@@ -194,54 +112,34 @@ _OPTIONS = {
     "literal_bang": (("--literal-bang",), {"action": "store_true", "help": _LITERAL_HELP}),
 }
 _S3 = {
-    "orbit": ("the six translates of an expression", (_cmd_s3_orbit, "expr", "")),
-    "span": ("span of the orbit of an expression", (_cmd_s3_span, "expr", "")),
-    "decompose": ("isotypic multiplicities of the orbit span", (_cmd_s3_decompose, "expr", "")),
+    "orbit": ("the six translates of an expression", (commands, "expr", "")),
+    "span": ("span of the orbit of an expression", (commands, "expr", "")),
+    "decompose": ("isotypic multiplicities of the orbit span", (commands, "expr", "")),
 }
 _CATALOG = {
-    "list": ("list instance names", (_cmd_catalog_list, "", "")),
-    "emit": ("write an instance's committed file", (_cmd_catalog_emit, "name", "output")),
-    "regen": ("rebuild all instances and verify the data files", (_cmd_catalog_regen, "", "")),
+    "list": ("list instance names", (catalog, "", "")),
+    "emit": ("write an instance's committed file", (catalog, "name", "output")),
+    "regen": ("rebuild all instances and verify the data files", (catalog, "", "")),
 }
 _GRAMMAR = {
-    "check": ("classify an algebra or cogebra file", (_cmd_check, "file", "json")),
-    "dualize": ("write the dual of an algebra or cogebra file", (_cmd_dualize, "file", "output")),
-    "tensor": ("tensor product of two algebra files", (_cmd_tensor, "file_a file_b", "output")),
+    "check": ("classify an algebra or cogebra file", (_HERE, "file", "json")),
+    "dualize": ("write the dual of an algebra or cogebra file", (commands, "file", "output")),
+    "tensor": ("tensor product of two algebra files", (commands, "file_a file_b", "output")),
     "convolve": (
         "convolution algebra on Hom(cogebra, algebra)",
-        (_cmd_convolve, "cogebra_file algebra_file", "output literal_bang"),
+        (commands, "cogebra_file algebra_file", "output literal_bang"),
     ),
-    "annihilator": ("slot-permutation annihilator of a file", (_cmd_annihilator, "file", "json")),
+    "annihilator": ("slot-permutation annihilator of a file", (_HERE, "file", "json")),
     "s3": ("group-algebra utilities", _S3),
     "catalog": ("named example instances", _CATALOG),
 }
 
 
-def _build_parser():
-    """argparse's parser for the grammar.  It is built, and argparse
-    imported, only for argv that ``_parse`` leaves to it."""
-    import argparse
-
-    def add(parser, spec, dest):
-        if isinstance(spec, dict):
-            sub = parser.add_subparsers(dest=dest, required=True)
-            for name, (text, inner) in spec.items():
-                add(sub.add_parser(name, help=text), inner, f"{name}_command")
-            return
-        func, positionals, options = spec
-        for name in positionals.split():
-            parser.add_argument(name)
-        for name in options.split():
-            spellings, keywords = _OPTIONS[name]
-            parser.add_argument(*spellings, **keywords)
-        parser.set_defaults(func=func)
-
-    parser = argparse.ArgumentParser(
-        prog="nalg",
-        description="Workbench for nonassociative algebras and cogebras over exact rationals.",
-    )
-    add(parser, _GRAMMAR, "command")
-    return parser
+def _handler(home, path: list[str]):
+    """The handler of the command whose words are ``path``: ``_cmd_`` and
+    the words joined by "_", read in its module ``home``, which runs then
+    if it is lazy."""
+    return getattr(home, "_cmd_" + "_".join(path))
 
 
 def _parse(argv) -> SimpleNamespace | None:
@@ -250,14 +148,15 @@ def _parse(argv) -> SimpleNamespace | None:
     argparse reads with rules and messages of its own: help, "--",
     ``--output=X``, ``-oX``, abbreviations, values and positionals that
     start with "-", unknown words and wrong counts."""
-    found, spec, dest = {}, _GRAMMAR, "command"
+    found, spec, dest, path = {}, _GRAMMAR, "command", []
     words = iter(argv)
     while isinstance(spec, dict):
         name = next(words, None)
         if name not in spec:
             return None
+        path.append(name)
         found[dest], spec, dest = name, spec[name][1], f"{name}_command"
-    func, positionals, options = spec[0], spec[1].split(), spec[2].split()
+    home, positionals, options = spec[0], spec[1].split(), spec[2].split()
     spelled = {s: name for name in options for s in _OPTIONS[name][0]}
     flags = [name for name in options if "action" in _OPTIONS[name][1]]
     found.update(dict.fromkeys(flags, False))
@@ -274,7 +173,7 @@ def _parse(argv) -> SimpleNamespace | None:
             found[name] = value
     if len(values) != len(positionals) or any(name not in found for name in options):
         return None
-    found.update(zip(positionals, values), func=func)
+    found.update(zip(positionals, values), func=_handler(home, path))
     return SimpleNamespace(**found)
 
 
@@ -282,7 +181,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         try:
-            args = _parse(argv) or _build_parser().parse_args(argv)
+            args = _parse(argv) or commands._build_parser().parse_args(argv)
             return args.func(args)
         finally:
             # Flushed here, after argparse's help too, so that a closed stdout
@@ -298,12 +197,15 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         if isinstance(exc, OSError) and isinstance(exc.filename, str):
             # Python's own line, with the path quoted up to its end.
-            exc = f"[Errno {exc.errno}] {exc.strerror}: {_quoted(exc.filename, len(exc.filename))}"
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {errors._quoted(exc.filename, len(exc.filename))}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+
+
+__getattr__ = _forward(__name__, commands)
 
 
 if __name__ == "__main__":

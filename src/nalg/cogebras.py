@@ -1,39 +1,41 @@
 """The arrow-reversed versions of the slot-permutation invariance checks
 for cogebras, the iterated coproducts, the flip, and derived Lie cogebras.
 The ``Cogebra`` class itself, a cogebra by costructure constants, is
-defined beside ``Algebra`` in :mod:`nalg.algebras` and imported here.
+defined beside ``Algebra`` in :mod:`nalg.structures` and imported here;
+so are ``CogebraReport`` and ``_mirrored`` from :mod:`nalg.algebras`, where
+``nalg check`` reads a cogebra's report without running this module.
 
 Slot permutations act on output tensor cubes with the same convention as
-in :mod:`nalg.algebras`: the permutation operator of ``s`` places the
-factor with index s^{-1}(k) into slot k.
+``phi_precompose`` in :mod:`nalg.structures`: the permutation operator of
+``s`` places the factor with index s^{-1}(k) into slot k.
 
-Every check, and every map built here, comes from :mod:`nalg.algebras`
-on the dual algebra.  The iterated coproducts of a cogebra are the
-composites (xy)z and x(yz) of its dual with the output index moved to the
-front: the coassociativity defect is the dual's associator, and the
-literal ``gi_bang_cocheck`` is two kill tests of the identity on the
-dual's integer table, which stop at the first nonzero orbit.  Slot
-permutation by p on the cogebra side is slot permutation by p^-1 on the
-dual, which is how ``CubeMap.phi`` applies it.  Every subgroup is closed
-under inverses and p^-1 has the sign of p, so each signed subgroup sum,
-the symmetrizer and each stabilizer condition carries over unchanged;
-only the coannihilator is moved, by the map p -> p^-1.
+Every check, and every map built here, comes from :mod:`nalg.structures`
+and the engine of :mod:`nalg.algebras` on the dual algebra.  The iterated
+coproducts of a cogebra are the composites (xy)z and x(yz) of its dual
+with the output index moved to the front: the coassociativity defect is
+the dual's associator, and the literal ``gi_bang_cocheck`` is two kill
+tests of the identity on the dual's integer table, which stop at the
+first nonzero orbit.  Slot permutation by p on the cogebra side is slot
+permutation by p^-1 on the dual, which is how ``CubeMap.phi`` applies it.
+Every subgroup is closed under inverses and p^-1 has the sign of p, so
+each signed subgroup sum, the symmetrizer and each stabilizer condition
+carries over unchanged; only the coannihilator is moved, by the map
+p -> p^-1.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping
 from fractions import Fraction
 
 from . import duality
 from ._record import Record
-from .algebras import (
-    _GI_SPLITS,
+from .algebras import _GI_SPLITS, _INVERSE_ORDER, CogebraReport, _dual_products, _inverted, _kills, _mirrored
+from .linalg import Subspace
+from .structures import (
     _check_index,
     _composite,
-    _dual_products,
     _integer_table,
-    _kills,
     _table,
     Cogebra,
     TrilinearMap,
@@ -45,13 +47,7 @@ from .algebras import (
     jacobi_check,
     phi_precompose,
 )
-from .linalg import Subspace, span
-from .sym3 import GroupAlgElem, Perm3, PERMS, inverse
-
-
-# Coordinate k of the image of v under p -> p^-1 is coordinate
-# _INVERSE_ORDER[k] of v: the two 3-cycles swap, the rest stay.
-_INVERSE_ORDER = tuple(PERMS.index(inverse(p)) for p in PERMS)
+from .sym3 import GroupAlgElem, Perm3
 
 
 class CubeMap(Record):
@@ -139,40 +135,12 @@ def is_lie_cogebra(C: Cogebra) -> bool:
     return jacobi_check(duality.dualize_cogebra(C))
 
 
-def _inverted(rows: Iterable[Sequence[Fraction]]) -> Subspace:
-    """The image under p -> p^-1 of the span of ``rows``, in canonical form."""
-    return span((tuple(row[q] for q in _INVERSE_ORDER) for row in rows), 6)
-
-
 def coannihilator(C: Cogebra) -> Subspace:
     """All group-algebra vectors whose slot permutation kills the
     coassociativity defect; the mirror of the algebra annihilator."""
     return _inverted(annihilator(duality.dualize_cogebra(C)).basis)
 
 
-class CogebraReport(Record):
-    """Aggregated results of the arrow-reversed checks for one cogebra: the
-    mirror, field by field, of :class:`nalg.algebras.ClassificationReport`."""
-
-    __slots__ = (
-        "gi_coassoc",
-        "gi_bang_co",
-        "is_coassociative",
-        "is_lie_coadmissible",
-        "is_3_power_coassociative",
-        "has_counit",
-        "coannihilator_dim",
-        "coannihilator_basis",
-    )
-
-
 def classify_cogebra(C: Cogebra) -> CogebraReport:
     """The report of the dual algebra, mirrored."""
     return _mirrored(classify(duality.dualize_cogebra(C)))
-
-
-def _mirrored(report) -> CogebraReport:
-    """The cogebra report read off the dual algebra's ``report``: the same
-    flags, and the annihilator moved by p -> p^-1."""
-    co_ann = _inverted(e.coords for e in report.annihilator_basis)
-    return CogebraReport(*report._fields()[:6], co_ann.dim, tuple(map(GroupAlgElem, co_ann.basis)))

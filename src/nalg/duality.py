@@ -3,7 +3,7 @@
 Dual bases are identified positionally (the functional f_i pairs with the
 basis vector e_i), so dualizing transposes the structure constants:
 ``D[k][(i, j)] = C[(i, j)][k]``.  A cogebra's table becomes its dual's in
-one place, ``algebras._dual_products``, beside the ``Cogebra`` class.
+one place, ``algebras._dual_products``, which ``Cogebra`` reads too.
 Units become counits by evaluation and vice versa.  Both round trips are
 the identity on the stored data.
 
@@ -13,7 +13,8 @@ is: a table or (co)unit edited after the argument was made is rejected.
 
 from __future__ import annotations
 
-from .algebras import Algebra, Cogebra, _dual_products
+from .algebras import _dual_products
+from .structures import Algebra, Cogebra
 
 
 def dualize_algebra(A: Algebra) -> Cogebra:

@@ -22,9 +22,9 @@ each kind unpacks its own fields into the same keys.  The reader works
 in two steps.  ``_scan`` loads a document's text, checks each index, key
 and coefficient once, in document order, and parses each distinct
 coefficient text once, into a reduced int pair; from those few pairs
-``linalg._cleared``, the rule of ``algebras._integer_table``, clears the
-table of denominators, zero terms dropped, and a declared (co)unit of its
-own, with the scale that the (co)unit axiom must meet on the cleared
+``linalg._cleared``, the rule of ``structures._integer_table``, clears
+the table of denominators, zero terms dropped, and a declared (co)unit of
+its own, with the scale that the (co)unit axiom must meet on the cleared
 table.  ``_build`` makes one ``Fraction`` per distinct text, shared by
 every entry and (co)unit coordinate that holds it, and builds the
 structure through its constructor and all its checks, as every structure
@@ -34,6 +34,13 @@ other bytes than an equal one built entry by entry (see ``catalog._VALUES``).
 checks the cleared (co)unit on the cleared table as the constructor
 checks its own.  Every file ``nalg`` reads goes through ``_read`` and
 every file it writes through ``_write``.
+
+This module holds what those two commands run on valid input: the
+reader, ``_read``, ``_write`` and ``format_ga_expr``.  The ``parse_*``
+functions, ``_build``, ``print_document`` and ``parse_ga_expr`` live in
+the lazy :mod:`nalg.documents`, and are read here through the module
+``__getattr__`` (PEP 562); the reader's place and index errors are
+:mod:`nalg.errors`'.
 
 Group-algebra expressions are sums of terms ``id, t12, t13, t23, c1, c2``,
 each optionally prefixed by a rational and ``*``, joined by ``+``/``-``,
@@ -47,11 +54,11 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from operator import itemgetter
 
-from .algebras import Algebra, Cogebra
-from .linalg import _cleared, _quoted, _rational_pair, format_rational, parse_rational
+from . import _forward, documents, errors
+from .algebras import _check_unit, _dual_products
+from .linalg import _cleared, _rational_pair, format_rational
 from .sym3 import PERM_NAMES, GroupAlgElem
 
 
@@ -61,17 +68,16 @@ class FormatError(ValueError):
 
 # --- JSON documents ---------------------------------------------------------
 
-# One row per kind: the class, its table field, the index fields of an
-# entry and of an output term, its (co)unit field, and the texts its errors
-# use for the document, an entry's fields, a term's fields and a repeated
-# key.
+# One row per kind: its table field, the index fields of an entry and of an
+# output term, its (co)unit field, and the texts its errors use for the
+# document, an entry's fields, a term's fields and a repeated key.
 _KINDS = {
     "algebra": (
-        Algebra, "products", ("left", "right"), ("k",), "unit",
+        "products", ("left", "right"), ("k",), "unit",
         "an algebra", "'left', 'right', 'out'", "'k' and 'c'", "structure-constant",
     ),
     "cogebra": (
-        Cogebra, "coproducts", ("in",), ("i", "j"), "counit",
+        "coproducts", ("in",), ("i", "j"), "counit",
         "a cogebra", "'in' and 'out'", "'i', 'j' and 'c'", "costructure-constant",
     ),
 }
@@ -102,7 +108,7 @@ def _load_object(text: str) -> dict:
 def _check_keys(doc: dict, expected: set[str]) -> None:
     unknown = set(doc) - expected
     if unknown:
-        raise FormatError(f"unknown field(s): {_quoted(', '.join(sorted(unknown)), show=str)}")
+        raise FormatError(f"unknown field(s): {errors._quoted(', '.join(sorted(unknown)), show=str)}")
     missing = expected - set(doc)
     if missing:
         raise FormatError(f"missing field(s): {', '.join(sorted(missing))}")
@@ -124,14 +130,6 @@ def _read_basis(doc: dict, dim: int) -> tuple[str, ...]:
     return tuple(basis)
 
 
-def _read_index(obj: dict, fields: tuple, dim: int) -> None:
-    for field in fields:
-        if type(obj[field]) is not int:
-            raise FormatError(f"'{field}' must be an integer")
-        if not 1 <= obj[field] <= dim:
-            raise FormatError(f"index out of range: '{field}' = {_quoted(str(obj[field]), show=str)}")
-
-
 def _read_coefficient(value, texts: dict, noun: str, head: int | tuple | None = None) -> None:
     """Check the rational string ``value`` and store its reduced int pair
     in ``texts`` under it; errors place it in ``noun``, followed by the
@@ -140,29 +138,12 @@ def _read_coefficient(value, texts: dict, noun: str, head: int | tuple | None = 
     pair, so each distinct text is parsed once; a text that fails is not
     stored."""
     if not isinstance(value, str):
-        raise FormatError(f"coefficient in {_place(noun, head)} must be a rational string")
+        raise FormatError(f"coefficient in {errors._place(noun, head)} must be a rational string")
     if value not in texts:
         try:
             texts[value] = _rational_pair(value)
         except ValueError as exc:
-            raise FormatError(f"{exc} (in {_place(noun, head)})") from None
-
-
-def _place(noun: str, head: int | tuple | None) -> str:
-    return noun if head is None else f"{noun} {head}"
-
-
-def parse_algebra(text: str) -> Algebra:
-    return _build(*_scan(text, "algebra")[0])
-
-
-def parse_cogebra(text: str) -> Cogebra:
-    return _build(*_scan(text, "cogebra")[0])
-
-
-def parse_document(text: str):
-    """Parse either kind of document, keyed on the 'kind' field."""
-    return _build(*_scan(text)[0])
+            raise FormatError(f"{exc} (in {errors._place(noun, head)})") from None
 
 
 # Bytes asked of each ``os.read``: a document of this size or less is read
@@ -189,15 +170,15 @@ def _read(path: str) -> str:
 
 
 def _read_table(path: str) -> tuple:
-    """The class and dimension of the file at ``path``, the reader's cleared
+    """The kind and dimension of the file at ``path``, the reader's cleared
     table in product order, a cogebra's as its dual's, and whether it
     declares a (co)unit, checked on that table with the cleared (co)unit
     and scale the reader hands over: nothing is built."""
-    (cls, dim, *_), cleared, unit = _scan(_read(path))
-    P = cls._in_product_order(cleared)
+    (kind, dim, *_), cleared, unit = _scan(_read(path))
+    P = _dual_products(cleared) if kind == "cogebra" else cleared
     if unit is not None:
-        cls._check_unit(P, *unit)
-    return cls, dim, P, unit is not None
+        _check_unit(kind, P, *unit)
+    return kind, dim, P, unit is not None
 
 
 def _write(path: str, text: str) -> None:
@@ -223,7 +204,7 @@ def _scan(text: str, kind: str | None = None) -> tuple:
         kind = doc.get("kind")
         if not isinstance(kind, str) or kind not in _KINDS:
             raise FormatError("'kind' must be 'algebra' or 'cogebra'")
-    (cls, field, entry_fields, term_fields, unit_field,
+    (field, entry_fields, term_fields, unit_field,
      article, entry_keys, term_keys, constant) = _KINDS[kind]
     if doc.get("kind") != kind:
         raise FormatError(f"expected {article} document ('kind': '{kind}')")
@@ -241,14 +222,14 @@ def _scan(text: str, kind: str | None = None) -> tuple:
     table: dict[tuple[int, int, int], str] = {}
     texts: dict[str, tuple[int, int]] = {}
     heads: set[int | tuple[int, int]] = set()
-    if cls is Algebra:
+    if kind == "algebra":
         for entry in entries:
             try:
                 left, right, terms = entry_get(entry) if len(entry) == 3 else ()
             except (TypeError, KeyError, ValueError):
                 raise FormatError(f"each {noun} entry needs exactly {entry_keys}") from None
             if not (type(left) is type(right) is int and 0 < left <= dim and 0 < right <= dim):
-                _read_index(entry, entry_fields, dim)
+                errors._read_index(entry, entry_fields, dim)
             head = left, right
             if head in heads:
                 raise FormatError(f"duplicate {noun} entry for {head}")
@@ -261,7 +242,7 @@ def _scan(text: str, kind: str | None = None) -> tuple:
                 except (TypeError, KeyError, ValueError):
                     raise FormatError(f"each output term needs exactly {term_keys}") from None
                 if not (type(k) is int and 0 < k <= dim):
-                    _read_index(term, term_fields, dim)
+                    errors._read_index(term, term_fields, dim)
                 key = left, right, k
                 if key in table:
                     raise FormatError(f"duplicate {constant} entry {key}")
@@ -275,7 +256,7 @@ def _scan(text: str, kind: str | None = None) -> tuple:
             except (TypeError, KeyError, ValueError):
                 raise FormatError(f"each {noun} entry needs exactly {entry_keys}") from None
             if not (type(h) is int and 0 < h <= dim):
-                _read_index(entry, entry_fields, dim)
+                errors._read_index(entry, entry_fields, dim)
             if h in heads:
                 raise FormatError(f"duplicate {noun} entry for {h}")
             heads.add(h)
@@ -287,7 +268,7 @@ def _scan(text: str, kind: str | None = None) -> tuple:
                 except (TypeError, KeyError, ValueError):
                     raise FormatError(f"each output term needs exactly {term_keys}") from None
                 if not (type(i) is type(j) is int and 0 < i <= dim and 0 < j <= dim):
-                    _read_index(term, term_fields, dim)
+                    errors._read_index(term, term_fields, dim)
                 key = h, i, j
                 if key in table:
                     raise FormatError(f"duplicate {constant} entry {key}")
@@ -309,98 +290,10 @@ def _scan(text: str, kind: str | None = None) -> tuple:
             _read_coefficient(c, texts, f"'{unit_field}'")
         u, e = _cleared([texts[c] for c in unit])
         cleared_unit = u, d * e
-    return (cls, dim, basis, table, texts, unit), cleared, cleared_unit
-
-
-def _build(cls, dim: int, basis: tuple, table: dict, texts: dict, unit: list | None):
-    """The structure of a document that ``_scan`` checked and returned as
-    these parts, through its constructor: one Fraction per distinct
-    coefficient text, shared by the table and the (co)unit."""
-    values = {c: Fraction(p, q) for c, (p, q) in texts.items()}
-    table = dict(zip(table, map(values.__getitem__, table.values())))
-    if unit is not None:
-        unit = tuple(map(values.__getitem__, unit))
-    try:
-        return cls(dim, table, unit, basis)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-
-
-def print_document(obj) -> str:
-    """The canonical text of an algebra or a cogebra: ``json.dumps(doc, indent=2, ensure_ascii=False) + "\n"``
-    of its document, written out for its fixed shape.  Of its strings only
-    basis names can need escapes, which ``encode_basestring`` makes."""
-    for kind, (cls, field, entry_fields, term_fields, unit_field, *_, constant) in _KINDS.items():
-        if isinstance(obj, cls):
-            break
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    n = len(entry_fields)
-    # Format strings: an entry up to its terms, from its indices; a term, from its indices and coefficient.
-    head = "    {{\n" + "".join(f'      "{f}": {{}},\n' for f in entry_fields) + '      "out": [\n'
-    term = "        {{\n" + "".join(f'          "{f}": {{}},\n' for f in term_fields)
-    term += '          "c": "{}"\n        }}'
-    by_head: dict[tuple[int, ...], list[str]] = {}
-    try:
-        for key, c in sorted(getattr(obj, field).items()):
-            by_head.setdefault(key[:n], []).append(term.format(*key[n:], format_rational(c)))
-    except ValueError as exc:
-        raise ValueError(f"{exc} (in {constant} entry {key})") from None
-    entries = ",\n".join(head.format(*h) + ",\n".join(terms) + "\n      ]\n    }" for h, terms in by_head.items())
-    entries = f"[\n{entries}\n  ]" if entries else "[]"
-    basis = ",\n".join(f"    {json.encoder.encode_basestring(name)}" for name in obj.basis_names())
-    unit = getattr(obj, unit_field)
-    unit = "null" if unit is None else "[\n" + ",\n".join(f'    "{format_rational(c)}"' for c in unit) + "\n  ]"
-    return (
-        f'{{\n  "kind": "{kind}",\n  "dim": {obj.dim},\n  "basis": [\n{basis}\n  ],\n'
-        f'  "{field}": {entries},\n  "{unit_field}": {unit}\n}}\n'
-    )
+    return (kind, dim, basis, table, texts, unit), cleared, cleared_unit
 
 
 # --- group-algebra expressions ----------------------------------------------
-
-def parse_ga_expr(text: str) -> GroupAlgElem:
-    """Parse an expression like ``id - t12 + 3/2*c1`` into coordinates."""
-    s = "".join(text.split())
-    # Errors give positions in ``text`` as given: where[pos] is the place
-    # there of s[pos], and the end of s is the end of text.
-    where = [at for at, ch in enumerate(text) if not ch.isspace()] + [len(text)]
-    if not s:
-        raise FormatError("empty expression")
-    if s == "0":
-        return GroupAlgElem.zero()
-    # A term is an optional coefficient (a sign, ASCII digits, optionally "/"
-    # and ASCII digits) and "*", then a permutation name.  Compiled here,
-    # through re's cache, so that importing this module compiles nothing.
-    term = re.compile(rf"(?:([+-]?[0-9]+(?:/[0-9]+)?)\*)?({'|'.join(PERM_NAMES)})")
-    coords = [Fraction(0)] * 6
-    pos = 0
-    first = True
-    while pos < len(s):
-        negate = False
-        if s[pos] in "+-":
-            negate = s[pos] == "-"
-            pos += 1
-        elif not first:
-            raise FormatError(f"expected '+' or '-' at position {where[pos]} in {_quoted(text, where[pos])}")
-        m = term.match(s, pos)
-        if m is None:
-            raise FormatError(f"malformed term at position {where[pos]} in {_quoted(text, where[pos])}")
-        coef_text, name = m.groups()
-        if coef_text is None:
-            coef = Fraction(1)
-        else:
-            try:
-                coef = parse_rational(coef_text)
-            except ValueError as exc:
-                raise FormatError(f"{exc} (at position {where[pos]} in {_quoted(text, where[pos])})") from None
-        if negate:
-            coef = -coef
-        coords[PERM_NAMES.index(name)] += coef
-        pos = m.end()
-        first = False
-    return GroupAlgElem(tuple(coords))
-
 
 def format_ga_expr(elem: GroupAlgElem) -> str:
     """Canonical expression: terms in basis order, unit coefficients elided."""
@@ -417,3 +310,6 @@ def format_ga_expr(elem: GroupAlgElem) -> str:
     if not parts:
         return "0"
     return " ".join(parts)
+
+
+__getattr__ = _forward(__name__, documents)

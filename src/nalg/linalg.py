@@ -9,57 +9,24 @@ makes subspace equality a plain data comparison.  Eliminations run on
 rows cleared of denominators, fraction-free in Python ints, and only the
 canonical basis is built from fractions.  No floating point is used
 anywhere.
+
+This module holds what the checks run on valid input.  ``kernel``,
+``member`` and ``parse_rational`` live in the lazy :mod:`nalg.subspaces`,
+and are read here through the module ``__getattr__`` (PEP 562); the
+error lines of bad input are :mod:`nalg.errors`'.
 """
 
 from __future__ import annotations
 
-import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Collection, Iterable, Sequence
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 
+from . import _forward, errors, subspaces
 from ._record import Record
 
 Vec = tuple[Fraction, ...]
-
-
-def _too_long() -> ValueError:
-    """The error for a numerator or denominator past Python's limit on the
-    digits of an int read from or written as text, in place of Python's."""
-    return ValueError(f"a numerator or denominator has more than {sys.get_int_max_str_digits()} digits")
-
-
-# The most characters of an input that an error message shows, each
-# non-printable one counted as the characters of its escape: a longer
-# input is quoted by an excerpt, from a little before the place that the
-# message names.
-_QUOTED = 80
-
-
-def _shown(ch: str) -> str:
-    """The character ``ch`` as an error line shows it: as it is if it is
-    printable, else escaped as ``repr`` escapes it, so one line stays one."""
-    return ch if ch.isprintable() else repr(ch)[1:-1]
-
-
-def _quoted(text: str, at: int = 0, show=repr) -> str:
-    """How an error line shows the input ``text`` at its place, index ``at``:
-    ``show`` of an excerpt, each character as ``_shown`` shows it.  The
-    excerpt is all of a text that shows in ``_QUOTED`` characters;
-    otherwise it shows in at most ``_QUOTED``, from at most a quarter of
-    that before ``at``, moved back where the text ends, with "..." for each
-    end cut off."""
-    # Only the _QUOTED characters on each side of ``at`` can show; cum[i]
-    # is the width of the first i of them, and width grows with i.
-    lo = max(at - _QUOTED, 0)
-    cum = list(accumulate((len(_shown(ch)) for ch in text[lo:at + _QUOTED]), initial=0))
-    start = bisect_left(cum, cum[at - lo] - _QUOTED // 4)
-    end = bisect_right(cum, cum[start] + _QUOTED) - 1
-    start, end = lo + bisect_left(cum, cum[end] - _QUOTED), lo + end
-    excerpt = "".join(map(_shown, show(text[start:end])))
-    return "..." * (start > 0) + excerpt + "..." * (end < len(text))
 
 
 def _rational_pair(text: str) -> tuple[int, int]:
@@ -71,23 +38,19 @@ def _rational_pair(text: str) -> tuple[int, int]:
     if not (digits.isdigit() and digits.isascii() and (not slash or q.isdigit() and q.isascii())):
         # Quoted from its first character that no rational holds, if any.
         at = next((at for at, ch in enumerate(text) if ch not in "+-/0123456789"), 0)
-        raise ValueError(f"malformed rational: {_quoted(text, at)}")
+        raise ValueError(f"malformed rational: {errors._quoted(text, at)}")
     try:
         if not slash:
             return int(p), 1
         q = int(q)
         p = int(p) if q else 0
     except ValueError:
-        raise _too_long() from None
+        raise errors._too_long() from None
     if q == 0:
-        raise ValueError(f"malformed rational: {_quoted(text, text.index('/') + 1)} (denominator must be positive)")
+        at = text.index("/") + 1
+        raise ValueError(f"malformed rational: {errors._quoted(text, at)} (denominator must be positive)")
     g = gcd(p, q)
     return p // g, q // g
-
-
-def parse_rational(text: str) -> Fraction:
-    """The Fraction of the strict text form (see ``_rational_pair``)."""
-    return Fraction(*_rational_pair(text))
 
 
 def format_rational(value: Fraction) -> str:
@@ -97,7 +60,7 @@ def format_rational(value: Fraction) -> str:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     except ValueError:
-        raise _too_long() from None
+        raise errors._too_long() from None
 
 
 def _exact(value) -> Fraction:
@@ -127,7 +90,7 @@ class Subspace(Record):
         return len(self.basis)
 
     def contains(self, vector: Sequence) -> bool:
-        return member(vector, self)
+        return subspaces.member(vector, self)
 
 
 def _cleared(pairs: Collection[tuple[int, int]]) -> tuple[list[int], int]:
@@ -205,41 +168,4 @@ def span(vectors: Iterable[Sequence], ambient_dim: int | None = None) -> Subspac
     return _subspace(ambient_dim, *_echelon(rows))
 
 
-def kernel(rows: Iterable[Sequence], ncols: int | None = None) -> Subspace:
-    """Exact null space of the matrix with the given rows, in canonical form.
-
-    Satisfies rank + nullity = ncols.  ``ncols`` is required for an empty
-    matrix.  Each row not already of ints is cleared of denominators, and
-    the elimination runs in integers; fractions appear only in the
-    canonical output.
-    """
-    mat = [_integers(r) for r in rows]
-    if ncols is None:
-        if not mat:
-            raise ValueError("column count required for an empty matrix")
-        ncols = len(mat[0])
-    if any(len(r) != ncols for r in mat):
-        raise ValueError("matrix rows must all have the same length")
-    pivots, basis = _echelon(mat)
-    # The null vector for free column f is e_f minus sum_p (r[f] / r[p]) e_p
-    # over the echelon rows r, scaled by the LCM of the pivot entries.
-    scale = lcm(*(r[p] for p, r in zip(pivots, basis)))
-    vectors = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [0] * ncols
-        v[f] = scale
-        for p, r in zip(pivots, basis):
-            v[p] = -r[f] * (scale // r[p])
-        vectors.append(v)
-    return _subspace(ncols, *_echelon(vectors))
-
-
-def member(vector: Sequence, subspace: Subspace) -> bool:
-    """True iff ``vector`` lies in ``subspace``: appending it to the basis
-    leaves the rank of the integer elimination at ``subspace.dim``."""
-    v = as_vec(vector)
-    if len(v) != subspace.ambient_dim:
-        raise ValueError("vector/subspace dimension mismatch")
-    return len(_echelon(map(_integers, (*subspace.basis, v)))[0]) == subspace.dim
+__getattr__ = _forward(__name__, subspaces)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .algebras import Algebra, Cogebra
+from .structures import Algebra, Cogebra
 
 
 def pair_index(a: int, b: int, right_dim: int) -> int:

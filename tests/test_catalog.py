@@ -8,7 +8,7 @@ import pytest
 import reference_algebras as reference
 from shared import SRC, run_cli, run_fresh
 
-from nalg import catalog
+from nalg import catalog, structures
 from nalg.algebras import Algebra, classify, commutator_algebra, gi_check, is_antisymmetric, is_commutative
 from nalg.cogebras import classify_cogebra
 from nalg.formats import print_document
@@ -342,7 +342,7 @@ class TestCandidates:
             checked = [Algebra(dim, dict(zip(slots, v))) for v in itertools.islice(values, count)]
             tables = list(itertools.islice(catalog._candidates(slots), count))
             if name == "nonjacobi3":
-                checked, tables = map(commutator_algebra, checked), map(catalog._commutator, tables)
+                checked, tables = map(commutator_algebra, checked), map(structures._commutator, tables)
             for P, B in itertools.zip_longest(tables, checked):
                 # items, not the dicts alone: the order is the printed order
                 assert list(P.items()) == list(B.products.items()), name

@@ -11,7 +11,7 @@ from reference_formats import quoted
 from shared import raw_documents
 
 from nalg import algebras as alg
-from nalg import catalog, formats, linalg
+from nalg import catalog, errors, formats, linalg
 from nalg.algebras import Algebra
 from nalg.cogebras import Cogebra
 from nalg.formats import (
@@ -366,7 +366,7 @@ def _reference_parse(text):
 def test_an_error_quotes_its_input_as_the_reference_does(text, data):
     at = data.draw(st.integers(0, len(text)))
     for show in (repr, str):
-        assert linalg._quoted(text, at, show) == quoted(text, at, show)
+        assert errors._quoted(text, at, show) == quoted(text, at, show)
 
 
 class TestExpressions:

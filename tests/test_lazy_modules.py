@@ -1,6 +1,8 @@
-"""The lazy modules of ``nalg``: ``catalog``, ``cogebras``, ``duality`` and
-``products`` are registered when ``nalg`` is imported and run on first
-attribute access, so a command runs only the modules it uses.
+"""The lazy modules of ``nalg`` (``nalg._LAZY``) are registered when
+``nalg`` is imported and run on first attribute access, so a command runs
+only the modules it uses: ``nalg check`` and ``nalg annihilator``, of
+either kind of file, run none of them, and ``import nalg.cli`` compiles no
+more than ``NODES`` AST nodes.
 
 Each check runs in a fresh interpreter, where nothing has run yet.  A
 module counts as not run while ``type(sys.modules[name])`` is not
@@ -8,7 +10,8 @@ module counts as not run while ``type(sys.modules[name])`` is not
 turns the lazy module into a plain one.  Importing a lazy module by name,
 before or after ``nalg.cli``, gives the one module object, run once; and
 every name ``nalg`` exported before the modules became lazy is still there,
-the very object of its home module.  The same interpreters check that
+the very object of its home module, and so is every name read through the
+module it was defined in before.  The same interpreters check that
 ``import nalg.cli`` loads none of ``UNUSED`` and leaves no compiled
 pattern in ``nalg.formats``, and that no command loads argparse.
 """
@@ -19,14 +22,18 @@ import textwrap
 import pytest
 from shared import DATA, SRC, run_fresh
 
-LAZY = ("catalog", "cogebras", "duality", "products")
+LAZY = (
+    "catalog", "cogebras", "commands", "documents", "duality", "errors", "groupalg", "products", "structures",
+    "subspaces",
+)
 # Modules that ``import nalg.cli`` never loads, nor does any command that
 # parses: the code generation of dataclasses; argparse, with its gettext,
 # which only help and usage errors need; and pathlib and typing, which no
 # ``nalg`` module imports.
 UNUSED = ("dataclasses", "inspect", "ast", "argparse", "gettext", "pathlib", "typing")
 
-# ``nalg``'s public namespace before the modules became lazy, by home module.
+# ``nalg``'s public namespace before the modules became lazy, by home module:
+# the module it was defined in then, and the module it is defined in now.
 EXPORTS = {
     "algebras": (
         "Algebra ClassificationReport Cogebra TrilinearMap annihilator associator classify commutator_algebra "
@@ -42,6 +49,12 @@ EXPORTS = {
         "PERMS SUBGROUPS GroupAlgElem Perm3 action compose ga_multiply inverse maschke_multiplicities orbit "
         "orbit_span right_ideal sign special_vector"
     ),
+    "structures": (
+        "Algebra Cogebra TrilinearMap annihilator associator classify commutator_algebra gi_bang_check gi_check "
+        "is_antisymmetric is_commutative is_sigma3_assoc_for jacobi_check power_assoc_check"
+    ),
+    "groupalg": "action compose ga_multiply maschke_multiplicities orbit orbit_span right_ideal",
+    "subspaces": "kernel member parse_rational",
 }
 
 PRELUDE = """\
@@ -60,8 +73,12 @@ def run(code: str, *args) -> list[str]:
     return run_fresh(PRELUDE.format(lazy=LAZY) + textwrap.dedent(code), SRC, *args).stdout.splitlines()
 
 
-# A public name of each lazy module, read through the module.
-ATTRIBUTE = {"catalog": "NAMES", "cogebras": "CubeMap", "duality": "dualize_algebra", "products": "tensor_algebras"}
+# A name of each lazy module, read through the module.
+ATTRIBUTE = {
+    "catalog": "NAMES", "cogebras": "CubeMap", "commands": "_build_parser", "documents": "print_document",
+    "duality": "dualize_algebra", "errors": "_quoted", "groupalg": "orbit", "products": "tensor_algebras",
+    "structures": "Algebra", "subspaces": "kernel",
+}
 
 
 @pytest.mark.parametrize("module", LAZY)
@@ -76,7 +93,8 @@ def test_a_module_imported_before_the_cli_is_the_one_the_cli_uses(module):
         import nalg.cli
         import nalg.{module}
         from nalg.{module} import {name}
-        assert nalg.{module} is module is nalg.cli.{module} is sys.modules["nalg.{module}"]
+        assert nalg.{module} is module is sys.modules["nalg.{module}"]
+        assert getattr(nalg.cli, "{module}", module) is module
         assert {name} is before is nalg.{module}.{name}
         assert all(vars(module)[key] is value for key, value in names.items())
         print("ok")
@@ -90,7 +108,8 @@ def test_a_module_imported_after_the_cli_reads_its_attributes(module):
         import nalg.cli
         print(ran())
         import nalg.{module}
-        assert nalg.{module} is nalg.cli.{module} is sys.modules["nalg.{module}"]
+        assert nalg.{module} is sys.modules["nalg.{module}"]
+        assert getattr(nalg.cli, "{module}", nalg.{module}) is nalg.{module}
         assert nalg.{module}.{ATTRIBUTE[module]} is not None
         print("{module}" in ran())
     """
@@ -131,25 +150,35 @@ def test_every_exported_name_stays_the_object_of_its_home():
     assert json.loads(found) == {home: names.split() for home, names in EXPORTS.items()}
 
 
+# The modules that build a structure from a file and write one.
+BUILD = ["commands", "documents", "structures"]
 # What a command runs of the lazy modules: the argv, its inputs, and the
-# modules that have run when it returns.
+# modules that have run when it returns.  ``check`` and ``annihilator`` run
+# none, on either kind of file, as text and as --json.
 COMMANDS = {
     "check an algebra": (["check", DATA / "mat2.json"], []),
-    "check a cogebra": (["check", "--json", DATA / "dual_mat2.json"], ["cogebras"]),
+    "check a cogebra": (["check", "--json", DATA / "dual_mat2.json"], []),
     "annihilator of an algebra": (["annihilator", DATA / "vinberg2.json"], []),
-    "annihilator of a cogebra": (["annihilator", DATA / "dual_vinberg2.json"], ["cogebras"]),
-    "tensor": (["tensor", DATA / "mat2.json", DATA / "vinberg2.json", "-o", "OUT"], ["products"]),
-    "dualize": (["dualize", DATA / "mat2.json", "-o", "OUT"], ["duality"]),
+    "annihilator of a cogebra": (["annihilator", DATA / "dual_vinberg2.json"], []),
+    "check an algebra --json": (["check", "--json", DATA / "mat2.json"], []),
+    "check a cogebra as text": (["check", DATA / "dual_mat2.json"], []),
+    "annihilator of an algebra --json": (["annihilator", "--json", DATA / "vinberg2.json"], []),
+    "annihilator of a cogebra --json": (["annihilator", "--json", DATA / "dual_vinberg2.json"], []),
+    "tensor": (["tensor", DATA / "mat2.json", DATA / "vinberg2.json", "-o", "OUT"], sorted(BUILD + ["products"])),
+    "dualize": (["dualize", DATA / "mat2.json", "-o", "OUT"], sorted(BUILD + ["duality"])),
     "convolve": (
-        ["convolve", DATA / "dual_mat2.json", DATA / "mat2.json", "-o", "OUT"], ["cogebras", "duality", "products"]
+        ["convolve", DATA / "dual_mat2.json", DATA / "mat2.json", "-o", "OUT"],
+        sorted(BUILD + ["cogebras", "duality", "products"]),
     ),
     "convolve --literal-bang": (
         ["convolve", "--literal-bang", DATA / "dual_mat2.json", DATA / "mat2.json", "-o", "OUT"],
-        ["cogebras", "duality", "products"],
+        sorted(BUILD + ["cogebras", "duality", "products"]),
     ),
-    "s3": (["s3", "span", "id - t12"], []),
+    "s3": (["s3", "span", "id - t12"], ["commands", "documents", "groupalg"]),
+    "s3 with a coefficient": (["s3", "decompose", "id - 2*t12"], ["commands", "documents", "groupalg", "subspaces"]),
     "catalog list": (["catalog", "list"], ["catalog"]),
     "catalog emit": (["catalog", "emit", "vinberg2", "-o", "OUT"], ["catalog"]),
+    "catalog regen": (["catalog", "regen"], sorted(["catalog", "documents", "duality", "products", "structures"])),
 }
 
 
@@ -159,11 +188,11 @@ def test_importing_the_cli_runs_no_lazy_module():
     code = f"""
         import re
         import nalg.cli
-        print(ran())
+        print(ran(), sorted(nalg._LAZY) == sorted(LAZY))
         print([m for m in {UNUSED!r} if m in sys.modules])
         print(any(isinstance(v, re.Pattern) for v in vars(nalg.formats).values()))
     """
-    assert run(code) == ["[]", "[]", "False"]
+    assert run(code) == ["[] True", "[]", "False"]
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -180,3 +209,30 @@ def test_a_command_runs_only_the_modules_it_uses(command, tmp_path):
     lines = run(code, *argv)
     assert lines[0] == "[]"
     assert lines[-2:] == [f"0 {expected}", "[]"]
+
+
+# The most AST nodes that the source of the modules ``import nalg.cli``
+# runs may hold: all of ``nalg`` that ``nalg check`` and ``nalg
+# annihilator`` run.  Without cached bytecode, as the benchmark runs, every
+# fresh process compiles that source, at about 1-2 microseconds a node
+# (README, "Start-up").
+NODES = 9_600
+
+
+def test_the_cli_import_compiles_at_most_NODES_nodes():
+    code = """
+        import ast
+        import nalg.cli
+
+        nodes = {}
+        for name, module in sorted(sys.modules.items()):
+            if name.split(".")[0] == "nalg" and type(module) is types.ModuleType:
+                with open(module.__file__, encoding="utf-8") as f:
+                    nodes[name] = sum(1 for _ in ast.walk(ast.parse(f.read())))
+        print(sorted(nodes))
+        print(sum(nodes.values()))
+    """
+    names, total = run(code)
+    eager = ["nalg", "nalg._record", "nalg.algebras", "nalg.cli", "nalg.formats", "nalg.linalg", "nalg.sym3"]
+    assert names == str(eager)
+    assert int(total) <= NODES
